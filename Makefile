@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint test test-race cover bench bench-json bench-guard bench-fleet figures verify smoke clean
+.PHONY: all build vet lint test test-race cover bench bench-smoke bench-json bench-guard bench-fleet figures verify smoke clean
 
 all: build lint test
 
@@ -30,6 +30,11 @@ cover:
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
+
+# The repo's benchmark (benchmark/README.md) at toy sizes: all six
+# workloads untraced and traced, every output check on, a few seconds.
+bench-smoke:
+	$(GO) run ./benchmark -smoke
 
 # Machine-readable benchmark snapshot of the solver and experiment-engine
 # hot paths: the heavy figure benchmarks at a fixed small iteration count

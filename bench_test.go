@@ -125,19 +125,6 @@ func BenchmarkFig12(b *testing.B) {
 	reportShared(b, before)
 }
 
-// BenchmarkFig12NoShared is Figure 12 with the process-wide L2 disabled —
-// the ablation that isolates what cross-run sharing contributes.
-func BenchmarkFig12NoShared(b *testing.B) {
-	prev := machine.SetSharedSolveCache(false)
-	b.Cleanup(func() { machine.SetSharedSolveCache(prev) })
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := experiments.Figure12(cfg(), 1); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkFig12Seq(b *testing.B) {
 	sequential(b)
 	for i := 0; i < b.N; i++ {
@@ -412,11 +399,12 @@ func BenchmarkMachineSolveCached(b *testing.B) {
 	}
 }
 
-// BenchmarkMachineSolveSessionHit measures the warm two-tier hit path —
-// a SolveSession revisiting an already-solved state, the ST oracle's
-// per-state cost once the shared cache is warm. Pinned at 0 allocs/op
-// by TestCachedSolveAllocationGuard.
-func BenchmarkMachineSolveSessionHit(b *testing.B) {
+// BenchmarkMachineSolveSession measures the ST oracle's per-state cost: a
+// SolveSession sweeping distinct exclusive states (all 120 four-part way
+// compositions, MBA levels varying with the state), every solve cold,
+// table-fed and uncached. 0 allocs/op, pinned by
+// TestCachedSolveAllocationGuard.
+func BenchmarkMachineSolveSession(b *testing.B) {
 	c := cfg()
 	m, err := machine.New(c, machine.WithSolveCache())
 	if err != nil {
@@ -426,22 +414,29 @@ func BenchmarkMachineSolveSessionHit(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	masks, err := machine.AssignContiguousWays([]int{3, 3, 3, 2}, 0, c.LLCWays)
-	if err != nil {
-		b.Fatal(err)
-	}
-	allocs := make([]machine.Alloc, len(models))
-	for i := range allocs {
-		allocs[i] = machine.Alloc{CBM: masks[i], MBALevel: 100}
+	var states [][]machine.Alloc
+	for w0 := 1; w0 <= c.LLCWays-3; w0++ {
+		for w1 := 1; w0+w1 <= c.LLCWays-2; w1++ {
+			for w2 := 1; w0+w1+w2 <= c.LLCWays-1; w2++ {
+				counts := []int{w0, w1, w2, c.LLCWays - w0 - w1 - w2}
+				masks, err := machine.AssignContiguousWays(counts, 0, c.LLCWays)
+				if err != nil {
+					b.Fatal(err)
+				}
+				allocs := make([]machine.Alloc, len(models))
+				for i := range allocs {
+					allocs[i] = machine.Alloc{CBM: masks[i], MBALevel: 10 * (1 + (len(states)+3*i)%10)}
+				}
+				states = append(states, allocs)
+			}
+		}
 	}
 	session := m.NewSolveSession(models)
 	perfs := make([]machine.Perf, len(models))
-	if err := session.SolveInto(perfs, allocs); err != nil { // warm both tiers
-		b.Fatal(err)
-	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := session.SolveInto(perfs, allocs); err != nil {
+		if err := session.SolveInto(perfs, states[i%len(states)]); err != nil {
 			b.Fatal(err)
 		}
 	}

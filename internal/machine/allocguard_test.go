@@ -2,11 +2,12 @@ package machine
 
 import "testing"
 
-// TestCachedSolveAllocationGuard pins the perf contract of the warm
-// paths: a repeated solve served by the per-machine L1 and a session
-// solve served by the shared L2 must both be allocation-free. A
-// regression here silently reintroduces GC pressure into the solver
-// hot path that the benchmarks were built to eliminate.
+// TestCachedSolveAllocationGuard pins the perf contract of the two
+// paths that score states in bulk: a repeated solve served by the
+// per-machine L1, and a session's cold table-backed solves — every state
+// distinct, none cached — must both be allocation-free. A regression
+// here silently reintroduces GC pressure into the solver hot path that
+// the benchmarks were built to eliminate.
 func TestCachedSolveAllocationGuard(t *testing.T) {
 	prev := SetSharedSolveCache(true)
 	defer SetSharedSolveCache(prev)
@@ -33,15 +34,24 @@ func TestCachedSolveAllocationGuard(t *testing.T) {
 		t.Errorf("warm L1 hit allocates %.1f allocs/op, want 0", avg)
 	}
 
+	// A session sweeping distinct exclusive states, the ST oracle's shape:
+	// after the first pass has sized the scratch and filled the tables,
+	// nothing on the path may allocate — and nothing may reach the L2.
+	states := sweepAllocs(cfg, 4, 64, 5)
 	session := m.NewSolveSession(models)
-	if err := session.SolveInto(perfs, allocs); err != nil {
-		t.Fatal(err)
-	}
-	if avg := testing.AllocsPerRun(100, func() {
-		if err := session.SolveInto(perfs, allocs); err != nil {
+	next := 0
+	sweep := func() {
+		if err := session.SolveInto(perfs, states[next%len(states)]); err != nil {
 			t.Fatal(err)
 		}
-	}); avg != 0 {
-		t.Errorf("warm session (L2) hit allocates %.1f allocs/op, want 0", avg)
+		next++
+	}
+	sweep()
+	before := SharedSolveCacheStats()
+	if avg := testing.AllocsPerRun(len(states), sweep); avg != 0 {
+		t.Errorf("cold session solve allocates %.1f allocs/op, want 0", avg)
+	}
+	if after := SharedSolveCacheStats(); after != before {
+		t.Errorf("session solves touched the shared L2: %+v -> %+v", before, after)
 	}
 }

@@ -248,8 +248,8 @@ type solveScratch struct {
 	// be holding as its memoized active-set snapshot (gatherValid).
 	extDigests []uint64
 	caps       []float64      // per-app effective LLC capacity
+	terms      []appTerms     // per-app miss terms at caps and MBA latency factor
 	next       []float64      // occupancyShares output buffer
-	mbaDelay   []float64      // per-app MBA latency factor (fixed per solve)
 	bwCaps     []float64      // per-app MBA bandwidth cap (fixed per solve)
 	demands    []membw.Demand // arbitration input
 	arbRes     membw.Result   // arbitration output (Grants reused)
@@ -259,6 +259,12 @@ type solveScratch struct {
 	// hit — aliased instead of copied, since Step and Occupancy only
 	// read it. Never written through.
 	view []Perf
+}
+
+// appTerms are what one app's demand depends on besides the congestion
+// stretch: MissBreakdown at its capacity and its MBA latency factor.
+type appTerms struct {
+	missRatio, weighted, mbaDelay float64
 }
 
 // Option configures a Machine at construction.
@@ -272,8 +278,9 @@ type Option func(*Machine)
 // invalidated on AddApp/RemoveApp and on phase advance (Step) when any
 // application is phased. Cache-enabled machines also consult the
 // process-wide shared L2 (sharedcache.go) under the per-machine table,
-// so states solved by other machines — grid cells, fleet nodes, oracle
-// searches — are lookups here. See DESIGN.md §7 and §9.
+// so states solved by other machines — grid cells, fleet nodes — are
+// lookups here (SolveSession sweeps are the exception: uncached). See
+// DESIGN.md §7 and §9.
 func WithSolveCache() Option {
 	return func(m *Machine) { m.cache = newSolveCache(defaultSolveCacheEntries) }
 }
@@ -755,7 +762,7 @@ func (m *Machine) solveActiveScratch() ([]Perf, error) {
 	// solveRef hands back a cache tier's entry directly on a hit — the
 	// dominant fleet steady state — so the per-period path moves no Perf
 	// structs at all; only a fresh solve writes into sc.perfs.
-	out, err := m.solveRef(sc.perfs, models, allocs, digests, true, true)
+	out, err := m.solveRef(sc.perfs, models, allocs, digests, true)
 	if err != nil {
 		return nil, err
 	}
@@ -781,11 +788,10 @@ func (m *Machine) SolveFor(models []AppModel, allocs []Alloc) ([]Perf, error) {
 
 // SolveForInto is SolveFor writing the steady state into perfs
 // (len(perfs) must equal len(models)). Callers that score many
-// hypothetical states — the ST oracle's exhaustive search evaluates tens
-// of thousands per mix — reuse one perfs buffer and keep the scoring
-// loop allocation-free. Callers solving one fixed model set at many
-// allocations should prefer a SolveSession, which hoists the model
-// digests out of the loop.
+// hypothetical states reuse one perfs buffer and keep the scoring loop
+// allocation-free. Callers solving one fixed model set at many
+// allocations — the ST oracle's exhaustive search evaluates tens of
+// thousands per mix — should prefer a SolveSession.
 func (m *Machine) SolveForInto(perfs []Perf, models []AppModel, allocs []Alloc) error {
 	if len(perfs) != len(models) {
 		return fmt.Errorf("machine: %d perf slots for %d models", len(perfs), len(models))
@@ -793,40 +799,89 @@ func (m *Machine) SolveForInto(perfs []Perf, models []AppModel, allocs []Alloc) 
 	return m.solveForInto(perfs, models, allocs, nil, false)
 }
 
-// SolveSession solves one fixed set of models at many allocations with
-// the model digests computed once. The models slice is captured by
-// reference and must not be mutated while the session is in use; the
-// session shares the machine's scratch and is no more goroutine-safe
-// than the machine itself.
+// SolveSession solves one fixed set of models at many allocations. With
+// the models fixed, an app's miss terms depend only on its way count and
+// its MBA delay and bandwidth cap only on its level, so the session
+// tabulates them and feeds solvePrivate, the kernel the general path
+// runs. Sessions are uncached — a table-fed solve is cheaper than a
+// shared-L2 hit (DESIGN.md §9.1) — and multi-socket machines and
+// overlapping CBMs take the general uncached path. Results are
+// bit-identical to SolveFor's.
+//
+// The models slice is captured by reference and must not be mutated
+// while the session is in use; the session shares the machine's scratch
+// and is no more goroutine-safe than the machine itself.
 type SolveSession struct {
-	m       *Machine
-	models  []AppModel
-	digests []uint64
+	m      *Machine
+	models []AppModel
+	miss   []missTerms // [app*(LLCWays+1) + ways], filled at construction
+	mba    []mbaTerms  // [app*mbaLevels + level/Granularity], filled on first use
 }
 
-// NewSolveSession prepares a digest-hoisted solving session over models.
+// missTerms is one app's capacity and MissBreakdown at a number of
+// exclusive ways; mbaTerms its MBA latency factor and cap at a level
+// (delay 0 marks an unfilled slot: a real factor is ≥ 1).
+type (
+	missTerms struct{ capBytes, missRatio, weighted float64 }
+	mbaTerms  struct{ delay, bwCap float64 }
+)
+
+const mbaLevels = membw.MaxLevel/membw.Granularity + 1
+
+// NewSolveSession prepares a table-backed solving session over models.
 func (m *Machine) NewSolveSession(models []AppModel) *SolveSession {
-	s := &SolveSession{m: m, models: models}
-	if m.cache != nil {
-		s.digests = make([]uint64, len(models))
-		for i := range models {
-			s.digests[i] = modelDigest(&models[i])
+	ways := m.cfg.LLCWays
+	s := &SolveSession{
+		m:      m,
+		models: models,
+		miss:   make([]missTerms, len(models)*(ways+1)),
+		mba:    make([]mbaTerms, len(models)*mbaLevels),
+	}
+	for i := range models {
+		// Capacity accumulates way by way, exactly as
+		// initialCapacitiesInto sums an exclusive CBM.
+		mt := s.miss[i*(ways+1):]
+		for k := 1; k <= ways; k++ {
+			mt[k].capBytes = mt[k-1].capBytes + m.cfg.WayBytes
+			mt[k].missRatio, mt[k].weighted = models[i].MissBreakdown(mt[k].capBytes)
 		}
 	}
 	return s
 }
 
 // SolveInto solves the session's models at allocs into perfs
-// (len(perfs) must equal len(models)). Sessions cache through the
-// shared L2 only: their canonical user — the ST oracle's exhaustive
-// search — never revisits a state within one run, so populating the
-// per-machine L1 would be pure map churn; the cross-run reuse all lives
-// in the process-wide tier.
+// (len(perfs) must equal len(models)), validating as SolveFor does.
+//
+//copart:noalloc
 func (s *SolveSession) SolveInto(perfs []Perf, allocs []Alloc) error {
+	m := s.m
 	if len(perfs) != len(s.models) {
 		return fmt.Errorf("machine: %d perf slots for %d models", len(perfs), len(s.models))
 	}
-	return s.m.solveInto(perfs, s.models, allocs, s.digests, false, false)
+	if err := m.validateExternal(s.models, allocs); err != nil {
+		return err
+	}
+	if m.cfg.SocketCount() > 1 || m.anySharedWay(allocs) {
+		return m.solveFresh(perfs, s.models, allocs)
+	}
+	sc := &m.scratch
+	sc.size(len(allocs))
+	for i, al := range allocs {
+		cores := s.models[i].Cores
+		bt := &s.mba[i*mbaLevels+al.MBALevel/membw.Granularity]
+		if bt.delay == 0 {
+			bwCap, err := m.arbiter.Cap(al.MBALevel, cores)
+			if err != nil {
+				return err
+			}
+			*bt = mbaTerms{m.mbaDelay(al.MBALevel), bwCap}
+		}
+		mt := s.miss[i*(m.cfg.LLCWays+1)+al.Ways()]
+		sc.caps[i], sc.bwCaps[i] = mt.capBytes, bt.bwCap
+		sc.terms[i] = appTerms{mt.missRatio, mt.weighted, bt.delay}
+		sc.demands[i] = membw.Demand{MBALevel: al.MBALevel, Cores: cores}
+	}
+	return m.solvePrivate(perfs, s.models)
 }
 
 // SteadyMeasurement reports whether stepping this machine by a fixed
@@ -844,25 +899,15 @@ func (m *Machine) SteadyMeasurement() bool {
 // per socket domain, writing the steady state into perfs
 // (len(perfs) == len(models)). digests must either be nil (computed on
 // demand into scratch) or hold modelDigest of each resolved model.
+// trusted skips the per-app input validation loop: it is set only for
+// the machine's own state (solveActiveScratch, Solve), where every
+// allocation was validated by SetAllocation on the way in and every
+// model by AddApp — re-checking each app on each of a control run's
+// thousands of solves was pure overhead.
 //
 //copart:noalloc
 func (m *Machine) solveForInto(perfs []Perf, models []AppModel, allocs []Alloc, digests []uint64, trusted bool) error {
-	return m.solveInto(perfs, models, allocs, digests, true, trusted)
-}
-
-// solveInto is solveForInto with tier selection: useL1 false restricts
-// caching to the shared L2 (the SolveSession path — states an
-// exhaustive search never revisits intra-run would only churn the
-// per-machine table). trusted skips the per-app input validation loop:
-// it is set only for the machine's own state (solveActiveScratch,
-// Solve), where every allocation was validated by SetAllocation on the
-// way in and every model by AddApp — re-checking each app on each of a
-// control run's thousands of solves was pure overhead. External
-// hypothetical states (SolveFor, sessions) stay fully validated.
-//
-//copart:noalloc
-func (m *Machine) solveInto(perfs []Perf, models []AppModel, allocs []Alloc, digests []uint64, useL1, trusted bool) error {
-	out, err := m.solveRef(perfs, models, allocs, digests, useL1, trusted)
+	out, err := m.solveRef(perfs, models, allocs, digests, trusted)
 	if err != nil {
 		return err
 	}
@@ -872,34 +917,46 @@ func (m *Machine) solveInto(perfs []Perf, models []AppModel, allocs []Alloc, dig
 	return nil
 }
 
-// solveRef is solveInto returning the steady state by reference: on a
-// cache hit it hands back the tier's immutable entry instead of copying
-// it into perfs, and only a fresh solve writes perfs (and returns it).
-// Callers either copy (solveInto) or treat the result as read-only
-// (solveActiveScratch, whose consumers Step and Occupancy never write).
+// validateExternal checks a hypothetical state handed in from outside
+// the machine (SolveFor, sessions).
 //
 //copart:noalloc
-func (m *Machine) solveRef(perfs []Perf, models []AppModel, allocs []Alloc, digests []uint64, useL1, trusted bool) ([]Perf, error) {
+func (m *Machine) validateExternal(models []AppModel, allocs []Alloc) error {
 	if len(models) != len(allocs) {
-		return nil, fmt.Errorf("machine: %d models, %d allocs", len(models), len(allocs))
+		return fmt.Errorf("machine: %d models, %d allocs", len(models), len(allocs))
 	}
 	sockets := m.cfg.SocketCount()
+	for i, al := range allocs {
+		if al.CBM == 0 || al.CBM&^m.fullMask != 0 {
+			return fmt.Errorf("machine: invalid CBM %#x for app %d", al.CBM, i)
+		}
+		if err := membw.ValidateLevel(al.MBALevel); err != nil {
+			return fmt.Errorf("machine: app %d: %w", i, err)
+		}
+		if s := models[i].Socket; s < 0 || s >= sockets {
+			return fmt.Errorf("machine: app %d on socket %d, machine has %d",
+				i, s, sockets)
+		}
+	}
+	return nil
+}
+
+// solveRef is solveForInto returning the steady state by reference: on
+// a cache hit it hands back the tier's immutable entry instead of
+// copying it into perfs, and only a fresh solve writes perfs (and
+// returns it). Callers either copy (solveForInto) or treat the result as
+// read-only (solveActiveScratch, whose consumers Step and Occupancy
+// never write). Trusted callers pass gatherActive's lockstep slices.
+//
+//copart:noalloc
+func (m *Machine) solveRef(perfs []Perf, models []AppModel, allocs []Alloc, digests []uint64, trusted bool) ([]Perf, error) {
 	if !trusted {
-		for i, al := range allocs {
-			if al.CBM == 0 || al.CBM&^m.fullMask != 0 {
-				return nil, fmt.Errorf("machine: invalid CBM %#x for app %d", al.CBM, i)
-			}
-			if err := membw.ValidateLevel(al.MBALevel); err != nil {
-				return nil, fmt.Errorf("machine: app %d: %w", i, err)
-			}
-			if s := models[i].Socket; s < 0 || s >= sockets {
-				return nil, fmt.Errorf("machine: app %d on socket %d, machine has %d",
-					i, s, sockets)
-			}
+		if err := m.validateExternal(models, allocs); err != nil {
+			return nil, err
 		}
 	}
 	shared := m.cache != nil && SharedSolveCacheEnabled()
-	if m.cache != nil && (useL1 || shared) {
+	if m.cache != nil {
 		if digests == nil {
 			sc := &m.scratch
 			sc.extDigests = sc.extDigests[:0]
@@ -909,81 +966,80 @@ func (m *Machine) solveRef(perfs []Perf, models []AppModel, allocs []Alloc, dige
 			digests = sc.extDigests
 		}
 		m.cache.encodeKey(m.cfgDigest, digests, allocs)
-		if useL1 {
-			if cached, ok := m.cache.lookup(); ok {
-				return cached, nil
-			}
+		if cached, ok := m.cache.lookup(); ok {
+			return cached, nil
 		}
 		if shared {
 			if cached, ok := sharedSolve.lookup(m.cache.key, m.cache.fp); ok {
 				m.cache.sharedHits.Add(1)
-				if useL1 {
-					// Adopt the entry into the L1 exactly as a fresh solve
-					// would store it, so the L1 trajectory (and its
-					// counters) is independent of whether the L2 served
-					// the miss.
-					m.cache.store(cached)
-				}
+				// Adopt the entry into the L1 exactly as a fresh solve
+				// would store it, so the L1 trajectory (and its counters)
+				// is independent of whether the L2 served the miss.
+				m.cache.store(cached)
 				return cached, nil
 			}
 		}
 	}
-	// Sockets are independent resource domains: each has its own LLC and
-	// DRAM budget, so the solver runs per socket and the results are
-	// merged back in input order.
-	if sockets > 1 {
-		for s := 0; s < sockets; s++ {
-			var idx []int //copart:allocok multi-socket split is off the guarded single-socket hot path
-			for i := range models {
-				if models[i].Socket == s {
-					idx = append(idx, i) //copart:allocok multi-socket split is off the guarded single-socket hot path
-				}
-			}
-			if len(idx) == 0 {
-				continue
-			}
-			subModels := make([]AppModel, len(idx)) //copart:allocok multi-socket split is off the guarded single-socket hot path
-			subAllocs := make([]Alloc, len(idx))    //copart:allocok multi-socket split is off the guarded single-socket hot path
-			subPerfs := make([]Perf, len(idx))      //copart:allocok multi-socket split is off the guarded single-socket hot path
-			for j, i := range idx {
-				subModels[j] = models[i]
-				subAllocs[j] = allocs[i]
-			}
-			if err := m.solveDomainInto(subPerfs, subModels, subAllocs); err != nil {
-				return nil, err
-			}
-			for j, i := range idx {
-				perfs[i] = subPerfs[j]
-			}
-		}
-	} else if err := m.solveDomainInto(perfs, models, allocs); err != nil {
+	if err := m.solveFresh(perfs, models, allocs); err != nil {
 		return nil, err
 	}
-	if m.cache != nil && (useL1 || shared) {
+	if m.cache != nil {
 		// encodeKey left the key in the cache's scratch. One fresh
 		// immutable copy backs both tiers: the L1 owns it, and the L2
 		// publishes the same slice to other machines (nobody writes
 		// through a stored entry, so aliasing is safe).
 		entry := make([]Perf, len(perfs)) //copart:allocok cache-miss path: one immutable entry backs both cache tiers
 		copy(entry, perfs)
-		if useL1 {
-			m.cache.store(entry)
-			if shared {
-				// Self-visibility is already guaranteed by the L1, so the
-				// L2 publication is deferred into the pending batch that
-				// Step flushes once per period (one striped acquire per
-				// node-period instead of one mutex acquire per solve).
-				// Publication timing only shifts which machine's L2
-				// hit/miss counter moves — documented nondeterministic.
-				m.cache.pend(entry)
-			}
-		} else if shared {
-			// SolveSession states are never revisited intra-run and have
-			// no L1 for self-visibility, so they publish directly.
-			sharedSolve.store(m.cache.key, m.cache.fp, entry)
+		m.cache.store(entry)
+		if shared {
+			// Self-visibility is already guaranteed by the L1, so the L2
+			// publication is deferred into the pending batch that Step
+			// flushes once per period (one striped acquire per node-period
+			// instead of one mutex acquire per solve). Publication timing
+			// only shifts which machine's L2 hit/miss counter moves —
+			// documented nondeterministic.
+			m.cache.pend(entry)
 		}
 	}
 	return perfs, nil
+}
+
+// solveFresh solves a validated state, touching neither cache tier.
+// Sockets are independent resource domains: each has its own LLC and
+// DRAM budget, so the solver runs per socket and the results are merged
+// back in input order.
+//
+//copart:noalloc
+func (m *Machine) solveFresh(perfs []Perf, models []AppModel, allocs []Alloc) error {
+	sockets := m.cfg.SocketCount()
+	if sockets == 1 {
+		return m.solveDomainInto(perfs, models, allocs)
+	}
+	for s := 0; s < sockets; s++ {
+		var idx []int //copart:allocok multi-socket split is off the guarded single-socket hot path
+		for i := range models {
+			if models[i].Socket == s {
+				idx = append(idx, i) //copart:allocok multi-socket split is off the guarded single-socket hot path
+			}
+		}
+		if len(idx) == 0 {
+			continue
+		}
+		subModels := make([]AppModel, len(idx)) //copart:allocok multi-socket split is off the guarded single-socket hot path
+		subAllocs := make([]Alloc, len(idx))    //copart:allocok multi-socket split is off the guarded single-socket hot path
+		subPerfs := make([]Perf, len(idx))      //copart:allocok multi-socket split is off the guarded single-socket hot path
+		for j, i := range idx {
+			subModels[j] = models[i]
+			subAllocs[j] = allocs[i]
+		}
+		if err := m.solveDomainInto(subPerfs, subModels, subAllocs); err != nil {
+			return err
+		}
+		for j, i := range idx {
+			perfs[i] = subPerfs[j]
+		}
+	}
+	return nil
 }
 
 // FlushShared publishes the pending L2 entries batched since the last
@@ -1009,89 +1065,156 @@ func (m *Machine) FlushShared() {
 // one DRAM budget, writing the steady state into perfs
 // (len(perfs) == len(models)). All intermediate state lives in the
 // per-Machine scratch, so the fixed-point rounds are allocation-free.
+//
+//copart:noalloc
 func (m *Machine) solveDomainInto(perfs []Perf, models []AppModel, allocs []Alloc) error {
-	n := len(models)
 	sc := &m.scratch
-	sc.caps = growFloats(sc.caps, n)
+	sc.size(len(models))
+	clear(sc.caps)
 	m.initialCapacitiesInto(sc.caps, allocs)
-	sc.demands = growDemands(sc.demands, n)
-	sc.mbaDelay = growFloats(sc.mbaDelay, n)
-	sc.bwCaps = growFloats(sc.bwCaps, n)
 	// The MBA latency factor and bandwidth cap depend only on the
 	// allocation, which is fixed across rounds — hoist both (and their
 	// math.Pow evaluations) out of the fixed-point loop.
 	for i := range models {
-		sc.mbaDelay[i] = 1 + m.cfg.MBALatencyK*math.Pow(1-float64(allocs[i].MBALevel)/100, m.cfg.MBALatencyP)
-		cap, err := m.arbiter.Cap(allocs[i].MBALevel, models[i].Cores)
+		sc.terms[i].mbaDelay = m.mbaDelay(allocs[i].MBALevel)
+		bwCap, err := m.arbiter.Cap(allocs[i].MBALevel, models[i].Cores)
 		if err != nil {
 			return err
 		}
-		sc.bwCaps[i] = cap
+		sc.bwCaps[i] = bwCap
 		sc.demands[i].MBALevel = allocs[i].MBALevel
 		sc.demands[i].Cores = models[i].Cores
 	}
-
-	// Outer loop: occupancy shares (for overlapping CBMs) and bus
-	// congestion both depend on solved rates; damped fixed-point rounds
-	// converge to the sharing equilibrium (the occupancy feedback is
-	// non-monotone: losing capacity raises an application's miss rate,
-	// which raises its insertion pressure, which wins capacity back).
-	// With exclusive CBMs — the common case under every partitioning
-	// policy — capacities are fixed and only the congestion feedback
-	// needs a few rounds.
-	shared := m.anySharedWay(allocs)
-	iters := 3
-	if shared {
-		iters = 10
-	}
-	stretch := 1.0
-	for iter := 0; iter < iters; iter++ {
+	// Exclusive CBMs, the common case under every partitioning policy.
+	if !m.anySharedWay(allocs) {
 		for i := range models {
-			perfs[i] = m.solveApp(models[i], sc.mbaDelay[i], sc.caps[i], stretch, math.Inf(1))
-			sc.demands[i].Bytes = perfs[i].DemandBW
+			sc.terms[i].missRatio, sc.terms[i].weighted = models[i].MissBreakdown(sc.caps[i])
 		}
-		if err := m.arbiter.AllocateCapped(&sc.arbRes, sc.demands, sc.bwCaps); err != nil {
+		return m.solvePrivate(perfs, models)
+	}
+	// Overlapping CBMs: occupancy shares and bus congestion both depend
+	// on solved rates; damped fixed-point rounds converge to the sharing
+	// equilibrium (the occupancy feedback is non-monotone: losing capacity
+	// raises an application's miss rate, which raises its insertion
+	// pressure, which wins capacity back).
+	stretch := 1.0
+	for iter := 0; iter < 10; iter++ {
+		for i := range models {
+			sc.terms[i].missRatio, sc.terms[i].weighted = models[i].MissBreakdown(sc.caps[i])
+		}
+		var err error
+		if stretch, err = m.arbitrate(models, stretch, 1); err != nil {
 			return err
 		}
-		stretch = sc.arbRes.Stretch
-		for i := range models {
-			perfs[i] = m.solveApp(models[i], sc.mbaDelay[i], sc.caps[i], stretch, sc.arbRes.Grants[i])
-		}
-		if shared {
-			sc.next = growFloats(sc.next, n)
-			m.occupancySharesInto(sc.next, allocs, perfs)
-			// Damping stabilizes the insertion-pressure feedback loop.
-			for i := range sc.caps {
-				sc.caps[i] = 0.5*sc.caps[i] + 0.5*sc.next[i]
-			}
+		m.grantedPerfs(perfs, models, stretch)
+		sc.next = resize(sc.next, len(models))
+		clear(sc.next)
+		m.occupancySharesInto(sc.next, allocs, perfs)
+		// Damping stabilizes the insertion-pressure feedback loop.
+		for i := range sc.caps {
+			sc.caps[i] = 0.5*sc.caps[i] + 0.5*sc.next[i]
 		}
 	}
 	return nil
 }
 
-// growFloats returns s resized to n (zeroed), reusing its backing array
-// when the capacity suffices.
-func growFloats(s []float64, n int) []float64 {
-	if cap(s) < n {
-		return make([]float64, n)
+// solvePrivate is the kernel for exclusive CBMs: capacities, and with
+// them the miss terms, are constants of the solve, so only the congestion
+// feedback iterates — three rounds of demand → arbitration → stretch —
+// and one final pass builds the Perf structs. The caller has filled the
+// scratch's per-app caps, terms, bwCaps and demands (MBALevel, Cores):
+// solveDomainInto from the state, a SolveSession from its tables
+// (contract and exactness argument: DESIGN.md §7.3).
+//
+//copart:noalloc
+func (m *Machine) solvePrivate(perfs []Perf, models []AppModel) error {
+	stretch, err := m.arbitrate(models, 1, 3)
+	if err != nil {
+		return err
 	}
-	s = s[:n]
-	for i := range s {
-		s[i] = 0
-	}
-	return s
+	m.grantedPerfs(perfs, models, stretch)
+	return nil
 }
 
-// growDemands is growFloats for demand buffers.
-func growDemands(s []membw.Demand, n int) []membw.Demand {
+// arbitrate runs congestion rounds from the given stretch: every app's
+// demand at the current stretch goes through the bandwidth arbiter, whose
+// grants (left in scratch.arbRes) imply the next stretch.
+//
+//copart:noalloc
+func (m *Machine) arbitrate(models []AppModel, stretch float64, rounds int) (float64, error) {
+	sc := &m.scratch
+	for ; rounds > 0; rounds-- {
+		for i := range models {
+			_, sc.demands[i].Bytes = m.appDemand(&models[i], sc.terms[i], stretch)
+		}
+		if err := m.arbiter.AllocateCapped(&sc.arbRes, sc.demands, sc.bwCaps); err != nil {
+			return 0, err
+		}
+		stretch = sc.arbRes.Stretch
+	}
+	return stretch, nil
+}
+
+// grantedPerfs builds every app's Perf at the given stretch under the
+// grants the last arbitrate left in scratch.arbRes.
+//
+//copart:noalloc
+func (m *Machine) grantedPerfs(perfs []Perf, models []AppModel, stretch float64) {
+	sc := &m.scratch
+	bytesPerMiss := m.cfg.LineBytes * m.cfg.WritebackFactor
+	for i := range models {
+		model, mr, grant := &models[i], sc.terms[i].missRatio, sc.arbRes.Grants[i]
+		ips, demand := m.appDemand(model, sc.terms[i], stretch)
+		if demand > 0 && grant < demand {
+			// Bandwidth-bound: the miss stream is limited to the grant
+			// (roofline); instruction throughput follows.
+			ips = grant / (model.AccPerInstr * mr * bytesPerMiss)
+		}
+		perfs[i] = Perf{
+			IPS:        ips,
+			MissRatio:  mr,
+			AccessRate: ips * model.AccPerInstr,
+			MissRate:   ips * model.AccPerInstr * mr,
+			CapBytes:   sc.caps[i],
+			DemandBW:   demand,
+			GrantBW:    math.Min(demand, grant),
+		}
+	}
+}
+
+// appDemand evaluates one application's unconstrained instruction rate
+// and the DRAM traffic it would generate at the given congestion stretch.
+//
+//copart:noalloc
+func (m *Machine) appDemand(model *AppModel, t appTerms, stretch float64) (ips, demand float64) {
+	missCycles := m.cfg.MissCostCycles * stretch * t.mbaDelay * t.weighted
+	cpi := model.CPIBase + model.AccPerInstr*(m.cfg.HitCostCycles*(1-t.missRatio)+missCycles)
+	ips = float64(model.Cores) * m.cfg.FreqHz / cpi
+	bytesPerMiss := m.cfg.LineBytes * m.cfg.WritebackFactor
+	return ips, ips * model.AccPerInstr * t.missRatio * bytesPerMiss
+}
+
+// mbaDelay is the MBA latency factor of a level: 1 + K·(1 − level/100)^P.
+//
+//copart:noalloc
+func (m *Machine) mbaDelay(level int) float64 {
+	return 1 + m.cfg.MBALatencyK*math.Pow(1-float64(level)/100, m.cfg.MBALatencyP)
+}
+
+// size resizes the per-app solve buffers to n apps, unzeroed: every
+// solve overwrites all n slots of each before reading them.
+func (sc *solveScratch) size(n int) {
+	sc.caps, sc.terms = resize(sc.caps, n), resize(sc.terms, n)
+	sc.bwCaps, sc.demands = resize(sc.bwCaps, n), resize(sc.demands, n)
+}
+
+// resize returns s with length n, reusing its backing array when the
+// capacity suffices; surviving contents are stale.
+func resize[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]membw.Demand, n)
+		return make([]T, n)
 	}
-	s = s[:n]
-	for i := range s {
-		s[i] = membw.Demand{}
-	}
-	return s
+	return s[:n]
 }
 
 // anySharedWay reports whether any LLC way appears in more than one CBM.
@@ -1102,32 +1225,6 @@ func (m *Machine) anySharedWay(allocs []Alloc) bool {
 		seen |= al.CBM
 	}
 	return overlap != 0 && len(allocs) > 1
-}
-
-// solveApp evaluates one application's performance at a fixed effective
-// capacity, congestion stretch, and bandwidth grant. mbaDelay is the
-// precomputed MBA latency factor for the application's allocation.
-func (m *Machine) solveApp(model AppModel, mbaDelay, capBytes, stretch, grant float64) Perf {
-	mr, weightedMiss := model.MissBreakdown(capBytes)
-	missCycles := m.cfg.MissCostCycles * stretch * mbaDelay * weightedMiss
-	cpi := model.CPIBase + model.AccPerInstr*(m.cfg.HitCostCycles*(1-mr)+missCycles)
-	ips := float64(model.Cores) * m.cfg.FreqHz / cpi
-	bytesPerMiss := m.cfg.LineBytes * m.cfg.WritebackFactor
-	demand := ips * model.AccPerInstr * mr * bytesPerMiss
-	if demand > 0 && grant < demand {
-		// Bandwidth-bound: the miss stream is limited to the grant
-		// (roofline); instruction throughput follows.
-		ips = grant / (model.AccPerInstr * mr * bytesPerMiss)
-	}
-	return Perf{
-		IPS:        ips,
-		MissRatio:  mr,
-		AccessRate: ips * model.AccPerInstr,
-		MissRate:   ips * model.AccPerInstr * mr,
-		CapBytes:   capBytes,
-		DemandBW:   demand,
-		GrantBW:    math.Min(demand, grant),
-	}
 }
 
 // initialCapacitiesInto seeds the occupancy iteration: each way's

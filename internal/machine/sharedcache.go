@@ -6,17 +6,18 @@ import (
 )
 
 // The process-wide L2 solve cache. Every cache-enabled Machine — grid
-// cells, fleet nodes, oracle searches — consults it under its L1, so a
-// state solved once anywhere in the process is a lookup everywhere
-// else. Like the L1 it is a pure exact memo: keys carry the full solver
-// input (config digest + per-app model digest + allocation bits), a hit
-// is bit-identical to recomputation, and sharing therefore cannot
-// perturb any seeded run regardless of goroutine interleaving — only
-// which duplicate solve gets skipped is timing-dependent, never a
-// value. Lock striping (128 shards, each a mutex + fingerprint table)
-// keeps fleet workers from serializing on one lock, and the shard is
-// selected by the same hashKey fingerprint the L1 computed — an L1
-// miss reaches the L2 without hashing the key a second time.
+// cells, fleet nodes — consults it under its L1 (SolveSession sweeps
+// bypass both tiers: their states are single-use), so a state solved
+// once anywhere in the process is a lookup everywhere else. Like the L1
+// it is a pure exact memo: keys carry the full solver input (config
+// digest + per-app model digest + allocation bits), a hit is
+// bit-identical to recomputation, and sharing therefore cannot perturb
+// any seeded run regardless of goroutine interleaving — only which
+// duplicate solve gets skipped is timing-dependent, never a value. Lock
+// striping (128 shards, each a mutex + fingerprint table) keeps fleet
+// workers from serializing on one lock, and the shard is selected by the
+// same hashKey fingerprint the L1 computed — an L1 miss reaches the L2
+// without hashing the key a second time.
 const (
 	sharedShardCount = 128
 	sharedShardCap   = 4096 // entries per shard; ~524k process-wide
@@ -118,30 +119,6 @@ func (c *sharedCache) lookup(key []byte, fp uint64) ([]Perf, bool) {
 	return nil, false
 }
 
-// store publishes an immutable entry under key, evicting a bounded
-// batch from the shard when it is full (same policy as the L1: eviction
-// affects only speed and counters, never values).
-func (c *sharedCache) store(key []byte, fp uint64, entry []Perf) {
-	s := &c.shards[fp%sharedShardCount]
-	s.mu.Lock()
-	c.storeLocked(s, key, fp, entry)
-	s.mu.Unlock()
-}
-
-// storeLocked is store's body under an already-held shard lock.
-//
-//copart:noalloc
-func (c *sharedCache) storeLocked(s *sharedShard, key []byte, fp uint64, entry []Perf) {
-	if i := s.tab.find(fp, key); i >= 0 {
-		s.tab.entries[i] = entry
-		return
-	}
-	if s.tab.size() >= sharedShardCap {
-		c.evictions.Add(uint64(s.tab.evictOldest(sharedShardCap / 8)))
-	}
-	s.tab.insert(fp, key, entry)
-}
-
 // storeBatch publishes a batch of entries, taking each distinct shard's
 // lock exactly once: a fleet period's worth of fresh solves lands in
 // the L2 with one striped acquire per shard touched instead of one
@@ -149,7 +126,9 @@ func (c *sharedCache) storeLocked(s *sharedShard, key []byte, fp uint64, entry [
 // L1's pending buffer — keys concatenated in arena with ends[i]
 // delimiting key i, fps the precomputed fingerprints, len(fps) ==
 // len(entries) == len(ends). The shard-done set is a 128-bit mask, so
-// the grouping allocates nothing.
+// the grouping allocates nothing. A full shard evicts a bounded batch
+// before taking a new key (same policy as the L1: eviction affects only
+// speed and counters, never values).
 //
 //copart:noalloc
 func (c *sharedCache) storeBatch(arena []byte, ends []int32, fps []uint64, entries [][]Perf) {
@@ -170,7 +149,15 @@ func (c *sharedCache) storeBatch(arena []byte, ends []int32, fps []uint64, entri
 			if j > 0 {
 				lo = ends[j-1]
 			}
-			c.storeLocked(s, arena[lo:ends[j]], fps[j], entries[j])
+			key := arena[lo:ends[j]]
+			if k := s.tab.find(fps[j], key); k >= 0 {
+				s.tab.entries[k] = entries[j]
+				continue
+			}
+			if s.tab.size() >= sharedShardCap {
+				c.evictions.Add(uint64(s.tab.evictOldest(sharedShardCap / 8)))
+			}
+			s.tab.insert(fps[j], key, entries[j])
 		}
 		s.mu.Unlock()
 	}

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/membw"
@@ -180,7 +181,11 @@ func TestSharedSolveCacheOnOffIdentical(t *testing.T) {
 // TestSharedSolveCacheRaceStress hammers the shared cache from many
 // goroutines solving overlapping state sets on private machines — the
 // -race tripwire for the lock-striped tiers — and checks every result
-// against a single-threaded reference.
+// against a single-threaded reference. Each goroutine interleaves
+// uncached session solves with cached SolveForInto calls on one machine,
+// so the session's table-fed kernel and the cache tiers share the
+// machine's scratch mid-traffic; only the SolveForInto arm may move a
+// cache counter.
 func TestSharedSolveCacheRaceStress(t *testing.T) {
 	prev := SetSharedSolveCache(true)
 	defer SetSharedSolveCache(prev)
@@ -201,8 +206,9 @@ func TestSharedSolveCacheRaceStress(t *testing.T) {
 		}
 	}
 
-	const goroutines = 8
+	const goroutines, iters = 8, 400
 	var wg sync.WaitGroup
+	var l1Misses atomic.Uint64
 	errs := make(chan error, goroutines)
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
@@ -216,7 +222,7 @@ func TestSharedSolveCacheRaceStress(t *testing.T) {
 			session := m.NewSolveSession(models)
 			perfs := make([]Perf, len(models))
 			rng := rand.New(rand.NewSource(int64(g)))
-			for iter := 0; iter < 400; iter++ {
+			for iter := 0; iter < iters; iter++ {
 				i := rng.Intn(len(states))
 				var err error
 				if iter%2 == 0 {
@@ -233,6 +239,12 @@ func TestSharedSolveCacheRaceStress(t *testing.T) {
 					return
 				}
 			}
+			cs := m.SolveCacheDetail()
+			if cs.Hits+cs.Misses != iters/2 {
+				errs <- fmt.Errorf("goroutine %d: %d L1 lookups for %d SolveForInto calls — sessions must not consult the cache",
+					g, cs.Hits+cs.Misses, iters/2)
+			}
+			l1Misses.Add(cs.Misses)
 		}(g)
 	}
 	wg.Wait()
@@ -240,8 +252,13 @@ func TestSharedSolveCacheRaceStress(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	if st := SharedSolveCacheStats(); st.Hits == 0 {
+	st := SharedSolveCacheStats()
+	if st.Hits == 0 {
 		t.Fatalf("stress run never hit the shared cache: %+v", st)
+	}
+	if st.Hits+st.Misses != l1Misses.Load() {
+		t.Fatalf("L2 saw %d lookups for %d L1 misses — only SolveForInto misses may reach it",
+			st.Hits+st.Misses, l1Misses.Load())
 	}
 }
 
@@ -257,6 +274,12 @@ func keyForShard(shard int, seq *int) []byte {
 	}
 }
 
+// storeShared publishes one entry to the L2 the way machines do: as a
+// batch of one.
+func storeShared(key []byte, entry []Perf) {
+	sharedSolve.storeBatch(key, []int32{int32(len(key))}, []uint64{hashKey(key)}, [][]Perf{entry})
+}
+
 // TestSharedSolveCacheBoundedEviction fills one shard past its cap and
 // checks that eviction trims a bounded batch instead of dropping the
 // table, and that the shard never exceeds its bound.
@@ -268,7 +291,7 @@ func TestSharedSolveCacheBoundedEviction(t *testing.T) {
 	const shard = 5
 	for i := 0; i < sharedShardCap+100; i++ {
 		key := keyForShard(shard, &seq)
-		sharedSolve.store(key, hashKey(key), entry)
+		storeShared(key, entry)
 		if n := sharedSolve.shards[shard].tab.size(); n > sharedShardCap {
 			t.Fatalf("shard grew to %d entries, cap is %d", n, sharedShardCap)
 		}
@@ -285,9 +308,9 @@ func TestSharedSolveCacheBoundedEviction(t *testing.T) {
 	// Re-storing an existing key at a full shard must not evict.
 	full := SharedSolveCacheStats()
 	key := keyForShard(shard, &seq)
-	sharedSolve.store(key, hashKey(key), entry)
+	storeShared(key, entry)
 	evAfterNew := SharedSolveCacheStats().Evictions
-	sharedSolve.store(key, hashKey(key), entry)
+	storeShared(key, entry)
 	if got := SharedSolveCacheStats().Evictions; got != evAfterNew {
 		t.Fatalf("overwriting an existing key evicted (%d → %d)", evAfterNew, got)
 	}

@@ -6,11 +6,9 @@ import (
 )
 
 // defaultSolveCacheEntries bounds the per-machine memoization table.
-// The largest in-repo consumer is the ST oracle's exhaustive
-// 4-application search (~31k states); when the bound is exceeded a
-// bounded batch is evicted (see store), which keeps behaviour
-// deterministic (the cache only ever changes speed, never values —
-// Solve is a pure function of its inputs).
+// When the bound is exceeded a bounded batch is evicted (see store),
+// which keeps behaviour deterministic (the cache only ever changes
+// speed, never values — Solve is a pure function of its inputs).
 const defaultSolveCacheEntries = 1 << 15
 
 // solveCache is the per-machine L1: it memoizes SolveFor results keyed

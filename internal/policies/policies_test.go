@@ -1,6 +1,8 @@
 package policies
 
 import (
+	"math"
+	"reflect"
 	"testing"
 	"time"
 
@@ -247,6 +249,65 @@ func TestDynamicDeterministicWithSeed(t *testing.T) {
 	for i := range a.Allocs {
 		if a.Allocs[i] != b.Allocs[i] {
 			t.Errorf("alloc %d diverged", i)
+		}
+	}
+}
+
+// TestSTOracleGolden pins the oracle itself: the state ST chooses and the
+// bits of its unfairness, for the seven four-app mixes on the default MBA
+// grid and one six-app mix on the three-level grid. Figures 12–14 and 17
+// normalise against these, so a solver or search edit that moves any of
+// them — a changed float operation order, a different tie-break among
+// equal minima — must show up here, not as a silently shifted baseline.
+// Values recorded before sessions became table-backed (PR 12's parent).
+func TestSTOracleGolden(t *testing.T) {
+	golden := []struct {
+		kind       workloads.MixKind
+		apps       int
+		unfairness uint64 // math.Float64bits
+		allocs     []machine.Alloc
+	}{
+		{workloads.HLLC, 4, 0x3d34535d74e6e5eb, []machine.Alloc{{CBM: 0xf, MBALevel: 100}, {CBM: 0x70, MBALevel: 100}, {CBM: 0x180, MBALevel: 100}, {CBM: 0x600, MBALevel: 100}}},
+		{workloads.HBW, 4, 0x3f7583bf5176a544, []machine.Alloc{{CBM: 0x1, MBALevel: 100}, {CBM: 0x2, MBALevel: 100}, {CBM: 0x4, MBALevel: 100}, {CBM: 0x7f8, MBALevel: 10}}},
+		{workloads.HBoth, 4, 0x3fb66375a8dbfebd, []machine.Alloc{{CBM: 0x1f, MBALevel: 60}, {CBM: 0xe0, MBALevel: 100}, {CBM: 0x300, MBALevel: 100}, {CBM: 0x400, MBALevel: 10}}},
+		{workloads.MLLC, 4, 0x3d32a9194479946b, []machine.Alloc{{CBM: 0xf, MBALevel: 100}, {CBM: 0x70, MBALevel: 100}, {CBM: 0x80, MBALevel: 100}, {CBM: 0x700, MBALevel: 100}}},
+		{workloads.MBW, 4, 0x3f66cb65cddbd41f, []machine.Alloc{{CBM: 0x1, MBALevel: 100}, {CBM: 0x2, MBALevel: 100}, {CBM: 0x4, MBALevel: 10}, {CBM: 0x7f8, MBALevel: 10}}},
+		{workloads.MBoth, 4, 0x3fb4afe3d391c494, []machine.Alloc{{CBM: 0x1f, MBALevel: 100}, {CBM: 0x1e0, MBALevel: 100}, {CBM: 0x200, MBALevel: 10}, {CBM: 0x400, MBALevel: 10}}},
+		{workloads.IS, 4, 0x0, []machine.Alloc{{CBM: 0x1, MBALevel: 100}, {CBM: 0x2, MBALevel: 100}, {CBM: 0x4, MBALevel: 100}, {CBM: 0x7f8, MBALevel: 100}}},
+		{workloads.HBoth, 6, 0x3fb8f430d882c215, []machine.Alloc{{CBM: 0x7, MBALevel: 100}, {CBM: 0x8, MBALevel: 100}, {CBM: 0x10, MBALevel: 100}, {CBM: 0x1e0, MBALevel: 100}, {CBM: 0x200, MBALevel: 100}, {CBM: 0x400, MBALevel: 10}}},
+	}
+	cfg := machine.DefaultConfig()
+	for _, g := range golden {
+		res, err := ST{}.Run(cfg, mix(t, g.kind, g.apps))
+		if err != nil {
+			t.Fatalf("%v/%d: %v", g.kind, g.apps, err)
+		}
+		if got := math.Float64bits(res.Unfairness); got != g.unfairness {
+			t.Errorf("%v/%d: unfairness bits %#x (%v), golden %#x (%v)",
+				g.kind, g.apps, got, res.Unfairness, g.unfairness, math.Float64frombits(g.unfairness))
+		}
+		if !reflect.DeepEqual(res.Allocs, g.allocs) {
+			t.Errorf("%v/%d: chose %+v, golden %+v", g.kind, g.apps, res.Allocs, g.allocs)
+		}
+	}
+}
+
+// TestSTAllocationBudget pins that an ST run's allocations are set-up
+// only: the best state is copied into preallocated slices, so the count
+// cannot grow with the number of improvements the enumeration order
+// happens to produce.
+func TestSTAllocationBudget(t *testing.T) {
+	cfg := machine.DefaultConfig()
+	const budget = 100 // measured 60–70; per-improvement copies made it 81–240 depending on the mix
+	for _, kind := range workloads.MixKinds() {
+		models := mix(t, kind, 4)
+		avg := testing.AllocsPerRun(1, func() {
+			if _, err := (ST{}).Run(cfg, models); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if avg > budget {
+			t.Errorf("%v: ST.Run allocates %.0f times, budget %d", kind, avg, budget)
 		}
 	}
 }
