@@ -66,18 +66,20 @@ bench-json:
 # Fleet-scale snapshot only: the Fleet256 steady-state budget, the
 # Fleet4096/Fleet16384/Fleet65536 scale proofs (p99 period latency flat
 # as nodes grow — compare the p99ns extras), the FleetChurn
-# fleet-over-trace run, and a fleetbench -parallel sweep recording the
-# 1/4/16-worker scaling of one fixed fleet (the block-batched dispatch
-# must not regress at any worker count). All test-binary runs carry
-# -benchmem so benchguard can hold the allocs_per_op and bytes_per_op
-# lines. Emits the same dated JSON format as bench-json and merges the
-# same way.
+# fleet-over-trace run, the FleetNoisy1024 jittered-counter run (the
+# benchmark's fleet_noisy workload; 0 allocs/op), and a fleetbench
+# -parallel sweep recording the 1/4/16-worker scaling of one fixed fleet
+# (the block-batched dispatch must not regress at any worker count).
+# All test-binary runs carry -benchmem so benchguard can hold the
+# allocs_per_op and bytes_per_op lines. Emits the same dated JSON format
+# as bench-json and merges the same way.
 bench-fleet:
 	{ $(GO) test -run xxx -bench 'BenchmarkFleet256$$' -benchtime 5x -count 3 -benchmem . ; \
 	  $(GO) test -run xxx -bench 'BenchmarkFleet4096$$' -benchtime 2x -count 3 -benchmem . ; \
 	  $(GO) test -run xxx -bench 'BenchmarkFleet16384$$' -benchtime 1x -count 3 -benchmem . ; \
 	  $(GO) test -run xxx -bench 'BenchmarkFleet65536$$' -benchtime 1x -count 2 -benchmem . ; \
 	  $(GO) test -run xxx -bench 'BenchmarkFleetChurn$$' -benchtime 2x -count 3 -benchmem . ; \
+	  $(GO) test -run xxx -bench 'BenchmarkFleetNoisy1024$$' -benchtime 5x -count 3 -benchmem . ; \
 	  for wk in 1 4 16 ; do \
 	    $(GO) run ./cmd/fleetbench -nodes 4096 -periods 50 -parallel $$wk -benchline BenchmarkFleetWorkers$$wk ; \
 	  done ; } \
@@ -99,11 +101,12 @@ bench-guard:
 	  $(GO) test -run xxx -bench 'BenchmarkFleet16384$$' -benchtime 1x -count 3 -benchmem . ; \
 	  $(GO) test -run xxx -bench 'BenchmarkFleet65536$$' -benchtime 1x -count 2 -benchmem . ; \
 	  $(GO) test -run xxx -bench 'BenchmarkFleetChurn$$' -benchtime 2x -count 3 -benchmem . ; \
+	  $(GO) test -run xxx -bench 'BenchmarkFleetNoisy1024$$' -benchtime 5x -count 3 -benchmem . ; \
 	  $(GO) test -run xxx -bench 'BenchmarkMachineSolve$$' -benchtime 1000x -count 3 -benchmem . ; } \
 	> $(BENCH_RAW)
 	$(GO) run ./cmd/benchjson < $(BENCH_RAW) > $(BENCHGUARD_CUR)
 	$(GO) run ./cmd/benchguard -base "$$(ls BENCH_*.json | sort | tail -1)" -cur $(BENCHGUARD_CUR) \
-	  -bench BenchmarkFig12,BenchmarkMachineSolve,BenchmarkFleet256,BenchmarkFleet4096,BenchmarkFleet16384,BenchmarkFleet65536,BenchmarkFleetChurn
+	  -bench BenchmarkFig12,BenchmarkMachineSolve,BenchmarkFleet256,BenchmarkFleet4096,BenchmarkFleet16384,BenchmarkFleet65536,BenchmarkFleetChurn,BenchmarkFleetNoisy1024
 
 # Crash-safety gate: first the lint-suite fixture smoke (the antest
 # golden fixtures are the fastest whole-stack check of the analyzers

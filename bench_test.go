@@ -296,6 +296,19 @@ func BenchmarkFleet65536(b *testing.B) {
 	benchFleet(b, nodes)
 }
 
+// BenchmarkFleetNoisy1024 is the benchmark's fleet_noisy workload as a
+// go test benchmark: 1024 nodes × 50 periods with 2 % PMC jitter, which
+// keeps every node off the profile memo and the score memo. Nothing in
+// cmd/ runs a noisy fleet, so this is also how that path is profiled
+// (go test -bench FleetNoisy1024 -cpuprofile). Steady state is
+// allocation-free: relaunching a node reseeds the machine's jitter
+// stream in one store.
+func BenchmarkFleetNoisy1024(b *testing.B) {
+	c := fleet.Config{Nodes: 1024, Periods: 50, Seed: 1, Machine: machine.DefaultConfig()}
+	c.Machine.MeasurementNoise, c.Machine.NoiseSeed = 0.02, 1
+	benchFleetConfig(b, c)
+}
+
 // BenchmarkFleetChurn measures fleet-over-trace: 1024 nodes arriving on
 // a Poisson schedule and living for exponential lifetimes (mean 10
 // periods), every arrival reinitializing a departed node's pooled
@@ -330,7 +343,10 @@ func BenchmarkFleetChurn(b *testing.B) {
 // last run's p99 per-period latency is attached as a custom metric —
 // the figure the scale proofs hold flat from Fleet256 up.
 func benchFleet(b *testing.B, nodes int) {
-	cfg := fleet.Config{Nodes: nodes, Periods: 10, Seed: 1}
+	benchFleetConfig(b, fleet.Config{Nodes: nodes, Periods: 10, Seed: 1})
+}
+
+func benchFleetConfig(b *testing.B, cfg fleet.Config) {
 	var res fleet.Result
 	if err := fleet.RunInto(cfg, &res); err != nil {
 		b.Fatal(err)

@@ -11,9 +11,9 @@ import (
 // TestScriptedClock swaps fleetClock for a deterministic script: every
 // read advances time by exactly one tick. With a single worker the
 // clock-read order is fixed — Run reads once before and once after the
-// fan-out, every sampled period reads twice (at this size the samplers
-// never compact, so every period is sampled), and the stripe merge
-// reads twice — so the throughput and latency figures stop being
+// fan-out, every sampled period reads twice (at this size every
+// stripe's stride is 1, so every period is sampled), and the stripe
+// merge reads twice — so the throughput and latency figures stop being
 // nondeterministic and can be asserted exactly.
 func TestScriptedClock(t *testing.T) {
 	const tick = 3 * time.Millisecond
@@ -63,4 +63,55 @@ func TestScriptedClock(t *testing.T) {
 	if res.PeriodsPerSec != wantRate {
 		t.Errorf("PeriodsPerSec = %v, want %v", res.PeriodsPerSec, wantRate)
 	}
+}
+
+// TestClockReadsPerRun pins the clock traffic of runs whose stripes
+// push more periods than they keep: two reads per *kept* sample plus
+// the run and merge brackets. Each stripe's stride is preset from its
+// push count, so nothing is timed and later compacted away (starting
+// at stride 1, the fixed run below read the clock 184 times).
+func TestClockReadsPerRun(t *testing.T) {
+	var reads atomic.Int64
+	orig := fleetClock
+	fleetClock = func() time.Time { return time.Unix(0, reads.Add(1)) }
+	parallel.SetWorkers(1)
+	defer func() {
+		fleetClock = orig
+		parallel.SetWorkers(0)
+	}()
+
+	check := func(name string, res Result, want int64) {
+		t.Helper()
+		kept := 0
+		for _, b := range res.Blocks {
+			stride := 1
+			for b.Periods > 16*stride {
+				stride *= 2
+			}
+			if b.Stride != stride || b.Samples != (b.Periods+stride-1)/stride {
+				t.Errorf("%s: block [%d,%d) pushed %d periods, kept %d at stride %d; want stride %d",
+					name, b.Lo, b.Hi, b.Periods, b.Samples, b.Stride, stride)
+			}
+			kept += b.Samples
+		}
+		if got := reads.Swap(0); got != want || got != int64(4+2*kept) {
+			t.Errorf("%s: %d clock reads for %d kept samples, want %d", name, got, kept, want)
+		}
+	}
+
+	// Two stripes of 16 samples, 4 nodes × 50 periods each: stride 16,
+	// 13 kept per stripe.
+	res, err := Run(Config{Nodes: 8, Periods: 50, Seed: 11, Block: 4, LatSamples: 32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("fixed", res, 4+2*26)
+
+	// Under churn a stripe's push count is the sum of its nodes' drawn
+	// lifetimes.
+	res, err = RunChurn(ChurnConfig{Arrivals: 8, MeanLife: 30, MaxLife: 60, Seed: 11, Block: 4, LatSamples: 32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("churn", res, 4+2*27)
 }

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/machine"
 	"repro/internal/parallel"
 )
 
@@ -38,21 +39,38 @@ func TestFleetPoolGolden(t *testing.T) {
 // function inline, the stripes and merge scratch retain capacity, and
 // the per-node period loop was already allocation-free.
 func TestFleetSteadyStateAllocs(t *testing.T) {
-	cfg := Config{Nodes: 8, Periods: 5, Seed: 3}
+	if avg := warmRunAllocs(t, Config{Nodes: 8, Periods: 5, Seed: 3}); avg != 0 {
+		t.Errorf("steady-state fleet run allocates %.1f times, want 0", avg)
+	}
+}
+
+// TestFleetNoisySteadyStateAllocs holds a noisy fleet to the noise-free
+// budget. Noisy nodes profile live and bypass the score memo, but every
+// node launch reseeds the machine's jitter stream in one store; under
+// the retired math/rand source each launch left a 4.9 KB source behind.
+func TestFleetNoisySteadyStateAllocs(t *testing.T) {
+	cfg := Config{Nodes: 8, Periods: 5, Seed: 3, Machine: machine.DefaultConfig()}
+	cfg.Machine.MeasurementNoise, cfg.Machine.NoiseSeed = 0.02, 3
+	if avg := warmRunAllocs(t, cfg); avg != 0 {
+		t.Errorf("steady-state noisy fleet run allocates %.1f times, want 0", avg)
+	}
+}
+
+// warmRunAllocs returns the allocations of one sequential RunInto once
+// two runs have warmed the pool, every cache tier, and the Result.
+func warmRunAllocs(t *testing.T, cfg Config) float64 {
+	t.Helper()
 	parallel.SetWorkers(1)
 	defer parallel.SetWorkers(0)
 	var res Result
-	for i := 0; i < 2; i++ { // warm the pool, every cache tier, and res
+	for i := 0; i < 2; i++ {
 		if err := RunInto(cfg, &res); err != nil {
 			t.Fatal(err)
 		}
 	}
-	avg := testing.AllocsPerRun(5, func() {
+	return testing.AllocsPerRun(5, func() {
 		if err := RunInto(cfg, &res); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if avg != 0 {
-		t.Errorf("steady-state fleet run allocates %.1f times, want 0", avg)
-	}
 }

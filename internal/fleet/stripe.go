@@ -25,23 +25,24 @@ import (
 //
 // Sampling semantics (the fix for the ring's windowing): each stripe
 // keeps a systematic sample of its period latencies — every stride-th
-// period, stride a power of two that starts at 1 and doubles whenever
-// the stripe's buffer fills (compacting the buffer to every other kept
-// sample, which preserves the invariant "buf[i] is the latency of push
-// index i·stride"). The kept set therefore always spans the whole run
-// uniformly: a run pushing any number of periods ends with between
-// max/2 and max samples evenly spaced from its first period to its
-// last, instead of a rolling window over its tail. Percentiles over
-// the merged stripes weight each kept sample by its stripe's final
-// stride, so a stripe that compacted twice counts each sample four
-// periods' worth. *Which* periods are sampled is a pure function of
-// (block bounds, period index) — never of timing or worker count — so
-// the sampled population is identical at any -parallel setting; only
-// the measured durations themselves are nondeterministic.
+// period, stride the smallest power of two under which the stripe's
+// push count (known before it runs: its nodes' periods, or their drawn
+// lifetimes under churn) fits its buffer. A stripe that pushes more
+// all the same doubles its stride whenever the buffer fills, compacting
+// to every other kept sample, which preserves the invariant "buf[i] is
+// the latency of push index i·stride". The kept set therefore always
+// spans the whole run uniformly — between max/2 and max samples evenly
+// spaced from first period to last — instead of a rolling window over
+// its tail. Percentiles over the merged stripes weight each kept sample
+// by its stripe's final stride, so a stripe at stride 4 counts each
+// sample four periods' worth. *Which* periods are sampled is a pure
+// function of (block bounds, period index) — never of timing or worker
+// count — so the sampled population is identical at any -parallel
+// setting; only the measured durations themselves are nondeterministic.
 //
 // Unsampled periods skip both fleetClock reads entirely (see runNode),
-// so past the first compaction the sampler also halves the fleet's
-// clock syscall traffic, then quarters it, and so on.
+// so a run reads the clock twice per *kept* sample: no period is timed
+// only for a later compaction to discard it.
 //
 // Because the stripes are package state, Run and RunChurn must not
 // execute concurrently with each other. (They never have: both fan out
@@ -59,8 +60,8 @@ import (
 const defaultLatSamples = 1 << 14
 
 // latSampler keeps a deterministic systematic sample of a stream of
-// period latencies: every stride-th pushed value, stride doubling (and
-// the kept set compacting by half) whenever the buffer reaches max.
+// period latencies: every stride-th pushed value, stride preset from the
+// expected push count, doubling (the kept set halving) on overflow.
 type latSampler struct {
 	buf    []time.Duration
 	stride uint64 // power of two; buf[i] holds push index i·stride
@@ -68,16 +69,20 @@ type latSampler struct {
 	max    int    // buffer bound for this run
 }
 
-// reset starts a new run's sample stream, keeping the buffer's
-// capacity.
+// reset starts a new run's stream of an expected pushes values, keeping
+// the buffer's capacity. The stride starts where 1-then-doubling would
+// end — the smallest power of two with pushes ≤ max·stride.
 //
 //copart:noalloc
-func (s *latSampler) reset(max int) {
+func (s *latSampler) reset(max, pushes int) {
 	if max < 2 {
 		max = 2
 	}
 	s.buf = s.buf[:0]
 	s.stride = 1
+	for pushes > max*int(s.stride) {
+		s.stride *= 2
+	}
 	s.seen = 0
 	s.max = max
 }
@@ -146,12 +151,12 @@ type blockStripe struct {
 	poolCarries    uint64 // runtimes handed node-to-node without a pool round-trip
 }
 
-// reset prepares the stripe for a run over nodes [lo, hi) with the
-// given per-stripe sample bound.
+// reset prepares the stripe for a run over nodes [lo, hi) pushing the
+// given number of periods, with the given per-stripe sample bound.
 //
 //copart:noalloc
-func (st *blockStripe) reset(lo, hi, latMax int) {
-	st.lat.reset(latMax)
+func (st *blockStripe) reset(lo, hi, latMax, pushes int) {
+	st.lat.reset(latMax, pushes)
 	*st = blockStripe{lo: lo, hi: hi, lat: st.lat}
 }
 

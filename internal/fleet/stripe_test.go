@@ -1,20 +1,24 @@
 package fleet
 
 import (
+	"slices"
 	"testing"
 	"time"
 )
 
 // feedSampler drives a sampler the way runNode does: due() decides
-// whether the period is measured (push) or not (skip).
-func feedSampler(s *latSampler, n int) {
+// whether the period is measured (push) or not (skip). It returns how
+// many periods were measured.
+func feedSampler(s *latSampler, n int) (measured int) {
 	for i := 0; i < n; i++ {
 		if s.due() {
+			measured++
 			s.push(time.Duration(i))
 		} else {
 			s.skip()
 		}
 	}
+	return measured
 }
 
 // TestLatSamplerSystematicCoverage pins the sampler's invariant — after
@@ -27,7 +31,7 @@ func TestLatSamplerSystematicCoverage(t *testing.T) {
 		{1000, 16}, {65536, 64}, {3, 2}, {1000, 2},
 	} {
 		var s latSampler
-		s.reset(tc.max)
+		s.reset(tc.max, 0) // nothing announced: stride 1, doubling all the way
 		feedSampler(&s, tc.n)
 		if s.seen != uint64(tc.n) {
 			t.Fatalf("n=%d max=%d: seen=%d", tc.n, tc.max, s.seen)
@@ -60,15 +64,54 @@ func TestLatSamplerSystematicCoverage(t *testing.T) {
 // for a new run reuses the buffer.
 func TestLatSamplerResetKeepsCapacity(t *testing.T) {
 	var s latSampler
-	s.reset(64)
+	s.reset(64, 0)
 	feedSampler(&s, 1000)
 	c := cap(s.buf)
-	s.reset(64)
+	s.reset(64, 0)
 	if len(s.buf) != 0 || cap(s.buf) != c {
 		t.Fatalf("reset: len=%d cap=%d, want 0/%d", len(s.buf), cap(s.buf), c)
 	}
 	if s.stride != 1 || s.seen != 0 {
 		t.Fatalf("reset: stride=%d seen=%d", s.stride, s.seen)
+	}
+}
+
+// TestLatSamplerPresetStride pins the preset stride against the
+// doubling scheme it short-cuts: announcing the push count up front
+// keeps exactly the indices (hence the weights) that starting at stride
+// 1 and compacting would have ended with, but due() — the gate on the
+// two clock reads — fires only for samples that survive.
+func TestLatSamplerPresetStride(t *testing.T) {
+	for _, max := range []int{2, 7, 8, 512} {
+		var ns []int
+		for p := max; p <= max<<5; p *= 2 {
+			ns = append(ns, p-1, p, p+1)
+		}
+		for _, n := range append(ns, 1, 3*max+1) {
+			var doubled, preset latSampler
+			doubled.reset(max, 0)
+			feedSampler(&doubled, n)
+			preset.reset(max, n)
+			due := feedSampler(&preset, n)
+			if preset.stride != doubled.stride || !slices.Equal(preset.buf, doubled.buf) {
+				t.Fatalf("max=%d n=%d: preset kept %v (stride %d), doubling kept %v (stride %d)",
+					max, n, preset.buf, preset.stride, doubled.buf, doubled.stride)
+			}
+			if due != len(preset.buf) {
+				t.Fatalf("max=%d n=%d: due() fired %d times for %d kept samples", max, n, due, len(preset.buf))
+			}
+		}
+	}
+	// Pushing past the announced count still lands on the doubling
+	// scheme's kept set: compaction is the overflow net.
+	var doubled, preset latSampler
+	doubled.reset(8, 0)
+	feedSampler(&doubled, 100)
+	preset.reset(8, 20)
+	feedSampler(&preset, 100)
+	if preset.stride != doubled.stride || !slices.Equal(preset.buf, doubled.buf) {
+		t.Fatalf("overflow: preset kept %v (stride %d), doubling kept %v (stride %d)",
+			preset.buf, preset.stride, doubled.buf, doubled.stride)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/membw"
+	"repro/internal/splitmix"
 )
 
 // Config describes the simulated server. DefaultConfig reproduces Table 1.
@@ -192,11 +193,12 @@ type Machine struct {
 	apps      []*app
 	byName    map[string]int
 	now       time.Duration // virtual time since construction
-	noiseRNG  *rand.Rand
-	// noiseCalls counts noiseFactors invocations that actually drew from
-	// noiseRNG. It is the noise stream's position: a snapshot records it,
-	// and restore replays the same number of draw pairs (see snapshot.go).
-	noiseCalls uint64
+	// noiseSrc is the jitter stream: one word, reseeded by Reset in one
+	// store and recorded as-is by Snapshot. noiseRNG draws normals from
+	// it; it holds no state of its own, is built by New iff noise is
+	// enabled, and survives Reset.
+	noiseSrc splitmix.Source
+	noiseRNG *rand.Rand
 
 	hasPhases bool // any active app carries a phase schedule
 	// solveClean reports that scratch.view still holds the solved steady
@@ -300,10 +302,10 @@ func New(cfg Config, opts ...Option) (*Machine, error) {
 		cfgDigest: configDigest(cfg),
 		arbiter:   arb,
 		byName:    make(map[string]int),
-		// noiseRNG is seeded lazily on first use (see noiseFactors):
-		// seeding a math/rand source costs ~10µs and most machines run
-		// noise-free, which matters now that concurrent experiment
-		// cells construct one Machine each.
+	}
+	m.noiseSrc.Seed(cfg.NoiseSeed)
+	if cfg.MeasurementNoise != 0 {
+		m.noiseRNG = rand.New(&m.noiseSrc)
 	}
 	for _, opt := range opts {
 		opt(m)
@@ -386,8 +388,7 @@ func (m *Machine) nextAppSlot() *app {
 // machine behaves bit-identically to a freshly constructed one with the
 // same configuration: the fleet's node-runtime pool relies on exactly
 // that (DESIGN.md §12). App slots are retained beyond len for reuse by
-// AddApp; noise machines re-seed their RNG lazily on first use, exactly
-// like a new machine.
+// AddApp; the jitter stream is reseeded in one store.
 //
 //copart:noalloc
 func (m *Machine) Reset() {
@@ -401,8 +402,7 @@ func (m *Machine) Reset() {
 	m.apps = m.apps[:0]
 	clear(m.byName)
 	m.now = 0
-	m.noiseRNG = nil
-	m.noiseCalls = 0
+	m.noiseSrc.Seed(m.cfg.NoiseSeed)
 	m.hasPhases = false
 	m.solveClean = false
 	m.gatherValid = false
@@ -564,6 +564,8 @@ func contiguous(mask uint64) bool {
 
 // Step advances virtual time by dt, accumulating counters at the solved
 // steady-state rates.
+//
+//copart:noalloc
 func (m *Machine) Step(dt time.Duration) error {
 	if dt <= 0 {
 		return fmt.Errorf("machine: non-positive step %v", dt)
@@ -621,27 +623,20 @@ func (m *Machine) Step(dt time.Duration) error {
 // whole counter stream (execution-speed jitter) and an additional
 // independent factor on the miss-related counters (cache-behaviour
 // jitter). Both are 1 when noise is disabled.
+//
+//copart:noalloc
 func (m *Machine) noiseFactors() (perf, miss float64) {
 	sigma := m.cfg.MeasurementNoise
 	if sigma == 0 {
 		return 1, 1
 	}
-	if m.noiseRNG == nil {
-		m.noiseRNG = rand.New(rand.NewSource(m.cfg.NoiseSeed))
-	}
-	m.noiseCalls++
-	clamp := func(f float64) float64 {
-		if f < 0.5 {
-			return 0.5
-		}
-		if f > 1.5 {
-			return 1.5
-		}
-		return f
-	}
-	return clamp(1 + m.noiseRNG.NormFloat64()*sigma),
-		clamp(1 + m.noiseRNG.NormFloat64()*sigma)
+	return clampNoise(1 + m.noiseRNG.NormFloat64()*sigma),
+		clampNoise(1 + m.noiseRNG.NormFloat64()*sigma)
 }
+
+// clampNoise bounds a jitter factor to [0.5, 1.5], keeping counters
+// monotone and a tail draw from dominating a period.
+func clampNoise(f float64) float64 { return min(max(f, 0.5), 1.5) }
 
 // Occupancy returns an application's current effective LLC occupancy in
 // bytes (its capacity share at the solved steady state) — the quantity

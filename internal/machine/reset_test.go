@@ -21,7 +21,7 @@ func launchableTestModels(n int) []AppModel {
 
 // resetTestModels is a phased variant of launchableTestModels: the
 // reset contract must hold for the stateful features too (phase dirty
-// bits, noise-RNG stream position), not just the steady solver.
+// bits, jitter stream position), not just the steady solver.
 func resetTestModels(n int) []AppModel {
 	models := launchableTestModels(n)
 	for i := range models {
@@ -117,35 +117,46 @@ func TestMachineResetBitIdentical(t *testing.T) {
 // machine has been through one tenant, the full relaunch cycle —
 // Reset, AddApp ×4, SetAllocation ×4, one control-period Step — must
 // cost at most the one cache-entry copy the re-solve stores (entries
-// are cleared by Reset; the intern table and app slots are not).
+// are cleared by Reset; the intern table and app slots are not). Noise
+// adds nothing to that: Reset reseeds the jitter stream in one store
+// and the first noisy Step draws from it as-is (the retired math/rand
+// stream cost a 4.9 KB source and a rand.Rand per relaunch).
 func TestMachineResetAllocationGuard(t *testing.T) {
-	cfg := DefaultConfig()
 	models := launchableTestModels(4)
-	masks, err := AssignContiguousWays([]int{3, 3, 3, 2}, 0, cfg.LLCWays)
+	masks, err := AssignContiguousWays([]int{3, 3, 3, 2}, 0, DefaultConfig().LLCWays)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := New(cfg, WithSolveCache())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cycle := func() {
-		m.Reset()
-		for i := range models {
-			if err := m.AddApp(models[i]); err != nil {
-				t.Fatal(err)
-			}
-			if err := m.SetAllocation(models[i].Name, Alloc{CBM: masks[i], MBALevel: 100}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := m.Step(time.Second); err != nil {
+	cycleAllocs := func(noise float64) float64 {
+		cfg := DefaultConfig()
+		cfg.MeasurementNoise = noise
+		m, err := New(cfg, WithSolveCache())
+		if err != nil {
 			t.Fatal(err)
 		}
+		cycle := func() {
+			m.Reset()
+			for i := range models {
+				if err := m.AddApp(models[i]); err != nil {
+					t.Fatal(err)
+				}
+				if err := m.SetAllocation(models[i].Name, Alloc{CBM: masks[i], MBALevel: 100}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := m.Step(time.Second); err != nil {
+				t.Fatal(err)
+			}
+		}
+		cycle() // warm: grow slots, scratch, intern table
+		return testing.AllocsPerRun(100, cycle)
 	}
-	cycle()          // warm: grow slots, scratch, intern table
 	const budget = 2 // the re-stored cache entry, plus slack for the runtime
-	if avg := testing.AllocsPerRun(100, cycle); avg > budget {
-		t.Errorf("Reset+relaunch cycle allocates %.1f times, budget is %d", avg, budget)
+	quiet := cycleAllocs(0)
+	if quiet > budget {
+		t.Errorf("Reset+relaunch cycle allocates %.1f times, budget is %d", quiet, budget)
+	}
+	if noisy := cycleAllocs(0.02); noisy != quiet {
+		t.Errorf("noisy Reset+relaunch cycle allocates %.1f times, noise-free %.1f: the jitter stream must cost 0", noisy, quiet)
 	}
 }

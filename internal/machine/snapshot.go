@@ -11,23 +11,28 @@ import (
 // Snapshot is the complete serializable state of a Machine: the
 // configuration, virtual time, every application ever launched (launch
 // order and inactive entries both matter — name reuse is forbidden, and
-// Perf results index over active apps in launch order), the noise-RNG
-// stream position, and the solve-cache counters. ConfigDigest
+// Perf results index over active apps in launch order), the jitter
+// stream's state word, and the solve-cache counters. ConfigDigest
 // fingerprints the configuration so a restore against a drifted config
 // (different solver constants ⇒ different trajectories) fails loudly
 // instead of silently diverging.
 //
 // A restored machine is bit-identical in behavior to the original: the
 // solver is a pure function of (config, models, allocations), counters
-// resume from their exact cumulative values, and the noise stream is
-// replayed to the recorded position.
+// resume from their exact cumulative values, and the jitter stream
+// resumes from its recorded state word (the source's whole state).
 type Snapshot struct {
 	Config       Config        `json:"config"`
 	ConfigDigest uint64        `json:"configDigest"`
 	Now          int64         `json:"nowNs"` // virtual time, nanoseconds
 	Apps         []AppSnapshot `json:"apps"`
-	NoiseCalls   uint64        `json:"noiseCalls,omitempty"`
-	SolveCache   *CacheStats   `json:"solveCache,omitempty"`
+	// NoiseState is the jitter source's state word. Never omitted: a
+	// stream can legitimately sit at word 0.
+	NoiseState uint64 `json:"noiseState"`
+	// NoiseCalls is the retired math/rand stream's draw count, decoded
+	// only so that RestoreSnapshot can refuse a noisy legacy snapshot.
+	NoiseCalls uint64      `json:"noiseCalls,omitempty"`
+	SolveCache *CacheStats `json:"solveCache,omitempty"`
 }
 
 // AppSnapshot is one launched application's state.
@@ -47,7 +52,7 @@ func (m *Machine) Snapshot() Snapshot {
 		ConfigDigest: m.cfgDigest,
 		Now:          int64(m.now),
 		Apps:         make([]AppSnapshot, len(m.apps)),
-		NoiseCalls:   m.noiseCalls,
+		NoiseState:   m.noiseSrc.State(),
 	}
 	for i, a := range m.apps {
 		snap.Apps[i] = AppSnapshot{
@@ -139,20 +144,16 @@ func RestoreSnapshot(snap Snapshot, opts ...Option) (*Machine, error) {
 				used, a.model.Socket, m.cfg.Cores)
 		}
 	}
-	// Re-establish the noise stream position: seed eagerly and replay the
-	// recorded number of draw pairs. NormFloat64's rejection sampling
-	// consumes a variable number of raw values, so the replay must go
-	// through the same method the live path uses.
 	if snap.NoiseCalls > 0 {
-		if m.cfg.MeasurementNoise == 0 {
-			return nil, fmt.Errorf("machine: restore: %d noise draws recorded but noise is disabled", snap.NoiseCalls)
-		}
-		m.noiseFactors() // seeds noiseRNG and burns the first call
-		for i := uint64(1); i < snap.NoiseCalls; i++ {
-			m.noiseRNG.NormFloat64()
-			m.noiseRNG.NormFloat64()
-		}
-		m.noiseCalls = snap.NoiseCalls
+		return nil, fmt.Errorf("machine: restore: snapshot records %d draws of the retired math/rand noise stream, which cannot be resumed", snap.NoiseCalls)
+	}
+	// The jitter stream resumes from its state word in one store. A
+	// noise-free machine never draws: its word is the seed position, or
+	// absent (0) in snapshots that predate the field.
+	if m.cfg.MeasurementNoise != 0 {
+		m.noiseSrc.SetState(snap.NoiseState)
+	} else if snap.NoiseState != 0 && snap.NoiseState != m.noiseSrc.State() {
+		return nil, fmt.Errorf("machine: restore: noise stream state %#x recorded but noise is disabled", snap.NoiseState)
 	}
 	if snap.SolveCache != nil && m.cache != nil {
 		m.cache.hits.Store(snap.SolveCache.Hits)

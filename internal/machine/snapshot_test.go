@@ -139,9 +139,9 @@ func TestMachineSnapshotRejectsTampering(t *testing.T) {
 	}
 
 	s = m.Snapshot()
-	s.NoiseCalls = 3 // machine runs noise-free; replay impossible
+	s.NoiseState++ // machine runs noise-free; its stream never leaves the seed position
 	if _, err := RestoreSnapshot(s); err == nil {
-		t.Error("noise replay on a noise-free machine should be rejected")
+		t.Error("an advanced noise stream on a noise-free machine should be rejected")
 	}
 }
 
