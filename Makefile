@@ -53,6 +53,10 @@ BENCH_RAW ?= /tmp/bench-raw.txt
 # through $(BENCH_MERGED) because redirecting onto the merge source
 # would truncate it before benchjson reads it.
 BENCH_MERGED ?= /tmp/bench-merged.json
+# The committed snapshots are `procs: 1`, and at 2 procs the fleet
+# benchmarks' 0-alloc baselines fail on ~10 worker-pool allocations, so
+# the three snapshot/guard targets pin the variable themselves.
+bench-json bench-fleet bench-guard: export GOMAXPROCS = 1
 bench-json:
 	{ $(GO) test -run xxx -bench 'BenchmarkFig12$$|BenchmarkFig1$$' -benchtime 2x -count 3 -benchmem . ; \
 	  $(GO) test -run xxx -bench 'BenchmarkFleet256$$' -benchtime 5x -count 3 -benchmem . ; \

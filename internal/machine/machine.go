@@ -862,21 +862,63 @@ func (s *SolveSession) SolveInto(perfs []Perf, allocs []Alloc) error {
 	sc := &m.scratch
 	sc.size(len(allocs))
 	for i, al := range allocs {
-		cores := s.models[i].Cores
-		bt := &s.mba[i*mbaLevels+al.MBALevel/membw.Granularity]
-		if bt.delay == 0 {
-			bwCap, err := m.arbiter.Cap(al.MBALevel, cores)
-			if err != nil {
-				return err
-			}
-			*bt = mbaTerms{m.mbaDelay(al.MBALevel), bwCap}
+		bt, err := s.mbaAt(i, al.MBALevel)
+		if err != nil {
+			return err
 		}
 		mt := s.miss[i*(m.cfg.LLCWays+1)+al.Ways()]
 		sc.caps[i], sc.bwCaps[i] = mt.capBytes, bt.bwCap
 		sc.terms[i] = appTerms{mt.missRatio, mt.weighted, bt.delay}
-		sc.demands[i] = membw.Demand{MBALevel: al.MBALevel, Cores: cores}
+		sc.demands[i] = membw.Demand{MBALevel: al.MBALevel, Cores: s.models[i].Cores}
 	}
 	return m.solvePrivate(perfs, s.models)
+}
+
+// mbaAt returns app i's MBA terms at a valid level, filling the slot on
+// first use.
+//
+//copart:noalloc
+func (s *SolveSession) mbaAt(i, level int) (mbaTerms, error) {
+	bt := &s.mba[i*mbaLevels+level/membw.Granularity]
+	if bt.delay == 0 {
+		bwCap, err := s.m.arbiter.Cap(level, s.models[i].Cores)
+		if err != nil {
+			return mbaTerms{}, err
+		}
+		*bt = mbaTerms{s.m.mbaDelay(level), bwCap}
+	}
+	return *bt, nil
+}
+
+// IPSBounds brackets the IPS SolveInto gives app in any exclusive-CBM
+// state where it holds ways ways at MBA level, whatever the other apps
+// hold (DESIGN.md §9.1). The congestion stretch lies in [1, 1+K] and the
+// roofline only lowers IPS, so hi is the unconstrained rate at stretch 1.
+// lo is the smaller of the rate at stretch 1+K and, for an app that
+// misses, its rate on the bandwidth it is granted at least:
+// water-filling gives everyone min(want, TotalBandwidth/n). Bounds hold
+// up to a few ulps; callers add slack. ok is false when the session
+// would leave its table path (multi-socket) or the arguments are out of
+// range: no bracket then.
+func (s *SolveSession) IPSBounds(app, ways, level int) (lo, hi float64, ok bool) {
+	m := s.m
+	if m.cfg.SocketCount() > 1 || app < 0 || app >= len(s.models) ||
+		ways < 1 || ways > m.cfg.LLCWays || membw.ValidateLevel(level) != nil {
+		return 0, 0, false
+	}
+	bt, err := s.mbaAt(app, level)
+	if err != nil {
+		return 0, 0, false
+	}
+	model, mt := &s.models[app], s.miss[app*(m.cfg.LLCWays+1)+ways]
+	t := appTerms{mt.missRatio, mt.weighted, bt.delay}
+	hi, _ = m.appDemand(model, t, 1)
+	lo, _ = m.appDemand(model, t, 1+m.cfg.BW.CongestionK)
+	if mt.missRatio > 0 {
+		fair := min(bt.bwCap, m.cfg.BW.TotalBandwidth/float64(len(s.models)))
+		lo = min(lo, fair/(model.AccPerInstr*mt.missRatio*m.cfg.LineBytes*m.cfg.WritebackFactor))
+	}
+	return lo, hi, true
 }
 
 // SteadyMeasurement reports whether stepping this machine by a fixed
@@ -1172,7 +1214,7 @@ func (m *Machine) grantedPerfs(perfs []Perf, models []AppModel, stretch float64)
 			MissRate:   ips * model.AccPerInstr * mr,
 			CapBytes:   sc.caps[i],
 			DemandBW:   demand,
-			GrantBW:    math.Min(demand, grant),
+			GrantBW:    min(demand, grant),
 		}
 	}
 }

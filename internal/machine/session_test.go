@@ -242,3 +242,113 @@ func testSessionErrors(t *testing.T) {
 		}
 	}
 }
+
+// TestIPSBoundsBracketSolve pins the certificate the ST search prunes on:
+// in random exclusive states — 1–6 apps, every MBA level, inexact
+// WayBytes, congestion off, a custom MBA curve, pure streamers, apps that
+// stop missing — the IPS SolveInto computes lies inside IPSBounds, to
+// 1e-12 relative (three orders inside the 1e-9 slack ST adds). A
+// multi-socket machine, which leaves the table path, offers no bounds.
+func TestIPSBoundsBracketSolve(t *testing.T) {
+	oddWays := DefaultConfig()
+	oddWays.LLCWays = 15
+	oddWays.WayBytes = 1.1 * (1 << 20)
+	calm := DefaultConfig()
+	calm.BW.CongestionK = 0
+	curved := DefaultConfig()
+	curved.BW.Curve = func(level int) float64 { return 0.02 + 0.98*float64(level*level)/1e4 }
+	configs := []Config{DefaultConfig(), oddWays, calm, curved}
+
+	const tol = 1e-12
+	rng := rand.New(rand.NewSource(14))
+	var states, zeroMiss, roofed, atLo int
+	levels := map[int]bool{}
+	for trial := 0; trial < 200; trial++ {
+		cfg := configs[trial%len(configs)]
+		host, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 1 + rng.Intn(6)
+		models := make([]AppModel, n)
+		for i := range models {
+			models[i] = randomSessionModel(rng, cfg, i)
+			if rng.Intn(6) == 0 { // fits in one way: never misses
+				models[i].StreamFrac = 0
+				models[i].Hot = []WSComponent{{Bytes: cfg.WayBytes / 2, Weight: 1}}
+			}
+		}
+		// Every fifth trial saturates the bus with unthrottled streamers,
+		// so both clauses of the lower bound are met with equality: next
+		// to a random app 0 the stretch reaches 1+K, and when every app
+		// streams (every tenth) each is granted exactly the fair share.
+		saturate := trial%5 == 4 && n > 1
+		for i := trial / 5 % 2; saturate && i < n; i++ {
+			models[i].StreamFrac, models[i].Hot = 1, nil
+			models[i].Cores, models[i].AccPerInstr, models[i].MLP = 2, 0.05, 8
+		}
+		session := host.NewSolveSession(models)
+		perfs := make([]Perf, n)
+		for state := 0; state < 20; state++ {
+			allocs := randomSessionAllocs(rng, cfg, n)
+			if host.anySharedWay(allocs) {
+				continue
+			}
+			for i := range allocs {
+				if saturate {
+					allocs[i].MBALevel = membw.MaxLevel
+				}
+			}
+			if err := session.SolveInto(perfs, allocs); err != nil {
+				t.Fatal(err)
+			}
+			states++
+			for i, p := range perfs {
+				lo, hi, ok := session.IPSBounds(i, allocs[i].Ways(), allocs[i].MBALevel)
+				if !ok || !(lo > 0) || math.IsInf(hi, 0) {
+					t.Fatalf("trial %d app %d at %+v: bounds (%v, %v, %v)", trial, i, allocs[i], lo, hi, ok)
+				}
+				if p.IPS < lo*(1-tol) || p.IPS > hi*(1+tol) {
+					t.Fatalf("trial %d app %d of %d at %+v: IPS %v outside [%v, %v]\nmodel %+v\nallocs %+v",
+						trial, i, n, allocs[i], p.IPS, lo, hi, models[i], allocs)
+				}
+				levels[allocs[i].MBALevel] = true
+				if p.MissRatio == 0 {
+					zeroMiss++
+				}
+				if p.GrantBW < p.DemandBW {
+					roofed++
+				}
+				if p.IPS <= lo*(1+tol) && lo < hi*(1-1e-6) {
+					atLo++
+				}
+			}
+		}
+	}
+	// The draw must actually reach the cases the bounds argue about.
+	if states < 1000 || zeroMiss == 0 || roofed == 0 || atLo == 0 || len(levels) != mbaLevels-1 {
+		t.Errorf("thin coverage: %d states, %d zero-miss, %d bandwidth-bound, %d at the lower bound, %d levels",
+			states, zeroMiss, roofed, atLo, len(levels))
+	}
+
+	dual := DefaultConfig()
+	dual.Sockets = 2
+	host, err := New(dual)
+	if err != nil {
+		t.Fatal(err)
+	}
+	session := host.NewSolveSession(sharedTestModels(3))
+	if _, _, ok := session.IPSBounds(0, 4, 100); ok {
+		t.Error("2-socket session offered bounds")
+	}
+	single, err := New(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	session = single.NewSolveSession(sharedTestModels(3))
+	for _, bad := range [][3]int{{-1, 4, 100}, {3, 4, 100}, {0, 0, 100}, {0, 12, 100}, {0, 4, 55}, {0, 4, 0}} {
+		if _, _, ok := session.IPSBounds(bad[0], bad[1], bad[2]); ok {
+			t.Errorf("IPSBounds(%d, %d, %d) offered bounds", bad[0], bad[1], bad[2])
+		}
+	}
+}

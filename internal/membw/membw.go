@@ -180,7 +180,7 @@ func (a *Arbiter) Allocate(demands []Demand) (Result, error) {
 //
 //copart:noalloc
 func (a *Arbiter) AllocateInto(res *Result, demands []Demand) error {
-	a.caps = growFloats(a.caps, len(demands))
+	a.caps = resizeFloats(a.caps, len(demands))
 	for i, d := range demands {
 		cap, err := a.Cap(d.MBALevel, d.Cores)
 		if err != nil {
@@ -209,14 +209,17 @@ func (a *Arbiter) AllocateCapped(res *Result, demands []Demand, caps []float64) 
 	if len(caps) != len(demands) {
 		return fmt.Errorf("membw: %d caps for %d demands", len(caps), len(demands))
 	}
-	a.wants = growFloats(a.wants, len(demands))
+	a.wants = resizeFloats(a.wants, len(demands))
 	for i, d := range demands {
-		if d.Bytes < 0 || math.IsNaN(d.Bytes) || math.IsInf(d.Bytes, 0) {
-			return fmt.Errorf("membw: invalid demand %v at index %d", d.Bytes, i)
+		// Rejects negative, NaN and ±Inf in two compares.
+		if b := d.Bytes; !(b >= 0) || b > math.MaxFloat64 {
+			return fmt.Errorf("membw: invalid demand %v at index %d", b, i)
 		}
-		a.wants[i] = math.Min(d.Bytes, caps[i])
+		a.wants[i] = min(d.Bytes, caps[i])
 	}
-	res.Grants = growFloats(res.Grants, len(demands))
+	// waterfillInto accumulates into the grants, so they start at zero.
+	res.Grants = resizeFloats(res.Grants, len(demands))
+	clear(res.Grants)
 	if err := a.waterfillInto(res.Grants, a.wants, a.cfg.TotalBandwidth); err != nil {
 		return err
 	}
@@ -238,19 +241,16 @@ func (a *Arbiter) AllocateCapped(res *Result, demands []Demand, caps []float64) 
 	return nil
 }
 
-// growFloats returns s resized to n, reusing its backing array when
-// possible and zeroing the visible elements.
+// resizeFloats returns s resized to n, reusing its backing array when
+// possible; surviving contents are stale, and callers write every slot
+// before reading it.
 //
 //copart:noalloc
-func growFloats(s []float64, n int) []float64 {
+func resizeFloats(s []float64, n int) []float64 {
 	if cap(s) < n {
 		return make([]float64, n)
 	}
-	s = s[:n]
-	for i := range s {
-		s[i] = 0
-	}
-	return s
+	return s[:n]
 }
 
 // waterfill computes the max–min fair allocation of budget across wants:

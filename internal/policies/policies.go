@@ -8,7 +8,9 @@ package policies
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -141,31 +143,43 @@ type ST struct {
 // Name implements Policy.
 func (ST) Name() string { return "ST" }
 
+// stStates counts, process-wide, the states ST runs enumerated and the
+// ones they had to solve; each Run adds its totals once, on return.
+var stStates struct{ enumerated, solved atomic.Uint64 }
+
+// STStates reports how many states all ST runs so far enumerated and how
+// many of those they solved rather than skipped on a bound.
+func STStates() (enumerated, solved uint64) {
+	return stStates.enumerated.Load(), stStates.solved.Load()
+}
+
+// grid is the MBA grid searched for an n-app mix.
+func (s ST) grid(n int) []int {
+	switch {
+	case len(s.MBAGrid) != 0:
+		return s.MBAGrid
+	case n <= 4:
+		return []int{10, 30, 60, 100}
+	default:
+		return []int{10, 50, 100}
+	}
+}
+
 // Run implements Policy.
 func (s ST) Run(cfg machine.Config, models []machine.AppModel) (Result, error) {
 	n := len(models)
 	if n == 0 {
 		return Result{}, fmt.Errorf("policies: empty mix")
 	}
-	grid := s.MBAGrid
-	if len(grid) == 0 {
-		if n <= 4 {
-			grid = []int{10, 30, 60, 100}
-		} else {
-			grid = []int{10, 50, 100}
-		}
-	}
+	grid := s.grid(n)
 	for _, l := range grid {
 		if err := membw.ValidateLevel(l); err != nil {
 			return Result{}, err
 		}
 	}
 	// The solve cache serves only the solo solves, which repeat verbatim
-	// across the policies evaluating one mix. The search itself never
-	// revisits a state, so it runs through an uncached SolveSession:
-	// publishing its ~31k single-use states per mix to the shared L2
-	// measured ~65k evictions per Fig 12 iteration and cost more than the
-	// solves a later run got back.
+	// across the policies evaluating one mix. The search runs through a
+	// SolveSession: table-backed and uncached, because no state recurs.
 	m, err := machine.New(cfg, machine.WithSolveCache())
 	if err != nil {
 		return Result{}, err
@@ -200,8 +214,31 @@ func (s ST) Run(cfg machine.Config, models []machine.AppModel) (Result, error) {
 	masks := make([]uint64, n)
 	perfs := make([]machine.Perf, n)
 	session := m.NewSolveSession(models)
+	// Enumeration is exhaustive, solving is not: a state whose slowdown
+	// intervals already force an unfairness above the incumbent's is
+	// skipped, since it could never pass the strict u < best below
+	// (DESIGN.md §9.1).
+	spans := slowdownSpans(session, solo, cfg.LLCWays, grid)
+	// Population σ of n numbers is at least range/√(2n); over the mean,
+	// range·√(n/2)/sum.
+	sigmaPerRange := math.Sqrt(float64(n) / 2)
+	var enumerated, solved uint64
+	defer func() { stStates.enumerated.Add(enumerated); stStates.solved.Add(solved) }()
 	var search func(app, remaining int) error
 	scoreState := func() error {
+		enumerated++
+		if spans != nil && best.Unfairness >= 0 {
+			// The range is at least max lo − min hi, the mean at most mean hi.
+			maxLo, minHi, sumHi := 0.0, math.Inf(1), 0.0
+			for i, w := range counts {
+				sp := spans[(i*(cfg.LLCWays+1)+w)*len(grid)+mbaIdx[i]]
+				maxLo, minHi, sumHi = max(maxLo, sp.lo), min(minHi, sp.hi), sumHi+sp.hi
+			}
+			if (maxLo-minHi)*sigmaPerRange/sumHi*(1-boundSlack) > best.Unfairness {
+				return nil
+			}
+		}
+		solved++
 		masks, err := machine.AssignContiguousWaysInto(masks, counts, 0, cfg.LLCWays)
 		if err != nil {
 			return err
@@ -267,6 +304,34 @@ func (s ST) Run(cfg machine.Config, models []machine.AppModel) (Result, error) {
 	return best, nil
 }
 
+// boundSlack is the relative margin on every bound the ST search prunes
+// with: far above the few-ulp float error of the bounds' own arithmetic,
+// far below any unfairness gap worth a solve.
+const boundSlack = 1e-9
+
+// span is an interval a slowdown is known to lie in.
+type span struct{ lo, hi float64 }
+
+// slowdownSpans brackets, at index (app*(ways+1)+w)*len(grid)+j, app's
+// slowdown when it holds w ways at grid[j] in any exclusive state,
+// widened by boundSlack each side. It returns nil when the session has
+// no bounds to offer, and the search then prunes nothing.
+func slowdownSpans(session *machine.SolveSession, solo []float64, ways int, grid []int) []span {
+	spans := make([]span, len(solo)*(ways+1)*len(grid))
+	for i, full := range solo {
+		for w := 1; w <= ways; w++ {
+			for j, level := range grid {
+				lo, hi, ok := session.IPSBounds(i, w, level)
+				if !ok {
+					return nil
+				}
+				spans[(i*(ways+1)+w)*len(grid)+j] = span{full / hi * (1 - boundSlack), full / lo * (1 + boundSlack)}
+			}
+		}
+	}
+	return spans
+}
+
 // Dynamic runs the CoPart manager (optionally with one axis frozen) and
 // evaluates the state it converges to. It implements the paper's CoPart,
 // CAT-only, and MBA-only policies.
@@ -309,23 +374,23 @@ func (d *Dynamic) Name() string {
 	return d.Label
 }
 
-// Run implements Policy. It is safe for concurrent use: every call
-// builds its own machine (with the solve cache — exploration revisits
-// allocation states constantly, and each revisit skips a whole
-// fixed-point solve) and seeds its own RNG from d.Seed.
-func (d *Dynamic) Run(cfg machine.Config, models []machine.AppModel) (Result, error) {
-	m, err := machine.New(cfg, machine.WithSolveCache())
+// explore builds a fresh machine from cfg and opts, consolidates models
+// on it and runs d's manager — profile, then exploration until it settles
+// or MaxPeriods (default 300) elapse. Run and ExploreTime differ only in
+// what they read off the result.
+func (d *Dynamic) explore(cfg machine.Config, models []machine.AppModel, opts ...machine.Option) (*machine.Machine, *core.Manager, error) {
+	m, err := machine.New(cfg, opts...)
 	if err != nil {
-		return Result{}, err
+		return nil, nil, err
 	}
 	for _, model := range models {
 		if err := m.AddApp(model); err != nil {
-			return Result{}, err
+			return nil, nil, err
 		}
 	}
 	ref, err := workloads.StreamMissRates(m)
 	if err != nil {
-		return Result{}, err
+		return nil, nil, err
 	}
 	params := d.Params
 	if params.IsZero() {
@@ -334,7 +399,7 @@ func (d *Dynamic) Run(cfg machine.Config, models []machine.AppModel) (Result, er
 	mgr, err := core.NewManager(m, params, ref, core.Envelope{LoWay: 0, Ways: cfg.LLCWays},
 		rand.New(rand.NewSource(d.Seed)))
 	if err != nil {
-		return Result{}, err
+		return nil, nil, err
 	}
 	mgr.FreezeLLC = d.FreezeLLC
 	mgr.FreezeMBA = d.FreezeMBA
@@ -342,7 +407,7 @@ func (d *Dynamic) Run(cfg machine.Config, models []machine.AppModel) (Result, er
 		mgr.Features = *d.Features
 	}
 	if err := mgr.Profile(); err != nil {
-		return Result{}, err
+		return nil, nil, err
 	}
 	maxPeriods := d.MaxPeriods
 	if maxPeriods == 0 {
@@ -351,11 +416,23 @@ func (d *Dynamic) Run(cfg machine.Config, models []machine.AppModel) (Result, er
 	for i := 0; i < maxPeriods; i++ {
 		done, err := mgr.ExploreStep()
 		if err != nil {
-			return Result{}, err
+			return nil, nil, err
 		}
 		if done {
 			break
 		}
+	}
+	return m, mgr, nil
+}
+
+// Run implements Policy. It is safe for concurrent use: every call
+// builds its own machine (with the solve cache — exploration revisits
+// allocation states constantly, and each revisit skips a whole
+// fixed-point solve) and seeds its own RNG from d.Seed.
+func (d *Dynamic) Run(cfg machine.Config, models []machine.AppModel) (Result, error) {
+	m, _, err := d.explore(cfg, models, machine.WithSolveCache())
+	if err != nil {
+		return Result{}, err
 	}
 	allocs := make([]machine.Alloc, len(models))
 	for i, model := range models {
@@ -365,53 +442,16 @@ func (d *Dynamic) Run(cfg machine.Config, models []machine.AppModel) (Result, er
 		}
 		allocs[i] = a
 	}
-	res, err := evaluate(cfg, models, allocs)
-	if err != nil {
-		return Result{}, err
-	}
-	return res, nil
+	return evaluate(cfg, models, allocs)
 }
 
-// ExploreTime runs the dynamic policy and reports the mean wall-clock
-// getNextSystemState duration (the Figure 16 overhead metric).
+// ExploreTime runs the dynamic policy on an uncached machine and reports
+// the mean wall-clock getNextSystemState duration (the Figure 16 overhead
+// metric).
 func (d *Dynamic) ExploreTime(cfg machine.Config, models []machine.AppModel) (time.Duration, error) {
-	m, err := machine.New(cfg)
+	_, mgr, err := d.explore(cfg, models)
 	if err != nil {
 		return 0, err
-	}
-	for _, model := range models {
-		if err := m.AddApp(model); err != nil {
-			return 0, err
-		}
-	}
-	ref, err := workloads.StreamMissRates(m)
-	if err != nil {
-		return 0, err
-	}
-	params := d.Params
-	if params.IsZero() {
-		params = core.DefaultParams()
-	}
-	mgr, err := core.NewManager(m, params, ref, core.Envelope{LoWay: 0, Ways: cfg.LLCWays},
-		rand.New(rand.NewSource(d.Seed)))
-	if err != nil {
-		return 0, err
-	}
-	if err := mgr.Profile(); err != nil {
-		return 0, err
-	}
-	maxPeriods := d.MaxPeriods
-	if maxPeriods == 0 {
-		maxPeriods = 300
-	}
-	for i := 0; i < maxPeriods; i++ {
-		done, err := mgr.ExploreStep()
-		if err != nil {
-			return 0, err
-		}
-		if done {
-			break
-		}
 	}
 	if len(mgr.ExploreTimes) == 0 {
 		return 0, fmt.Errorf("policies: no exploration steps executed")
