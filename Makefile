@@ -119,12 +119,21 @@ bench-guard:
 # regression test from it and run it. The generated test lands in
 # _verify/ — underscore-prefixed so ./... wildcards never pick it up;
 # it is removed again on success and left behind for inspection on
-# failure.
+# failure. The negative leg feeds both tools a snapshot in wire-format
+# version 1 (the format that still carried the score memo): snap2test
+# -check and copartd -restore must exit non-zero naming the blob's
+# version and the build's.
 VERIFY_SNAP ?= /tmp/copart-verify-snap.json
+VERIFY_V1 = internal/core/testdata/snapshot_v1.json
+VERIFY_REFUSAL = 'snapshot version 1, this build reads version'
 verify: build
 	$(GO) test -run Fixture -count=1 ./internal/analysis
 	$(GO) run ./cmd/copartd -mix H-Both -apps 4 -duration 60s -seed 1 -snapshot-exit $(VERIFY_SNAP) > /dev/null
 	$(GO) run ./cmd/snap2test -snapshot $(VERIFY_SNAP) -duration 30s -check
+	! $(GO) run ./cmd/snap2test -snapshot $(VERIFY_V1) -duration 30s -check 2> $(VERIFY_SNAP).err
+	grep -q $(VERIFY_REFUSAL) $(VERIFY_SNAP).err
+	! $(GO) run ./cmd/copartd -restore $(VERIFY_V1) -duration 30s > /dev/null 2> $(VERIFY_SNAP).err
+	grep -q $(VERIFY_REFUSAL) $(VERIFY_SNAP).err
 	rm -rf _verify && mkdir _verify
 	$(GO) run ./cmd/snap2test -snapshot $(VERIFY_SNAP) -duration 30s -name Verify -o _verify/replay_test.go
 	$(GO) test ./_verify/

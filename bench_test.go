@@ -298,7 +298,7 @@ func BenchmarkFleet65536(b *testing.B) {
 
 // BenchmarkFleetNoisy1024 is the benchmark's fleet_noisy workload as a
 // go test benchmark: 1024 nodes × 50 periods with 2 % PMC jitter, which
-// keeps every node off the profile memo and the score memo. Nothing in
+// keeps every node off the profile memo. Nothing in
 // cmd/ runs a noisy fleet, so this is also how that path is profiled
 // (go test -bench FleetNoisy1024 -cpuprofile). Steady state is
 // allocation-free: relaunching a node reseeds the machine's jitter

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -162,8 +163,9 @@ func TestSnapshotRoundTripCLI(t *testing.T) {
 	if err := os.WriteFile(badPath, []byte(`{"version":99}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(config{restore: badPath, duration: time.Second}); err == nil {
-		t.Error("restoring a future-version snapshot should fail")
+	err = run(config{restore: badPath, duration: time.Second})
+	if want := fmt.Sprintf("snapshot version 99, this build reads version %d", core.SnapshotVersion); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("restoring a future-version snapshot: got %v, want an error naming %q", err, want)
 	}
 }
 

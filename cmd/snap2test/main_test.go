@@ -130,8 +130,9 @@ func TestCheckMode(t *testing.T) {
 	if err := os.WriteFile(bad, []byte(`{"version":99}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(bad, time.Second, "", "regress", "", true); err == nil {
-		t.Error("unparseable snapshot accepted")
+	err = run(bad, time.Second, "", "regress", "", true)
+	if want := fmt.Sprintf("snapshot version 99, this build reads version %d", core.SnapshotVersion); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("other-version snapshot: got %v, want an error naming %q", err, want)
 	}
 }
 

@@ -20,8 +20,9 @@
 //     and attached to a real declaration or statement, so annotations
 //     cannot rot when the code under them moves.
 //   - floatcmp: scoring and fairness packages must not compare floats
-//     with == or != (the scoreMemo float-cancellation caveat), except
-//     against an exact-zero sentinel.
+//     with == or != (values equal in real arithmetic differ in their
+//     last ulps with evaluation order), except against an exact-zero
+//     sentinel.
 //
 // The division of labor with the runtime guard tests
 // (TestSolveAllocationGuard, TestManagerPeriodAllocationGuard,

@@ -7,10 +7,11 @@ import (
 
 // NewFloatCmp builds the float-equality pass scoped to the given
 // package-path prefixes. In scoring and fairness code, == and != on
-// floating-point operands are almost always wrong: the score-memo
-// cancellation caveat (DESIGN.md §9) showed that values equal in real
-// arithmetic differ in their last ULPs depending on evaluation order,
-// so exact comparison silently flips branches between equivalent runs.
+// floating-point operands are almost always wrong: values equal in real
+// arithmetic differ in their last ULPs depending on evaluation order —
+// the retired score memo and streaming Eq. 2 tracker moved park-on-best
+// ties on 18 of 8 192 fleet nodes that way (DESIGN.md §9) — so exact
+// comparison silently flips branches between equivalent runs.
 //
 // Comparison against an exact-zero constant is exempt — zero is the
 // repo-wide "feature disabled / sentinel" value (MeasurementNoise == 0,

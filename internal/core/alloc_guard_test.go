@@ -46,11 +46,6 @@ func TestManagerPeriodAllocationGuard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The score memo is disabled for the same reason the solve cache is:
-	// each newly visited state stores a freshly-allocated rates entry —
-	// a per-state memoization cost, not a per-period controller cost —
-	// and the infinite retry budget above visits new states constantly.
-	mgr.Features.ScoreMemo = false
 	if err := mgr.Profile(); err != nil {
 		t.Fatal(err)
 	}

@@ -20,29 +20,6 @@ type Features struct {
 	// CumulativeGuard: exit Supply when reclaims that were individually
 	// cheap add up to δ_P (note 3).
 	CumulativeGuard bool
-	// ScoreMemo: memoize the measured per-period rates of repeat
-	// allocation states during exploration, skipping the two sampler
-	// passes when the current state was already measured under the
-	// current app set. Only engaged when the target guarantees steady
-	// measurements (no noise, no phases — see
-	// machine.SteadyMeasurement), so a memoized period equals a
-	// re-measured one up to float cancellation in the counter windows
-	// (see the exactness caveat on scoreMemo); seeded runs stay fully
-	// reproducible either way.
-	ScoreMemo bool
-	// StreamingFairness: maintain Equation 2 incrementally with
-	// fairness.Tracker (O(changed slowdowns) per period) instead of the
-	// O(n) batch recompute. The streaming value matches the batch one
-	// within the tracker's documented 5e-8 bound but is NOT bit-identical
-	// — rounding is rearranged — and even an ulp can flip the manager's
-	// exact best-state comparison, so this stays OFF by default here:
-	// every published figure uses the batch arm. Fleet runs
-	// (internal/fleet) opt in by default — at their scale the per-period
-	// scoring cost dominates, and the golden-trajectory migration test
-	// (fleet's TestFleetStreamingMigration) pins that the switch leaves
-	// their control trajectories unchanged; fleet.Config.BatchFairness
-	// opts a run back out (DESIGN.md §13–14).
-	StreamingFairness bool
 }
 
 // DefaultFeatures enables every mechanism.
@@ -52,6 +29,5 @@ func DefaultFeatures() Features {
 		ProfilePinning:  true,
 		HurtMemory:      true,
 		CumulativeGuard: true,
-		ScoreMemo:       true,
 	}
 }

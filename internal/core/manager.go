@@ -90,12 +90,6 @@ type PeriodReport struct {
 	Unfairness float64
 	State      AllocState
 
-	// ScoreHits and ScoreMisses are the manager's cumulative
-	// exploration-level score-memo counters (Features.ScoreMemo); both
-	// stay zero when the memo is disabled or the target's measurements
-	// are not steady.
-	ScoreHits   uint64
-	ScoreMisses uint64
 	// SolveCache snapshots the target's solve-cache counters, when the
 	// target exposes them (machine.Machine with WithSolveCache does).
 	SolveCache machine.CacheStats
@@ -169,22 +163,6 @@ type Manager struct {
 	// the headline fairness figure — the fleet — avoid the copying
 	// PeriodReport observer path.
 	lastUnfairness float64
-
-	// scores memoizes measured rates per allocation state (see
-	// scoreMemo); memoOK caches whether the memo may engage for the
-	// current target and feature set, decided once per Profile.
-	scores scoreMemo
-	memoOK bool
-
-	// Streaming-fairness state (Features.StreamingFairness): tracker
-	// maintains Equation 2 incrementally, prevSlow remembers the
-	// slowdowns the tracker currently holds so the next period only
-	// pushes the ones that moved, and trackerLive says both are in sync
-	// with the current app set. resetApps invalidates it; see
-	// streamUnfairness.
-	tracker     fairness.Tracker
-	prevSlow    []float64
-	trackerLive bool
 
 	// anchoredAt/anchorValid record that measurePeriod's closing pass
 	// anchored every application's sampling window at that virtual time;
@@ -284,8 +262,8 @@ func NewManager(target Target, params Params, streamRef map[int]float64, env Env
 
 // Reuse returns the manager to its just-constructed state for the
 // target's *current* applications, without reallocating any of its
-// runtime machinery: classifier objects, per-period scratch, the
-// sampler's snapshots, and the score memo's tables are all recycled.
+// runtime machinery: classifier objects, per-period scratch, and the
+// sampler's snapshots are all recycled.
 // A reused manager's control trajectory is bit-identical to a freshly
 // constructed one over the same target and RNG stream — the contract
 // the fleet's node-runtime pool is built on (DESIGN.md §12).
@@ -311,15 +289,13 @@ func (m *Manager) Reuse() error {
 	m.haveBest = false
 	m.lastUnfairness = 0
 	m.envChanged = false
-	m.memoOK = false
 	m.failStreak = 0
 	m.recoverStreak = 0
 	m.eqApplied = false
 	m.stop.Store(false)
 	m.ExploreTimes = m.ExploreTimes[:0]
 	clear(m.weights)
-	m.scores.reuse()
-	m.resetApps(names) // also resets the sampler, flushes the memo, zeroes retry
+	m.resetApps(names) // also resets the sampler and zeroes retry
 	return nil
 }
 
@@ -344,7 +320,6 @@ func (m *Manager) SetClock(now func() time.Time) {
 //
 //copart:noalloc
 func (m *Manager) resetApps(names []string) {
-	m.trackerLive = false // app set changed: streaming fairness must reseed
 	n := len(names)
 	if cap(m.apps) < n {
 		apps := make([]*appRT, n) //copart:allocok first growth to the consolidation size; steady state reuses slots
@@ -370,7 +345,6 @@ func (m *Manager) resetApps(names []string) {
 	}
 	m.sampler.Reset()
 	m.anchorValid = false
-	m.scores.flush()
 	m.retry = 0
 }
 
@@ -465,9 +439,6 @@ func (m *Manager) SetEnvelope(env Envelope) error {
 	}
 	m.env = env
 	m.envChanged = true
-	// The memo keys on way *counts*; a new envelope maps the same counts
-	// to different CBMs, so memoized measurements no longer apply.
-	m.scores.flush()
 	return nil
 }
 
@@ -566,10 +537,10 @@ func (m *Manager) measurePeriod() ([]pmc.Rates, error) {
 	retry := m.Resilience.Enabled
 	// The opening pass anchors every application's sampling window at the
 	// period start. Its real job is re-anchoring after disruptions — a
-	// failed period, a memoized period that stepped time without sampling
-	// — and in the steady state it is a no-op: the previous period's
-	// closing pass already anchored every app at this exact instant, and
-	// re-sampling at a zero-width window changes nothing. anchoredAt
+	// failed period, time stepped outside the manager — and in the steady
+	// state it is a no-op: the previous period's closing pass already
+	// anchored every app at this exact instant, and re-sampling at a
+	// zero-width window changes nothing. anchoredAt
 	// tracks that case so the steady path skips the sweep entirely;
 	// anchorValid drops at the first sign of trouble (or any partial
 	// pass), which routes the next period back through the full sweep.
@@ -742,11 +713,6 @@ func (m *Manager) Profile() error {
 	m.retry = 0
 	m.envChanged = false
 	m.haveBest = false
-	// The score memo is sound only when re-measuring a state reproduces
-	// the same rates: steady targets (no noise, no phases), no fault
-	// injection between the manager and the counters (resilience off
-	// implies none is expected), and the feature enabled.
-	m.memoOK = m.Features.ScoreMemo && !m.Resilience.Enabled && steadyTarget(m.target)
 	if m.Events.Enabled() {
 		m.logf(eventlog.KindPhase, "", "profiling done, exploring %d apps in envelope [%d,%d)",
 			len(m.apps), m.env.LoWay, m.env.LoWay+m.env.Ways)
@@ -807,29 +773,9 @@ func (m *Manager) ExploreStep() (bool, error) {
 		m.phase = PhaseProfile
 		return false, nil
 	}
-	var rates []pmc.Rates
-	memoHit := false
-	if m.memoOK {
-		if r, ok := m.scores.lookup(m.state); ok {
-			// The period still passes — only the measurement is skipped.
-			// The sampler keeps its last anchor; measurePeriod's first
-			// pass re-anchors before the next real measurement, so the
-			// following window spans exactly one period either way.
-			if err := m.target.Step(m.params.Period); err != nil {
-				return false, err
-			}
-			rates, memoHit = r, true
-		}
-	}
-	if !memoHit {
-		var err error
-		rates, err = m.measurePeriod()
-		if err != nil {
-			return false, err
-		}
-		if m.memoOK {
-			m.scores.store(m.state, rates)
-		}
+	rates, err := m.measurePeriod()
+	if err != nil {
+		return false, err
 	}
 	infos, slowdowns := m.growPeriodScratch()
 	for i, a := range m.apps {
@@ -887,7 +833,7 @@ func (m *Manager) ExploreStep() (bool, error) {
 		}
 	}
 
-	unf, err := m.unfairness(slowdowns)
+	unf, err := fairness.Unfairness(slowdowns)
 	if err != nil {
 		return false, err
 	}
@@ -946,36 +892,17 @@ func (m *Manager) report(phase Phase, slowdowns []float64, unfairness float64) {
 	}
 	m.namesExposed = true // the observer may retain rep.Apps; see resetApps
 	rep := PeriodReport{
-		Time:        m.target.Now(),
-		Phase:       phase,
-		Apps:        m.names,
-		Slowdowns:   append([]float64(nil), slowdowns...),
-		Unfairness:  unfairness,
-		State:       m.state.Clone(),
-		ScoreHits:   m.scores.hits,
-		ScoreMisses: m.scores.misses,
+		Time:       m.target.Now(),
+		Phase:      phase,
+		Apps:       m.names,
+		Slowdowns:  append([]float64(nil), slowdowns...),
+		Unfairness: unfairness,
+		State:      m.state.Clone(),
 	}
 	if t, ok := m.target.(interface{ SolveCacheDetail() machine.CacheStats }); ok {
 		rep.SolveCache = t.SolveCacheDetail()
 	}
 	m.OnPeriod(rep)
-}
-
-// ScoreMemoStats reports the cumulative score-memo counters (zeroes
-// when the memo never engaged).
-//
-//copart:noalloc per-node telemetry readback on the fleet merge path
-func (m *Manager) ScoreMemoStats() (hits, misses uint64) {
-	return m.scores.hits, m.scores.misses
-}
-
-// steadyTarget reports whether the target certifies steady per-period
-// measurements (see machine.Machine.SteadyMeasurement). Targets without
-// the method — including fault-injection wrappers — are conservatively
-// treated as unsteady.
-func steadyTarget(t Target) bool {
-	s, ok := t.(interface{ SteadyMeasurement() bool })
-	return ok && s.SteadyMeasurement()
 }
 
 // logf appends telemetry when an event log is attached.
@@ -1046,7 +973,7 @@ func (m *Manager) IdleStep() (bool, error) {
 			a.idleIPS = rates[i].IPS // first idle period sets the baseline
 		}
 	}
-	unf, err := m.unfairness(slowdowns)
+	unf, err := fairness.Unfairness(slowdowns)
 	if err != nil {
 		return false, err
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -135,6 +136,33 @@ func TestManagerImprovesFairnessHBoth(t *testing.T) {
 	final := runToIdle(t, mgr)
 	if final.Unfairness >= eq {
 		t.Errorf("CoPart unfairness %.4f should beat EQ %.4f on H-Both", final.Unfairness, eq)
+	}
+}
+
+// TestManagerUnfairnessIsEquation2 pins the one fairness arithmetic: in
+// exploration and in idle, the unfairness a period reports — and the one
+// the manager compares states by — is fairness.Unfairness of that
+// period's slowdowns, bit for bit.
+func TestManagerUnfairnessIsEquation2(t *testing.T) {
+	_, mgr := testSetup(t, workloads.HBoth, 4)
+	periods := map[Phase]int{}
+	mgr.OnPeriod = func(r PeriodReport) {
+		periods[r.Phase]++
+		want, err := fairness.Unfairness(r.Slowdowns)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(r.Unfairness) != math.Float64bits(want) ||
+			math.Float64bits(mgr.LastUnfairness()) != math.Float64bits(want) {
+			t.Fatalf("%v period at %v: reported %v, LastUnfairness %v, Equation 2 gives %v",
+				r.Phase, r.Time, r.Unfairness, mgr.LastUnfairness(), want)
+		}
+	}
+	if err := mgr.Run(60 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if periods[PhaseExplore] == 0 || periods[PhaseIdle] == 0 {
+		t.Fatalf("run did not cover both phases: %v", periods)
 	}
 }
 

@@ -116,7 +116,6 @@ func (m *Manager) RestoreProfileMemo(pm *ProfileMemo) error {
 	m.retry = 0
 	m.envChanged = false
 	m.haveBest = false
-	m.memoOK = m.Features.ScoreMemo && !m.Resilience.Enabled && steadyTarget(m.target)
 	if m.Events.Enabled() {
 		m.logf(eventlog.KindPhase, "", "profile restored from memo, exploring %d apps in envelope [%d,%d)",
 			len(m.apps), m.env.LoWay, m.env.LoWay+m.env.Ways)

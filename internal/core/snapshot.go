@@ -1,14 +1,12 @@
 package core
 
 import (
-	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"math"
 	"math/rand"
-	"sort"
 	"time"
 
 	"repro/internal/machine"
@@ -19,8 +17,9 @@ import (
 // SnapshotVersion identifies the snapshot wire format. Restore rejects
 // blobs with a different version: the format is an exact serialization
 // of internal state, so cross-version compatibility would be a silent
-// determinism break, not a convenience.
-const SnapshotVersion = 1
+// determinism break, not a convenience. Version 1 carried the score
+// memo's entries and counters; the memo is gone and so are its keys.
+const SnapshotVersion = 2
 
 // Snapshot is the complete serializable state of a manager and its
 // simulated machine at a between-periods boundary. Restoring it and
@@ -59,14 +58,10 @@ type ManagerSnapshot struct {
 	FreezeLLC  bool       `json:"freezeLLC,omitempty"`
 	FreezeMBA  bool       `json:"freezeMBA,omitempty"`
 
-	MemoOK    bool                `json:"memoOK,omitempty"`
-	ScoreMemo []ScoreMemoEntry    `json:"scoreMemo,omitempty"`
-	ScoreHits uint64              `json:"scoreHits,omitempty"`
-	ScoreMiss uint64              `json:"scoreMisses,omitempty"`
-	Sampler   pmc.SamplerSnapshot `json:"sampler"`
-	RNGSeed   int64               `json:"rngSeed"`
-	RNGDraws  uint64              `json:"rngDraws"`
-	Weights   map[string]float64  `json:"weights,omitempty"`
+	Sampler  pmc.SamplerSnapshot `json:"sampler"`
+	RNGSeed  int64               `json:"rngSeed"`
+	RNGDraws uint64              `json:"rngDraws"`
+	Weights  map[string]float64  `json:"weights,omitempty"`
 }
 
 // AppStateSnapshot is one application's manager-side runtime state.
@@ -91,14 +86,6 @@ type ClassifierSnapshot struct {
 	ProfiledDemand bool    `json:"profiledDemand,omitempty"`
 	Hurt           int     `json:"hurt,omitempty"` // hurtWays / hurtLevel floor
 	EntryIPS       float64 `json:"entryIPS,omitempty"`
-}
-
-// ScoreMemoEntry is one memoized (allocation state → rates) pair; the
-// key is the memo's binary state fingerprint. Entries are sorted by key
-// so the snapshot bytes are deterministic.
-type ScoreMemoEntry struct {
-	Key   []byte      `json:"key"`
-	Rates []pmc.Rates `json:"rates"`
 }
 
 // Snapshot captures the manager's and its target machine's full state.
@@ -143,10 +130,6 @@ func (m *Manager) Snapshot() (*Snapshot, error) {
 		Features:      m.Features,
 		FreezeLLC:     m.FreezeLLC,
 		FreezeMBA:     m.FreezeMBA,
-		MemoOK:        m.memoOK,
-		ScoreMemo:     m.scores.snapshot(),
-		ScoreHits:     m.scores.hits,
-		ScoreMiss:     m.scores.misses,
 		Sampler:       m.sampler.Snapshot(),
 		RNGSeed:       seed,
 		RNGDraws:      draws,
@@ -200,37 +183,6 @@ func snapshotMBA(c *MBAClassifier) ClassifierSnapshot {
 	}
 }
 
-// snapshot exports the memo's entries sorted by key, plus nothing else
-// (the cumulative counters are serialized by the caller). The sort
-// keeps the serialized form identical to the previous map-backed
-// representation's (whose string keys sorted in the same byte order),
-// so snapshots round-trip across the representations.
-func (c *scoreMemo) snapshot() []ScoreMemoEntry {
-	n := c.size()
-	if n == 0 {
-		return nil
-	}
-	out := make([]ScoreMemoEntry, n)
-	for i := 0; i < n; i++ {
-		k := c.entryKey(i)
-		out[i] = ScoreMemoEntry{Key: append([]byte(nil), k...), Rates: c.rates[i]}
-	}
-	sort.Slice(out, func(i, j int) bool { return bytes.Compare(out[i].Key, out[j].Key) < 0 })
-	return out
-}
-
-// restore replaces the memo's contents and counters.
-func (c *scoreMemo) restore(entries []ScoreMemoEntry, hits, misses uint64) {
-	c.flush()
-	c.free = c.free[:0] // restored entries own fresh slices; drop the retired ones
-	for _, e := range entries {
-		rates := make([]pmc.Rates, len(e.Rates))
-		copy(rates, e.Rates)
-		c.insert(scoreMemoFNV(e.Key), e.Key, rates)
-	}
-	c.hits, c.misses = hits, misses
-}
-
 // Marshal encodes the snapshot as deterministic, versioned JSON:
 // encoding/json emits map keys sorted and float64 values in their
 // shortest exact representation, so the same state always produces the
@@ -243,12 +195,21 @@ func (s *Snapshot) Marshal() ([]byte, error) {
 func ParseSnapshot(data []byte) (*Snapshot, error) {
 	var s Snapshot
 	if err := json.Unmarshal(data, &s); err != nil {
-		return nil, fmt.Errorf("core: snapshot: %w", err)
+		return nil, fmt.Errorf("core: snapshot: %w (this build reads version %d)", err, SnapshotVersion)
 	}
-	if s.Version != SnapshotVersion {
-		return nil, fmt.Errorf("core: snapshot version %d, this build reads version %d", s.Version, SnapshotVersion)
+	if err := s.checkVersion(); err != nil {
+		return nil, err
 	}
 	return &s, nil
+}
+
+// checkVersion rejects a snapshot of any other wire format, naming both
+// versions: the blob's (0 when it carries none) and this build's.
+func (s *Snapshot) checkVersion() error {
+	if s.Version != SnapshotVersion {
+		return fmt.Errorf("core: snapshot version %d, this build reads version %d", s.Version, SnapshotVersion)
+	}
+	return nil
 }
 
 // RestoreSnapshot rebuilds the machine and the manager from a snapshot.
@@ -257,8 +218,8 @@ func ParseSnapshot(data []byte) (*Snapshot, error) {
 // recorded stream position, so its future decisions are bit-identical
 // to the original manager's.
 func RestoreSnapshot(snap *Snapshot) (*Manager, *machine.Machine, error) {
-	if snap.Version != SnapshotVersion {
-		return nil, nil, fmt.Errorf("core: snapshot version %d, this build reads version %d", snap.Version, SnapshotVersion)
+	if err := snap.checkVersion(); err != nil {
+		return nil, nil, err
 	}
 	var opts []machine.Option
 	if snap.Machine.SolveCache != nil {
@@ -304,7 +265,6 @@ func RestoreSnapshot(snap *Snapshot) (*Manager, *machine.Machine, error) {
 		failStreak:     ms.FailStreak,
 		recoverStreak:  ms.RecoverStreak,
 		eqApplied:      ms.EqApplied,
-		memoOK:         ms.MemoOK,
 		Resilience:     ms.Resilience,
 		Features:       ms.Features,
 		FreezeLLC:      ms.FreezeLLC,
@@ -314,7 +274,6 @@ func RestoreSnapshot(snap *Snapshot) (*Manager, *machine.Machine, error) {
 	}
 	m.state.CopyFrom(ms.State)
 	m.bestState.CopyFrom(ms.BestState)
-	m.scores.restore(ms.ScoreMemo, ms.ScoreHits, ms.ScoreMiss)
 	m.sampler.RestoreSnapshot(ms.Sampler)
 	if len(ms.Weights) > 0 {
 		m.weights = make(map[string]float64, len(ms.Weights))

@@ -1,6 +1,10 @@
 package core
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -216,6 +220,59 @@ func TestSnapshotVersionAndTamper(t *testing.T) {
 
 	if _, err := ParseSnapshot([]byte("not json")); err == nil {
 		t.Error("garbage should be rejected")
+	}
+}
+
+// TestSnapshotRejectsOtherFormats: a blob this build cannot read — an
+// older wire format, a newer one, a cut-off file, an empty object — is
+// refused by ParseSnapshot and by RestoreSnapshot with an error naming
+// the blob's version (when it has one) and the build's, never a panic.
+func TestSnapshotRejectsOtherFormats(t *testing.T) {
+	mgr, _ := snapSetup(t, 1, 0)
+	if err := mgr.Run(20 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := mgr.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	good, err := snap.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A snapshot written by the last build of wire format 1 (copartd -mix
+	// H-LLC -apps 3 -duration 12s -snapshot-exit), score memo included.
+	v1, err := os.ReadFile("testdata/snapshot_v1.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	future := bytes.Replace(good, []byte(fmt.Sprintf(`"version": %d,`, SnapshotVersion)), []byte(`"version": 99,`), 1)
+	build := fmt.Sprintf("this build reads version %d", SnapshotVersion)
+	for _, tc := range []struct {
+		name string
+		data []byte
+		want string // the blob's version as the error names it; "" when undecodable
+	}{
+		{"version 1 with its score memo", v1, "snapshot version 1,"},
+		{"future version", future, "snapshot version 99,"},
+		{"truncated", good[:len(good)/2], ""},
+		{"empty object", []byte("{}"), "snapshot version 0,"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := ParseSnapshot(tc.data)
+			if err == nil || !strings.Contains(err.Error(), build) || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("ParseSnapshot: got %v, want an error naming %q and %q", err, tc.want, build)
+			}
+			// A caller that decodes the blob itself must hit the same wall.
+			var raw Snapshot
+			if json.Unmarshal(tc.data, &raw) != nil {
+				return
+			}
+			_, _, err = RestoreSnapshot(&raw)
+			if err == nil || !strings.Contains(err.Error(), build) || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("RestoreSnapshot: got %v, want an error naming %q and %q", err, tc.want, build)
+			}
+		})
 	}
 }
 

@@ -24,8 +24,8 @@ import (
 // NOT bit-identical to Unfairness's two-pass Σ(x−μ)²/n: the two differ
 // by floating-point rearrangement.
 //
-// Equivalence contract (pinned by TestTrackerMatchesBatch and
-// TestManagerStreamingFairness): for slowdowns in [1, 100] and
+// Equivalence contract (pinned by TestTrackerMatchesBatch): for
+// slowdowns in [1, 100] and
 // populations up to 64 — the whole operating range of the repo, where
 // slowdowns are ≥ 1 by Equation 1 and consolidations are small —
 //
@@ -35,10 +35,13 @@ import (
 // reaching that multiset. The bound is the σ ≈ 0 worst case, where the
 // variance subtraction cancels down to rounding noise and the square
 // root amplifies it to ~√ε; away from that degenerate point the
-// difference is ulp-level. Because even an ulp can flip an exact
-// comparison (e.g. the manager's best-state tie-break), the batch path
-// remains the default for every published experiment; the streaming
-// path is opt-in via core.Features.StreamingFairness.
+// difference is ulp-level.
+//
+// Vestigial: nothing in the repo scores with it. The manager used it on
+// fleet nodes until an ulp of difference was seen to move park-on-best
+// ties (DESIGN.md §9); every controller now calls Unfairness. The type
+// stays as a tested leaf because the frozen benchmark/ measures it, and
+// leaves with fairness.tracker_update_ns in the next benchmark-only PR.
 //
 // The zero value is an empty tracker, ready for use. Tracker is not
 // safe for concurrent use.

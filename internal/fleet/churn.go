@@ -48,13 +48,10 @@ type ChurnConfig struct {
 	// Machine configures each node's hardware; the zero value selects
 	// machine.DefaultConfig().
 	Machine machine.Config
-	// NoPool disables the runtime pool (see Config.NoPool).
-	NoPool bool
-	// Block, LatSamples, and BatchFairness pass through to the fleet
-	// engine (see the Config fields of the same names).
-	Block         int
-	LatSamples    int
-	BatchFairness bool
+	// Block and LatSamples pass through to the fleet engine (see the
+	// Config fields of the same names).
+	Block      int
+	LatSamples int
 }
 
 // ChurnStats summarizes the virtual schedule (deterministic).
@@ -239,8 +236,7 @@ func RunChurnInto(cfg ChurnConfig, res *Result) error {
 	// count to differ, and blockRun reads that from the drawn schedule.
 	ncfg := Config{
 		Nodes: cfg.Arrivals, Periods: 1, Seed: cfg.Seed, Machine: cfg.Machine,
-		NoPool: cfg.NoPool, Block: cfg.Block, LatSamples: cfg.LatSamples,
-		BatchFairness: cfg.BatchFairness,
+		Block: cfg.Block, LatSamples: cfg.LatSamples,
 	}
 	if err := runFleet(ncfg, true, res); err != nil {
 		return err

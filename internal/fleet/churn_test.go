@@ -22,21 +22,22 @@ func runChurnAtWorkers(t *testing.T, workers int, cfg ChurnConfig) Result {
 // TestFleetChurnGolden pins the pool's exactness contract under churn:
 // arriving nodes reuse runtimes departing nodes of *different* mix
 // shapes returned, and every NodeResult must still be bit-identical to
-// the NoPool reference — across seeds, with a warm pool, and at
+// the unpooled reference — across seeds, with a warm pool, and at
 // different worker counts.
 func TestFleetChurnGolden(t *testing.T) {
 	for _, seed := range []int64{1, 42, 1234} {
 		cfg := ChurnConfig{Arrivals: 12, MeanLife: 6, MaxLife: 12, Seed: seed}
 		pooled := runChurnAtWorkers(t, 2, cfg)
 		warm := runChurnAtWorkers(t, 1, cfg)
-		cfg.NoPool = true
+		unpool := freshSubstrates()
 		fresh := runChurnAtWorkers(t, 4, cfg)
+		unpool()
 		if !reflect.DeepEqual(pooled.Nodes, fresh.Nodes) {
-			t.Fatalf("seed %d: pooled churn nodes differ from NoPool nodes:\npooled: %+v\nfresh:  %+v",
+			t.Fatalf("seed %d: pooled churn nodes differ from fresh nodes:\npooled: %+v\nfresh:  %+v",
 				seed, pooled.Nodes, fresh.Nodes)
 		}
 		if !reflect.DeepEqual(warm.Nodes, fresh.Nodes) {
-			t.Fatalf("seed %d: warm pooled churn nodes differ from NoPool nodes:\nwarm:  %+v\nfresh: %+v",
+			t.Fatalf("seed %d: warm pooled churn nodes differ from fresh nodes:\nwarm:  %+v\nfresh: %+v",
 				seed, warm.Nodes, fresh.Nodes)
 		}
 		if !reflect.DeepEqual(pooled.Churn, fresh.Churn) {
@@ -103,13 +104,13 @@ func TestChurnPoolCounters(t *testing.T) {
 		t.Errorf("pool free list empty after churn run")
 	}
 
-	cfg.NoPool = true
+	defer freshSubstrates()()
 	res, err = RunChurn(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Pool.Hits != 0 || res.Pool.Misses != 0 || res.Pool.Carries != 0 {
-		t.Errorf("NoPool churn touched the pool: %+v", res.Pool)
+		t.Errorf("unpooled churn touched the pool: %+v", res.Pool)
 	}
 }
 

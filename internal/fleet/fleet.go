@@ -38,16 +38,13 @@
 // Reinitialization is exact — a pooled node's NodeResult is
 // bit-identical to an unpooled one's, pinned by TestFleetPoolGolden —
 // so pooling, like the caches, trades allocation for nothing.
-// Config.NoPool opts a run out (fresh substrates per node through the
-// same code path) for A/B verification.
 //
-// Fleet managers score fairness with the streaming Equation-2 tracker
-// (core.Features.StreamingFairness): at fleet scale the per-period
-// batch recompute is measurable, and the golden-trajectory migration
-// test (TestFleetStreamingMigration) pins that the fleet's control
-// trajectories are unchanged by the switch. Config.BatchFairness opts
-// a run back into the batch arm — the published-figures reference —
-// for A/B verification.
+// A fleet node is controlled exactly like a stand-alone one: the
+// default core.Features, every period measured, Equation 2 through
+// fairness.Unfairness. TestFleetNodeMatchesStandalone rebuilds nodes by
+// hand and requires bit-equal outcomes, so everything above — pool,
+// carries, profile memos, both cache tiers — changes speed, never
+// values.
 package fleet
 
 import (
@@ -78,12 +75,6 @@ type Config struct {
 	// Machine configures each node's hardware; the zero value selects
 	// machine.DefaultConfig().
 	Machine machine.Config
-	// NoPool disables the node-runtime pool: every node builds a fresh
-	// machine, manager, and RNG instead of reinitializing a pooled one.
-	// NodeResults are identical either way (TestFleetPoolGolden); the
-	// switch exists for that A/B check and for callers that prefer not
-	// to retain pooled substrates between runs.
-	NoPool bool
 	// Block is the dispatch block size: nodes are executed in contiguous
 	// blocks of this many, each block one schedulable unit with its own
 	// telemetry stripe. 0 selects the default, Nodes/32 clamped to
@@ -101,12 +92,6 @@ type Config struct {
 	// whole run uniformly regardless of Nodes×Periods (see stripe.go
 	// for the exact semantics).
 	LatSamples int
-	// BatchFairness opts the fleet's managers back into the batch
-	// Equation-2 recompute. Fleet runs default to the streaming tracker
-	// (core.Features.StreamingFairness), which is O(1) per period
-	// instead of O(apps); the migration is pinned by
-	// TestFleetStreamingMigration, and this switch is its A/B arm.
-	BatchFairness bool
 }
 
 // maxMixApps caps the per-node consolidation size (the paper evaluates
@@ -162,17 +147,17 @@ type NodeResult struct {
 	Ways []int
 	MBA  []int
 	// CacheHits/CacheMisses/CacheEvictions are the node machine's L1
-	// solve-cache counters and ScoreHits/ScoreMisses the manager's score
-	// memo counters. All are deterministic — an L2 hit is adopted into
-	// the L1 exactly like a fresh solve, so these values are identical
-	// with the shared cache enabled or disabled, at any worker count
-	// (the L2's own hit/miss split is timing-dependent and lives in
+	// solve-cache counters. All are deterministic — an L2 hit is adopted
+	// into the L1 exactly like a fresh solve, so these values are
+	// identical with the shared cache enabled or disabled, at any worker
+	// count (the L2's own hit/miss split is timing-dependent and lives in
 	// Result.Shared instead).
 	CacheHits      uint64
 	CacheMisses    uint64
 	CacheEvictions uint64
-	ScoreHits      uint64
-	ScoreMisses    uint64
+	// Vestigial, always zero: the score memo is gone, and the fields leave
+	// with core.score_memo_hit_ratio in the next benchmark-only PR.
+	ScoreHits, ScoreMisses uint64
 	// Phase is the controller's phase name after the last period and
 	// FailStreak its consecutive-failure count — both deterministic, and
 	// both all-healthy ("idle"/"exploration", streak 0) in a fault-free
@@ -240,16 +225,16 @@ type Result struct {
 	Block       int
 	Blocks      []BlockStats
 	StripeMerge time.Duration
-	// CacheHits/CacheMisses/CacheEvictions and ScoreHits/ScoreMisses sum
-	// the per-node counters (deterministic). Shared is the process-wide
-	// L2 delta over this run: its hit/miss split depends on which node
-	// solved a state first and is the one nondeterministic cache figure.
+	// CacheHits/CacheMisses/CacheEvictions sum the per-node counters
+	// (deterministic). Shared is the process-wide L2 delta over this run:
+	// its hit/miss split depends on which node solved a state first and
+	// is the one nondeterministic cache figure.
 	CacheHits      uint64
 	CacheMisses    uint64
 	CacheEvictions uint64
-	ScoreHits      uint64
-	ScoreMisses    uint64
 	Shared         machine.SharedCacheStats
+	// Vestigial, always zero: see NodeResult's fields of the same names.
+	ScoreHits, ScoreMisses uint64
 	// Pool is the runtime pool's activity over this run. The hit/miss
 	// split is timing-dependent under parallel execution (whichever node
 	// finishes first donates its runtime), so it is reported here rather
@@ -310,8 +295,10 @@ var phaseDegradedName = core.PhaseDegraded.String()
 // testNodeTarget, when non-nil, supplies a node's control target (tests
 // wrap the machine with fault injection here) and the resilience policy
 // for its manager. A non-nil hook forces every node down the unpooled
-// path: wrapped targets carry per-node fault state the pool cannot
-// reinitialize.
+// path — fresh machine, manager and RNG, live profiling: wrapped targets
+// carry per-node fault state the pool cannot reinitialize. A hook that
+// returns the machine itself is therefore the reference arm of the
+// pooled-vs-fresh goldens (freshSubstrates in pool_test.go).
 var testNodeTarget func(node int, m *machine.Machine) (core.Target, core.Resilience)
 
 // nodeRuntime is one node's reusable substrate: the seeded RNG, the
@@ -452,10 +439,7 @@ func putRuntime(rt *nodeRuntime) {
 // and application count pin the exact workload models (the mix cache is
 // deterministic); and every fleet manager is configured identically
 // (DefaultParams, full-LLC envelope). Profiling consumes no RNG, so the
-// node seed does not enter the key; it computes no fairness score, so
-// the streaming-fairness arm does not either (a memo captured under one
-// arm restores bit-identically under the other — core.ProfileMemo holds
-// only probe IPS values and classifier seeds).
+// node seed does not enter the key.
 type profileKey struct {
 	mach  uint64
 	kind  workloads.MixKind
@@ -575,7 +559,7 @@ func runNode(cfg Config, node, periods int, ways, mba []int, carry *nodeRuntime,
 	}
 
 	fingerprintable := mcfg.BW.Curve == nil
-	poolable := fingerprintable && !cfg.NoPool && testNodeTarget == nil
+	poolable := fingerprintable && testNodeTarget == nil
 	key := uint64(0)
 	if fingerprintable {
 		key = poolKey(mcfg)
@@ -658,21 +642,14 @@ func runNode(cfg Config, node, periods int, ways, mba []int, carry *nodeRuntime,
 		return NodeResult{}, nil, err
 	}
 	mgr := rt.mgr
-	// Fleet managers score fairness with the streaming tracker unless
-	// the run opted back into the batch arm (see Config.BatchFairness).
-	// Assigned on both the fresh and the reused path, before profiling,
-	// so pooled runtimes cannot leak the previous run's arm.
-	feats := core.DefaultFeatures()
-	feats.StreamingFairness = !cfg.BatchFairness
-	mgr.Features = feats
 
 	res := NodeResult{Node: node, Mix: kind.String(), Apps: nApps, Lifetime: periods}
 	// Memoized profiling: a poolable, noise-free node's whole profiling
 	// phase is a pure function of (machine config, mix kind, app count),
 	// so the first node to run it checkpoints the outcome and every later
-	// node restores it in place — bit-identical (the golden test runs the
-	// NoPool reference down the live path below) and orders of magnitude
-	// cheaper than the 3·apps probe periods. NoPool and fault-injected
+	// node restores it in place — bit-identical (the goldens' unpooled
+	// reference arm runs the live path below) and orders of magnitude
+	// cheaper than the 3·apps probe periods. Unpooled and fault-injected
 	// nodes always profile live.
 	memoable := poolable && mcfg.MeasurementNoise == 0
 	var pKey profileKey
@@ -755,7 +732,6 @@ func runNode(cfg Config, node, periods int, ways, mba []int, carry *nodeRuntime,
 	res.Ways, res.MBA = st2.Ways, st2.MBA
 	cs := rt.m.SolveCacheDetail()
 	res.CacheHits, res.CacheMisses, res.CacheEvictions = cs.Hits, cs.Misses, cs.Evictions
-	res.ScoreHits, res.ScoreMisses = mgr.ScoreMemoStats()
 	res.Phase = mgr.Phase().String()
 	res.FailStreak = mgr.FailStreak()
 	if poolable {
@@ -929,8 +905,6 @@ func (res *Result) aggregate(sharedBefore machine.SharedCacheStats, nb int) {
 		res.CacheHits += st.cacheHits
 		res.CacheMisses += st.cacheMisses
 		res.CacheEvictions += st.cacheEvictions
-		res.ScoreHits += st.scoreHits
-		res.ScoreMisses += st.scoreMisses
 		res.Health.Healthy += st.healthy
 		res.Health.Degraded += st.degraded
 		if st.maxFailStreak > res.Health.MaxFailStreak {

@@ -4,13 +4,14 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/machine"
 	"repro/internal/parallel"
 )
 
 // TestFleetPoolGolden pins the pool's exactness contract: a node run on
 // a reinitialized pooled runtime produces a NodeResult bit-identical to
-// one run on freshly constructed substrates (Config.NoPool), across
+// one run on freshly constructed substrates (freshSubstrates), across
 // several seeds. The third run exercises actual reuse — by then the
 // pool holds the first pooled run's runtimes, so every node of the
 // second pooled run lands on a recycled machine/manager/RNG.
@@ -19,17 +20,28 @@ func TestFleetPoolGolden(t *testing.T) {
 		cfg := Config{Nodes: 6, Periods: 8, Seed: seed}
 		pooled := runAtWorkers(t, 2, cfg)
 		warm := runAtWorkers(t, 2, cfg)
-		cfg.NoPool = true
+		unpool := freshSubstrates()
 		fresh := runAtWorkers(t, 2, cfg)
+		unpool()
 		if !reflect.DeepEqual(pooled.Nodes, fresh.Nodes) {
-			t.Fatalf("seed %d: pooled nodes differ from NoPool nodes:\npooled: %+v\nfresh:  %+v",
+			t.Fatalf("seed %d: pooled nodes differ from fresh nodes:\npooled: %+v\nfresh:  %+v",
 				seed, pooled.Nodes, fresh.Nodes)
 		}
 		if !reflect.DeepEqual(warm.Nodes, fresh.Nodes) {
-			t.Fatalf("seed %d: warm pooled nodes differ from NoPool nodes:\nwarm:  %+v\nfresh: %+v",
+			t.Fatalf("seed %d: warm pooled nodes differ from fresh nodes:\nwarm:  %+v\nfresh: %+v",
 				seed, warm.Nodes, fresh.Nodes)
 		}
 	}
+}
+
+// freshSubstrates sends every node of the runs that follow down the
+// unpooled path on its plain machine — the goldens' reference arm — until
+// the returned restore function is called.
+func freshSubstrates() (restore func()) {
+	testNodeTarget = func(_ int, m *machine.Machine) (core.Target, core.Resilience) {
+		return m, core.Resilience{}
+	}
+	return func() { testNodeTarget = nil }
 }
 
 // TestFleetSteadyStateAllocs pins the tentpole: once the runtime pool,
@@ -45,9 +57,9 @@ func TestFleetSteadyStateAllocs(t *testing.T) {
 }
 
 // TestFleetNoisySteadyStateAllocs holds a noisy fleet to the noise-free
-// budget. Noisy nodes profile live and bypass the score memo, but every
-// node launch reseeds the machine's jitter stream in one store; under
-// the retired math/rand source each launch left a 4.9 KB source behind.
+// budget. Noisy nodes profile live, but every node launch reseeds the
+// machine's jitter stream in one store; under the retired math/rand
+// source each launch left a 4.9 KB source behind.
 func TestFleetNoisySteadyStateAllocs(t *testing.T) {
 	cfg := Config{Nodes: 8, Periods: 5, Seed: 3, Machine: machine.DefaultConfig()}
 	cfg.Machine.MeasurementNoise, cfg.Machine.NoiseSeed = 0.02, 3

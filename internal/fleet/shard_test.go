@@ -19,15 +19,13 @@ func TestShardedAggregationMatchesUnsharded(t *testing.T) {
 	// Naive recompute from the per-node results must equal the striped
 	// aggregation exactly.
 	var periods int
-	var cacheHits, cacheMisses, cacheEvictions, scoreHits, scoreMisses uint64
+	var cacheHits, cacheMisses, cacheEvictions uint64
 	var health HealthRollup
 	for _, nr := range base.Nodes {
 		periods += nr.Periods
 		cacheHits += nr.CacheHits
 		cacheMisses += nr.CacheMisses
 		cacheEvictions += nr.CacheEvictions
-		scoreHits += nr.ScoreHits
-		scoreMisses += nr.ScoreMisses
 		if nr.Phase == phaseDegradedName {
 			health.Degraded++
 		} else {
@@ -43,10 +41,6 @@ func TestShardedAggregationMatchesUnsharded(t *testing.T) {
 	if base.CacheHits != cacheHits || base.CacheMisses != cacheMisses || base.CacheEvictions != cacheEvictions {
 		t.Errorf("striped cache counters %d/%d/%d, naive %d/%d/%d",
 			base.CacheHits, base.CacheMisses, base.CacheEvictions, cacheHits, cacheMisses, cacheEvictions)
-	}
-	if base.ScoreHits != scoreHits || base.ScoreMisses != scoreMisses {
-		t.Errorf("striped score counters %d/%d, naive %d/%d",
-			base.ScoreHits, base.ScoreMisses, scoreHits, scoreMisses)
 	}
 	if base.Health != health {
 		t.Errorf("striped health %+v, naive %+v", base.Health, health)
@@ -79,7 +73,6 @@ func TestShardedAggregationMatchesUnsharded(t *testing.T) {
 		if res.TotalPeriods != base.TotalPeriods ||
 			res.CacheHits != base.CacheHits || res.CacheMisses != base.CacheMisses ||
 			res.CacheEvictions != base.CacheEvictions ||
-			res.ScoreHits != base.ScoreHits || res.ScoreMisses != base.ScoreMisses ||
 			res.Health != base.Health || res.Pool.Carries != base.Pool.Carries {
 			t.Errorf("workers=%d: deterministic aggregates diverge from sequential", w)
 		}

@@ -143,8 +143,6 @@ type blockStripe struct {
 	cacheHits      uint64
 	cacheMisses    uint64
 	cacheEvictions uint64
-	scoreHits      uint64
-	scoreMisses    uint64
 	healthy        int
 	degraded       int
 	maxFailStreak  int
@@ -170,8 +168,6 @@ func (st *blockStripe) accumulate(nr *NodeResult) {
 	st.cacheHits += nr.CacheHits
 	st.cacheMisses += nr.CacheMisses
 	st.cacheEvictions += nr.CacheEvictions
-	st.scoreHits += nr.ScoreHits
-	st.scoreMisses += nr.ScoreMisses
 	if nr.Phase == phaseDegradedName {
 		st.degraded++
 	} else {

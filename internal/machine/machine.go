@@ -921,16 +921,6 @@ func (s *SolveSession) IPSBounds(app, ways, level int) (lo, hi float64, ok bool)
 	return lo, hi, true
 }
 
-// SteadyMeasurement reports whether stepping this machine by a fixed
-// period at a fixed allocation state always accumulates identical
-// counter deltas: true unless measurement noise or phase schedules make
-// nominally-identical periods differ. Controllers use it to decide
-// whether period-level measurements may be memoized (see core's score
-// memo).
-func (m *Machine) SteadyMeasurement() bool {
-	return m.cfg.MeasurementNoise == 0 && !m.hasPhases
-}
-
 // solveForInto is the common solver entry: validate, consult the memo
 // caches (per-machine L1, then the process-wide shared L2), and solve
 // per socket domain, writing the steady state into perfs
