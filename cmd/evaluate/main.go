@@ -11,13 +11,14 @@
 //	evaluate -fig 17
 //
 // A figure's run ends with one stderr line, "ST: solved S of E states":
-// how many of the states the ST oracle enumerated it had to solve rather
-// than skip on a bound (DESIGN.md §9.1).
+// how many of the states in the ST oracle's search space it had to solve,
+// seeds included, rather than cut on a bound (DESIGN.md §9.1).
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
@@ -49,12 +50,12 @@ func main() {
 	}
 
 	if *dualSocket {
-		err = runDualSocket(*seed)
+		err = runDualSocket(os.Stdout, *seed)
 	} else {
-		err = run(*fig, *seed, *extended)
+		err = run(os.Stdout, *fig, *seed, *extended)
 		// The oracle's skip rate, off stdout so the figures stay diffable.
-		if enumerated, solved := policies.STStates(); err == nil && enumerated > 0 {
-			fmt.Fprintf(os.Stderr, "ST: solved %d of %d states\n", solved, enumerated)
+		if err == nil {
+			reportST(os.Stderr)
 		}
 	}
 	if perr := stopProf(); err == nil {
@@ -66,18 +67,26 @@ func main() {
 	}
 }
 
-func runDualSocket(seed int64) error {
+// reportST prints how much of its search space the ST oracle has solved
+// so far in this process.
+func reportST(w io.Writer) {
+	if enumerated, solved := policies.STStates(); enumerated > 0 {
+		fmt.Fprintf(w, "ST: solved %d of %d states\n", solved, enumerated)
+	}
+}
+
+func runDualSocket(w io.Writer, seed int64) error {
 	_, tab, err := experiments.DualSocket(machine.DefaultConfig(), seed)
 	if err != nil {
 		return err
 	}
-	return tab.Render(os.Stdout)
+	return tab.Render(w)
 }
 
 // svgOut, when non-empty, receives SVG copies of the figures.
 var svgOut string
 
-func run(fig int, seed int64, extended bool) error {
+func run(w io.Writer, fig int, seed int64, extended bool) error {
 	cfg := machine.DefaultConfig()
 	var tab *texttab.Table
 	var err error
@@ -91,7 +100,7 @@ func run(fig int, seed int64, extended bool) error {
 			res, tab, err = experiments.Figure12(cfg, seed)
 		}
 		if err == nil {
-			defer printHeadline(res)
+			defer printHeadline(w, res)
 			bars = fig12Bars(res)
 		}
 	case 13:
@@ -118,7 +127,7 @@ func run(fig int, seed int64, extended bool) error {
 	if err != nil {
 		return err
 	}
-	if err := tab.Render(os.Stdout); err != nil {
+	if err := tab.Render(w); err != nil {
 		return err
 	}
 	if svgOut != "" && bars != nil {
@@ -126,7 +135,7 @@ func run(fig int, seed int64, extended bool) error {
 		if err := writeSVG(path, *bars); err != nil {
 			return err
 		}
-		fmt.Println("wrote", path)
+		fmt.Fprintln(w, "wrote", path)
 	}
 	return nil
 }
@@ -173,7 +182,7 @@ func writeSVG(path string, spec svgplot.BarSpec) error {
 
 // printHeadline reports the paper's headline metric: CoPart's fairness
 // improvement over EQ, CAT-only, and MBA-only.
-func printHeadline(res experiments.Fig12Result) {
+func printHeadline(w io.Writer, res experiments.Fig12Result) {
 	idx := map[string]int{}
 	for i, p := range res.Policies {
 		idx[p] = i
@@ -182,7 +191,7 @@ func printHeadline(res experiments.Fig12Result) {
 	for _, base := range []string{"EQ", "CAT-only", "MBA-only"} {
 		b := res.GeoMean[idx[base]]
 		if b > 0 {
-			fmt.Printf("CoPart fairness improvement over %s: %.1f%% (paper: %s)\n",
+			fmt.Fprintf(w, "CoPart fairness improvement over %s: %.1f%% (paper: %s)\n",
 				base, (b-cp)/b*100, paperHeadline(base))
 		}
 	}

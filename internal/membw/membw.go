@@ -130,6 +130,8 @@ type Result struct {
 type Arbiter struct {
 	cfg   Config
 	curve func(level int) float64
+	// intP is CongestionP when that is an integer in 1…maxIntP, else 0.
+	intP int
 
 	// scratch for the allocation-free paths.
 	wants  []float64
@@ -146,7 +148,42 @@ func New(cfg Config) (*Arbiter, error) {
 	if curve == nil {
 		curve = DefaultCurve
 	}
-	return &Arbiter{cfg: cfg, curve: curve}, nil
+	a := &Arbiter{cfg: cfg, curve: curve}
+	if p := cfg.CongestionP; 1 <= p && p <= maxIntP && p == math.Trunc(p) { //copart:floateq an exactly integral exponent
+		a.intP = int(p)
+	}
+	return a, nil
+}
+
+// maxIntP is the largest CongestionP raised by multiplication, and
+// minDirectRho the utilization below which even that takes math.Pow:
+// from it up, rho^maxIntP is a normal float64.
+const (
+	maxIntP      = 8
+	minDirectRho = 0x1p-127
+)
+
+// rhoPow is math.Pow(rho, CongestionP), bit for bit. For a small integer
+// exponent math.Pow multiplies the significand up by right-to-left
+// repeated squaring and scales by the exponent at the end; the same
+// products taken on rho itself round identically as long as none of them
+// is subnormal. A saturated bus (rho clipped to 1) stays with math.Pow,
+// which answers 1 before any arithmetic.
+//
+//copart:noalloc
+func (a *Arbiter) rhoPow(rho float64) float64 {
+	if a.intP == 0 || rho < minDirectRho || rho >= 1 {
+		return math.Pow(rho, a.cfg.CongestionP)
+	}
+	pow, sq := 1.0, rho
+	for p := a.intP; ; sq *= sq {
+		if p&1 == 1 {
+			pow *= sq
+		}
+		if p >>= 1; p == 0 {
+			return pow
+		}
+	}
 }
 
 // Cap returns the MBA traffic cap for an application with the given level
@@ -233,7 +270,7 @@ func (a *Arbiter) AllocateCapped(res *Result, demands []Demand, caps []float64) 
 	}
 	stretch := 1.0
 	if a.cfg.CongestionK > 0 {
-		stretch = 1 + a.cfg.CongestionK*math.Pow(rho, a.cfg.CongestionP)
+		stretch = 1 + a.cfg.CongestionK*a.rhoPow(rho)
 	}
 	res.Caps = caps
 	res.Utilization = rho

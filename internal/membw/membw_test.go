@@ -2,6 +2,7 @@ package membw
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -287,5 +288,42 @@ func TestAllocateWorkConservingProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestRhoPowMatchesMathPow pins that raising the utilization by
+// multiplication is invisible: for every exponent that takes that path,
+// and its neighbours that do not, rhoPow equals math.Pow bit for bit on
+// the endpoints, around the fallback threshold, deep in the subnormal
+// range, and on a million draws each spread uniformly over [0, 1] and
+// over the exponents down to the threshold.
+func TestRhoPowMatchesMathPow(t *testing.T) {
+	draws := 1_000_000
+	if testing.Short() {
+		draws = 50_000
+	}
+	rng := rand.New(rand.NewSource(16))
+	for _, p := range []float64{0, 0.5, 1, 2, 3, 4, 5, 6, 7, 8, 9, 2.5} {
+		a, err := New(Config{TotalBandwidth: 28 * GB, PerCoreCap: 9 * GB, CongestionK: 0.5, CongestionP: p})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if direct := p >= 1 && p <= maxIntP && p == math.Trunc(p); (a.intP != 0) != direct {
+			t.Fatalf("p=%v: intP %d, want multiplication path %v", p, a.intP, direct)
+		}
+		check := func(rho float64) {
+			if got, want := a.rhoPow(rho), math.Pow(rho, p); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("p=%v rho=%v (%#x): rhoPow %v (%#x), math.Pow %v (%#x)", p, rho, math.Float64bits(rho),
+					got, math.Float64bits(got), want, math.Float64bits(want))
+			}
+		}
+		for _, rho := range []float64{0, 1, 0.5, 0x1p-200, 1e-77, math.SmallestNonzeroFloat64,
+			minDirectRho, math.Nextafter(minDirectRho, 0), math.Nextafter(minDirectRho, 1), math.Nextafter(1, 0)} {
+			check(rho)
+		}
+		for i := 0; i < draws; i++ {
+			check(rng.Float64())
+			check(math.Ldexp(0.5+rng.Float64()/2, -rng.Intn(140)))
+		}
 	}
 }

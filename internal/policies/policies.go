@@ -130,10 +130,11 @@ func (None) Run(cfg machine.Config, models []machine.AppModel) (Result, error) {
 	return evaluate(cfg, models, allocs)
 }
 
-// ST is the static-oracle policy (§6.1): it exhaustively searches way
-// compositions crossed with a coarse MBA grid — the offline-profiled
-// "best static state" the paper compares against — and keeps the state
-// with the lowest unfairness.
+// ST is the static-oracle policy (§6.1): it searches way compositions
+// crossed with a coarse MBA grid — the offline-profiled "best static
+// state" the paper compares against — and returns the state with the
+// lowest unfairness, the one an exhaustive search would, solving only the
+// states its bounds cannot rule out.
 type ST struct {
 	// MBAGrid is the set of MBA levels searched per application. Empty
 	// selects a default that keeps the search tractable at six apps.
@@ -143,12 +144,13 @@ type ST struct {
 // Name implements Policy.
 func (ST) Name() string { return "ST" }
 
-// stStates counts, process-wide, the states ST runs enumerated and the
+// stStates counts, process-wide, the states ST runs searched over and the
 // ones they had to solve; each Run adds its totals once, on return.
 var stStates struct{ enumerated, solved atomic.Uint64 }
 
-// STStates reports how many states all ST runs so far enumerated and how
-// many of those they solved rather than skipped on a bound.
+// STStates reports the size of the search spaces of all ST runs so far
+// (way compositions × |grid|ⁿ each) and how many states those runs solved,
+// seeds included, rather than cut on a bound.
 func STStates() (enumerated, solved uint64) {
 	return stStates.enumerated.Load(), stStates.solved.Load()
 }
@@ -193,115 +195,253 @@ func (s ST) Run(cfg machine.Config, models []machine.AppModel) (Result, error) {
 		solo[i] = p.IPS
 	}
 
-	// The best state's slices are allocated once and overwritten in place,
-	// so a run's allocation count does not depend on how many improvements
-	// the enumeration order produces.
-	best := Result{
-		Names:      make([]string, n),
-		Allocs:     make([]machine.Alloc, n),
-		Slowdowns:  make([]float64, n),
-		Unfairness: -1,
+	session := m.NewSolveSession(models)
+	search := stSearch{
+		ways: cfg.LLCWays, grid: grid, solo: solo, session: session,
+		bounds: newSTBounds(session, solo, cfg.LLCWays, grid),
+		limit:  math.Inf(1),
+		// The best state's slices are allocated once and overwritten in
+		// place, so a run's allocation count does not depend on how many
+		// improvements the enumeration order produces.
+		best: Result{
+			Names:      make([]string, n),
+			Allocs:     make([]machine.Alloc, n),
+			Slowdowns:  make([]float64, n),
+			Unfairness: -1,
+		},
+		counts: make([]int, n), mbaIdx: make([]int, n), seedCounts: make([]int, n), seedIdx: make([]int, n),
+		// Scratch reused across the thousands of solved states.
+		allocs: make([]machine.Alloc, n), slowdowns: make([]float64, n), ips: make([]float64, n),
+		masks: make([]uint64, n), perfs: make([]machine.Perf, n),
+		tails: make([]agg, n+1),
 	}
 	for i, model := range models {
-		best.Names[i] = model.Name
+		search.best.Names[i] = model.Name
 	}
-	counts := make([]int, n)
-	mbaIdx := make([]int, n)
-	// Scratch reused across the tens of thousands of scored states.
-	allocs := make([]machine.Alloc, n)
-	slowdowns := make([]float64, n)
-	ips := make([]float64, n)
-	masks := make([]uint64, n)
-	perfs := make([]machine.Perf, n)
-	session := m.NewSolveSession(models)
-	// Enumeration is exhaustive, solving is not: a state whose slowdown
-	// intervals already force an unfairness above the incumbent's is
-	// skipped, since it could never pass the strict u < best below
-	// (DESIGN.md §9.1).
-	spans := slowdownSpans(session, solo, cfg.LLCWays, grid)
-	// Population σ of n numbers is at least range/√(2n); over the mean,
-	// range·√(n/2)/sum.
-	sigmaPerRange := math.Sqrt(float64(n) / 2)
-	var enumerated, solved uint64
-	defer func() { stStates.enumerated.Add(enumerated); stStates.solved.Add(solved) }()
-	var search func(app, remaining int) error
-	scoreState := func() error {
-		enumerated++
-		if spans != nil && best.Unfairness >= 0 {
-			// The range is at least max lo − min hi, the mean at most mean hi.
-			maxLo, minHi, sumHi := 0.0, math.Inf(1), 0.0
-			for i, w := range counts {
-				sp := spans[(i*(cfg.LLCWays+1)+w)*len(grid)+mbaIdx[i]]
-				maxLo, minHi, sumHi = max(maxLo, sp.lo), min(minHi, sp.hi), sumHi+sp.hi
-			}
-			if (maxLo-minHi)*sigmaPerRange/sumHi*(1-boundSlack) > best.Unfairness {
+	defer func() {
+		stStates.enumerated.Add(compositions(cfg.LLCWays, n) * intPow(len(grid), n))
+		stStates.solved.Add(search.solved)
+	}()
+	if err := search.seed(); err != nil {
+		return Result{}, err
+	}
+	if err := search.splitWays(0, cfg.LLCWays, noSpans); err != nil {
+		return Result{}, err
+	}
+	if search.best.Unfairness < 0 {
+		return Result{}, fmt.Errorf("policies: ST search found no state")
+	}
+	return search.best, nil
+}
+
+// compositions counts the ways to split ways LLC ways among n apps, at
+// least one each: C(ways−1, n−1).
+func compositions(ways, n int) uint64 {
+	if ways < n {
+		return 0
+	}
+	c := uint64(1)
+	for k := 1; k < n; k++ {
+		c = c * uint64(ways-n+k) / uint64(k)
+	}
+	return c
+}
+
+// intPow is baseⁿ.
+func intPow(base, n int) uint64 {
+	p := uint64(1)
+	for ; n > 0; n-- {
+		p *= uint64(base)
+	}
+	return p
+}
+
+// stSearch is one ST.Run in flight: a depth-first branch and bound over
+// the way compositions (app 0 outermost) and, under each, the MBA levels
+// (app 0 slowest) — the order the exhaustive search walks, so the first
+// state to reach the minimum is the same one (DESIGN.md §9.1).
+type stSearch struct {
+	ways    int
+	grid    []int
+	solo    []float64
+	session *machine.SolveSession
+	// bounds is nil when the session brackets nothing; limit then stays
+	// +Inf and every state is solved.
+	bounds *stBounds
+	// limit is the lowest unfairness solved so far, the seed's included. A
+	// subtree whose bound is strictly above it holds no state that could
+	// pass the strict u < best, so none that could end up the argmin.
+	limit  float64
+	best   Result
+	solved uint64
+
+	// The state under the cursor, and the seed scan's pick with its score.
+	counts, mbaIdx      []int
+	seedCounts, seedIdx []int
+	seedScore           float64
+	// tails[k] summarises apps k… of the composition under the cursor at
+	// any grid level; tails[n] is empty.
+	tails []agg
+
+	allocs    []machine.Alloc
+	slowdowns []float64
+	ips       []float64
+	masks     []uint64
+	perfs     []machine.Perf
+}
+
+// solve solves the state under the cursor into the scratch slices and
+// returns its unfairness.
+func (s *stSearch) solve() (float64, error) {
+	s.solved++
+	masks, err := machine.AssignContiguousWaysInto(s.masks, s.counts, 0, s.ways)
+	if err != nil {
+		return 0, err
+	}
+	for i := range s.allocs {
+		s.allocs[i] = machine.Alloc{CBM: masks[i], MBALevel: s.grid[s.mbaIdx[i]]}
+	}
+	if err := s.session.SolveInto(s.perfs, s.allocs); err != nil {
+		return 0, err
+	}
+	for i := range s.perfs {
+		s.slowdowns[i] = s.solo[i] / s.perfs[i].IPS
+		s.ips[i] = s.perfs[i].IPS
+	}
+	return fairness.Unfairness(s.slowdowns)
+}
+
+// seed solves one promising state before the search starts, so that the
+// search prunes against its unfairness from the first node on instead of
+// waiting for the enumeration order to come by a good incumbent. The
+// pick is the state fairest under the contention-free estimate: every
+// app at the low end of its span. Any solved state's unfairness is an
+// upper bound on the minimum, hence a valid limit; it is deliberately
+// not recorded as best, which stays the first state in enumeration order
+// to reach the minimum.
+func (s *stSearch) seed() error {
+	if s.bounds == nil {
+		return nil
+	}
+	s.seedScore = math.Inf(1)
+	s.seedWays(0, s.ways)
+	if math.IsInf(s.seedScore, 1) {
+		return nil
+	}
+	copy(s.counts, s.seedCounts)
+	copy(s.mbaIdx, s.seedIdx)
+	u, err := s.solve()
+	if err != nil {
+		return err
+	}
+	s.limit = u
+	return nil
+}
+
+// seedWays and seedMBA walk every state, in the search's order, for the
+// one with the lowest seedScore.
+func (s *stSearch) seedWays(app, remaining int) {
+	n := len(s.counts)
+	if app == n-1 {
+		s.counts[app] = remaining
+		s.seedMBA(0, 0, 0)
+		return
+	}
+	for w := 1; w <= remaining-(n-1-app); w++ {
+		s.counts[app] = w
+		s.seedWays(app+1, remaining-w)
+	}
+}
+
+// seedMBA carries Σx and Σx² of the estimates down the sweep: Eq. 2
+// squared is n·Σx²/(Σx)² − 1, so the state with the least Σx²/(Σx)², its
+// score, is the fairest.
+func (s *stSearch) seedMBA(app int, sum, sumSq float64) {
+	n := len(s.counts)
+	for j, sp := range s.bounds.row(app, s.counts[app]) {
+		s.mbaIdx[app] = j
+		sum, sumSq := sum+sp.lo, sumSq+sp.lo*sp.lo
+		if app < n-1 {
+			s.seedMBA(app+1, sum, sumSq)
+		} else if score := sumSq / (sum * sum); score < s.seedScore {
+			s.seedScore = score
+			copy(s.seedCounts, s.counts)
+			copy(s.seedIdx, s.mbaIdx)
+		}
+	}
+}
+
+// splitWays fixes the way counts of apps app… out of remaining ways;
+// fixed summarises the apps before them at any grid level.
+func (s *stSearch) splitWays(app, remaining int, fixed agg) error {
+	n, b := len(s.counts), s.bounds
+	if app == n-1 {
+		s.counts[app] = remaining
+		if b != nil {
+			b.tailsInto(s.tails, s.counts)
+			if b.atLeast(s.tails[0]) > s.limit {
 				return nil
 			}
 		}
-		solved++
-		masks, err := machine.AssignContiguousWaysInto(masks, counts, 0, cfg.LLCWays)
+		return s.sweepMBA(0, noSpans)
+	}
+	// Leave at least one way per remaining application.
+	for w := 1; w <= remaining-(n-1-app); w++ {
+		s.counts[app] = w
+		next := fixed
+		if b != nil {
+			next = fixed.with(b.overGrid[app*(s.ways+1)+w])
+			if b.waysNode(next, app+1, remaining-w) > s.limit {
+				continue
+			}
+		}
+		if err := s.splitWays(app+1, remaining-w, next); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// sweepMBA fixes the MBA levels of apps app… under the composition in
+// counts; fixed summarises the apps before them at their levels. Below
+// the last app the node is a state, its bound the state's own.
+func (s *stSearch) sweepMBA(app int, fixed agg) error {
+	n, b := len(s.counts), s.bounds
+	var row []span
+	if b != nil {
+		row = b.row(app, s.counts[app])
+	}
+	for j := range s.grid {
+		s.mbaIdx[app] = j
+		next := fixed
+		if b != nil {
+			next = fixed.with(row[j])
+			if b.atLeast(next.join(s.tails[app+1])) > s.limit {
+				continue
+			}
+		}
+		if app < n-1 {
+			if err := s.sweepMBA(app+1, next); err != nil {
+				return err
+			}
+			continue
+		}
+		u, err := s.solve()
 		if err != nil {
 			return err
 		}
-		for i := range allocs {
-			allocs[i] = machine.Alloc{CBM: masks[i], MBALevel: grid[mbaIdx[i]]}
-		}
-		if err := session.SolveInto(perfs, allocs); err != nil {
-			return err
-		}
-		for i := range perfs {
-			slowdowns[i] = solo[i] / perfs[i].IPS
-			ips[i] = perfs[i].IPS
-		}
-		u, err := fairness.Unfairness(slowdowns)
-		if err != nil {
-			return err
-		}
-		if best.Unfairness < 0 || u < best.Unfairness {
-			tp, err := fairness.Throughput(ips)
+		if s.best.Unfairness < 0 || u < s.best.Unfairness {
+			tp, err := fairness.Throughput(s.ips)
 			if err != nil {
 				return err
 			}
-			copy(best.Allocs, allocs)
-			copy(best.Slowdowns, slowdowns)
-			best.Unfairness, best.Throughput = u, tp
+			copy(s.best.Allocs, s.allocs)
+			copy(s.best.Slowdowns, s.slowdowns)
+			s.best.Unfairness, s.best.Throughput = u, tp
+			s.limit = min(s.limit, u)
 		}
-		return nil
 	}
-	var sweepMBA func(app int) error
-	sweepMBA = func(app int) error {
-		if app == n {
-			return scoreState()
-		}
-		for j := range grid {
-			mbaIdx[app] = j
-			if err := sweepMBA(app + 1); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	search = func(app, remaining int) error {
-		if app == n-1 {
-			counts[app] = remaining
-			return sweepMBA(0)
-		}
-		// Leave at least one way per remaining application.
-		for w := 1; w <= remaining-(n-1-app); w++ {
-			counts[app] = w
-			if err := search(app+1, remaining-w); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := search(0, cfg.LLCWays); err != nil {
-		return Result{}, err
-	}
-	if best.Unfairness < 0 {
-		return Result{}, fmt.Errorf("policies: ST search found no state")
-	}
-	return best, nil
+	return nil
 }
 
 // boundSlack is the relative margin on every bound the ST search prunes
@@ -312,24 +452,101 @@ const boundSlack = 1e-9
 // span is an interval a slowdown is known to lie in.
 type span struct{ lo, hi float64 }
 
-// slowdownSpans brackets, at index (app*(ways+1)+w)*len(grid)+j, app's
-// slowdown when it holds w ways at grid[j] in any exclusive state,
-// widened by boundSlack each side. It returns nil when the session has
-// no bounds to offer, and the search then prunes nothing.
-func slowdownSpans(session *machine.SolveSession, solo []float64, ways int, grid []int) []span {
-	spans := make([]span, len(solo)*(ways+1)*len(grid))
+// agg is what the unfairness bound reads off a set of spans: the largest
+// lo, the smallest hi and the sum of the his.
+type agg struct{ maxLo, minHi, sumHi float64 }
+
+// noSpans is the agg of no spans.
+var noSpans = agg{minHi: math.Inf(1)}
+
+func (a agg) with(sp span) agg {
+	return agg{max(a.maxLo, sp.lo), min(a.minHi, sp.hi), a.sumHi + sp.hi}
+}
+
+func (a agg) join(b agg) agg {
+	return agg{max(a.maxLo, b.maxLo), min(a.minHi, b.minHi), a.sumHi + b.sumHi}
+}
+
+// stBounds tabulates, once per run, the slowdown spans the search prunes
+// on and their envelopes over the axes a subtree leaves open. An
+// envelope keeps the smallest lo and the largest hi: under max lo, min hi
+// and Σhi it can only lower the bound, so a subtree's bound never exceeds
+// that of any state in it.
+type stBounds struct {
+	ways, levels int
+	// Population σ of n numbers is at least range/√(2n); over the mean,
+	// range·√(n/2)/sum.
+	sigmaPerRange float64
+	// leaf[(app*(ways+1)+w)*levels+j] brackets app's slowdown when it
+	// holds w ways at grid[j] in any exclusive state, widened by
+	// boundSlack each side.
+	leaf []span
+	// overGrid[app*(ways+1)+w] envelopes leaf over the grid, and
+	// overWays[app*(ways+1)+k] overGrid over 1…k ways.
+	overGrid, overWays []span
+}
+
+// newSTBounds returns nil when the session has no bounds to offer.
+func newSTBounds(session *machine.SolveSession, solo []float64, ways int, grid []int) *stBounds {
+	n := len(solo)
+	b := &stBounds{
+		ways: ways, levels: len(grid),
+		sigmaPerRange: math.Sqrt(float64(n) / 2),
+		leaf:          make([]span, n*(ways+1)*len(grid)),
+		overGrid:      make([]span, 2*n*(ways+1)),
+	}
+	b.overGrid, b.overWays = b.overGrid[:n*(ways+1)], b.overGrid[n*(ways+1):]
 	for i, full := range solo {
+		anyWays := span{lo: math.Inf(1)}
 		for w := 1; w <= ways; w++ {
+			anyLevel := span{lo: math.Inf(1)}
 			for j, level := range grid {
 				lo, hi, ok := session.IPSBounds(i, w, level)
 				if !ok {
 					return nil
 				}
-				spans[(i*(ways+1)+w)*len(grid)+j] = span{full / hi * (1 - boundSlack), full / lo * (1 + boundSlack)}
+				sp := span{full / hi * (1 - boundSlack), full / lo * (1 + boundSlack)}
+				b.row(i, w)[j] = sp
+				anyLevel = span{min(anyLevel.lo, sp.lo), max(anyLevel.hi, sp.hi)}
 			}
+			anyWays = span{min(anyWays.lo, anyLevel.lo), max(anyWays.hi, anyLevel.hi)}
+			b.overGrid[i*(ways+1)+w], b.overWays[i*(ways+1)+w] = anyLevel, anyWays
 		}
 	}
-	return spans
+	return b
+}
+
+// row is app's spans at w ways, one per grid level.
+func (b *stBounds) row(app, w int) []span {
+	return b.leaf[(app*(b.ways+1)+w)*b.levels:][:b.levels]
+}
+
+// atLeast is a lower bound on the unfairness of any state whose slowdown
+// spans a summarises: the range is at least max lo − min hi, the mean at
+// most mean hi.
+func (b *stBounds) atLeast(a agg) float64 {
+	return (a.maxLo - a.minHi) * b.sigmaPerRange / a.sumHi * (1 - boundSlack)
+}
+
+// waysNode bounds the states below a node of the ways recursion: the apps
+// before app are summarised in fixed, the others share remaining ways, so
+// each holds at most remaining less one for every other.
+func (b *stBounds) waysNode(fixed agg, app, remaining int) float64 {
+	n := len(b.overWays) / (b.ways + 1)
+	most := remaining - (n - 1 - app)
+	for i := app; i < n; i++ {
+		fixed = fixed.with(b.overWays[i*(b.ways+1)+most])
+	}
+	return b.atLeast(fixed)
+}
+
+// tailsInto sets tails[k] to the summary of apps k… at their way counts
+// and any grid level.
+func (b *stBounds) tailsInto(tails []agg, counts []int) {
+	tails[len(counts)] = noSpans
+	for i := len(counts) - 1; i >= 0; i-- {
+		tails[i] = tails[i+1].with(b.overGrid[i*(b.ways+1)+counts[i]])
+	}
 }
 
 // Dynamic runs the CoPart manager (optionally with one axis frozen) and
