@@ -37,8 +37,10 @@ bench-smoke:
 	$(GO) run ./benchmark -smoke
 
 # Machine-readable benchmark snapshot of the solver and experiment-engine
-# hot paths: the heavy figure benchmarks at a fixed small iteration count
-# and the microbenchmarks at a larger one, merged into one JSON file.
+# hot paths: the heavy figure benchmarks at a fixed small iteration count,
+# the ST oracle per mix size (its solved/op extra is the states one run
+# solves at 4, 6 and 8 apps) and the microbenchmarks at a larger one,
+# merged into one JSON file.
 BENCHJSON_DATE ?= $(shell date +%F)
 # Benchmark output is staged through a file, not piped live: in a pipe,
 # `go run ./cmd/benchjson` compiles concurrently with the first
@@ -61,6 +63,7 @@ bench-json:
 	{ $(GO) test -run xxx -bench 'BenchmarkFig12$$|BenchmarkFig1$$' -benchtime 2x -count 3 -benchmem . ; \
 	  $(GO) test -run xxx -bench 'BenchmarkFleet256$$' -benchtime 5x -count 3 -benchmem . ; \
 	  $(GO) test -run xxx -bench 'BenchmarkFleet4096$$' -benchtime 2x -count 3 -benchmem . ; \
+	  $(GO) test -run xxx -bench 'BenchmarkSTOracle$$' -benchtime 20x -count 3 -benchmem . ; \
 	  $(GO) test -run xxx -bench 'BenchmarkMachineSolve$$|BenchmarkGetNextSystemState4$$|BenchmarkManagerPeriod$$' -benchtime 1000x -benchmem . ; } \
 	> $(BENCH_RAW)
 	$(GO) run ./cmd/benchjson -merge BENCH_$(BENCHJSON_DATE).json < $(BENCH_RAW) > $(BENCH_MERGED)

@@ -9,6 +9,7 @@
 package repro_test
 
 import (
+	"fmt"
 	"math/rand"
 	"os"
 	"strconv"
@@ -21,6 +22,7 @@ import (
 	"repro/internal/machine"
 	"repro/internal/matching"
 	"repro/internal/parallel"
+	"repro/internal/policies"
 	"repro/internal/trace"
 	"repro/internal/workloads"
 )
@@ -454,6 +456,33 @@ func BenchmarkMachineSolveSession(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if err := session.SolveInto(perfs, states[i%len(states)]); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSTOracle times one ST run per mix size, on a mix the box bound
+// prunes hard (H-Both) and two it barely can (M-BW, IS), and reports the
+// states the run solved: the only per-layer count for more than the four
+// apps of the benchmark's policies.st_ms rung.
+func BenchmarkSTOracle(b *testing.B) {
+	c := cfg()
+	for _, n := range []int{4, 6, 8} {
+		for _, kind := range []workloads.MixKind{workloads.HBoth, workloads.MBW, workloads.IS} {
+			models, err := workloads.Mix(c, kind, n)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.Run(fmt.Sprintf("%dapps/%v", n, kind), func(b *testing.B) {
+				b.ReportAllocs()
+				_, before := policies.STStates()
+				for i := 0; i < b.N; i++ {
+					if _, err := (policies.ST{}).Run(c, models); err != nil {
+						b.Fatal(err)
+					}
+				}
+				_, after := policies.STStates()
+				b.ReportMetric(float64(after-before)/float64(b.N), "solved/op")
+			})
 		}
 	}
 }

@@ -37,8 +37,8 @@ func TestRunFigure12(t *testing.T) {
 	checkGolden(t, "fig12", out.Bytes())
 	// The oracle solves the seed of each of the seven mixes and the states
 	// whose own bound does not exceed the optimum (DESIGN.md §9.1).
-	if e1, s1 := policies.STStates(); e1-e0 != 215040 || s1-s0 != 15157 {
-		t.Errorf("ST solved %d of %d states, want 15157 of 215040", s1-s0, e1-e0)
+	if e1, s1 := policies.STStates(); e1-e0 != 215040 || s1-s0 != 7165 {
+		t.Errorf("ST solved %d of %d states, want 7165 of 215040", s1-s0, e1-e0)
 	}
 	var line bytes.Buffer
 	reportST(&line)

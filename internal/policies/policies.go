@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -199,7 +200,7 @@ func (s ST) Run(cfg machine.Config, models []machine.AppModel) (Result, error) {
 	search := stSearch{
 		ways: cfg.LLCWays, grid: grid, solo: solo, session: session,
 		bounds: newSTBounds(session, solo, cfg.LLCWays, grid),
-		limit:  math.Inf(1),
+		limit:  math.Inf(1), ratioLimit: math.Inf(1),
 		// The best state's slices are allocated once and overwritten in
 		// place, so a run's allocation count does not depend on how many
 		// improvements the enumeration order produces.
@@ -213,7 +214,7 @@ func (s ST) Run(cfg machine.Config, models []machine.AppModel) (Result, error) {
 		// Scratch reused across the thousands of solved states.
 		allocs: make([]machine.Alloc, n), slowdowns: make([]float64, n), ips: make([]float64, n),
 		masks: make([]uint64, n), perfs: make([]machine.Perf, n),
-		tails: make([]agg, n+1),
+		tails: make([]agg, n+1), box: make([]span, n), breaks: make([]float64, 2*n+2),
 	}
 	for i, model := range models {
 		search.best.Names[i] = model.Name
@@ -271,9 +272,12 @@ type stSearch struct {
 	// limit is the lowest unfairness solved so far, the seed's included. A
 	// subtree whose bound is strictly above it holds no state that could
 	// pass the strict u < best, so none that could end up the argmin.
-	limit  float64
-	best   Result
-	solved uint64
+	limit float64
+	// ratioLimit is limit as the box bound compares it: limit²+1, the value
+	// of n·Σx²/(Σx)² at that unfairness, widened by ratioSlack.
+	ratioLimit float64
+	best       Result
+	solved     uint64
 
 	// The state under the cursor, and the seed scan's pick with its score.
 	counts, mbaIdx      []int
@@ -282,6 +286,11 @@ type stSearch struct {
 	// tails[k] summarises apps k… of the composition under the cursor at
 	// any grid level; tails[n] is empty.
 	tails []agg
+	// box holds the span of every app at the node under the cursor: its
+	// own where the app is fixed, an envelope where it is open. breaks is
+	// scratch for boxRatio.
+	box    []span
+	breaks []float64
 
 	allocs    []machine.Alloc
 	slowdowns []float64
@@ -334,8 +343,13 @@ func (s *stSearch) seed() error {
 	if err != nil {
 		return err
 	}
-	s.limit = u
+	s.lowerLimit(u)
 	return nil
+}
+
+// lowerLimit makes u, the unfairness of a solved state, the pruning limit.
+func (s *stSearch) lowerLimit(u float64) {
+	s.limit, s.ratioLimit = u, (u*u+1)*(1+ratioSlack)
 }
 
 // seedWays and seedMBA walk every state, in the search's order, for the
@@ -378,8 +392,8 @@ func (s *stSearch) splitWays(app, remaining int, fixed agg) error {
 	if app == n-1 {
 		s.counts[app] = remaining
 		if b != nil {
-			b.tailsInto(s.tails, s.counts)
-			if b.atLeast(s.tails[0]) > s.limit {
+			b.tailsInto(s.tails, s.box, s.counts)
+			if s.cut(s.tails[0], b.atLeast(s.tails[0])) {
 				return nil
 			}
 		}
@@ -390,8 +404,9 @@ func (s *stSearch) splitWays(app, remaining int, fixed agg) error {
 		s.counts[app] = w
 		next := fixed
 		if b != nil {
-			next = fixed.with(b.overGrid[app*(s.ways+1)+w])
-			if b.waysNode(next, app+1, remaining-w) > s.limit {
+			s.box[app] = b.overGrid[app*(s.ways+1)+w]
+			next = fixed.with(s.box[app])
+			if a := b.waysNode(s.box, next, app+1, remaining-w); s.cut(a, b.atLeast(a)) {
 				continue
 			}
 		}
@@ -404,7 +419,8 @@ func (s *stSearch) splitWays(app, remaining int, fixed agg) error {
 
 // sweepMBA fixes the MBA levels of apps app… under the composition in
 // counts; fixed summarises the apps before them at their levels. Below
-// the last app the node is a state, its bound the state's own.
+// the last app the node is a state, its bound the state's own. It finds
+// box[app:] at the apps' envelopes over the grid and leaves it so.
 func (s *stSearch) sweepMBA(app int, fixed agg) error {
 	n, b := len(s.counts), s.bounds
 	var row []span
@@ -415,8 +431,9 @@ func (s *stSearch) sweepMBA(app int, fixed agg) error {
 		s.mbaIdx[app] = j
 		next := fixed
 		if b != nil {
+			s.box[app] = row[j]
 			next = fixed.with(row[j])
-			if b.atLeast(next.join(s.tails[app+1])) > s.limit {
+			if a := next.join(s.tails[app+1]); s.cut(a, b.atLeast(a)) {
 				continue
 			}
 		}
@@ -438,8 +455,13 @@ func (s *stSearch) sweepMBA(app int, fixed agg) error {
 			copy(s.best.Allocs, s.allocs)
 			copy(s.best.Slowdowns, s.slowdowns)
 			s.best.Unfairness, s.best.Throughput = u, tp
-			s.limit = min(s.limit, u)
+			if u < s.limit {
+				s.lowerLimit(u)
+			}
 		}
+	}
+	if b != nil {
+		s.box[app] = b.overGrid[app*(s.ways+1)+s.counts[app]]
 	}
 	return nil
 }
@@ -448,6 +470,84 @@ func (s *stSearch) sweepMBA(app int, fixed agg) error {
 // with: far above the few-ulp float error of the bounds' own arithmetic,
 // far below any unfairness gap worth a solve.
 const boundSlack = 1e-9
+
+// ratioSlack is the relative margin on the box bound, taken on the ratio
+// n·Σx²/(Σx)² = u²+1 it is compared on: a relative 1e-9 on a u of 1e-3
+// would be 1e-15 there, the ratio's own rounding.
+const ratioSlack = 1e-12
+
+// cut reports whether the node whose spans are in box, summarised by a,
+// holds no state that could pass the strict u < best: the range bound
+// says so, or failing that the exact one. The exact one is not asked
+// where it cannot say so: with every app clamped to the middle of the gap
+// from min hi to max lo none is further from it than half the gap or
+// below min hi, a point of unfairness at most gap/2/min hi — and 0 where
+// the spans share a point. rangeBound is atLeast(a), taken by the caller
+// to keep cut inside the inliner's budget: the mixes neither bound prunes
+// pay no call for being asked.
+func (s *stSearch) cut(a agg, rangeBound float64) bool {
+	return rangeBound > s.limit || (a.maxLo-a.minHi > 2*s.limit*a.minHi && s.boxAbove(a))
+}
+
+// boxAbove reports whether Eq. 2 is above the limit on the whole box
+// ∏[lo, hi] of s.box. The ratio at the point cut argues with comes first:
+// at or below the limit it spares the sweep. A NaN fails every comparison
+// that cuts, and so does an infinite end through the summed widths: such
+// a box is solved.
+func (s *stSearch) boxAbove(a agg) bool {
+	mid := (a.maxLo + a.minHi) / 2
+	var sum, sumSq, width float64
+	for _, sp := range s.box {
+		x := max(sp.lo, min(mid, sp.hi))
+		sum, sumSq, width = sum+x, sumSq+x*x, width+(sp.hi-sp.lo)
+	}
+	if float64(len(s.box))*sumSq <= s.ratioLimit*sum*sum || !(width < math.Inf(1)) {
+		return false
+	}
+	num, den := s.boxRatio(a)
+	return num > s.ratioLimit*den
+}
+
+// boxRatio returns n·Σx² and (Σx)² where their quotient is least on the
+// box: at x_i = clamp(c, lo_i, hi_i) for one c, since with Σx held Σx² is
+// least there. As c rises an app sits at its lo, then moves with c, then
+// sits at its hi. With S1 = Σx and S2 = Σx² over the apps that sit and m
+// apps moving, the quotient falls while c·S1 < S2 and rises after, and
+// c·S1 − S2 is continuous and increasing across the breakpoints: one
+// sweep up them finds the segment holding c = S2/S1, where the quotient
+// is n·S2/(S1² + m·S2). That c lies in [min hi, max lo], so only the
+// breakpoints there are sorted; breaks has room for them and two +Inf.
+func (s *stSearch) boxRatio(a agg) (num, den float64) {
+	n := len(s.box)
+	los, his := s.breaks[:0:n+1], s.breaks[n+1:n+1]
+	var s1, s2 float64
+	for _, sp := range s.box {
+		if sp.lo > a.minHi {
+			s1, s2 = s1+sp.lo, s2+sp.lo*sp.lo
+			los = append(los, sp.lo)
+		}
+		if sp.hi < a.maxLo {
+			his = append(his, sp.hi)
+		}
+	}
+	moving := float64(n - len(los))
+	slices.Sort(los)
+	slices.Sort(his)
+	los, his = append(los, math.Inf(1)), append(his, math.Inf(1))
+	for len(los) > 0 && len(his) > 0 {
+		c, d := los[0], -1.0 // the next breakpoint, and what passing it adds to the sitting apps
+		if his[0] <= c {
+			c, d, his = his[0], 1, his[1:]
+		} else {
+			los = los[1:]
+		}
+		if !(c*s1 < s2) {
+			break
+		}
+		s1, s2, moving = s1+d*c, s2+d*c*c, moving-d
+	}
+	return float64(n) * s2, s1*s1 + moving*s2
+}
 
 // span is an interval a slowdown is known to lie in.
 type span struct{ lo, hi float64 }
@@ -528,24 +628,26 @@ func (b *stBounds) atLeast(a agg) float64 {
 	return (a.maxLo - a.minHi) * b.sigmaPerRange / a.sumHi * (1 - boundSlack)
 }
 
-// waysNode bounds the states below a node of the ways recursion: the apps
-// before app are summarised in fixed, the others share remaining ways, so
-// each holds at most remaining less one for every other.
-func (b *stBounds) waysNode(fixed agg, app, remaining int) float64 {
-	n := len(b.overWays) / (b.ways + 1)
-	most := remaining - (n - 1 - app)
-	for i := app; i < n; i++ {
-		fixed = fixed.with(b.overWays[i*(b.ways+1)+most])
+// waysNode summarises the states below a node of the ways recursion: the
+// apps before app are summarised in fixed, the others share remaining
+// ways, so each holds at most remaining less one for every other. Their
+// envelopes go into box[app:].
+func (b *stBounds) waysNode(box []span, fixed agg, app, remaining int) agg {
+	most := remaining - (len(box) - 1 - app)
+	for i := app; i < len(box); i++ {
+		box[i] = b.overWays[i*(b.ways+1)+most]
+		fixed = fixed.with(box[i])
 	}
-	return b.atLeast(fixed)
+	return fixed
 }
 
-// tailsInto sets tails[k] to the summary of apps k… at their way counts
-// and any grid level.
-func (b *stBounds) tailsInto(tails []agg, counts []int) {
+// tailsInto sets box[k] to app k's envelope at its way count and any grid
+// level, and tails[k] to the summary of apps k….
+func (b *stBounds) tailsInto(tails []agg, box []span, counts []int) {
 	tails[len(counts)] = noSpans
 	for i := len(counts) - 1; i >= 0; i-- {
-		tails[i] = tails[i+1].with(b.overGrid[i*(b.ways+1)+counts[i]])
+		box[i] = b.overGrid[i*(b.ways+1)+counts[i]]
+		tails[i] = tails[i+1].with(box[i])
 	}
 }
 
