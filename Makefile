@@ -39,8 +39,9 @@ bench-smoke:
 # Machine-readable benchmark snapshot of the solver and experiment-engine
 # hot paths: the heavy figure benchmarks at a fixed small iteration count,
 # the ST oracle per mix size (its solved/op extra is the states one run
-# solves at 4, 6 and 8 apps) and the microbenchmarks at a larger one,
-# merged into one JSON file.
+# solves at 4, 6 and 8 apps) and the microbenchmarks at a larger one
+# (the sampling sweep, ~50 ns an op, at a larger one still: 1000
+# iterations of it fit inside one timer tick), merged into one JSON file.
 BENCHJSON_DATE ?= $(shell date +%F)
 # Benchmark output is staged through a file, not piped live: in a pipe,
 # `go run ./cmd/benchjson` compiles concurrently with the first
@@ -64,7 +65,8 @@ bench-json:
 	  $(GO) test -run xxx -bench 'BenchmarkFleet256$$' -benchtime 5x -count 3 -benchmem . ; \
 	  $(GO) test -run xxx -bench 'BenchmarkFleet4096$$' -benchtime 2x -count 3 -benchmem . ; \
 	  $(GO) test -run xxx -bench 'BenchmarkSTOracle$$' -benchtime 20x -count 3 -benchmem . ; \
-	  $(GO) test -run xxx -bench 'BenchmarkMachineSolve$$|BenchmarkGetNextSystemState4$$|BenchmarkManagerPeriod$$' -benchtime 1000x -benchmem . ; } \
+	  $(GO) test -run xxx -bench 'BenchmarkMachineSolve$$|BenchmarkGetNextSystemState4$$|BenchmarkManagerPeriod$$' -benchtime 1000x -benchmem . ; \
+	  $(GO) test -run xxx -bench 'BenchmarkSamplerSweep$$' -benchtime 1000000x -count 3 -benchmem . ; } \
 	> $(BENCH_RAW)
 	$(GO) run ./cmd/benchjson -merge BENCH_$(BENCHJSON_DATE).json < $(BENCH_RAW) > $(BENCH_MERGED)
 	mv $(BENCH_MERGED) BENCH_$(BENCHJSON_DATE).json

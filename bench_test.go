@@ -14,6 +14,7 @@ import (
 	"os"
 	"strconv"
 	"testing"
+	"time"
 
 	"repro/internal/cachesim"
 	"repro/internal/core"
@@ -22,6 +23,7 @@ import (
 	"repro/internal/machine"
 	"repro/internal/matching"
 	"repro/internal/parallel"
+	"repro/internal/pmc"
 	"repro/internal/policies"
 	"repro/internal/trace"
 	"repro/internal/workloads"
@@ -260,6 +262,45 @@ func BenchmarkManagerPeriod(b *testing.B) {
 		if _, err := mgr.ExploreStep(); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// sweepSource is a counter source that costs next to nothing, so
+// BenchmarkSamplerSweep times the sampler: every read advances one
+// shared, ever-growing counter set.
+type sweepSource struct{ c machine.Counters }
+
+func (s *sweepSource) ReadCounters(string) (machine.Counters, error) {
+	s.c.Instructions += 4e6
+	s.c.LLCAccesses += 4e4
+	s.c.LLCMisses += 4e3
+	return s.c, nil
+}
+
+// BenchmarkSamplerSweep measures the sampling step of one control
+// period on its own: a measuring pmc.Sampler.SampleAll over the tracked
+// set at the paper's consolidation sizes, one control period per sweep.
+func BenchmarkSamplerSweep(b *testing.B) {
+	for _, n := range []int{4, 6} {
+		b.Run(fmt.Sprintf("%dapps", n), func(b *testing.B) {
+			apps := make([]string, n)
+			for i := range apps {
+				apps[i] = fmt.Sprintf("app%d", i)
+			}
+			s := pmc.NewSampler(&sweepSource{})
+			if _, err := s.SampleAll(apps, 0, nil); err != nil {
+				b.Fatal(err)
+			}
+			out := make([]pmc.Rates, n)
+			period := core.DefaultParams().Period
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 1; i <= b.N; i++ {
+				if k, err := s.SampleAll(apps, time.Duration(i)*period, out); k >= 0 || err != nil {
+					b.Fatalf("sweep %d stopped at app %d: %v", i, k, err)
+				}
+			}
+		})
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -87,6 +88,55 @@ func TestManagerSurfacesCounterFailures(t *testing.T) {
 	err = mgr.Run(120 * time.Second)
 	if err == nil {
 		t.Fatal("counter failures must surface as errors, not be swallowed")
+	}
+}
+
+// TestManagerReadsThroughWrapper pins what the whole-set sampling sweep
+// may not do: reach the counters around the Target. A wrapper that
+// embeds the machine and overrides ReadCounters (fault injectors, the
+// benchmark's timing wrapper) must see every read — n first sightings
+// plus n reads for each of the 3n probe periods while profiling, then
+// exactly n a period once the windows stay anchored.
+func TestManagerReadsThroughWrapper(t *testing.T) {
+	cfg := machine.DefaultConfig()
+	m, err := machine.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	models, err := workloads.Mix(cfg, workloads.HLLC, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, model := range models {
+		if err := m.AddApp(model); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ref, err := workloads.StreamMissRates(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	counting := &flakyTarget{Machine: m, failAfter: math.MaxInt}
+	mgr, err := NewManager(counting, DefaultParams(), ref,
+		Envelope{LoWay: 0, Ways: cfg.LLCWays}, rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := len(models)
+	if err := mgr.Profile(); err != nil {
+		t.Fatal(err)
+	}
+	if want := n + 3*n*n; counting.reads != want {
+		t.Fatalf("profiling %d apps: wrapper saw %d counter reads, want %d", n, counting.reads, want)
+	}
+	for period := 1; period <= 5; period++ {
+		before := counting.reads
+		if _, err := mgr.ExploreStep(); err != nil {
+			t.Fatal(err)
+		}
+		if got := counting.reads - before; got != n {
+			t.Fatalf("period %d: wrapper saw %d counter reads, want %d", period, got, n)
+		}
 	}
 }
 

@@ -527,49 +527,32 @@ func (m *Manager) applyState(st AllocState) error {
 }
 
 // measurePeriod advances one control period and returns each
-// application's windowed counter rates over it. With resilience enabled,
-// failed counter reads and a failed period step are retried with backoff
-// before the period is declared failed; with it disabled (the default
-// and the simulation configuration) the loop calls the sampler and
-// target directly, avoiding the retry closures. The returned slice is
+// application's windowed counter rates over it: an anchoring sweep when
+// the windows are not already anchored at the period start, the step,
+// and a measuring sweep that writes m.rates in place. With resilience
+// enabled the step and every counter read are retried with backoff
+// before the period is declared failed. The returned slice is
 // manager-owned scratch, valid until the next period.
 func (m *Manager) measurePeriod() ([]pmc.Rates, error) {
 	retry := m.Resilience.Enabled
-	// The opening pass anchors every application's sampling window at the
+	// The opening sweep anchors every application's sampling window at the
 	// period start. Its real job is re-anchoring after disruptions — a
 	// failed period, time stepped outside the manager — and in the steady
-	// state it is a no-op: the previous period's closing pass already
+	// state it is a no-op: the previous period's closing sweep already
 	// anchored every app at this exact instant, and re-sampling at a
 	// zero-width window changes nothing. anchoredAt
 	// tracks that case so the steady path skips the sweep entirely;
 	// anchorValid drops at the first sign of trouble (or any partial
-	// pass), which routes the next period back through the full sweep.
+	// sweep), which routes the next period back through the full sweep.
 	// Hardened managers never skip: under resilience the opening reads
 	// double as fault probes, and eliding them would change when the
 	// watchdog first observes an outage.
-	if retry || !(m.anchorValid && m.anchoredAt == m.target.Now()) {
-		m.anchorValid = false
-		// One clock read anchors the whole sweep: virtual time does not
-		// advance between per-app samples, so the hoisted value is what
-		// every Now() in the loop would have returned.
-		openAt := m.target.Now()
-		for _, a := range m.apps {
-			var err error
-			if retry {
-				name := a.name
-				err = m.retryOp("counter read", name, func() error {
-					_, _, err := m.sampler.Sample(name, openAt)
-					return err
-				})
-			} else {
-				_, _, err = m.sampler.Sample(a.name, openAt)
-			}
-			if err != nil {
-				return nil, err
-			}
+	skip := !retry && m.anchorValid && m.anchoredAt == m.target.Now()
+	m.anchorValid = false
+	if !skip {
+		if _, err := m.sampleAll(m.target.Now(), nil); err != nil {
+			return nil, err
 		}
-	} else {
-		m.anchorValid = false
 	}
 	var err error
 	if retry {
@@ -586,38 +569,55 @@ func (m *Manager) measurePeriod() ([]pmc.Rates, error) {
 		m.rates = make([]pmc.Rates, len(m.apps))
 	}
 	m.rates = m.rates[:len(m.apps)]
-	closeAt := m.target.Now() // hoisted: time is frozen across the closing sweep
-	for i, a := range m.apps {
-		var (
-			r  pmc.Rates
-			ok bool
-		)
-		if retry {
-			name := a.name
-			err = m.retryOp("counter read", name, func() error {
-				var err error
-				r, ok, err = m.sampler.Sample(name, closeAt)
-				return err
-			})
-		} else {
-			r, ok, err = m.sampler.Sample(a.name, closeAt)
-		}
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			// A dropped sample (counter wraparound or reset) fails the
-			// period once; the sampler re-anchored its snapshot, so the
-			// next period measures cleanly. Not worth retrying: the window
-			// is already consumed.
-			return nil, fmt.Errorf("core: no sampling window for %s", a.name)
-		}
-		m.rates[i] = r
+	closeAt := m.target.Now()
+	noWindow, err := m.sampleAll(closeAt, m.rates)
+	if err != nil {
+		return nil, err
+	}
+	if noWindow >= 0 {
+		// A dropped sample (counter wraparound or reset) fails the
+		// period once; the sampler re-anchored its snapshot, so the
+		// next period measures cleanly. Not worth retrying: the window
+		// is already consumed.
+		return nil, fmt.Errorf("core: no sampling window for %s", m.names[noWindow])
 	}
 	// Every application is now anchored at the period end.
 	m.anchorValid = true
 	m.anchoredAt = closeAt
 	return m.rates, nil
+}
+
+// sampleAll is one sampling sweep over the managed set at virtual time
+// at — one clock read serves the whole sweep, time is frozen across it —
+// under pmc.Sampler.SampleAll's contract (nil out anchors only). The
+// simulation configuration hands the sweep to the sampler whole; a
+// hardened manager reads app by app, because each of its reads is a
+// fault probe with its own retry budget.
+func (m *Manager) sampleAll(at time.Duration, out []pmc.Rates) (noWindow int, err error) {
+	if !m.Resilience.Enabled {
+		return m.sampler.SampleAll(m.names, at, out)
+	}
+	for i, name := range m.names {
+		var (
+			r  pmc.Rates
+			ok bool
+		)
+		err := m.retryOp("counter read", name, func() error {
+			var err error
+			r, ok, err = m.sampler.Sample(name, at)
+			return err
+		})
+		if err != nil {
+			return i, err
+		}
+		if out != nil {
+			if !ok {
+				return i, nil
+			}
+			out[i] = r
+		}
+	}
+	return -1, nil
 }
 
 // Profile runs the application profiling phase (§5.4.1): it measures each

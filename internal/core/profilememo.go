@@ -102,16 +102,16 @@ func (m *Manager) RestoreProfileMemo(pm *ProfileMemo) error {
 		}
 		a.mba.UseFeatures(m.Features)
 		a.havePerf = false
-		// First sighting anchors the sampler at (current counters, now) —
-		// the same snapshot Profile's final closing pass leaves behind.
-		if _, _, err := m.sampler.Sample(a.name, m.target.Now()); err != nil {
-			return err
-		}
 	}
-	// The sightings above anchored every app at the current instant —
-	// the same condition a live Profile's final closing pass establishes.
+	// First sightings (resetApps emptied the sampler) anchor every app at
+	// (current counters, now) — the snapshots, and the anchor condition,
+	// a live Profile's final closing sweep leaves behind.
+	now := m.target.Now()
+	if _, err := m.sampler.SampleAll(m.names, now, nil); err != nil {
+		return err
+	}
 	m.anchorValid = true
-	m.anchoredAt = m.target.Now()
+	m.anchoredAt = now
 	m.phase = PhaseExplore
 	m.retry = 0
 	m.envChanged = false

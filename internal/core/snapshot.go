@@ -274,7 +274,9 @@ func RestoreSnapshot(snap *Snapshot) (*Manager, *machine.Machine, error) {
 	}
 	m.state.CopyFrom(ms.State)
 	m.bestState.CopyFrom(ms.BestState)
-	m.sampler.RestoreSnapshot(ms.Sampler)
+	if err := m.sampler.RestoreSnapshot(ms.Sampler); err != nil {
+		return nil, nil, fmt.Errorf("core: snapshot: %w", err)
+	}
 	if len(ms.Weights) > 0 {
 		m.weights = make(map[string]float64, len(ms.Weights))
 		for name, w := range ms.Weights {

@@ -302,3 +302,58 @@ func TestSnapshotWeightsSurvive(t *testing.T) {
 		t.Fatalf("restored default weight = %v, want 1", w)
 	}
 }
+
+// TestSnapshotCarriesSamplerWindows: a four-app manager's snapshot holds
+// all four sampling windows, anchored at the snapshot instant (the
+// sampler used to snapshot a map it only builds past eight apps, so
+// every real snapshot read "sampler": {}), a blob with windows restores
+// (restoring used to write into that same unbuilt map and panic), and a
+// blob naming an app twice is an error that names it, not an overwrite.
+func TestSnapshotCarriesSamplerWindows(t *testing.T) {
+	mgr, m := snapSetup(t, 1, 0)
+	if err := mgr.Run(20 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := mgr.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	windows := snap.Manager.Sampler.Apps
+	if len(windows) != len(m.Apps()) {
+		t.Fatalf("snapshot carries %d sampling windows for %d apps", len(windows), len(m.Apps()))
+	}
+	for _, w := range windows {
+		c, err := m.ReadCounters(w.App)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w.At != snap.Taken || w.Counters != c {
+			t.Errorf("%s: window anchored at %d with %+v, want the snapshot instant %d with %+v",
+				w.App, w.At, w.Counters, snap.Taken, c)
+		}
+	}
+	blob, err := snap.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	parsed, err := ParseSnapshot(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored, _, err := RestoreSnapshot(parsed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := restored.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if blob2, err := again.Marshal(); err != nil || !bytes.Equal(blob, blob2) {
+		t.Fatalf("snapshot of the restored manager differs from the one it was restored from (err %v)", err)
+	}
+
+	parsed.Manager.Sampler.Apps = append(parsed.Manager.Sampler.Apps, windows[0])
+	if _, _, err := RestoreSnapshot(parsed); err == nil || !strings.Contains(err.Error(), windows[0].App) {
+		t.Fatalf("duplicate sampler window for %s: got %v, want an error naming it", windows[0].App, err)
+	}
+}

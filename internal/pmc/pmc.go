@@ -39,27 +39,24 @@ type Rates struct {
 }
 
 // Sampler tracks the previous counter snapshot per application and
-// produces rates on each sampling round. Snapshots are held by pointer
-// so the steady-state Sample path updates them in place: one map lookup
-// per call, no map write, no allocation (the snapshot allocates once,
-// the first time an application is seen; Reset recycles retired
-// snapshots through a freelist, so a pooled controller's relaunch
-// cycle allocates none at all).
+// produces rates on each sampling round. A controller samples its whole
+// application set once per control period through SampleAll, which finds
+// every snapshot by position and updates it in place: no name lookup, no
+// map write, no allocation. Sample is the per-application entry for
+// everything else (retried fault probes, one-off reads). A snapshot
+// allocates once, the first time an application is seen; Reset recycles
+// retired snapshots through a freelist, so a pooled controller's
+// relaunch cycle allocates none at all.
 type Sampler struct {
 	src Source
-	// names/snaps hold the tracked set in insertion order and serve the
-	// small-set linear fast path: a consolidation controller samples the
-	// same handful of interned name strings twice per period, and a scan
-	// whose comparisons hit Go's pointer-equality shortcut beats hashing
-	// the name every time — it also keeps a pooled controller's relaunch
-	// cycle (insert a few names, Reset, repeat) entirely off the map.
+	// names/snaps hold the tracked set in insertion order: SampleAll
+	// matches a sweep against them positionally, and lookup scans them
+	// while the set is small — comparisons of the same interned name
+	// strings hit Go's pointer-equality shortcut and beat hashing, which
+	// also keeps a pooled controller's relaunch cycle (insert a few
+	// names, Reset, repeat) entirely off the map.
 	names []string
 	snaps []*sample
-	// cursor remembers where the last linear-scan hit landed plus one:
-	// controllers sample their apps in a fixed order, so the next lookup
-	// almost always matches at the cursor on its first, pointer-equal
-	// comparison instead of scanning past its predecessors.
-	cursor int
 	// last is materialized lazily, only once the tracked set outgrows
 	// smallScan; while empty, the slices are authoritative alone.
 	last  map[string]*sample
@@ -81,13 +78,8 @@ const smallScan = 8
 //copart:noalloc
 func (s *Sampler) lookup(app string) (*sample, bool) {
 	if len(s.last) == 0 {
-		if c := s.cursor; c < len(s.names) && s.names[c] == app {
-			s.advance(c)
-			return s.snaps[c], true
-		}
 		for i, n := range s.names {
 			if n == app {
-				s.advance(i)
 				return s.snaps[i], true
 			}
 		}
@@ -97,22 +89,19 @@ func (s *Sampler) lookup(app string) (*sample, bool) {
 	return snap, ok
 }
 
-// advance moves the scan cursor past a hit at index i, wrapping so a
-// fixed sampling rotation stays on the fast path forever.
-//
-//copart:noalloc
-func (s *Sampler) advance(i int) {
-	s.cursor = i + 1
-	if s.cursor >= len(s.names) {
-		s.cursor = 0
-	}
-}
-
-// insert records a new tracked app, spilling the whole set into the map
+// track starts a window for a new app at (cur, now), recycling a retired
+// snapshot when there is one and spilling the whole set into the map
 // once it outgrows the linear-scan bound.
 //
 //copart:noalloc
-func (s *Sampler) insert(app string, snap *sample) {
+func (s *Sampler) track(app string, cur machine.Counters, now time.Duration) {
+	var snap *sample
+	if n := len(s.free); n > 0 {
+		snap, s.free[n-1], s.free = s.free[n-1], nil, s.free[:n-1]
+		snap.counters, snap.at = cur, now
+	} else {
+		snap = &sample{counters: cur, at: now} //copart:allocok first sighting of an app; Reset recycles the snapshot
+	}
 	s.names = append(s.names, app)  //copart:allocok amortized append growth; capacity is retained across resets
 	s.snaps = append(s.snaps, snap) //copart:allocok amortized append growth; capacity is retained across resets
 	if len(s.last) > 0 {
@@ -134,6 +123,34 @@ func NewSampler(src Source) *Sampler {
 	return &Sampler{src: src}
 }
 
+// rate is the one sampling arithmetic: it re-anchors snap at (cur, now)
+// and writes the rates over the window that ends there — secs is
+// window.Seconds(), passed in so a sweep converts each distinct window
+// once — into r. It reports false, counting a drop and leaving r alone,
+// when a counter went backwards.
+//
+//copart:noalloc
+func (s *Sampler) rate(snap *sample, cur machine.Counters, now, window time.Duration, secs float64, r *Rates) bool {
+	dInstr := cur.Instructions - snap.counters.Instructions
+	dAcc := cur.LLCAccesses - snap.counters.LLCAccesses
+	dMiss := cur.LLCMisses - snap.counters.LLCMisses
+	snap.counters, snap.at = cur, now
+	if dInstr < 0 || dAcc < 0 || dMiss < 0 {
+		// A negative delta means the hardware counter wrapped around or
+		// was reset (the fd died and reopened, the app restarted). The
+		// absolute values carry no usable window, so the sample is
+		// dropped rather than turned into a bogus rate; the snapshot
+		// update above re-anchors the next window at the post-wrap values.
+		s.drops++
+		return false
+	}
+	*r = Rates{IPS: dInstr / secs, AccessRate: dAcc / secs, MissRate: dMiss / secs, Window: window}
+	if dAcc > 0 {
+		r.MissRatio = dMiss / dAcc
+	}
+	return true
+}
+
 // Sample reads app's counters at virtual time now and returns the rates
 // since the previous call. The boolean is false on the first call for an
 // application (there is no window yet); the snapshot is still recorded.
@@ -144,49 +161,77 @@ func (s *Sampler) Sample(app string, now time.Duration) (Rates, bool, error) {
 	}
 	snap, seen := s.lookup(app)
 	if !seen {
-		if n := len(s.free); n > 0 {
-			snap, s.free[n-1], s.free = s.free[n-1], nil, s.free[:n-1]
-			snap.counters, snap.at = cur, now
-		} else {
-			snap = &sample{counters: cur, at: now} //copart:allocok first sighting of an app; Reset recycles the snapshot
-		}
-		s.insert(app, snap)
+		s.track(app, cur, now)
 		return Rates{}, false, nil
 	}
 	window := now - snap.at
 	if window < 0 {
-		return Rates{}, false, fmt.Errorf("pmc: negative window %v for %s", window, app)
+		return Rates{}, false, negativeWindow(window, app)
 	}
 	if window == 0 {
 		// A re-sample at the same instant carries no new information;
 		// keep the existing snapshot so the eventual window stays anchored.
 		return Rates{}, false, nil
 	}
-	prev := *snap
-	snap.counters, snap.at = cur, now
-	secs := window.Seconds()
-	dInstr := cur.Instructions - prev.counters.Instructions
-	dAcc := cur.LLCAccesses - prev.counters.LLCAccesses
-	dMiss := cur.LLCMisses - prev.counters.LLCMisses
-	if dInstr < 0 || dAcc < 0 || dMiss < 0 {
-		// A negative delta means the hardware counter wrapped around or
-		// was reset (the fd died and reopened, the app restarted). The
-		// absolute values carry no usable window, so the sample is
-		// dropped rather than turned into a bogus rate; the snapshot
-		// update above re-anchors the next window at the post-wrap values.
-		s.drops++
-		return Rates{}, false, nil
+	var r Rates
+	ok := s.rate(snap, cur, now, window, window.Seconds(), &r)
+	return r, ok, nil
+}
+
+// SampleAll is one sampling sweep: Sample(app, now) for each of apps in
+// order, with the rates written in place into out. Given an out it is a
+// measuring sweep and stops where a caller looping over Sample would: at
+// the first app whose read fails (err) or that has no usable window
+// (first sighting, zero window, dropped sample). It returns that app's
+// index, every later snapshot untouched, or -1 when out[:len(apps)] is
+// complete. A nil out makes it an anchoring sweep, which only a failed
+// read stops. When apps is the tracked set in insertion order — the
+// shape a controller presents every period — each snapshot is found by
+// position; any other app goes through the lookup Sample uses.
+//
+//copart:noalloc
+func (s *Sampler) SampleAll(apps []string, now time.Duration, out []Rates) (noWindow int, err error) {
+	aligned := len(apps) == len(s.names)
+	var (
+		window  time.Duration // the sweep's last distinct window and
+		secs    float64       // its length, converted once
+		discard Rates         // where an anchoring sweep's rates go
+	)
+	for i, app := range apps {
+		cur, err := s.src.ReadCounters(app)
+		if err != nil {
+			return i, err
+		}
+		var snap *sample
+		if aligned && s.names[i] == app {
+			snap = s.snaps[i]
+		} else if snap, _ = s.lookup(app); snap == nil {
+			s.track(app, cur, now)
+		}
+		ok := false
+		if snap != nil && now != snap.at {
+			w := now - snap.at
+			if w < 0 {
+				return i, negativeWindow(w, app)
+			}
+			if w != window {
+				window, secs = w, w.Seconds()
+			}
+			r := &discard
+			if out != nil {
+				r = &out[i]
+			}
+			ok = s.rate(snap, cur, now, w, secs, r)
+		}
+		if !ok && out != nil {
+			return i, nil
+		}
 	}
-	r := Rates{
-		IPS:        dInstr / secs,
-		AccessRate: dAcc / secs,
-		MissRate:   dMiss / secs,
-		Window:     window,
-	}
-	if dAcc > 0 {
-		r.MissRatio = dMiss / dAcc
-	}
-	return r, true, nil
+	return -1, nil
+}
+
+func negativeWindow(window time.Duration, app string) error {
+	return fmt.Errorf("pmc: negative window %v for %s", window, app)
 }
 
 // Drops reports how many samples were discarded because a counter went
@@ -222,6 +267,5 @@ func (s *Sampler) Reset() {
 	}
 	s.names = s.names[:0]
 	s.snaps = s.snaps[:0]
-	s.cursor = 0
 	clear(s.last)
 }

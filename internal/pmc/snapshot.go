@@ -1,6 +1,7 @@
 package pmc
 
 import (
+	"fmt"
 	"sort"
 	"time"
 
@@ -25,11 +26,11 @@ type AppWindow struct {
 // Snapshot captures the sampler's window anchors.
 func (s *Sampler) Snapshot() SamplerSnapshot {
 	snap := SamplerSnapshot{Drops: s.drops}
-	for app, last := range s.last {
+	for i, app := range s.names {
 		snap.Apps = append(snap.Apps, AppWindow{
 			App:      app,
-			Counters: last.counters,
-			At:       int64(last.at),
+			Counters: s.snaps[i].counters,
+			At:       int64(s.snaps[i].at),
 		})
 	}
 	sort.Slice(snap.Apps, func(i, j int) bool { return snap.Apps[i].App < snap.Apps[j].App })
@@ -37,12 +38,18 @@ func (s *Sampler) Snapshot() SamplerSnapshot {
 }
 
 // RestoreSnapshot replaces the sampler's window state with the
-// snapshot's, so the next Sample call computes the same window the
-// original sampler would have.
-func (s *Sampler) RestoreSnapshot(snap SamplerSnapshot) {
+// snapshot's, so the next sample of each app computes the same window
+// the original sampler would have. A snapshot naming an app twice is
+// rejected, leaving the sampler with the windows listed before the
+// repeat.
+func (s *Sampler) RestoreSnapshot(snap SamplerSnapshot) error {
 	s.Reset()
 	s.drops = snap.Drops
 	for _, w := range snap.Apps {
-		s.last[w.App] = &sample{counters: w.Counters, at: time.Duration(w.At)}
+		if _, dup := s.lookup(w.App); dup {
+			return fmt.Errorf("pmc: snapshot lists app %q twice", w.App)
+		}
+		s.track(w.App, w.Counters, time.Duration(w.At))
 	}
+	return nil
 }
