@@ -3,13 +3,13 @@
 // per second plus the p50/p99 wall-clock latency of one control period,
 // and the runtime-pool and solve-cache hit rates behind them. The per-node
 // outcomes are deterministic in -seed — identical at any -parallel
-// setting and with the shared L2 cache on or off — so the tool doubles
-// as a scale-level determinism check (-verify re-runs the fleet
-// sequentially and with the shared cache disabled, and compares).
+// setting and with the process-wide solve cache on or off — so the tool
+// doubles as a scale-level determinism check (-verify re-runs the fleet
+// sequentially and with the solve cache disabled, and compares).
 //
 // Usage:
 //
-//	fleetbench [-nodes 256] [-periods 50] [-parallel N] [-seed 1] [-l2] [-verify]
+//	fleetbench [-nodes 256] [-periods 50] [-parallel N] [-seed 1] [-verify]
 //	    [-block N] [-blockstats] [-benchline BenchmarkName]
 //	    [-churn] [-cpuprofile fleet.cpu] [-memprofile fleet.mem]
 //
@@ -59,7 +59,6 @@ type options struct {
 	workers    int
 	seed       int64
 	block      int
-	l2         bool
 	verify     bool
 	churn      bool
 	blockstats bool
@@ -73,8 +72,7 @@ func main() {
 	flag.IntVar(&o.workers, "parallel", 0, "worker bound (0 = GOMAXPROCS)")
 	flag.Int64Var(&o.seed, "seed", 1, "fleet seed")
 	flag.IntVar(&o.block, "block", 0, "dispatch block size in nodes (0 = fleet default)")
-	flag.BoolVar(&o.l2, "l2", true, "enable the process-wide shared solve cache")
-	flag.BoolVar(&o.verify, "verify", false, "re-run sequentially and with the shared cache toggled, check per-node determinism")
+	flag.BoolVar(&o.verify, "verify", false, "re-run sequentially and with the solve cache off, check per-node determinism")
 	flag.BoolVar(&o.churn, "churn", false, "fleet-over-trace: Poisson arrivals, exponential lifetimes, pool reuse across mix shapes")
 	flag.BoolVar(&o.blockstats, "blockstats", false, "print the full per-block telemetry table")
 	flag.StringVar(&o.benchline, "benchline", "", "replace the report with one go-bench-format result line under this Benchmark name")
@@ -126,7 +124,6 @@ func blockP99Spread(blocks []fleet.BlockStats) (lo, med, hi time.Duration, ok bo
 func run(w io.Writer, o options) error {
 	parallel.SetWorkers(o.workers)
 	defer parallel.SetWorkers(0)
-	machine.SetSharedSolveCache(o.l2)
 	execute := func() (fleet.Result, error) {
 		if o.churn {
 			return fleet.RunChurn(fleet.ChurnConfig{
@@ -182,15 +179,9 @@ func run(w io.Writer, o options) error {
 	fmt.Fprintf(w, "runtime pool:     %.1f%% warm (%d hits, %d carries, %d misses, %d evictions, %d free)\n",
 		pct(res.Pool.Hits+res.Pool.Carries, res.Pool.Misses), res.Pool.Hits, res.Pool.Carries,
 		res.Pool.Misses, res.Pool.Evictions, res.Pool.Free)
-	fmt.Fprintf(w, "solve cache L1:   %.1f%% hit (%d hits, %d misses, %d evictions)\n",
-		pct(res.CacheHits, res.CacheMisses), res.CacheHits, res.CacheMisses, res.CacheEvictions)
-	if o.l2 {
-		fmt.Fprintf(w, "solve cache L2:   %.1f%% hit (%d hits, %d misses, %d evictions, %d entries)\n",
-			pct(res.Shared.Hits, res.Shared.Misses), res.Shared.Hits, res.Shared.Misses,
-			res.Shared.Evictions, res.Shared.Entries)
-	} else {
-		fmt.Fprintf(w, "solve cache L2:   disabled\n")
-	}
+	fmt.Fprintf(w, "solve cache:      %.1f%% hit (%d hits, %d misses, %d evictions, %d entries)\n",
+		pct(res.Shared.Hits, res.Shared.Misses), res.Shared.Hits, res.Shared.Misses,
+		res.Shared.Evictions, res.Shared.Entries)
 	fmt.Fprintf(w, "health:           %d healthy, %d degraded (max fail streak %d)\n",
 		res.Health.Healthy, res.Health.Degraded, res.Health.MaxFailStreak)
 	if o.verify {
@@ -203,16 +194,16 @@ func run(w io.Writer, o options) error {
 			return fmt.Errorf("per-node results differ between parallel and sequential runs")
 		}
 		parallel.SetWorkers(o.workers)
-		machine.SetSharedSolveCache(!o.l2)
-		toggled, err := execute()
-		machine.SetSharedSolveCache(o.l2)
+		prev := machine.SetSharedSolveCache(false)
+		uncached, err := execute()
+		machine.SetSharedSolveCache(prev)
 		if err != nil {
 			return err
 		}
-		if !reflect.DeepEqual(res.Nodes, toggled.Nodes) {
-			return fmt.Errorf("per-node results differ with the shared solve cache toggled")
+		if !reflect.DeepEqual(res.Nodes, uncached.Nodes) {
+			return fmt.Errorf("per-node results differ with the solve cache off")
 		}
-		fmt.Fprintln(w, "determinism:      verified (parallel == sequential == shared-cache toggled)")
+		fmt.Fprintln(w, "determinism:      verified (parallel == sequential == solve cache off)")
 	}
 	return nil
 }

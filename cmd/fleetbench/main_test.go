@@ -26,7 +26,7 @@ func runReport(t *testing.T, o options) string {
 // count, carries are printed, and the ratio counts them as warm — a
 // block of 4 nodes carries 3, which a hits-only ratio reported as 0 %.
 func TestRun(t *testing.T) {
-	o := options{nodes: 8, periods: 10, workers: 1, seed: 1, block: 4, l2: true, verify: true}
+	o := options{nodes: 8, periods: 10, workers: 1, seed: 1, block: 4, verify: true}
 	runReport(t, o) // warm the pool: the second run below misses nothing
 	report := runReport(t, o)
 	var warm float64
@@ -43,5 +43,5 @@ func TestRun(t *testing.T) {
 }
 
 func TestRunChurn(t *testing.T) {
-	runReport(t, options{nodes: 16, periods: 4, workers: 2, seed: 1, l2: true, verify: true, churn: true})
+	runReport(t, options{nodes: 16, periods: 4, workers: 2, seed: 1, verify: true, churn: true})
 }

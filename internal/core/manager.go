@@ -89,10 +89,6 @@ type PeriodReport struct {
 	Slowdowns  []float64
 	Unfairness float64
 	State      AllocState
-
-	// SolveCache snapshots the target's solve-cache counters, when the
-	// target exposes them (machine.Machine with WithSolveCache does).
-	SolveCache machine.CacheStats
 }
 
 // appRT is the manager's per-application runtime state.
@@ -898,9 +894,6 @@ func (m *Manager) report(phase Phase, slowdowns []float64, unfairness float64) {
 		Slowdowns:  append([]float64(nil), slowdowns...),
 		Unfairness: unfairness,
 		State:      m.state.Clone(),
-	}
-	if t, ok := m.target.(interface{ SolveCacheDetail() machine.CacheStats }); ok {
-		rep.SolveCache = t.SolveCacheDetail()
 	}
 	m.OnPeriod(rep)
 }

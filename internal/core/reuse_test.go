@@ -82,17 +82,6 @@ func runPeriods(t *testing.T, mgr *Manager, n int) []periodRec {
 	return recs
 }
 
-// snapshotSansShared clears the one documented-nondeterministic counter
-// (SharedHits depends on what the rest of the process solved first)
-// before snapshot comparison.
-func snapshotSansShared(m *machine.Machine) machine.Snapshot {
-	snap := m.Snapshot()
-	if snap.SolveCache != nil {
-		snap.SolveCache.SharedHits = 0
-	}
-	return snap
-}
-
 // TestManagerReuseBitIdentical pins the contract the fleet's runtime
 // pool is built on, at the core layer: a reused manager over a reset
 // machine and a reseeded RNG produces exactly the trajectory a freshly
@@ -105,7 +94,7 @@ func TestManagerReuseBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := runPeriods(t, mgr, periods)
-	wantSnap := snapshotSansShared(m)
+	wantSnap := m.Snapshot()
 
 	m.Reset()
 	for _, model := range models {
@@ -124,7 +113,7 @@ func TestManagerReuseBitIdentical(t *testing.T) {
 	if !reflect.DeepEqual(want, got) {
 		t.Errorf("reused manager diverged from the fresh run")
 	}
-	if gotSnap := snapshotSansShared(m); !reflect.DeepEqual(wantSnap, gotSnap) {
+	if gotSnap := m.Snapshot(); !reflect.DeepEqual(wantSnap, gotSnap) {
 		t.Errorf("reused machine's final snapshot differs from the fresh run's")
 	}
 }
@@ -149,7 +138,7 @@ func TestProfileMemoRestoreBitIdentical(t *testing.T) {
 		t.Fatal("ExportProfileMemo returned nil right after Profile")
 	}
 	want := runPeriods(t, mgrA, periods)
-	wantSnap := snapshotSansShared(mA)
+	wantSnap := mA.Snapshot()
 
 	mB, _, mgrB, _ := reuseSetup(t)
 	_ = models
@@ -163,7 +152,7 @@ func TestProfileMemoRestoreBitIdentical(t *testing.T) {
 	if !reflect.DeepEqual(want, got) {
 		t.Errorf("memo-restored manager diverged from the live-profiled run")
 	}
-	if gotSnap := snapshotSansShared(mB); !reflect.DeepEqual(wantSnap, gotSnap) {
+	if gotSnap := mB.Snapshot(); !reflect.DeepEqual(wantSnap, gotSnap) {
 		t.Errorf("memo-restored machine's final snapshot differs from the live-profiled run's")
 	}
 }

@@ -213,7 +213,8 @@ func (s *Snapshot) checkVersion() error {
 }
 
 // RestoreSnapshot rebuilds the machine and the manager from a snapshot.
-// The machine gets its solve cache back when the snapshot recorded one.
+// The machine comes back without a solve cache — a memo changes speed
+// only, and the daemon's machine never had one.
 // The restored manager owns a fresh CountingSource advanced to the
 // recorded stream position, so its future decisions are bit-identical
 // to the original manager's.
@@ -221,11 +222,7 @@ func RestoreSnapshot(snap *Snapshot) (*Manager, *machine.Machine, error) {
 	if err := snap.checkVersion(); err != nil {
 		return nil, nil, err
 	}
-	var opts []machine.Option
-	if snap.Machine.SolveCache != nil {
-		opts = append(opts, machine.WithSolveCache())
-	}
-	mach, err := machine.RestoreSnapshot(snap.Machine, opts...)
+	mach, err := machine.RestoreSnapshot(snap.Machine)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -404,8 +401,7 @@ func reportEqual(a, b PeriodReport) bool {
 // encoding of times, phases, apps, slowdown bits, unfairness bits, and
 // states). Two sequences digest equal iff ReportsEqual would accept
 // them, which lets generated regression tests embed one uint64 instead
-// of the full report dump. Cache counters are excluded: they depend on
-// where in the run the snapshot was cut, not on the trajectory.
+// of the full report dump.
 func ReportsDigest(reports []PeriodReport) uint64 {
 	h := fnv.New64a()
 	var buf [8]byte

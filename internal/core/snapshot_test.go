@@ -276,6 +276,47 @@ func TestSnapshotRejectsOtherFormats(t *testing.T) {
 	}
 }
 
+// TestSnapshotIgnoresLegacySolveCache: machines used to snapshot their
+// solve-cache counters under a "solveCache" key. A blob of this wire
+// format that still carries the object (copartd never wrote one, its
+// machine has no cache) parses, restores and replays bit-identically to
+// the same blob without it.
+func TestSnapshotIgnoresLegacySolveCache(t *testing.T) {
+	mgr, _ := snapSetup(t, 5, 0)
+	if err := mgr.Run(20 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := mgr.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err := snap.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacy := bytes.Replace(plain, []byte(`"noiseState":`),
+		[]byte(`"solveCache": {"Hits": 412, "Misses": 97, "Evictions": 0, "SharedHits": 31, "Entries": 0}, "noiseState":`), 1)
+	if bytes.Equal(plain, legacy) {
+		t.Fatal("the blob has no machine.noiseState to anchor the legacy object on")
+	}
+	replay := func(blob []byte) []PeriodReport {
+		t.Helper()
+		parsed, err := ParseSnapshot(blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reports, err := ReplaySnapshot(parsed, 40*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return reports
+	}
+	want, got := replay(plain), replay(legacy)
+	if len(want) == 0 || !ReportsEqual(want, got) {
+		t.Fatalf("a legacy solveCache object changed the replay (%d vs %d reports)", len(want), len(got))
+	}
+}
+
 // TestSnapshotWeightsSurvive: weights set at runtime are carried through
 // a snapshot/restore cycle.
 func TestSnapshotWeightsSurvive(t *testing.T) {

@@ -70,7 +70,7 @@ func TestParallelDeterminism(t *testing.T) {
 	}
 }
 
-// TestSharedCacheDeterminism pins the L2 contract at the experiment
+// TestSharedCacheDeterminism pins the cache contract at the experiment
 // level: the process-wide shared solve cache is an exact memo, so
 // toggling it — with a warm table left over from other tests, and at
 // several worker counts — must not change a single bit of Figure 12.

@@ -130,7 +130,7 @@ func TestChurnValidation(t *testing.T) {
 
 // TestChurnSteadyStateAllocs pins the tentpole acceptance target: zero
 // allocations per churn run once the pool, schedule scratch, stripes,
-// cache tiers, and a reused Result are warm — independent of
+// caches, and a reused Result are warm — independent of
 // arrivals × periods.
 func TestChurnSteadyStateAllocs(t *testing.T) {
 	cfg := ChurnConfig{Arrivals: 8, MeanLife: 5, MaxLife: 10, Seed: 3}

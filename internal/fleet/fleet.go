@@ -26,7 +26,7 @@
 // allocation-free.
 //
 // Two read-only structures ARE shared, because they are pure functions
-// of the machine configuration: the process-wide L2 solve cache (whose
+// of the machine configuration: the process-wide solve cache (whose
 // entries are exact, so sharing shifts timing but never values) and a
 // per-configuration workloads.MixCache of precomputed mixes and STREAM
 // reference rates.
@@ -43,7 +43,7 @@
 // default core.Features, every period measured, Equation 2 through
 // fairness.Unfairness. TestFleetNodeMatchesStandalone rebuilds nodes by
 // hand and requires bit-equal outcomes, so everything above — pool,
-// carries, profile memos, both cache tiers — changes speed, never
+// carries, profile memos, the solve cache — changes speed, never
 // values.
 package fleet
 
@@ -146,18 +146,14 @@ type NodeResult struct {
 	// Ways and MBA are the final allocation state.
 	Ways []int
 	MBA  []int
-	// CacheHits/CacheMisses/CacheEvictions are the node machine's L1
-	// solve-cache counters. All are deterministic — an L2 hit is adopted
-	// into the L1 exactly like a fresh solve, so these values are
-	// identical with the shared cache enabled or disabled, at any worker
-	// count (the L2's own hit/miss split is timing-dependent and lives in
-	// Result.Shared instead).
-	CacheHits      uint64
-	CacheMisses    uint64
-	CacheEvictions uint64
-	// Vestigial, always zero: the score memo is gone, and the fields leave
-	// with core.score_memo_hit_ratio in the next benchmark-only PR.
-	ScoreHits, ScoreMisses uint64
+	// Vestigial, always zero: the per-machine solve table and the score
+	// memo are gone, and the fields leave with machine.l1_hit_ratio and
+	// core.score_memo_hit_ratio in the next benchmark-only PR (ROADMAP
+	// item 4). They are not refilled from Result.Shared: the frozen
+	// benchmark folds them into its digest, and a shared hit/miss split
+	// differs between a cold and a warm process.
+	CacheHits, CacheMisses, CacheEvictions uint64
+	ScoreHits, ScoreMisses                 uint64
 	// Phase is the controller's phase name after the last period and
 	// FailStreak its consecutive-failure count — both deterministic, and
 	// both all-healthy ("idle"/"exploration", streak 0) in a fault-free
@@ -225,16 +221,14 @@ type Result struct {
 	Block       int
 	Blocks      []BlockStats
 	StripeMerge time.Duration
-	// CacheHits/CacheMisses/CacheEvictions sum the per-node counters
-	// (deterministic). Shared is the process-wide L2 delta over this run:
-	// its hit/miss split depends on which node solved a state first and
-	// is the one nondeterministic cache figure.
-	CacheHits      uint64
-	CacheMisses    uint64
-	CacheEvictions uint64
-	Shared         machine.SharedCacheStats
+	// Shared is the process-wide solve cache's delta over this run: its
+	// hit/miss split depends on which node solved a state first and on
+	// what the process solved before the run, so it is the one
+	// nondeterministic figure here.
+	Shared machine.SharedCacheStats
 	// Vestigial, always zero: see NodeResult's fields of the same names.
-	ScoreHits, ScoreMisses uint64
+	CacheHits, CacheMisses, CacheEvictions uint64
+	ScoreHits, ScoreMisses                 uint64
 	// Pool is the runtime pool's activity over this run. The hit/miss
 	// split is timing-dependent under parallel execution (whichever node
 	// finishes first donates its runtime), so it is reported here rather
@@ -730,8 +724,6 @@ func runNode(cfg Config, node, periods int, ways, mba []int, carry *nodeRuntime,
 	st2 := core.AllocState{Ways: ways, MBA: mba}
 	mgr.StateInto(&st2)
 	res.Ways, res.MBA = st2.Ways, st2.MBA
-	cs := rt.m.SolveCacheDetail()
-	res.CacheHits, res.CacheMisses, res.CacheEvictions = cs.Hits, cs.Misses, cs.Evictions
 	res.Phase = mgr.Phase().String()
 	res.FailStreak = mgr.FailStreak()
 	if poolable {
@@ -902,9 +894,6 @@ func (res *Result) aggregate(sharedBefore machine.SharedCacheStats, nb int) {
 	for b := 0; b < nb; b++ {
 		st := &stripes[b]
 		res.TotalPeriods += st.periods
-		res.CacheHits += st.cacheHits
-		res.CacheMisses += st.cacheMisses
-		res.CacheEvictions += st.cacheEvictions
 		res.Health.Healthy += st.healthy
 		res.Health.Degraded += st.degraded
 		if st.maxFailStreak > res.Health.MaxFailStreak {

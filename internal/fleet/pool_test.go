@@ -45,7 +45,7 @@ func freshSubstrates() (restore func()) {
 }
 
 // TestFleetSteadyStateAllocs pins the tentpole: once the runtime pool,
-// the mix cache, both solve-cache tiers, the stripes, and a reused
+// the mix cache, the solve cache, the stripes, and a reused
 // Result are warm, a sequential RunInto allocates NOTHING — not a
 // bounded fixed cost, zero. Block dispatch calls a package-level
 // function inline, the stripes and merge scratch retain capacity, and
@@ -69,7 +69,7 @@ func TestFleetNoisySteadyStateAllocs(t *testing.T) {
 }
 
 // warmRunAllocs returns the allocations of one sequential RunInto once
-// two runs have warmed the pool, every cache tier, and the Result.
+// two runs have warmed the pool, the caches, and the Result.
 func warmRunAllocs(t *testing.T, cfg Config) float64 {
 	t.Helper()
 	parallel.SetWorkers(1)

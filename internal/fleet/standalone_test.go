@@ -83,8 +83,8 @@ func standaloneNode(cfg Config, i int) (NodeResult, error) {
 // fleet node ends on exactly the allocation, phase and Equation 2 bits
 // of the same consolidation controlled stand-alone, noise-free and under
 // PMC jitter. The fleet arm runs twice so the second pass lands on
-// pooled runtimes, carries, restored profile memos and warm L1/L2 solve
-// caches; the stand-alone arm has none of them — so all of those change
+// pooled runtimes, carries, restored profile memos and a warm solve
+// cache; the stand-alone arm has none of them — so all of those change
 // speed, never values.
 func TestFleetNodeMatchesStandalone(t *testing.T) {
 	noisy := machine.DefaultConfig()

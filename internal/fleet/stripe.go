@@ -138,15 +138,12 @@ type blockStripe struct {
 	lo, hi int // node range [lo, hi)
 	lat    latSampler
 
-	periods        int
-	reprofiles     int
-	cacheHits      uint64
-	cacheMisses    uint64
-	cacheEvictions uint64
-	healthy        int
-	degraded       int
-	maxFailStreak  int
-	poolCarries    uint64 // runtimes handed node-to-node without a pool round-trip
+	periods       int
+	reprofiles    int
+	healthy       int
+	degraded      int
+	maxFailStreak int
+	poolCarries   uint64 // runtimes handed node-to-node without a pool round-trip
 }
 
 // reset prepares the stripe for a run over nodes [lo, hi) pushing the
@@ -165,9 +162,6 @@ func (st *blockStripe) reset(lo, hi, latMax, pushes int) {
 func (st *blockStripe) accumulate(nr *NodeResult) {
 	st.periods += nr.Periods
 	st.reprofiles += nr.Reprofiles
-	st.cacheHits += nr.CacheHits
-	st.cacheMisses += nr.CacheMisses
-	st.cacheEvictions += nr.CacheEvictions
 	if nr.Phase == phaseDegradedName {
 		st.degraded++
 	} else {

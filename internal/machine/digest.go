@@ -86,14 +86,14 @@ func configDigest(c Config) uint64 {
 	return h
 }
 
-// hashKey hashes an encoded cache key (shared-cache shard selection).
-// It folds the key eight bytes at a time — FNV constants over
-// little-endian words rather than bytes — because it runs once per L1
-// miss over a ~100-byte key and the byte-serial form was a visible
-// fraction of a fleet period sweep. The word-folded value differs from
-// byte-wise FNV-1a, which is irrelevant here: the hash picks a shard,
-// it never names an entry (map keys are the exact bytes), so the only
-// requirement is agreement with hashString over equal bytes.
+// hashKey hashes an encoded cache key (shared-cache shard and probe slot
+// selection). It folds the key eight bytes at a time — FNV constants
+// over little-endian words rather than bytes — because it runs once per
+// memoized solve over a ~100-byte key and the byte-serial form was a
+// visible fraction of a fleet period sweep. The word-folded value
+// differs from byte-wise FNV-1a, which is irrelevant here: the hash
+// picks a shard and a slot, it never names an entry (perfTable compares
+// the exact key bytes).
 func hashKey(key []byte) uint64 {
 	h := uint64(fnvOffset64)
 	for ; len(key) >= 8; key = key[8:] {

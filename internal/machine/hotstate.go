@@ -6,9 +6,9 @@ import (
 )
 
 // HotState is an in-place machine checkpoint: the mutable state a run
-// accumulates — virtual time, per-app counters and allocations, and the
-// L1 solve-cache contents — captured from a live machine and adoptable
-// by another machine with the same configuration and application set.
+// accumulates — virtual time, per-app counters and allocations —
+// captured from a live machine and adoptable by another machine with the
+// same configuration and application set.
 //
 // It exists for trajectory memoization: when a whole phase of execution
 // is a pure function of the starting configuration (the fleet's
@@ -20,10 +20,9 @@ import (
 // and apps and only adopts the run-mutable state, allocation-free at
 // steady state.
 //
-// A HotState shares memory with every machine that captured or restored
-// it (cache keys and entry slices are immutable by the solve-cache
-// contract), so it is safe to restore the same value into many machines
-// concurrently — but each individual machine remains single-threaded.
+// A HotState is immutable once captured, so it is safe to restore the
+// same value into many machines concurrently — but each individual
+// machine remains single-threaded.
 type HotState struct {
 	configDigest uint64
 	now          time.Duration
@@ -34,21 +33,6 @@ type HotState struct {
 	counters []Counters
 	allocs   []Alloc
 	active   []bool
-
-	// cacheTab is a self-contained copy of the L1 solve-cache contents,
-	// built once at capture and immutable afterwards. Restore adopts it
-	// by reference as the cache's read-only base tier (solvecache.go) —
-	// a pointer swap instead of re-inserting every entry, which turns
-	// the per-node restore in a fleet run from O(cached states) into
-	// O(1). Entry slices inside are shared with the source cache
-	// (immutable by the solve-cache contract); the key bytes are copied
-	// because the source arena compacts under eviction.
-	cacheTab   *perfTable
-	hits       uint64
-	misses     uint64
-	evictions  uint64
-	sharedHits uint64
-	hasCache   bool
 }
 
 // CaptureHotState checkpoints the machine's run-mutable state. The
@@ -74,26 +58,6 @@ func (m *Machine) CaptureHotState() (HotState, error) {
 		hs.allocs[i] = a.alloc
 		hs.active[i] = a.active
 	}
-	if m.cache != nil {
-		hs.hasCache = true
-		// Flatten the cache's base tier (if this machine itself restored
-		// a checkpoint) and its own table into one self-contained copy,
-		// in logical insertion order.
-		tab := &perfTable{}
-		for _, src := range []*perfTable{m.cache.base, &m.cache.tab} {
-			if src == nil {
-				continue
-			}
-			for i := 0; i < src.size(); i++ {
-				tab.insert(src.fps[i], src.keyAt(i), src.entries[i])
-			}
-		}
-		hs.cacheTab = tab
-		hs.hits = m.cache.hits.Load()
-		hs.misses = m.cache.misses.Load()
-		hs.evictions = m.cache.evictions.Load()
-		hs.sharedHits = m.cache.sharedHits.Load()
-	}
 	return hs, nil
 }
 
@@ -101,12 +65,10 @@ func (m *Machine) CaptureHotState() (HotState, error) {
 // the same configuration (verified by digest) and the same application
 // table (same names, same launch order) as the machine the checkpoint
 // was captured from; the method then overwrites virtual time, per-app
-// counters and allocations, and the L1 cache, leaving the machine
-// bit-identical in behavior to the one that was checkpointed.
-//
-// Any pending L2 publications accumulated before the restore are
-// dropped (the checkpointed entries were already published, or will be
-// re-solved by whoever needs them — the L2 affects speed, never values).
+// counters and allocations, leaving the machine bit-identical in
+// behavior to the one that was checkpointed. Solve-cache state is not
+// touched: keys are exact, so whatever this machine has pending stays
+// valid.
 func (m *Machine) RestoreHotState(hs HotState) error {
 	if hs.configDigest != m.cfgDigest {
 		return fmt.Errorf("machine: hot state config fingerprint %#x does not match %#x", hs.configDigest, m.cfgDigest)
@@ -121,9 +83,6 @@ func (m *Machine) RestoreHotState(hs HotState) error {
 		if a.model.Name != hs.names[i] {
 			return fmt.Errorf("machine: hot state app %d is %q, machine has %q", i, hs.names[i], a.model.Name)
 		}
-	}
-	if hs.hasCache != (m.cache != nil) {
-		return fmt.Errorf("machine: hot state and machine disagree on solve-cache presence")
 	}
 	m.now = hs.now
 	for i, a := range m.apps {
@@ -143,19 +102,5 @@ func (m *Machine) RestoreHotState(hs HotState) error {
 	// The solver scratch no longer describes the machine.
 	m.solveClean = false
 	m.gatherValid = false
-	if m.cache != nil {
-		m.cache.clearPending()
-		m.cache.tab.truncate()
-		// Adopt the checkpoint's table by reference as the read-only base
-		// tier: lookups see exactly the membership the checkpointed
-		// machine held, so the hit/miss trajectory from here on is
-		// bit-identical to a copying restore — without the per-entry
-		// insert walk.
-		m.cache.base = hs.cacheTab
-		m.cache.hits.Store(hs.hits)
-		m.cache.misses.Store(hs.misses)
-		m.cache.evictions.Store(hs.evictions)
-		m.cache.sharedHits.Store(hs.sharedHits)
-	}
 	return nil
 }

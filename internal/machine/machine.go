@@ -206,8 +206,8 @@ type Machine struct {
 	// snapshot change since the last solveActiveScratch. Phased machines
 	// never use it (time itself is a solver input there). It lets a
 	// control period whose allocations converged — idle phases, settled
-	// exploration — skip the solve path entirely, key encoding and cache
-	// probes included.
+	// exploration — skip the solve path entirely, key encoding and the
+	// cache lookup included.
 	solveClean bool
 	// gatherValid reports that scratch.models/allocs/digests still
 	// describe the active set: no app launched or removed since the last
@@ -222,7 +222,7 @@ type Machine struct {
 	// RemoveApp/Reset) is harmless.
 	scanCursor int
 	scratch    solveScratch
-	cache      *solveCache // nil unless WithSolveCache
+	cache      *solveCache // key scratch and pending batch; nil unless WithSolveCache
 }
 
 // advanceCursor moves the lookup hint past a scan hit at slot i,
@@ -257,8 +257,8 @@ type solveScratch struct {
 	arbRes     membw.Result   // arbitration output (Grants reused)
 	perfs      []Perf         // solveActiveScratch solve buffer (Step, Occupancy)
 	// view is what the last solveActiveScratch returned: perfs when the
-	// state was freshly solved, or a cache tier's immutable entry on a
-	// hit — aliased instead of copied, since Step and Occupancy only
+	// state was freshly solved, or the shared cache's immutable entry on
+	// a hit — aliased instead of copied, since Step and Occupancy only
 	// read it. Never written through.
 	view []Perf
 }
@@ -272,19 +272,19 @@ type appTerms struct {
 // Option configures a Machine at construction.
 type Option func(*Machine)
 
-// WithSolveCache enables memoization of steady-state solves, keyed by
-// the resolved models and allocations. Exploration policies revisit
-// allocation states constantly, so cached solves skip whole fixed-point
-// iterations. The cache is exact — a hit returns bit-identical results
-// to recomputing, because Solve is deterministic in its inputs — and is
-// invalidated on AddApp/RemoveApp and on phase advance (Step) when any
-// application is phased. Cache-enabled machines also consult the
-// process-wide shared L2 (sharedcache.go) under the per-machine table,
-// so states solved by other machines — grid cells, fleet nodes — are
-// lookups here (SolveSession sweeps are the exception: uncached). See
-// DESIGN.md §7 and §9.
+// WithSolveCache makes the machine consult and publish to the
+// process-wide solve cache (sharedcache.go), keyed by the resolved
+// models and allocations. Exploration policies revisit allocation
+// states constantly, so memoized solves skip whole fixed-point
+// iterations, and a state solved by any machine in the process — grid
+// cells, fleet nodes — is a lookup here (SolveSession sweeps are the
+// exception: uncached). The cache is exact — a hit returns bit-identical
+// results to recomputing, because Solve is deterministic in its inputs
+// and the key covers all of them — so nothing invalidates it. With the
+// shared cache switched off (SetSharedSolveCache) the machine memoizes
+// nothing. See DESIGN.md §7 and §9.
 func WithSolveCache() Option {
-	return func(m *Machine) { m.cache = newSolveCache(defaultSolveCacheEntries) }
+	return func(m *Machine) { m.cache = &solveCache{} }
 }
 
 // New builds a machine with the given configuration.
@@ -359,7 +359,6 @@ func (m *Machine) AddApp(model AppModel) error {
 	}
 	m.solveClean = false
 	m.gatherValid = false
-	m.cache.invalidate()
 	return nil
 }
 
@@ -380,11 +379,9 @@ func (m *Machine) nextAppSlot() *app {
 }
 
 // Reset retires every application and rewinds virtual time to zero,
-// keeping the machine's configuration, arbiter, solver scratch, and — if
-// enabled — its L1 solve-cache buffers (entries and counters are
-// cleared; the persistent key-intern table is kept, it only affects
-// allocations). Pending shared-cache publications are flushed first so
-// work solved by the retiring tenant stays visible process-wide. A reset
+// keeping the machine's configuration, arbiter and solver scratch.
+// Pending shared-cache publications are flushed first so work solved by
+// the retiring tenant stays visible process-wide. A reset
 // machine behaves bit-identically to a freshly constructed one with the
 // same configuration: the fleet's node-runtime pool relies on exactly
 // that (DESIGN.md §12). App slots are retained beyond len for reuse by
@@ -406,7 +403,6 @@ func (m *Machine) Reset() {
 	m.hasPhases = false
 	m.solveClean = false
 	m.gatherValid = false
-	m.cache.reset()
 }
 
 // RemoveApp terminates an application (the idle phase detects this as a
@@ -422,7 +418,6 @@ func (m *Machine) RemoveApp(name string) error {
 	m.apps[i].active = false
 	m.solveClean = false
 	m.gatherValid = false
-	m.cache.invalidate()
 	return nil
 }
 
@@ -611,10 +606,9 @@ func (m *Machine) Step(dt time.Duration) error {
 	m.now += dt
 	// Phase advances invalidate nothing: the cache key is exact over
 	// resolved models, so entries from an old phase simply stop being
-	// looked up, and the bounded batch eviction (solvecache.go) is the
-	// memory bound. One period boundary is also the batching point for
+	// looked up. One period boundary is the batching point for
 	// shared-cache publication — everything this period solved is pushed
-	// to the L2 in one grouped, striped acquire.
+	// in one grouped, striped acquire.
 	m.FlushShared()
 	return nil
 }
@@ -740,7 +734,7 @@ func (m *Machine) Solve() ([]Perf, error) {
 func (m *Machine) solveActiveScratch() ([]Perf, error) {
 	// Work skipping: when nothing a solver reads has changed since the
 	// last scratch solve, the previous steady state is still exact —
-	// return it without touching the cache tiers. Phased machines are
+	// return it without touching the cache. Phased machines are
 	// excluded because their resolved models move with virtual time.
 	if m.solveClean && !m.hasPhases {
 		return m.scratch.view, nil
@@ -754,7 +748,7 @@ func (m *Machine) solveActiveScratch() ([]Perf, error) {
 		sc.perfs = make([]Perf, len(models))
 	}
 	sc.perfs = sc.perfs[:len(models)]
-	// solveRef hands back a cache tier's entry directly on a hit — the
+	// solveRef hands back the cache's entry directly on a hit — the
 	// dominant fleet steady state — so the per-period path moves no Perf
 	// structs at all; only a fresh solve writes into sc.perfs.
 	out, err := m.solveRef(sc.perfs, models, allocs, digests, true)
@@ -799,7 +793,7 @@ func (m *Machine) SolveForInto(perfs []Perf, models []AppModel, allocs []Alloc) 
 // its MBA delay and bandwidth cap only on its level, so the session
 // tabulates them and feeds solvePrivate, the kernel the general path
 // runs. Sessions are uncached — a table-fed solve is cheaper than a
-// shared-L2 hit (DESIGN.md §9.1) — and multi-socket machines and
+// shared-cache hit (DESIGN.md §9.1) — and multi-socket machines and
 // overlapping CBMs take the general uncached path. Results are
 // bit-identical to SolveFor's.
 //
@@ -921,8 +915,8 @@ func (s *SolveSession) IPSBounds(app, ways, level int) (lo, hi float64, ok bool)
 	return lo, hi, true
 }
 
-// solveForInto is the common solver entry: validate, consult the memo
-// caches (per-machine L1, then the process-wide shared L2), and solve
+// solveForInto is the common solver entry: validate, consult the
+// process-wide memo (WithSolveCache machines only), and solve
 // per socket domain, writing the steady state into perfs
 // (len(perfs) == len(models)). digests must either be nil (computed on
 // demand into scratch) or hold modelDigest of each resolved model.
@@ -969,7 +963,7 @@ func (m *Machine) validateExternal(models []AppModel, allocs []Alloc) error {
 }
 
 // solveRef is solveForInto returning the steady state by reference: on
-// a cache hit it hands back the tier's immutable entry instead of
+// a cache hit it hands back the cache's immutable entry instead of
 // copying it into perfs, and only a fresh solve writes perfs (and
 // returns it). Callers either copy (solveForInto) or treat the result as
 // read-only (solveActiveScratch, whose consumers Step and Occupancy
@@ -983,7 +977,7 @@ func (m *Machine) solveRef(perfs []Perf, models []AppModel, allocs []Alloc, dige
 		}
 	}
 	shared := m.cache != nil && SharedSolveCacheEnabled()
-	if m.cache != nil {
+	if shared {
 		if digests == nil {
 			sc := &m.scratch
 			sc.extDigests = sc.extDigests[:0]
@@ -993,45 +987,26 @@ func (m *Machine) solveRef(perfs []Perf, models []AppModel, allocs []Alloc, dige
 			digests = sc.extDigests
 		}
 		m.cache.encodeKey(m.cfgDigest, digests, allocs)
-		if cached, ok := m.cache.lookup(); ok {
+		if cached, ok := sharedSolve.lookup(m.cache.key, m.cache.fp); ok {
 			return cached, nil
-		}
-		if shared {
-			if cached, ok := sharedSolve.lookup(m.cache.key, m.cache.fp); ok {
-				m.cache.sharedHits.Add(1)
-				// Adopt the entry into the L1 exactly as a fresh solve
-				// would store it, so the L1 trajectory (and its counters)
-				// is independent of whether the L2 served the miss.
-				m.cache.store(cached)
-				return cached, nil
-			}
 		}
 	}
 	if err := m.solveFresh(perfs, models, allocs); err != nil {
 		return nil, err
 	}
-	if m.cache != nil {
-		// encodeKey left the key in the cache's scratch. One fresh
-		// immutable copy backs both tiers: the L1 owns it, and the L2
-		// publishes the same slice to other machines (nobody writes
-		// through a stored entry, so aliasing is safe).
-		entry := make([]Perf, len(perfs)) //copart:allocok cache-miss path: one immutable entry backs both cache tiers
+	if shared {
+		// encodeKey left the key in the cache's scratch. Publication is
+		// deferred into the pending batch that Step flushes once per
+		// period: one striped acquire per node-period instead of one
+		// mutex acquire per solve.
+		entry := make([]Perf, len(perfs)) //copart:allocok cache-miss path: the immutable entry the shared cache will hold
 		copy(entry, perfs)
-		m.cache.store(entry)
-		if shared {
-			// Self-visibility is already guaranteed by the L1, so the L2
-			// publication is deferred into the pending batch that Step
-			// flushes once per period (one striped acquire per node-period
-			// instead of one mutex acquire per solve). Publication timing
-			// only shifts which machine's L2 hit/miss counter moves —
-			// documented nondeterministic.
-			m.cache.pend(entry)
-		}
+		m.cache.pend(entry)
 	}
 	return perfs, nil
 }
 
-// solveFresh solves a validated state, touching neither cache tier.
+// solveFresh solves a validated state without touching the cache.
 // Sockets are independent resource domains: each has its own LLC and
 // DRAM budget, so the solver runs per socket and the results are merged
 // back in input order.
@@ -1069,23 +1044,22 @@ func (m *Machine) solveFresh(perfs []Perf, models []AppModel, allocs []Alloc) er
 	return nil
 }
 
-// FlushShared publishes the pending L2 entries batched since the last
-// flush, grouped so each distinct shard's lock is taken once (see
-// sharedCache.storeBatch). Machine calls it on period boundaries (Step)
-// and on Reset, and the pending buffer flushes itself when it reaches
-// capacity; drivers that solve without stepping — sweeps over SolveFor —
-// may call it to publish eagerly. Safe without a cache or with nothing
+// FlushShared publishes the solves batched since the last flush to the
+// process-wide cache, grouped so each distinct shard's lock is taken
+// once (see sharedCache.storeBatch). Machine calls it on period
+// boundaries (Step) and on Reset, and the pending buffer flushes itself
+// when it reaches capacity; drivers that solve without stepping — sweeps
+// over SolveFor — may call it to publish eagerly. Until a flush a fresh
+// solve is visible to nobody, its own machine included: a state solved
+// twice before one is solved twice (the values are equal, and storeBatch
+// replaces a duplicate key). Safe without a cache or with nothing
 // pending.
 //
 //copart:noalloc
 func (m *Machine) FlushShared() {
-	if m.cache == nil || len(m.cache.pendFps) == 0 {
-		return
+	if m.cache != nil && len(m.cache.pendFps) != 0 {
+		m.cache.flush()
 	}
-	if SharedSolveCacheEnabled() {
-		sharedSolve.storeBatch(m.cache.pendArena, m.cache.pendEnds, m.cache.pendFps, m.cache.pendEntries)
-	}
-	m.cache.clearPending()
 }
 
 // solveDomainInto solves one socket's applications against one LLC and

@@ -2,21 +2,21 @@ package machine
 
 import "bytes"
 
-// perfTable is the open-addressed fingerprint table behind both solve
-// cache tiers: solver states keyed by their exact encoded key, entries
-// dense and insertion-ordered. The previous map[string][]Perf tiers
-// spent a measurable slice of every fleet period in string hashing,
-// bucket probing, and key interning; the table replaces that with one
-// 64-bit FNV fingerprint (computed once per period by encodeKey),
-// a linear probe over an int32 slot index at ≤75% load, and an exact
-// byte-compare of the stored key to rule out fingerprint collisions.
-// Keys live concatenated in one arena — no per-key string headers, no
-// intern table — and insertion order makes eviction deterministic
-// (oldest first) where map iteration order was not.
+// perfTable is the open-addressed fingerprint table behind each shard of
+// the shared solve cache: solver states keyed by their exact encoded
+// key, entries dense and insertion-ordered. A lookup costs one 64-bit
+// FNV fingerprint (computed once per solve by encodeKey), a linear probe
+// over an int32 slot index at ≤75% load, and an exact byte-compare of
+// the stored key to rule out fingerprint collisions — where a
+// map[string][]Perf spent a measurable slice of every fleet period in
+// string hashing, bucket probing, and key interning. Keys live
+// concatenated in one arena — no per-key string headers, no intern
+// table — and insertion order makes eviction deterministic (oldest
+// first).
 //
-// The table only ever changes speed, never values: like the maps it
-// replaces, a hit is bit-identical to recomputation because the key
-// covers every solver input.
+// The table only ever changes speed, never values: a hit is
+// bit-identical to recomputation because the key covers every solver
+// input.
 type perfTable struct {
 	idx      []int32 // 1+entry or 0 = empty; len is a power of two
 	fps      []uint64
@@ -119,9 +119,8 @@ func (t *perfTable) truncate() {
 
 // evictOldest removes the first (oldest) batch entries, compacting the
 // dense storage and reindexing, and reports how many were evicted.
-// Insertion-order victims make eviction deterministic, unlike the map
-// iteration the tiers previously relied on — a speed/counter effect
-// only, never a value change.
+// Insertion-order victims make eviction deterministic — a speed/counter
+// effect only, never a value change.
 //
 //copart:noalloc
 func (t *perfTable) evictOldest(batch int) int {

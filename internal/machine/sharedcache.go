@@ -5,19 +5,19 @@ import (
 	"sync/atomic"
 )
 
-// The process-wide L2 solve cache. Every cache-enabled Machine — grid
-// cells, fleet nodes — consults it under its L1 (SolveSession sweeps
-// bypass both tiers: their states are single-use), so a state solved
-// once anywhere in the process is a lookup everywhere else. Like the L1
-// it is a pure exact memo: keys carry the full solver input (config
-// digest + per-app model digest + allocation bits), a hit is
+// The process-wide solve cache, the only solve memo there is. Every
+// WithSolveCache Machine — grid cells, fleet nodes — consults it
+// (SolveSession sweeps bypass it: their states are single-use), so a
+// state solved once anywhere in the process is a lookup everywhere
+// else. It is a pure exact memo: keys carry the full solver input
+// (config digest + per-app model digest + allocation bits), a hit is
 // bit-identical to recomputation, and sharing therefore cannot perturb
 // any seeded run regardless of goroutine interleaving — only which
 // duplicate solve gets skipped is timing-dependent, never a value. Lock
 // striping (128 shards, each a mutex + fingerprint table) keeps fleet
-// workers from serializing on one lock, and the shard is selected by the
-// same hashKey fingerprint the L1 computed — an L1 miss reaches the L2
-// without hashing the key a second time.
+// workers from serializing on one lock; the hashKey fingerprint that
+// encodeKey leaves in the machine's scratch selects the shard and the
+// probe slot, so a key is hashed once.
 const (
 	sharedShardCount = 128
 	sharedShardCap   = 4096 // entries per shard; ~524k process-wide
@@ -46,7 +46,7 @@ type sharedCache struct {
 
 var (
 	sharedSolve sharedCache
-	// sharedOff gates the L2; the zero value means enabled, so the cache
+	// sharedOff gates the cache; the zero value means enabled, so it
 	// is on by default without an init step.
 	sharedOff atomic.Bool
 )
@@ -97,9 +97,9 @@ func ResetSharedSolveCache() {
 }
 
 // lookup returns the shared entry for key (with its hashKey fingerprint
-// fp, as left in the L1 scratch by encodeKey), if present. The returned
-// slice is immutable by contract: readers copy out of it and an adopting
-// L1 may alias it, but nobody writes through it.
+// fp, as left in the machine's scratch by encodeKey), if present. The
+// returned slice is immutable by contract: readers copy out of it or
+// alias it read-only (solveRef), and nobody writes through it.
 //
 //copart:noalloc
 func (c *sharedCache) lookup(key []byte, fp uint64) ([]Perf, bool) {
@@ -121,14 +121,16 @@ func (c *sharedCache) lookup(key []byte, fp uint64) ([]Perf, bool) {
 
 // storeBatch publishes a batch of entries, taking each distinct shard's
 // lock exactly once: a fleet period's worth of fresh solves lands in
-// the L2 with one striped acquire per shard touched instead of one
-// mutex handshake per solve (see Machine.FlushShared). The batch is the
-// L1's pending buffer — keys concatenated in arena with ends[i]
+// the cache with one striped acquire per shard touched instead of one
+// mutex handshake per solve (see Machine.FlushShared). The batch is a
+// machine's pending buffer — keys concatenated in arena with ends[i]
 // delimiting key i, fps the precomputed fingerprints, len(fps) ==
 // len(entries) == len(ends). The shard-done set is a 128-bit mask, so
-// the grouping allocates nothing. A full shard evicts a bounded batch
-// before taking a new key (same policy as the L1: eviction affects only
-// speed and counters, never values).
+// the grouping allocates nothing. A key already present — published by
+// another machine, or solved twice in this batch — has its entry
+// replaced by the equal new one. A full shard evicts its oldest eighth
+// before taking a new key (eviction affects only speed and counters,
+// never values).
 //
 //copart:noalloc
 func (c *sharedCache) storeBatch(arena []byte, ends []int32, fps []uint64, entries [][]Perf) {

@@ -11,11 +11,13 @@ import (
 // Snapshot is the complete serializable state of a Machine: the
 // configuration, virtual time, every application ever launched (launch
 // order and inactive entries both matter — name reuse is forbidden, and
-// Perf results index over active apps in launch order), the jitter
-// stream's state word, and the solve-cache counters. ConfigDigest
-// fingerprints the configuration so a restore against a drifted config
-// (different solver constants ⇒ different trajectories) fails loudly
-// instead of silently diverging.
+// Perf results index over active apps in launch order) and the jitter
+// stream's state word. Solve-cache use is not machine state (a memo
+// changes speed only), so a memoizing machine and a bare one in the same
+// state snapshot identically. ConfigDigest fingerprints the
+// configuration so a restore against a drifted config (different solver
+// constants ⇒ different trajectories) fails loudly instead of silently
+// diverging.
 //
 // A restored machine is bit-identical in behavior to the original: the
 // solver is a pure function of (config, models, allocations), counters
@@ -31,8 +33,7 @@ type Snapshot struct {
 	NoiseState uint64 `json:"noiseState"`
 	// NoiseCalls is the retired math/rand stream's draw count, decoded
 	// only so that RestoreSnapshot can refuse a noisy legacy snapshot.
-	NoiseCalls uint64      `json:"noiseCalls,omitempty"`
-	SolveCache *CacheStats `json:"solveCache,omitempty"`
+	NoiseCalls uint64 `json:"noiseCalls,omitempty"`
 }
 
 // AppSnapshot is one launched application's state.
@@ -63,21 +64,13 @@ func (m *Machine) Snapshot() Snapshot {
 			Active:   a.active,
 		}
 	}
-	if m.cache != nil {
-		cs := m.SolveCacheDetail()
-		cs.Entries = 0 // entries are not serialized, only the counters
-		snap.SolveCache = &cs
-	}
 	return snap
 }
 
 // RestoreSnapshot rebuilds a machine from a snapshot. Options are
-// applied as in New; pass WithSolveCache to re-enable memoization (the
-// cache's counters then resume from the snapshot, while its entries
-// rebuild lazily — entries only affect speed, never values). The
-// snapshot's config digest must match the digest recomputed from its
-// config, which catches both a corrupted blob and a Config schema
-// drift across versions.
+// applied as in New. The snapshot's config digest must match the digest
+// recomputed from its config, which catches both a corrupted blob and a
+// Config schema drift across versions.
 func RestoreSnapshot(snap Snapshot, opts ...Option) (*Machine, error) {
 	m, err := New(snap.Config, opts...)
 	if err != nil {
@@ -154,12 +147,6 @@ func RestoreSnapshot(snap Snapshot, opts ...Option) (*Machine, error) {
 		m.noiseSrc.SetState(snap.NoiseState)
 	} else if snap.NoiseState != 0 && snap.NoiseState != m.noiseSrc.State() {
 		return nil, fmt.Errorf("machine: restore: noise stream state %#x recorded but noise is disabled", snap.NoiseState)
-	}
-	if snap.SolveCache != nil && m.cache != nil {
-		m.cache.hits.Store(snap.SolveCache.Hits)
-		m.cache.misses.Store(snap.SolveCache.Misses)
-		m.cache.evictions.Store(snap.SolveCache.Evictions)
-		m.cache.sharedHits.Store(snap.SolveCache.SharedHits)
 	}
 	return m, nil
 }

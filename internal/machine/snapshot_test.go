@@ -2,6 +2,7 @@ package machine
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"time"
 
@@ -145,35 +146,37 @@ func TestMachineSnapshotRejectsTampering(t *testing.T) {
 	}
 }
 
-// TestMachineSnapshotSolveCacheCounters: cumulative cache counters
-// survive the round trip (fleet reports aggregate them).
-func TestMachineSnapshotSolveCacheCounters(t *testing.T) {
-	m := snapMachine(t, 0, WithSolveCache())
-	for i := 0; i < 4; i++ {
-		if err := m.Step(time.Second); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := m.Solve(); err != nil {
-			t.Fatal(err)
+// TestMachineSnapshotSameWithSolveCache: memoization is not machine
+// state. A memoizing machine and a bare twin after the same run snapshot
+// identically — whatever the process-wide cache held when each solved —
+// and a machine restored from either continues as both do.
+func TestMachineSnapshotSameWithSolveCache(t *testing.T) {
+	run := func(m *Machine) {
+		t.Helper()
+		for i := 0; i < 4; i++ {
+			if err := m.Step(time.Second); err != nil {
+				t.Fatal(err)
+			}
+			if err := m.SetAllocation("a", Alloc{CBM: 0b1111 << i, MBALevel: 100 - 10*i}); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
-	s := m.Snapshot()
-	if s.SolveCache == nil {
-		t.Fatal("cache-enabled machine should export cache counters")
+	cached, bare := snapMachine(t, 0, WithSolveCache()), snapMachine(t, 0)
+	run(cached)
+	run(bare)
+	s := cached.Snapshot()
+	if !reflect.DeepEqual(s, bare.Snapshot()) {
+		t.Fatalf("snapshots differ with the solve cache:\ncached: %+v\nbare:   %+v", s, bare.Snapshot())
 	}
-	r, err := RestoreSnapshot(s, WithSolveCache())
+	restored, err := RestoreSnapshot(s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	oh, om, _ := m.SolveCacheStats()
-	rh, rm, _ := r.SolveCacheStats()
-	if oh != rh || om != rm {
-		t.Errorf("cache counters: orig hits=%d misses=%d, restored hits=%d misses=%d", oh, om, rh, rm)
-	}
-
-	// A cache-less machine must not export stats.
-	plain := snapMachine(t, 0)
-	if plain.Snapshot().SolveCache != nil {
-		t.Error("cache-less machine should not export cache counters")
+	run(cached)
+	run(bare)
+	run(restored)
+	if want := bare.Snapshot(); !reflect.DeepEqual(cached.Snapshot(), want) || !reflect.DeepEqual(restored.Snapshot(), want) {
+		t.Error("the memoizing, the bare and the restored machine diverged over the same run")
 	}
 }

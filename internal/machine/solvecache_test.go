@@ -6,6 +6,20 @@ import (
 	"time"
 )
 
+// coldSharedCache switches the process-wide cache on and empties it for
+// the calling test, restoring the previous setting (and emptying it
+// again) afterwards, so SharedSolveCacheStats reads as the test's own
+// counts.
+func coldSharedCache(t *testing.T) {
+	t.Helper()
+	prev := SetSharedSolveCache(true)
+	ResetSharedSolveCache()
+	t.Cleanup(func() {
+		SetSharedSolveCache(prev)
+		ResetSharedSolveCache()
+	})
+}
+
 // twinMachines returns one memoizing and one bare machine with the same
 // configuration and the standard 4-application test mix added to both.
 func twinMachines(t *testing.T, cfg Config) (cached, bare *Machine, models []AppModel) {
@@ -38,6 +52,7 @@ func twinMachines(t *testing.T, cfg Config) (cached, bare *Machine, models []App
 // to the bare one across a sweep of allocations, including repeats that
 // exercise cache hits.
 func TestSolveCacheTransparent(t *testing.T) {
+	coldSharedCache(t)
 	cfg := DefaultConfig()
 	cached, bare, models := twinMachines(t, cfg)
 	sweep := [][]int{{3, 3, 3, 2}, {5, 2, 2, 2}, {2, 2, 2, 5}, {3, 3, 3, 2}, {5, 2, 2, 2}}
@@ -60,6 +75,7 @@ func TestSolveCacheTransparent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		cached.FlushShared() // a period boundary: the solve becomes a lookup
 		want, err := bare.Solve()
 		if err != nil {
 			t.Fatal(err)
@@ -68,26 +84,28 @@ func TestSolveCacheTransparent(t *testing.T) {
 			t.Fatalf("sweep %d: cached solve diverged:\ncached: %+v\nbare:   %+v", si, got, want)
 		}
 	}
-	hits, misses, entries := cached.SolveCacheStats()
-	if hits == 0 {
-		t.Error("sweep repeats states but the cache recorded no hits")
-	}
-	if misses == 0 || entries == 0 {
-		t.Errorf("cache recorded %d misses, %d entries; want both > 0", misses, entries)
+	if st := SharedSolveCacheStats(); st.Hits != 2 || st.Misses != 3 || st.Entries != 3 {
+		t.Errorf("a sweep of 3 states and 2 repeats recorded %d hits, %d misses, %d entries; want 2, 3, 3 (the bare twin must not count)",
+			st.Hits, st.Misses, st.Entries)
 	}
 }
 
 // TestSolveCacheReturnsFreshSlices checks a cache hit cannot alias the
 // stored entry: callers may retain and mutate the returned perfs.
 func TestSolveCacheReturnsFreshSlices(t *testing.T) {
+	coldSharedCache(t)
 	cached, _, _ := twinMachines(t, DefaultConfig())
 	first, err := cached.Solve()
 	if err != nil {
 		t.Fatal(err)
 	}
+	cached.FlushShared()
 	second, err := cached.Solve() // cache hit
 	if err != nil {
 		t.Fatal(err)
+	}
+	if st := SharedSolveCacheStats(); st.Hits != 1 {
+		t.Fatalf("the second solve was not a cache hit: %+v", st)
 	}
 	if &first[0] == &second[0] {
 		t.Fatal("cache hit returned the same backing array twice")
@@ -97,34 +115,169 @@ func TestSolveCacheReturnsFreshSlices(t *testing.T) {
 	if second[0] != saved {
 		t.Fatal("mutating one returned slice changed another")
 	}
+	second[0].IPS = -1
+	third, err := cached.Solve() // another hit on the same entry
+	if err != nil {
+		t.Fatal(err)
+	}
+	if third[0] != saved {
+		t.Fatal("mutating a returned slice changed the cached entry")
+	}
 }
 
-// TestSolveCacheInvalidation checks the membership-change hooks drop all
-// entries: stale results must be impossible after AddApp/RemoveApp.
-func TestSolveCacheInvalidation(t *testing.T) {
-	cached, _, models := twinMachines(t, DefaultConfig())
-	if _, err := cached.Solve(); err != nil {
+// TestSolveCacheBatchSemantics pins what the pending batch means without
+// a per-machine table: a state solved twice before a flush is solved
+// twice (both results fresh and equal), the flush leaves one entry, and
+// from then on the state is a lookup.
+func TestSolveCacheBatchSemantics(t *testing.T) {
+	coldSharedCache(t)
+	cfg := DefaultConfig()
+	cached, bare, models := twinMachines(t, cfg)
+	masks, err := AssignContiguousWays([]int{4, 3, 2, 2}, 0, cfg.LLCWays)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, entries := cached.SolveCacheStats(); entries == 0 {
-		t.Fatal("solve did not populate the cache")
+	allocs := make([]Alloc, len(models))
+	for i := range allocs {
+		allocs[i] = Alloc{CBM: masks[i], MBALevel: 60}
 	}
-	if err := cached.RemoveApp(models[3].Name); err != nil {
+	want, err := bare.SolveFor(models, allocs)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, entries := cached.SolveCacheStats(); entries != 0 {
-		t.Errorf("RemoveApp left %d cache entries", entries)
+	solve := func(call string, hits, misses uint64, entries int) {
+		t.Helper()
+		got, err := cached.SolveFor(models, allocs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s call differs from the bare solve", call)
+		}
+		if st := SharedSolveCacheStats(); st.Hits != hits || st.Misses != misses || st.Entries != entries {
+			t.Fatalf("after the %s call: %d hits, %d misses, %d entries; want %d, %d, %d",
+				call, st.Hits, st.Misses, st.Entries, hits, misses, entries)
+		}
 	}
-	if _, err := cached.Solve(); err != nil {
-		t.Fatal(err)
+	solve("first", 0, 1, 0)
+	solve("second", 0, 2, 0)
+	cached.FlushShared()
+	if st := SharedSolveCacheStats(); st.Entries != 1 {
+		t.Fatalf("flushing one state solved twice left %d entries, want 1", st.Entries)
 	}
-	newcomer := insensitiveModel()
+	solve("third", 1, 2, 1)
+}
+
+// TestSolveCacheNeverStale is what invalidation used to promise, checked
+// on values: a memoizing machine and a bare twin are driven through every
+// event that changes what a solve depends on — AddApp, RemoveApp, a
+// hot-state restore, a phase boundary, Reset and a relaunch — and return
+// bit-equal Solve results at every step. The memoizing machine runs
+// against a cache a third machine warmed with the same script, so each
+// of its solves is a lookup of an entry stored before the event, and
+// nothing was ever dropped from the cache. Staleness is impossible
+// because the key carries every solver input (config digest, resolved
+// model digests, allocations): a changed input is a different key.
+func TestSolveCacheNeverStale(t *testing.T) {
+	coldSharedCache(t)
+	cfg := DefaultConfig()
+	phased := llcSensitiveModel()
+	phased.Name = "a"
+	phased.Phases = []ModelPhase{
+		{Duration: 2 * time.Second},
+		{Duration: 2 * time.Second, AccScale: 3},
+	}
+	models := []AppModel{phased, bwSensitiveModel(), dualSensitiveModel(), insensitiveModel()}
+	for i := 1; i < len(models); i++ {
+		models[i].Name = string(rune('a' + i))
+	}
+	newcomer := dualSensitiveModel()
 	newcomer.Name = "e"
-	if err := cached.AddApp(newcomer); err != nil {
+	newcomer.AccPerInstr *= 2
+
+	// drive runs the script on m and returns the solve after each event.
+	drive := func(m *Machine) (steps []string, solves [][]Perf) {
+		must := func(err error) {
+			t.Helper()
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		solve := func(step string) {
+			t.Helper()
+			perfs, err := m.Solve()
+			must(err)
+			m.FlushShared()
+			steps, solves = append(steps, step), append(solves, perfs)
+		}
+		partition := func(names []string, counts []int, level int) {
+			t.Helper()
+			masks, err := AssignContiguousWays(counts, 0, cfg.LLCWays)
+			must(err)
+			for i, name := range names {
+				must(m.SetAllocation(name, Alloc{CBM: masks[i], MBALevel: level}))
+			}
+		}
+		launch := func() {
+			for _, model := range models {
+				must(m.AddApp(model))
+			}
+			solve("launch")
+			partition([]string{"a", "b", "c", "d"}, []int{3, 3, 3, 2}, 70)
+			solve("partition")
+		}
+		launch()
+		must(m.RemoveApp("d"))
+		solve("RemoveApp")
+		must(m.AddApp(newcomer))
+		solve("AddApp")
+		hot, err := m.CaptureHotState()
+		must(err)
+		must(m.Step(time.Second))
+		partition([]string{"a", "b", "c", "e"}, []int{5, 2, 2, 2}, 40)
+		solve("moved on")
+		must(m.RestoreHotState(hot))
+		solve("RestoreHotState")
+		for i := 0; i < 5; i++ { // t = 1 … 5 s: into phase 2 and back
+			must(m.Step(time.Second))
+			solve("phase boundary")
+		}
+		m.Reset()
+		launch()
+		return steps, solves
+	}
+
+	warm, err := New(cfg, WithSolveCache())
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, entries := cached.SolveCacheStats(); entries != 0 {
-		t.Errorf("AddApp left %d cache entries", entries)
+	drive(warm)
+	warmed := SharedSolveCacheStats()
+	cached, err := New(cfg, WithSolveCache())
+	if err != nil {
+		t.Fatal(err)
+	}
+	steps, got := drive(cached)
+	after := SharedSolveCacheStats()
+	if after.Misses != warmed.Misses || after.Hits == warmed.Hits || after.Evictions != 0 {
+		t.Fatalf("the second pass was not served from the warm cache: %+v → %+v", warmed, after)
+	}
+	bare, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, want := drive(bare)
+	for i := range want {
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Errorf("solve %d (after %s): memoized result diverged:\ncached: %+v\nbare:   %+v", i, steps[i], got[i], want[i])
+		}
+	}
+	// The script does change the answer: a test whose steps all solved to
+	// the same perfs would pass on a stale entry too.
+	for i := 1; i < len(want); i++ {
+		if steps[i] != "phase boundary" && reflect.DeepEqual(want[i], want[i-1]) {
+			t.Errorf("solve %d (after %s) equals the solve before it: the event changed nothing", i, steps[i])
+		}
 	}
 }
 
@@ -133,6 +286,7 @@ func TestSolveCacheInvalidation(t *testing.T) {
 // previous phase's solution. The cached machine is compared against a
 // bare machine stepped identically.
 func TestSolveCachePhased(t *testing.T) {
+	coldSharedCache(t)
 	cfg := DefaultConfig()
 	phased := llcSensitiveModel()
 	phased.Name = "p"
@@ -177,5 +331,11 @@ func TestSolveCachePhased(t *testing.T) {
 		if err := bare.Step(time.Second); err != nil {
 			t.Fatal(err)
 		}
+	}
+	// Five solves over a two-phase cycle — phase 1 at t = 0, 1 and 4 s,
+	// phase 2 at t = 2 and 3 s: one entry per phase, each served again
+	// after the boundary was crossed.
+	if st := SharedSolveCacheStats(); st.Entries != 2 || st.Hits == 0 {
+		t.Errorf("two phases left %d entries and %d hits, want 2 entries and some hits", st.Entries, st.Hits)
 	}
 }

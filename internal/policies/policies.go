@@ -50,7 +50,7 @@ type Policy interface {
 // full-resource IPS by its consolidated IPS.
 func evaluate(cfg machine.Config, models []machine.AppModel, allocs []machine.Alloc) (Result, error) {
 	// Cache-enabled: the solo solves repeat verbatim across the policies
-	// evaluating one mix (and across grid cells), so the shared L2
+	// evaluating one mix (and across grid cells), so the shared cache
 	// deduplicates them process-wide.
 	m, err := machine.New(cfg, machine.WithSolveCache())
 	if err != nil {
