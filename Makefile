@@ -75,8 +75,9 @@ bench-json:
 # Fleet-scale snapshot only: the Fleet256 steady-state budget, the
 # Fleet4096/Fleet16384/Fleet65536 scale proofs (p99 period latency flat
 # as nodes grow — compare the p99ns extras), the FleetChurn
-# fleet-over-trace run, the FleetNoisy1024 jittered-counter run (the
-# benchmark's fleet_noisy workload; 0 allocs/op), and a fleetbench
+# fleet-over-trace run, the three shapes of the repo benchmark's fleet
+# workloads (FleetSteady1024, FleetNoisy1024 with jittered counters,
+# FleetChurn2048; the first two 0 allocs/op), and a fleetbench
 # -parallel sweep recording the 1/4/16-worker scaling of one fixed fleet
 # (the block-batched dispatch must not regress at any worker count).
 # All test-binary runs carry -benchmem so benchguard can hold the
@@ -87,8 +88,8 @@ bench-fleet:
 	  $(GO) test -run xxx -bench 'BenchmarkFleet4096$$' -benchtime 2x -count 3 -benchmem . ; \
 	  $(GO) test -run xxx -bench 'BenchmarkFleet16384$$' -benchtime 1x -count 3 -benchmem . ; \
 	  $(GO) test -run xxx -bench 'BenchmarkFleet65536$$' -benchtime 1x -count 2 -benchmem . ; \
-	  $(GO) test -run xxx -bench 'BenchmarkFleetChurn$$' -benchtime 2x -count 3 -benchmem . ; \
-	  $(GO) test -run xxx -bench 'BenchmarkFleetNoisy1024$$' -benchtime 5x -count 3 -benchmem . ; \
+	  $(GO) test -run xxx -bench 'BenchmarkFleetChurn$$|BenchmarkFleetChurn2048$$' -benchtime 2x -count 3 -benchmem . ; \
+	  $(GO) test -run xxx -bench 'BenchmarkFleetSteady1024$$|BenchmarkFleetNoisy1024$$' -benchtime 5x -count 3 -benchmem . ; \
 	  for wk in 1 4 16 ; do \
 	    $(GO) run ./cmd/fleetbench -nodes 4096 -periods 50 -parallel $$wk -benchline BenchmarkFleetWorkers$$wk ; \
 	  done ; } \

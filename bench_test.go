@@ -354,14 +354,27 @@ func BenchmarkFleetNoisy1024(b *testing.B) {
 	benchFleetConfig(b, c)
 }
 
+// BenchmarkFleetSteady1024 is the benchmark's fleet_steady workload as a
+// go test benchmark (1024 noise-free nodes × 50 periods, seed 1), so the
+// shape its iter_ms_p10 is claimed on can be profiled the same way.
+func BenchmarkFleetSteady1024(b *testing.B) {
+	benchFleetConfig(b, fleet.Config{Nodes: 1024, Periods: 50, Seed: 1})
+}
+
 // BenchmarkFleetChurn measures fleet-over-trace: 1024 nodes arriving on
 // a Poisson schedule and living for exponential lifetimes (mean 10
 // periods), every arrival reinitializing a departed node's pooled
 // runtime across differing mix shapes. The acceptance targets — flat
 // p99 vs the fixed fleets and ≤16 allocs/op at steady state — are held
 // by benchguard (allocs, ns/op) and TestChurnSteadyStateAllocs.
-func BenchmarkFleetChurn(b *testing.B) {
-	cfg := fleet.ChurnConfig{Arrivals: 1024, Rate: 4, MeanLife: 10, MaxLife: 40, Seed: 1}
+func BenchmarkFleetChurn(b *testing.B) { benchFleetChurn(b, 1024) }
+
+// BenchmarkFleetChurn2048 is the benchmark's fleet_churn workload (2048
+// arrivals, seed 1) as a go test benchmark, for profiling.
+func BenchmarkFleetChurn2048(b *testing.B) { benchFleetChurn(b, 2048) }
+
+func benchFleetChurn(b *testing.B, arrivals int) {
+	cfg := fleet.ChurnConfig{Arrivals: arrivals, Rate: 4, MeanLife: 10, MaxLife: 40, Seed: 1}
 	var res fleet.Result
 	if err := fleet.RunChurnInto(cfg, &res); err != nil { // warm pool + memos
 		b.Fatal(err)

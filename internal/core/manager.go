@@ -110,9 +110,20 @@ type Manager struct {
 	target    Target
 	params    Params
 	streamRef map[int]float64 // STREAM miss rate per MBA level (§5.3)
-	env       Envelope
-	rng       *rand.Rand
-	sampler   *pmc.Sampler
+	// streamRefAt is streamRef indexed by level/membw.Granularity — what
+	// ExploreStep reads, once per application per period.
+	streamRefAt [membw.MaxLevel/membw.Granularity + 1]float64
+	env         Envelope
+	rng         *rand.Rand
+	sampler     *pmc.Sampler
+
+	// mach is the target when that is the simulated machine itself, bound
+	// by concrete type only: a wrapper embedding *machine.Machine promotes
+	// AppsGeneration past its own Apps. namesOK says names equalled the
+	// machine's list at AppsGeneration namesGen (see membershipChanged).
+	mach     *machine.Machine
+	namesGen uint64
+	namesOK  bool
 
 	apps  []*appRT
 	state AllocState
@@ -242,18 +253,28 @@ func NewManager(target Target, params Params, streamRef map[int]float64, env Env
 		}
 	}
 	m := &Manager{
-		target:    target,
-		params:    params,
-		streamRef: streamRef,
-		env:       env,
-		rng:       rng,
-		sampler:   pmc.NewSampler(target),
-		phase:     PhaseProfile,
-		Features:  DefaultFeatures(),
-		clock:     time.Now, //copart:wallclock ExploreTimes telemetry measures real solver latency
+		params:   params,
+		env:      env,
+		rng:      rng,
+		phase:    PhaseProfile,
+		Features: DefaultFeatures(),
+		clock:    time.Now, //copart:wallclock ExploreTimes telemetry measures real solver latency
 	}
+	m.bind(target, streamRef)
 	m.resetApps(names)
 	return m, nil
+}
+
+// bind attaches the target and the STREAM reference with everything
+// derived from them, for both constructors (NewManager, RestoreSnapshot).
+func (m *Manager) bind(target Target, streamRef map[int]float64) {
+	m.target = target
+	m.sampler = pmc.NewSampler(target)
+	m.mach, _ = target.(*machine.Machine)
+	m.streamRef = streamRef
+	for level := membw.MinLevel; level <= membw.MaxLevel; level += membw.Granularity {
+		m.streamRefAt[level/membw.Granularity] = streamRef[level]
+	}
 }
 
 // Reuse returns the manager to its just-constructed state for the
@@ -341,18 +362,37 @@ func (m *Manager) resetApps(names []string) {
 	}
 	m.sampler.Reset()
 	m.anchorValid = false
+	m.namesOK = false
 	m.retry = 0
 }
 
-// targetApps polls the target's application list. When the target
-// supports AppsInto (the simulated machine does), the poll reuses a
-// manager-owned buffer; the returned slice is valid until the next call.
+// targetApps polls the target's application list into m.targetNames,
+// reusing the buffer when the target supports AppsInto (the simulated
+// machine does); the returned slice is valid until the next call.
 func (m *Manager) targetApps() []string {
 	if t, ok := m.target.(interface{ AppsInto([]string) []string }); ok {
 		m.targetNames = t.AppsInto(m.targetNames)
-		return m.targetNames
+	} else {
+		m.targetNames = m.target.Apps()
 	}
-	return m.target.Apps()
+	return m.targetNames
+}
+
+// membershipChanged is the per-period consolidation check: whether the
+// target's application list has left m.names. On the bare machine it is
+// one counter compare while AppsGeneration stands where names was last
+// verified; any other target is polled and compared by name every period.
+func (m *Manager) membershipChanged() bool {
+	if m.mach != nil && m.namesOK && m.mach.AppsGeneration() == m.namesGen {
+		return false
+	}
+	if !sameNames(m.targetApps(), m.names) {
+		return true
+	}
+	if m.mach != nil {
+		m.namesGen, m.namesOK = m.mach.AppsGeneration(), true
+	}
+	return false
 }
 
 // Phase returns the manager's current phase.
@@ -765,7 +805,7 @@ func (m *Manager) ExploreStep() (bool, error) {
 	// Consolidation changes can happen mid-exploration too, not only in
 	// the idle phase; restarting from profiling keeps every downstream
 	// assumption (ipsFull, classifier seeds) coherent.
-	if !sameNames(m.targetApps(), m.names) {
+	if m.membershipChanged() {
 		m.phase = PhaseProfile
 		return false, nil
 	}
@@ -793,7 +833,7 @@ func (m *Manager) ExploreStep() (bool, error) {
 		a.lastIPS = rates[i].IPS
 		a.havePerf = true
 
-		ref := m.streamRef[m.state.MBA[i]]
+		ref := m.streamRefAt[m.state.MBA[i]/membw.Granularity]
 		obs := Observation{
 			AccessRate:   rates[i].AccessRate,
 			MissRatio:    rates[i].MissRatio,
@@ -933,14 +973,13 @@ func (m *Manager) IdleStep() (bool, error) {
 	if m.phase != PhaseIdle {
 		return false, fmt.Errorf("core: IdleStep called in %v phase", m.phase)
 	}
-	names := m.targetApps()
-	if !sameNames(names, m.names) || m.envChanged {
+	if m.membershipChanged() || m.envChanged {
 		if m.envChanged {
 			m.logf(eventlog.KindChange, "", "envelope changed to [%d,%d), re-adapting",
 				m.env.LoWay, m.env.LoWay+m.env.Ways)
 		} else {
 			m.logf(eventlog.KindChange, "", "consolidation changed (%d→%d apps), re-adapting",
-				len(m.apps), len(names))
+				len(m.apps), len(m.targetNames))
 		}
 		m.phase = PhaseProfile
 		return true, nil

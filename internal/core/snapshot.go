@@ -248,12 +248,9 @@ func RestoreSnapshot(snap *Snapshot) (*Manager, *machine.Machine, error) {
 	}
 	src := RestoreCountingSource(ms.RNGSeed, ms.RNGDraws)
 	m := &Manager{
-		target:         mach,
 		params:         ms.Params,
-		streamRef:      ms.StreamRef,
 		env:            ms.Env,
 		rng:            rand.New(src),
-		sampler:        pmc.NewSampler(mach),
 		phase:          ms.Phase,
 		retry:          ms.Retry,
 		bestUnfair:     ms.BestUnfair,
@@ -269,6 +266,7 @@ func RestoreSnapshot(snap *Snapshot) (*Manager, *machine.Machine, error) {
 		clock:          time.Now, //copart:wallclock ExploreTimes telemetry measures real solver latency
 		SnapshotSource: src,
 	}
+	m.bind(mach, ms.StreamRef)
 	m.state.CopyFrom(ms.State)
 	m.bestState.CopyFrom(ms.BestState)
 	if err := m.sampler.RestoreSnapshot(ms.Sampler); err != nil {

@@ -398,3 +398,71 @@ func TestSnapshotCarriesSamplerWindows(t *testing.T) {
 		t.Fatalf("duplicate sampler window for %s: got %v, want an error naming it", windows[0].App, err)
 	}
 }
+
+// roundTripSnapshot snapshots mgr and returns the snapshot as a reader
+// of its serialized form sees it.
+func roundTripSnapshot(t *testing.T, mgr *Manager) *Snapshot {
+	t.Helper()
+	snap, err := mgr.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := snap.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	parsed, err := ParseSnapshot(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return parsed
+}
+
+// TestSnapshotMidExplorationBitIdentity takes the snapshot while the
+// manager is still exploring. TestSnapshotBitIdentity's boundary falls
+// in the idle phase, which reads neither the classifiers' inputs nor
+// anything a constructor derives for them; here the restored manager's
+// next periods classify, so a derived field RestoreSnapshot failed to
+// rebuild (the dense STREAM reference: a zero there makes every traffic
+// ratio +Inf) shows as a diverging trajectory.
+func TestSnapshotMidExplorationBitIdentity(t *testing.T) {
+	const resume = 25 * time.Second
+	build := func() *Manager {
+		mgr, _ := snapSetup(t, 5, 0)
+		if err := mgr.Profile(); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 2; i++ {
+			if _, err := mgr.ExploreStep(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if mgr.Phase() != PhaseExplore {
+			t.Fatalf("phase %v two periods into exploration, want exploration", mgr.Phase())
+		}
+		return mgr
+	}
+	ref := build()
+	var want []PeriodReport
+	collect(ref, &want)
+	if err := ref.Run(resume); err != nil {
+		t.Fatal(err)
+	}
+
+	got, err := ReplaySnapshot(roundTripSnapshot(t, build()), resume)
+	if err != nil {
+		t.Fatal(err)
+	}
+	explored := 0
+	for _, r := range want {
+		if r.Phase == PhaseExplore {
+			explored++
+		}
+	}
+	if explored < 3 {
+		t.Fatalf("reference run explored for %d of %d resumed periods; the test needs classifying periods", explored, len(want))
+	}
+	if !ReportsEqual(want, got) {
+		t.Errorf("manager restored mid-exploration diverged from the uninterrupted run (%d vs %d reports)", len(want), len(got))
+	}
+}

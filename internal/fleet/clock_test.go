@@ -17,13 +17,9 @@ import (
 // nondeterministic and can be asserted exactly.
 func TestScriptedClock(t *testing.T) {
 	const tick = 3 * time.Millisecond
-	base := time.Unix(1_700_000_000, 0)
 	var reads atomic.Int64
 	orig := fleetClock
-	fleetClock = func() time.Time {
-		n := reads.Add(1)
-		return base.Add(time.Duration(n) * tick)
-	}
+	fleetClock = func() time.Duration { return time.Duration(reads.Add(1)) * tick }
 	parallel.SetWorkers(1)
 	defer func() {
 		fleetClock = orig
@@ -73,7 +69,7 @@ func TestScriptedClock(t *testing.T) {
 func TestClockReadsPerRun(t *testing.T) {
 	var reads atomic.Int64
 	orig := fleetClock
-	fleetClock = func() time.Time { return time.Unix(0, reads.Add(1)) }
+	fleetClock = func() time.Duration { return time.Duration(reads.Add(1)) }
 	parallel.SetWorkers(1)
 	defer func() {
 		fleetClock = orig

@@ -258,14 +258,19 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// fleetClock is the wall-clock source behind the fleet's throughput
-// and latency figures — the one intentionally nondeterministic input.
-// It is a package variable so tests can substitute a scripted clock
-// and assert exact percentile values (see clock_test.go); production
-// always reads the real monotonic clock.
+// fleetEpoch is the instant fleetClock counts from.
 //
 //copart:wallclock fleet throughput and latency percentiles measure real elapsed time
-var fleetClock = time.Now
+var fleetEpoch = time.Now()
+
+// fleetClock is the wall-clock source behind the fleet's throughput
+// and latency figures — the one intentionally nondeterministic input:
+// the monotonic offset from fleetEpoch, one clock read where time.Now
+// takes two (wall and monotonic). It is a package variable so tests can
+// substitute a scripted clock and assert exact percentiles (clock_test.go).
+//
+//copart:wallclock fleet throughput and latency percentiles measure real elapsed time
+var fleetClock = func() time.Duration { return time.Since(fleetEpoch) }
 
 // nodeSeed derives node i's RNG seed from the fleet seed. Known defect
 // (ROADMAP, open; fixing it moves every fleet digest): the stride is
@@ -676,7 +681,7 @@ func runNode(cfg Config, node, periods int, ways, mba []int, carry *nodeRuntime,
 		// reads — the sampler's keep/skip schedule is deterministic
 		// (stripe.go), so the skipped reads are too.
 		timed := st.lat.due()
-		var start time.Time
+		var start time.Duration
 		if timed {
 			start = fleetClock()
 		}
@@ -691,7 +696,7 @@ func runNode(cfg Config, node, periods int, ways, mba []int, carry *nodeRuntime,
 			err = fmt.Errorf("fleet: node %d in unexpected phase %v", node, mgr.Phase())
 		}
 		if timed {
-			st.lat.push(fleetClock().Sub(start))
+			st.lat.push(fleetClock() - start)
 		} else {
 			st.lat.skip()
 		}
@@ -837,7 +842,7 @@ func runFleet(cfg Config, churn bool, res *Result) error {
 	poolBefore := poolSnapshot()
 	start := fleetClock()
 	err := parallel.ForEachBlock(cfg.Nodes, block, blockRun)
-	res.Elapsed = fleetClock().Sub(start)
+	res.Elapsed = fleetClock() - start
 	runScratch.res = nil
 	if err != nil {
 		return err
@@ -879,7 +884,7 @@ func Run(cfg Config) (Result, error) {
 // TestShardedAggregationMatchesUnsharded); the latency figures are
 // wall-clock. The merge itself is timed into Result.StripeMerge.
 //
-//copart:noalloc telemetry merge runs once per fleet run over every stripe; scratch reuse keeps it flat
+//copart:noalloc telemetry merge runs once per fleet run over every stripe, in place
 func (res *Result) aggregate(sharedBefore machine.SharedCacheStats, nb int) {
 	sharedAfter := machine.SharedSolveCacheStats()
 	res.Shared = machine.SharedCacheStats{
@@ -889,8 +894,6 @@ func (res *Result) aggregate(sharedBefore machine.SharedCacheStats, nb int) {
 		Entries:   sharedAfter.Entries,
 	}
 	mergeStart := fleetClock()
-	merged := latMergeScratch[:0]
-	var totalW int64
 	for b := 0; b < nb; b++ {
 		st := &stripes[b]
 		res.TotalPeriods += st.periods
@@ -900,11 +903,10 @@ func (res *Result) aggregate(sharedBefore machine.SharedCacheStats, nb int) {
 			res.Health.MaxFailStreak = st.maxFailStreak
 		}
 		res.Pool.Carries += st.poolCarries
-		// The sampler is done pushing; sorting its buffer in place is fine
-		// and gives the per-block percentiles directly.
+		// The sampler is done pushing; sorting its buffer in place gives the
+		// per-block percentiles directly and the fleet-wide ones below.
 		buf := st.lat.buf
 		sortDurations(buf)
-		w := int64(st.lat.stride)
 		res.Blocks[b] = BlockStats{
 			Lo:      st.lo,
 			Hi:      st.hi,
@@ -914,16 +916,10 @@ func (res *Result) aggregate(sharedBefore machine.SharedCacheStats, nb int) {
 			P50:     percentile(buf, 50),
 			P99:     percentile(buf, 99),
 		}
-		for _, v := range buf {
-			merged = append(merged, latSample{v: v, w: w}) //copart:allocok amortized merge-scratch growth; steady state reuses capacity
-		}
-		totalW += int64(len(buf)) * w
 	}
-	latMergeScratch = merged
-	sortLatSamples(merged)
-	res.P50 = weightedPercentile(merged, totalW, 50)
-	res.P99 = weightedPercentile(merged, totalW, 99)
-	res.StripeMerge = fleetClock().Sub(mergeStart)
+	res.P50 = stripesPercentile(stripes[:nb], 50)
+	res.P99 = stripesPercentile(stripes[:nb], 99)
+	res.StripeMerge = fleetClock() - mergeStart
 	if secs := res.Elapsed.Seconds(); secs > 0 {
 		res.PeriodsPerSec = float64(res.TotalPeriods) / secs
 	}

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"math"
 	"slices"
 	"time"
 )
@@ -18,7 +19,7 @@ import (
 // fleet.go) owns a blockStripe holding a deterministic latency sampler
 // and the block's share of every fleet counter. A block is executed by
 // exactly one worker at a time, so stripe writes are plain stores —
-// no atomics, no cross-core line bouncing — and the stripes are merged
+// no atomics, no cross-core line bouncing — and the stripes are folded
 // in block order at run end, which keeps every deterministic aggregate
 // bit-identical at any worker count (integer sums and maxes over
 // per-block values that are themselves worker-count invariant).
@@ -33,16 +34,19 @@ import (
 // the latency of push index i·stride". The kept set therefore always
 // spans the whole run uniformly — between max/2 and max samples evenly
 // spaced from first period to last — instead of a rolling window over
-// its tail. Percentiles over the merged stripes weight each kept sample
-// by its stripe's final stride, so a stripe at stride 4 counts each
-// sample four periods' worth. *Which* periods are sampled is a pure
-// function of (block bounds, period index) — never of timing or worker
-// count — so the sampled population is identical at any -parallel
-// setting; only the measured durations themselves are nondeterministic.
+// its tail. The fleet-wide percentiles weight each kept sample by its
+// stripe's final stride, so a stripe at stride 4 counts each sample four
+// periods' worth; they are read from the stripes' own sorted buffers
+// (stripesPercentile), never from a concatenation of them. *Which*
+// periods are sampled is a pure function of (block bounds, period
+// index) — never of timing or worker count — so the sampled population
+// is identical at any -parallel setting; only the measured durations
+// themselves are nondeterministic.
 //
 // Unsampled periods skip both fleetClock reads entirely (see runNode),
-// so a run reads the clock twice per *kept* sample: no period is timed
-// only for a later compaction to discard it.
+// so a run reads the clock — a monotonic offset, one nanotime read —
+// twice per *kept* sample: no period is timed only for a later
+// compaction to discard it.
 //
 // Because the stripes are package state, Run and RunChurn must not
 // execute concurrently with each other. (They never have: both fan out
@@ -187,57 +191,47 @@ func growStripes(nb int) {
 	stripes = stripes[:nb]
 }
 
-// latSample is one merged latency sample: a kept duration and the
-// number of periods it stands for (its stripe's final stride).
-type latSample struct {
-	v time.Duration
-	w int64
-}
-
-// latMergeScratch is the reusable cross-stripe merge buffer; owned by
-// the single in-flight Run/RunChurn.
-var latMergeScratch []latSample
-
-// weightedPercentile reads the nearest-rank p-th percentile from
-// value-sorted weighted samples with total weight totalW. With unit
-// weights it reduces exactly to percentile (rank ⌈p/100·n⌉).
-func weightedPercentile(sorted []latSample, totalW int64, p int) time.Duration {
-	if len(sorted) == 0 {
-		return 0
-	}
-	rank := (int64(p)*totalW + 99) / 100
-	if rank < 1 {
-		rank = 1
-	}
-	var cum int64
-	for i := range sorted {
-		cum += sorted[i].w
-		if cum >= rank {
-			return sorted[i].v
+// stripesPercentile reads the nearest-rank p-th percentile of the kept
+// latencies straight from the stripes' value-sorted buffers, a sample
+// weighing its stripe's stride: the least value v at which
+// Σ_b stride_b·|{x ∈ buf_b : x ≤ v}| reaches rank ⌈p/100·Σ_b stride_b·|buf_b|⌉.
+// That is the sample a weighted nearest-rank scan of the sorted merge of
+// all stripes stops on (TestStripesPercentileMatchesMerge), found by
+// bisecting the value range — one binary search per stripe per probe —
+// with no merge buffer and no second sort.
+//
+//copart:noalloc
+func stripesPercentile(sts []blockStripe, p int) time.Duration {
+	lo, hi := time.Duration(math.MaxInt64), time.Duration(math.MinInt64)
+	var totalW int64
+	for i := range sts {
+		if buf := sts[i].lat.buf; len(buf) > 0 {
+			lo, hi = min(lo, buf[0]), max(hi, buf[len(buf)-1])
+			totalW += int64(len(buf)) * int64(sts[i].lat.stride)
 		}
 	}
-	return sorted[len(sorted)-1].v
+	if totalW == 0 {
+		return 0
+	}
+	rank := max((int64(p)*totalW+99)/100, 1)
+	// Invariant: the weight at or below hi reaches rank, below lo it does not.
+	for lo < hi {
+		mid := lo + time.Duration(uint64(hi-lo)/2)
+		var cum int64
+		for i := range sts {
+			n, _ := slices.BinarySearch(sts[i].lat.buf, mid+1)
+			cum += int64(n) * int64(sts[i].lat.stride)
+		}
+		if cum >= rank {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo
 }
 
 // sortDurations sorts a latency buffer in place.
 //
 //copart:noalloc
 func sortDurations(s []time.Duration) { slices.Sort(s) }
-
-// cmpLatSample orders merged samples by duration; a package-level
-// funcval so sorting allocates nothing.
-func cmpLatSample(a, b latSample) int {
-	switch {
-	case a.v < b.v:
-		return -1
-	case a.v > b.v:
-		return 1
-	default:
-		return 0
-	}
-}
-
-// sortLatSamples sorts the merge buffer by duration.
-//
-//copart:noalloc
-func sortLatSamples(s []latSample) { slices.SortFunc(s, cmpLatSample) }

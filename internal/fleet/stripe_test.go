@@ -1,6 +1,8 @@
 package fleet
 
 import (
+	"cmp"
+	"math/rand"
 	"slices"
 	"testing"
 	"time"
@@ -115,7 +117,37 @@ func TestLatSamplerPresetStride(t *testing.T) {
 	}
 }
 
-// TestWeightedPercentile pins the merge's percentile definition: with
+// latSample is one merged latency sample: a kept duration and the
+// number of periods it stands for (its stripe's final stride).
+type latSample struct {
+	v time.Duration
+	w int64
+}
+
+// weightedPercentile reads the nearest-rank p-th percentile from
+// value-sorted weighted samples with total weight totalW. With unit
+// weights it reduces exactly to percentile (rank ⌈p/100·n⌉). It is the
+// definition of the fleet-wide P50/P99 — a scan of the sorted merge of
+// every stripe — and the oracle stripesPercentile is held to.
+func weightedPercentile(sorted []latSample, totalW int64, p int) time.Duration {
+	if len(sorted) == 0 {
+		return 0
+	}
+	rank := (int64(p)*totalW + 99) / 100
+	if rank < 1 {
+		rank = 1
+	}
+	var cum int64
+	for i := range sorted {
+		cum += sorted[i].w
+		if cum >= rank {
+			return sorted[i].v
+		}
+	}
+	return sorted[len(sorted)-1].v
+}
+
+// TestWeightedPercentile pins the oracle's percentile definition: with
 // unit weights it is exactly the nearest-rank percentile, and a
 // sample's weight counts it that many periods' worth.
 func TestWeightedPercentile(t *testing.T) {
@@ -139,5 +171,47 @@ func TestWeightedPercentile(t *testing.T) {
 	}
 	if got := weightedPercentile(nil, 0, 50); got != 0 {
 		t.Errorf("empty percentile = %v, want 0", got)
+	}
+}
+
+// TestStripesPercentileMatchesMerge holds stripesPercentile — the
+// bisection over the sorted stripe buffers that aggregate reads P50 and
+// P99 from — to its definition: weightedPercentile over the sorted
+// merge of every stripe's samples, each weighted by its stripe's
+// stride. Values are drawn from a narrow range around zero so stripes
+// share values (within and across buffers), go negative, and collapse
+// to a single value; stripes may be empty, all of them included.
+func TestStripesPercentileMatchesMerge(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	for trial := 0; trial < 3000; trial++ {
+		sts := make([]blockStripe, 1+rng.Intn(6))
+		spread := 1 + rng.Intn(9) // 1: every sample equal
+		if trial%7 == 0 {
+			spread = 1 << 40 // wide: the bisection's full depth
+		}
+		var merged []latSample
+		var totalW int64
+		for b := range sts {
+			n := rng.Intn(13)
+			if trial%50 == 0 {
+				n = 0
+			}
+			w := int64(1 + rng.Intn(8))
+			sts[b].lat.stride = uint64(w)
+			for i := 0; i < n; i++ {
+				v := time.Duration(rng.Intn(spread) - spread/2)
+				sts[b].lat.buf = append(sts[b].lat.buf, v)
+				merged = append(merged, latSample{v, w})
+			}
+			slices.Sort(sts[b].lat.buf) // aggregate sorts each stripe first
+			totalW += int64(n) * w
+		}
+		slices.SortFunc(merged, func(a, b latSample) int { return cmp.Compare(a.v, b.v) })
+		for _, p := range []int{0, 1, 50, 99, 100} {
+			if got, want := stripesPercentile(sts, p), weightedPercentile(merged, totalW, p); got != want {
+				t.Fatalf("trial %d p%d: stripes %v, sorted merge %v (%d stripes, %d samples, weight %d)",
+					trial, p, got, want, len(sts), len(merged), totalW)
+			}
+		}
 	}
 }

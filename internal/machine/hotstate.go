@@ -85,6 +85,7 @@ func (m *Machine) RestoreHotState(hs HotState) error {
 		}
 	}
 	m.now = hs.now
+	m.appsGen++ // the active flags are adopted below
 	for i, a := range m.apps {
 		a.counters = hs.counters[i]
 		a.alloc = hs.allocs[i]

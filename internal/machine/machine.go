@@ -192,7 +192,9 @@ type Machine struct {
 	arbiter   *membw.Arbiter
 	apps      []*app
 	byName    map[string]int
-	now       time.Duration // virtual time since construction
+	// appsGen counts changes to the active set (see AppsGeneration).
+	appsGen uint64
+	now     time.Duration // virtual time since construction
 	// noiseSrc is the jitter stream: one word, reseeded by Reset in one
 	// store and recorded as-is by Snapshot. noiseRNG draws normals from
 	// it; it holds no state of its own, is built by New iff noise is
@@ -357,6 +359,7 @@ func (m *Machine) AddApp(model AppModel) error {
 	if len(model.Phases) > 0 {
 		m.hasPhases = true
 	}
+	m.appsGen++
 	m.solveClean = false
 	m.gatherValid = false
 	return nil
@@ -398,6 +401,7 @@ func (m *Machine) Reset() {
 	}
 	m.apps = m.apps[:0]
 	clear(m.byName)
+	m.appsGen++
 	m.now = 0
 	m.noiseSrc.Seed(m.cfg.NoiseSeed)
 	m.hasPhases = false
@@ -416,6 +420,7 @@ func (m *Machine) RemoveApp(name string) error {
 		return fmt.Errorf("machine: app %q already removed", name)
 	}
 	m.apps[i].active = false
+	m.appsGen++
 	m.solveClean = false
 	m.gatherValid = false
 	return nil
@@ -442,6 +447,12 @@ func (m *Machine) AppsInto(dst []string) []string {
 	}
 	return dst
 }
+
+// AppsGeneration counts the calls that can change what Apps returns —
+// AddApp, RemoveApp, Reset, RestoreHotState, RestoreSnapshot's inserts —
+// so a poller that read the list under a value knows, while the value
+// stands, that the list does. Not serialized: a restore starts a new count.
+func (m *Machine) AppsGeneration() uint64 { return m.appsGen }
 
 // Model returns the model of a (possibly inactive) application.
 func (m *Machine) Model(name string) (AppModel, error) {

@@ -119,6 +119,7 @@ func RestoreSnapshot(snap Snapshot, opts ...Option) (*Machine, error) {
 		if len(as.Model.Phases) > 0 {
 			m.hasPhases = true
 		}
+		m.appsGen++
 	}
 	// Allocations were validated field-by-field above; what remains is
 	// the cross-app invariant AddApp would have enforced.

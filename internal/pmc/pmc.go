@@ -62,6 +62,12 @@ type Sampler struct {
 	last  map[string]*sample
 	free  []*sample
 	drops int
+	// window/secs are SampleAll's last distinct window and its Seconds(),
+	// kept across sweeps: a controller's window is its period, every app,
+	// every sweep. secs is a pure function of window, so a stale pair is
+	// still a correct one and Reset and RestoreSnapshot leave it alone.
+	window time.Duration
+	secs   float64
 }
 
 type sample struct {
@@ -125,7 +131,7 @@ func NewSampler(src Source) *Sampler {
 
 // rate is the one sampling arithmetic: it re-anchors snap at (cur, now)
 // and writes the rates over the window that ends there — secs is
-// window.Seconds(), passed in so a sweep converts each distinct window
+// window.Seconds(), passed in so SampleAll converts each distinct window
 // once — into r. It reports false, counting a drop and leaving r alone,
 // when a counter went backwards.
 //
@@ -192,11 +198,7 @@ func (s *Sampler) Sample(app string, now time.Duration) (Rates, bool, error) {
 //copart:noalloc
 func (s *Sampler) SampleAll(apps []string, now time.Duration, out []Rates) (noWindow int, err error) {
 	aligned := len(apps) == len(s.names)
-	var (
-		window  time.Duration // the sweep's last distinct window and
-		secs    float64       // its length, converted once
-		discard Rates         // where an anchoring sweep's rates go
-	)
+	var discard Rates // where an anchoring sweep's rates go
 	for i, app := range apps {
 		cur, err := s.src.ReadCounters(app)
 		if err != nil {
@@ -214,14 +216,14 @@ func (s *Sampler) SampleAll(apps []string, now time.Duration, out []Rates) (noWi
 			if w < 0 {
 				return i, negativeWindow(w, app)
 			}
-			if w != window {
-				window, secs = w, w.Seconds()
+			if w != s.window {
+				s.window, s.secs = w, w.Seconds()
 			}
 			r := &discard
 			if out != nil {
 				r = &out[i]
 			}
-			ok = s.rate(snap, cur, now, w, secs, r)
+			ok = s.rate(snap, cur, now, w, s.secs, r)
 		}
 		if !ok && out != nil {
 			return i, nil
