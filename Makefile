@@ -151,26 +151,19 @@ verify: build
 smoke: build
 	./scripts/smoke_copartd.sh
 
-# Regenerate every table and figure of the paper into ./out/ (text + SVG).
+# Regenerate every table and figure of the paper into ./out/ (text, SVG,
+# and the Figure 15 timeline as CSV) with one evaluate binary. Figure 16's
+# file carries the convergence table too, and the extension runs write
+# text only.
+FIGURE_IDS = 1 2 3 4 5 6 11 12 13 14 15 17
 figures:
 	mkdir -p out
-	$(GO) run ./cmd/characterize -table1 -table2 > out/tables.txt
-	$(GO) run ./cmd/characterize -fig 1 -svg out > out/fig1.txt
-	$(GO) run ./cmd/characterize -fig 2 -svg out > out/fig2.txt
-	$(GO) run ./cmd/characterize -fig 3 -svg out > out/fig3.txt
-	$(GO) run ./cmd/fairmap -fig 4 -svg out > out/fig4.txt
-	$(GO) run ./cmd/fairmap -fig 5 -svg out > out/fig5.txt
-	$(GO) run ./cmd/fairmap -fig 6 -svg out > out/fig6.txt
-	$(GO) run ./cmd/sensitivity -param all > out/fig11.txt
-	$(GO) run ./cmd/evaluate -fig 12 -svg out > out/fig12.txt
-	$(GO) run ./cmd/evaluate -fig 13 -svg out > out/fig13.txt
-	$(GO) run ./cmd/evaluate -fig 14 -svg out > out/fig14.txt
-	$(GO) run ./cmd/casestudy -csv out/fig15.csv -svg out/fig15.svg > out/fig15.txt
-	$(GO) run ./cmd/overhead -convergence > out/fig16.txt
-	$(GO) run ./cmd/evaluate -fig 17 -svg out > out/fig17.txt
-	$(GO) run ./cmd/evaluate -fig 12 -extended > out/fig12_extended.txt
-	$(GO) run ./cmd/evaluate -dualsocket > out/dualsocket.txt
-	$(GO) run ./cmd/ablate > out/ablation.txt
+	$(GO) build -o out/evaluate ./cmd/evaluate
+	{ out/evaluate -fig table1 && out/evaluate -fig table2; } > out/tables.txt
+	for id in $(FIGURE_IDS); do out/evaluate -fig $$id -out out > out/fig$$id.txt || exit 1; done
+	out/evaluate -fig convergence > out/fig16.txt
+	out/evaluate -fig extended > out/fig12_extended.txt
+	for id in dualsocket ablation; do out/evaluate -fig $$id > out/$$id.txt || exit 1; done
 
 clean:
 	rm -rf out

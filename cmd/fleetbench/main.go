@@ -32,7 +32,7 @@
 // (fleet.RunChurn). The pool hit/miss/eviction counters and the virtual
 // live-population stats are reported alongside the usual figures.
 //
-// The profiling flags mirror evaluate/characterize: they wrap the whole
+// The profiling flags mirror evaluate's: they wrap the whole
 // fleet run (verification passes included) in the runtime profilers so
 // fleet hot spots are inspectable with `go tool pprof`.
 package main

@@ -3,7 +3,7 @@ package core
 // Features toggle the reconstruction mechanisms this implementation adds
 // on top of the paper's prose (documented at LLCClassifier). All are on
 // by default; the ablation harness (internal/experiments/ablation.go,
-// cmd/ablate) disables them one at a time to quantify what each
+// evaluate -fig ablation) disables them one at a time to quantify what each
 // contributes — the per-design-choice evidence DESIGN.md promises.
 type Features struct {
 	// ParkOnBest: when exploration ends, settle on the lowest-unfairness

@@ -76,9 +76,6 @@ func TestFigure12Shapes(t *testing.T) {
 }
 
 func TestFigure13Shapes(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-minute sweep")
-	}
 	res, tab, err := Figure13(cfg(), 1)
 	if err != nil {
 		t.Fatal(err)
@@ -106,9 +103,6 @@ func TestFigure13Shapes(t *testing.T) {
 }
 
 func TestFigure14Shapes(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-point sweep")
-	}
 	res, _, err := Figure14(cfg(), 1)
 	if err != nil {
 		t.Fatal(err)
@@ -127,9 +121,6 @@ func TestFigure14Shapes(t *testing.T) {
 }
 
 func TestFigure17Shapes(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-point sweep")
-	}
 	res, _, err := Figure17(cfg(), 1)
 	if err != nil {
 		t.Fatal(err)
@@ -149,9 +140,6 @@ func TestFigure17Shapes(t *testing.T) {
 }
 
 func TestFigure11Sensitivity(t *testing.T) {
-	if testing.Short() {
-		t.Skip("parameter sweep")
-	}
 	for _, param := range []SensitivityParam{SensPerf, SensMissRatio, SensTraffic} {
 		res, tab, err := Figure11(cfg(), param, 1)
 		if err != nil {
