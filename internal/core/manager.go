@@ -17,6 +17,11 @@ import (
 // Target is the machine the manager controls. *machine.Machine satisfies
 // it directly; a production deployment would back it with the resctrl
 // client and a PMC reader, with Step implemented as a wall-clock sleep.
+//
+// A target may also answer AppsGeneration() uint64, a count that moves
+// whenever Apps may have changed; the manager polls Apps only when it has
+// moved. A wrapper that changes what Apps returns must answer it too, or
+// not embed a type that does: the promoted count would skip its Apps.
 type Target interface {
 	// Apps lists the consolidated applications.
 	Apps() []string
@@ -117,11 +122,10 @@ type Manager struct {
 	rng         *rand.Rand
 	sampler     *pmc.Sampler
 
-	// mach is the target when that is the simulated machine itself, bound
-	// by concrete type only: a wrapper embedding *machine.Machine promotes
-	// AppsGeneration past its own Apps. namesOK says names equalled the
-	// machine's list at AppsGeneration namesGen (see membershipChanged).
-	mach     *machine.Machine
+	// gen is the target's AppsGeneration, nil when it has none (see
+	// Target). namesOK says names equalled the target's list at
+	// generation namesGen (see membershipChanged).
+	gen      interface{ AppsGeneration() uint64 }
 	namesGen uint64
 	namesOK  bool
 
@@ -270,7 +274,7 @@ func NewManager(target Target, params Params, streamRef map[int]float64, env Env
 func (m *Manager) bind(target Target, streamRef map[int]float64) {
 	m.target = target
 	m.sampler = pmc.NewSampler(target)
-	m.mach, _ = target.(*machine.Machine)
+	m.gen, _ = target.(interface{ AppsGeneration() uint64 })
 	m.streamRef = streamRef
 	for level := membw.MinLevel; level <= membw.MaxLevel; level += membw.Granularity {
 		m.streamRefAt[level/membw.Granularity] = streamRef[level]
@@ -379,18 +383,19 @@ func (m *Manager) targetApps() []string {
 }
 
 // membershipChanged is the per-period consolidation check: whether the
-// target's application list has left m.names. On the bare machine it is
-// one counter compare while AppsGeneration stands where names was last
-// verified; any other target is polled and compared by name every period.
+// target's application list has left m.names. It is one counter compare
+// while the target's AppsGeneration stands where names was last
+// verified; a target without one is polled and compared by name every
+// period.
 func (m *Manager) membershipChanged() bool {
-	if m.mach != nil && m.namesOK && m.mach.AppsGeneration() == m.namesGen {
+	if m.gen != nil && m.namesOK && m.gen.AppsGeneration() == m.namesGen {
 		return false
 	}
 	if !sameNames(m.targetApps(), m.names) {
 		return true
 	}
-	if m.mach != nil {
-		m.namesGen, m.namesOK = m.mach.AppsGeneration(), true
+	if m.gen != nil {
+		m.namesGen, m.namesOK = m.gen.AppsGeneration(), true
 	}
 	return false
 }
@@ -570,7 +575,6 @@ func (m *Manager) applyState(st AllocState) error {
 // before the period is declared failed. The returned slice is
 // manager-owned scratch, valid until the next period.
 func (m *Manager) measurePeriod() ([]pmc.Rates, error) {
-	retry := m.Resilience.Enabled
 	// The opening sweep anchors every application's sampling window at the
 	// period start. Its real job is re-anchoring after disruptions — a
 	// failed period, time stepped outside the manager — and in the steady
@@ -582,24 +586,18 @@ func (m *Manager) measurePeriod() ([]pmc.Rates, error) {
 	// sweep), which routes the next period back through the full sweep.
 	// Hardened managers never skip: under resilience the opening reads
 	// double as fault probes, and eliding them would change when the
-	// watchdog first observes an outage.
-	skip := !retry && m.anchorValid && m.anchoredAt == m.target.Now()
+	// watchdog first observes an outage (TestHardenedPeriodProbesAtItsStart).
+	skip := !m.Resilience.Enabled && m.anchorValid && m.anchoredAt == m.target.Now()
 	m.anchorValid = false
 	if !skip {
 		if _, err := m.sampleAll(m.target.Now(), nil); err != nil {
 			return nil, err
 		}
 	}
-	var err error
-	if retry {
-		err = m.retryOp("period step", "", func() error {
-			return m.target.Step(m.params.Period)
-		})
-	} else {
-		err = m.target.Step(m.params.Period)
-	}
-	if err != nil {
-		return nil, err
+	if err := m.target.Step(m.params.Period); err != nil {
+		if err = m.retryAfter(err, "period step", "", func() error { return m.target.Step(m.params.Period) }); err != nil {
+			return nil, err
+		}
 	}
 	if cap(m.rates) < len(m.apps) {
 		m.rates = make([]pmc.Rates, len(m.apps))
@@ -625,35 +623,38 @@ func (m *Manager) measurePeriod() ([]pmc.Rates, error) {
 
 // sampleAll is one sampling sweep over the managed set at virtual time
 // at — one clock read serves the whole sweep, time is frozen across it —
-// under pmc.Sampler.SampleAll's contract (nil out anchors only). The
-// simulation configuration hands the sweep to the sampler whole; a
-// hardened manager reads app by app, because each of its reads is a
-// fault probe with its own retry budget.
+// under pmc.Sampler.SampleAll's contract (nil out anchors only). Under
+// resilience a failed read at index i is retried alone, with that app's
+// own retry budget, and on success the sweep resumes at i+1: the reads,
+// backoff steps and retry events fall exactly as a per-app loop of
+// retried reads would produce them.
 func (m *Manager) sampleAll(at time.Duration, out []pmc.Rates) (noWindow int, err error) {
-	if !m.Resilience.Enabled {
-		return m.sampler.SampleAll(m.names, at, out)
-	}
-	for i, name := range m.names {
-		var (
-			r  pmc.Rates
-			ok bool
-		)
-		err := m.retryOp("counter read", name, func() error {
-			var err error
-			r, ok, err = m.sampler.Sample(name, at)
+	for from := 0; ; {
+		noWindow, err = m.sampler.SampleAll(m.names[from:], at, ratesFrom(out, from))
+		if noWindow < 0 {
+			return -1, nil
+		}
+		i := from + noWindow
+		if err == nil {
+			return i, nil
+		}
+		err = m.retryAfter(err, "counter read", m.names[i], func() (err error) {
+			noWindow, err = m.sampler.SampleAll(m.names[i:i+1], at, ratesFrom(out, i))
 			return err
 		})
-		if err != nil {
+		if err != nil || (out != nil && noWindow == 0) {
 			return i, err
 		}
-		if out != nil {
-			if !ok {
-				return i, nil
-			}
-			out[i] = r
-		}
+		from = i + 1
 	}
-	return -1, nil
+}
+
+// ratesFrom is out[i:], or nil for an anchoring sweep.
+func ratesFrom(out []pmc.Rates, i int) []pmc.Rates {
+	if out == nil {
+		return nil
+	}
+	return out[i:]
 }
 
 // Profile runs the application profiling phase (§5.4.1): it measures each
@@ -1081,18 +1082,13 @@ func (m *Manager) Run(d time.Duration) error {
 		}
 		before := m.target.Now()
 		err := m.stepPhase()
+		m.NotePeriod(err)
 		if err == nil {
-			m.failStreak = 0
 			stalls = 0
 			continue
 		}
 		if !m.Resilience.Enabled {
 			return err
-		}
-		m.failStreak++
-		m.logf(eventlog.KindFault, "", "control period failed (streak %d): %v", m.failStreak, err)
-		if m.phase != PhaseDegraded && m.failStreak >= m.degradeAfter() {
-			m.enterDegraded()
 		}
 		if m.target.Now() > before {
 			stalls = 0

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math/rand"
 	"testing"
 
 	"repro/internal/machine"
@@ -153,64 +152,5 @@ func TestMembershipChangeSeenNextPeriod(t *testing.T) {
 				})
 			}
 		}
-	}
-}
-
-// ghostTarget embeds the machine and overrides both forms of the
-// application list, as a fault injector or a host adapter may: it counts
-// the polls and can announce an application the machine never launched.
-// Embedding promotes AppsGeneration too — which is exactly what the
-// manager must not follow.
-type ghostTarget struct {
-	*machine.Machine
-	polls int
-	ghost bool
-}
-
-func (g *ghostTarget) Apps() []string { return g.AppsInto(nil) }
-
-func (g *ghostTarget) AppsInto(dst []string) []string {
-	g.polls++
-	dst = g.Machine.AppsInto(dst)
-	if g.ghost {
-		dst = append(dst, "ghost")
-	}
-	return dst
-}
-
-// TestWrappedTargetIsPolledEveryPeriod pins the binding rule: only a
-// target that IS the machine takes the generation shortcut. A wrapper
-// that embeds the machine answers Apps itself, so it keeps the poll —
-// once a period, through AppsInto — and an arrival only it knows about
-// is detected. Binding through an interface assertion on AppsGeneration
-// would reach the embedded machine's count, never poll, and miss it.
-func TestWrappedTargetIsPolledEveryPeriod(t *testing.T) {
-	m, _ := testSetup(t, workloads.HLLC, 4)
-	ref, err := workloads.StreamMissRates(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := &ghostTarget{Machine: m}
-	mgr, err := NewManager(g, DefaultParams(), ref, Envelope{LoWay: 0, Ways: m.Config().LLCWays}, rand.New(rand.NewSource(42)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	runToIdle(t, mgr)
-	for period := 1; period <= 50; period++ {
-		before := g.polls
-		changed, err := mgr.IdleStep()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if changed {
-			t.Fatalf("idle period %d flagged a change on a steady system", period)
-		}
-		if got := g.polls - before; got != 1 {
-			t.Fatalf("idle period %d: wrapper's application list polled %d times, want 1", period, got)
-		}
-	}
-	g.ghost = true
-	if changed, err := mgr.IdleStep(); err != nil || !changed || mgr.Phase() != PhaseProfile {
-		t.Fatalf("arrival announced by the wrapper: changed=%v phase=%v err=%v, want a change and profiling", changed, mgr.Phase(), err)
 	}
 }

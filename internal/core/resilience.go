@@ -89,13 +89,13 @@ func (m *Manager) degradeAfter() int {
 	return m.params.Theta
 }
 
-// retryOp runs op; when resilience is enabled and op fails with a
-// transient error, it is retried up to MaxRetries times with a linear
-// target-time backoff. Every retry and recovery is logged. The last
-// error is returned when the budget is exhausted.
-func (m *Manager) retryOp(what, app string, op func() error) error {
-	err := op()
-	if err == nil || !m.Resilience.Enabled {
+// retryAfter retries op, whose first attempt — made by the caller, so
+// the fault-free path is a direct call — failed with err. With
+// resilience enabled it makes up to MaxRetries more attempts with a
+// linear target-time backoff, logging every retry and the recovery; the
+// last error is returned when the budget is exhausted.
+func (m *Manager) retryAfter(err error, what, app string, op func() error) error {
+	if !m.Resilience.Enabled {
 		return err
 	}
 	for attempt := 1; attempt <= m.Resilience.MaxRetries; attempt++ {
@@ -115,15 +115,13 @@ func (m *Manager) retryOp(what, app string, op func() error) error {
 }
 
 // setAllocation programs one application's allocation, with retries when
-// resilience is enabled. The direct call in the disabled case keeps the
-// per-period path free of retry-closure allocations.
+// resilience is enabled.
 func (m *Manager) setAllocation(name string, a machine.Alloc) error {
-	if !m.Resilience.Enabled {
-		return m.target.SetAllocation(name, a)
+	err := m.target.SetAllocation(name, a)
+	if err != nil {
+		err = m.retryAfter(err, "allocation write", name, func() error { return m.target.SetAllocation(name, a) })
 	}
-	return m.retryOp("allocation write", name, func() error {
-		return m.target.SetAllocation(name, a)
-	})
+	return err
 }
 
 // enterDegraded switches the manager into degraded mode after the
@@ -138,20 +136,22 @@ func (m *Manager) enterDegraded() {
 
 // degradedStep runs one control period in degraded mode: hold (or keep
 // trying to apply) the safe EQ allocation, let a period pass, and probe
-// whether the substrate has healed. After RecoverAfter consecutive
-// healthy periods the manager re-enters profiling.
+// whether the substrate has healed — polling the apps after the step,
+// which churn can land inside. After RecoverAfter consecutive healthy
+// periods the manager re-enters profiling.
 func (m *Manager) degradedStep() error {
 	if !m.eqApplied {
-		if err := m.applyDegradedEQ(); err != nil {
+		names := m.targetApps()
+		if err := m.applyDegradedEQ(names); err != nil {
 			return fmt.Errorf("core: degraded: EQ fallback: %w", err)
 		}
 		m.eqApplied = true
-		m.logf(eventlog.KindFallback, "", "EQ fallback allocation applied to %d apps", len(m.target.Apps()))
+		m.logf(eventlog.KindFallback, "", "EQ fallback allocation applied to %d apps", len(names))
 	}
 	if err := m.target.Step(m.params.Period); err != nil {
 		return fmt.Errorf("core: degraded: step: %w", err)
 	}
-	names := m.target.Apps()
+	names := m.targetApps()
 	if len(names) == 0 {
 		return fmt.Errorf("core: degraded: no applications")
 	}
@@ -182,14 +182,14 @@ func (m *Manager) DegradedStep() error {
 	return m.degradedStep()
 }
 
-// NotePeriod feeds the resilience watchdog from an external period
-// loop: drivers that call Profile/ExploreStep/IdleStep/DegradedStep
-// themselves (instead of Run) report each period's outcome here to get
-// the same degraded-mode entry Run implements inline. A successful
-// period clears the failure streak; with resilience enabled, a failed
-// one extends it and trips the EQ fallback at the degrade threshold.
-func (m *Manager) NotePeriod(failed bool) {
-	if !failed {
+// NotePeriod is the resilience watchdog: it takes each control period's
+// outcome (nil for success). Run calls it after every period; drivers
+// that call Profile/ExploreStep/IdleStep/DegradedStep themselves report
+// here to get the same degraded-mode entry. A successful period clears
+// the failure streak; with resilience enabled, a failed one extends it
+// and trips the EQ fallback at the degrade threshold.
+func (m *Manager) NotePeriod(err error) {
+	if err == nil {
 		m.failStreak = 0
 		return
 	}
@@ -197,19 +197,18 @@ func (m *Manager) NotePeriod(failed bool) {
 		return
 	}
 	m.failStreak++
-	m.logf(eventlog.KindFault, "", "control period failed (streak %d)", m.failStreak)
+	m.logf(eventlog.KindFault, "", "control period failed (streak %d): %v", m.failStreak, err)
 	if m.phase != PhaseDegraded && m.failStreak >= m.degradeAfter() {
 		m.enterDegraded()
 	}
 }
 
-// applyDegradedEQ programs the equal-split allocation directly from the
+// applyDegradedEQ programs the equal-split allocation over names, the
 // target's current application list. It deliberately bypasses the
 // manager's runtime state: applications may have arrived or departed
 // while periods were failing, and profiling will rebuild all state on
 // recovery anyway.
-func (m *Manager) applyDegradedEQ() error {
-	names := m.target.Apps()
+func (m *Manager) applyDegradedEQ(names []string) error {
 	if len(names) == 0 {
 		return fmt.Errorf("core: no applications to manage")
 	}

@@ -209,6 +209,38 @@ func TestDegradedModeEntryAndRecovery(t *testing.T) {
 	}
 }
 
+// TestHardenedPeriodProbesAtItsStart pins when a hardened manager first
+// observes a counter outage that begins right after a healthy period: at
+// that period's end instant, before any time passes. The opening sweep
+// is what reads there — a fail-fast manager skips it, because the closing
+// sweep already anchored every window at that instant — so skipping it
+// under resilience too would move the first failed read, and everything
+// the watchdog derives from it, one period later.
+func TestHardenedPeriodProbesAtItsStart(t *testing.T) {
+	target, mgr, log := newOutageSetup(t)
+	if err := mgr.Run(60 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if mgr.Phase() != PhaseIdle {
+		t.Fatalf("phase %v, want idle", mgr.Phase())
+	}
+	target.from = target.Now()
+	target.to = target.from + 20*time.Second
+	seen := log.Total()
+	if _, err := mgr.IdleStep(); err == nil {
+		t.Fatal("a period inside the outage must fail")
+	}
+	for _, e := range log.Tail(log.Total() - seen) {
+		if e.Kind == eventlog.KindRetry {
+			if e.Time != target.from {
+				t.Fatalf("first failed read at %v, want the period start %v", e.Time, target.from)
+			}
+			return
+		}
+	}
+	t.Fatal("the failed period logged no retried read")
+}
+
 // TestRetryRecoversTransientReadError checks that a one-shot read error
 // is absorbed by the retry layer without failing the period.
 func TestRetryRecoversTransientReadError(t *testing.T) {

@@ -237,6 +237,10 @@ func (inj *Injector) applyChurn(sink churnSink) error {
 type Target struct {
 	inner core.Target
 	inj   *Injector
+	// gen is the inner target's AppsGeneration, nil when it has none;
+	// calls counts AppsGeneration calls in that case.
+	gen   interface{ AppsGeneration() uint64 }
+	calls uint64
 }
 
 // WrapTarget builds an injecting wrapper around t. When the scenario
@@ -252,7 +256,8 @@ func WrapTarget(t core.Target, sc Scenario, log *eventlog.Log) (*Target, error) 
 			return nil, fmt.Errorf("faultinject: scenario schedules churn but target %T cannot add/remove apps", t)
 		}
 	}
-	return &Target{inner: t, inj: inj}, nil
+	gen, _ := t.(interface{ AppsGeneration() uint64 })
+	return &Target{inner: t, inj: inj, gen: gen}, nil
 }
 
 // Injector exposes the wrapper's engine for stats and recovery clocks.
@@ -260,6 +265,19 @@ func (t *Target) Injector() *Injector { return t.inj }
 
 // Apps implements core.Target.
 func (t *Target) Apps() []string { return t.inner.Apps() }
+
+// AppsGeneration forwards the inner target's membership count (see
+// core.Target): churn calls the inner target's own AddApp and RemoveApp,
+// so the count moves with every arrival and departure. Over an inner
+// target without one it moves on every call, so the manager polls Apps
+// every period.
+func (t *Target) AppsGeneration() uint64 {
+	if t.gen != nil {
+		return t.gen.AppsGeneration()
+	}
+	t.calls++
+	return t.calls
+}
 
 // ReadCounters implements core.Target with read faults, wraparound, and
 // stuck counters applied.

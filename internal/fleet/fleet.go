@@ -707,11 +707,11 @@ func runNode(cfg Config, node, periods int, ways, mba []int, carry *nodeRuntime,
 			}
 			// A hardened node absorbs the failed period: the watchdog
 			// counts it and trips the EQ fallback at the degrade
-			// threshold, exactly as Manager.Run does inline.
-			mgr.NotePeriod(true)
+			// threshold, exactly as Manager.Run does.
+			mgr.NotePeriod(err)
 			continue
 		}
-		mgr.NotePeriod(false)
+		mgr.NotePeriod(nil)
 		if mgr.Phase() == core.PhaseProfile {
 			// A change detection sends the manager back to profiling;
 			// re-profile outside the latency measurement (it spans many
@@ -721,7 +721,7 @@ func runNode(cfg Config, node, periods int, ways, mba []int, carry *nodeRuntime,
 				if !mgr.Resilience.Enabled {
 					return NodeResult{}, nil, err
 				}
-				mgr.NotePeriod(true)
+				mgr.NotePeriod(err)
 			}
 		}
 	}

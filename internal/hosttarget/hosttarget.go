@@ -66,6 +66,7 @@ type Host struct {
 	step     func(time.Duration) error
 	now      func() time.Duration
 	apps     []string
+	appsGen  uint64 // moves whenever apps changes (see AppsGeneration)
 }
 
 // New validates the options and returns an empty Host; register the
@@ -155,6 +156,7 @@ func (h *Host) AddApp(name string, pids []int) error {
 		}
 	}
 	h.apps = append(h.apps, name)
+	h.appsGen++
 	return nil
 }
 
@@ -164,6 +166,7 @@ func (h *Host) RemoveApp(name string) error {
 	for i, a := range h.apps {
 		if a == name {
 			h.apps = append(h.apps[:i], h.apps[i+1:]...)
+			h.appsGen++
 			return h.client.DeleteGroup(name)
 		}
 	}
@@ -174,6 +177,16 @@ func (h *Host) RemoveApp(name string) error {
 func (h *Host) Apps() []string {
 	return append([]string(nil), h.apps...)
 }
+
+// AppsInto is Apps into dst's storage, the manager's allocation-free poll.
+func (h *Host) AppsInto(dst []string) []string {
+	return append(dst[:0], h.apps...)
+}
+
+// AppsGeneration counts the changes to the registered set — every
+// successful AddApp and RemoveApp, and Close — so the manager polls Apps
+// only when it may have changed (see core.Target).
+func (h *Host) AppsGeneration() uint64 { return h.appsGen }
 
 // ReadCounters implements core.Target.
 func (h *Host) ReadCounters(name string) (machine.Counters, error) {
@@ -227,6 +240,7 @@ func (h *Host) Close() error {
 		}
 	}
 	h.apps = nil
+	h.appsGen++
 	return firstErr
 }
 

@@ -1,6 +1,7 @@
 package hosttarget
 
 import (
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -337,5 +338,41 @@ func TestCloseDeletesGroups(t *testing.T) {
 	}
 	if got := h.Apps(); len(got) != 0 {
 		t.Errorf("Apps()=%v after Close", got)
+	}
+}
+
+// TestAppsGeneration: the count the manager's membership check relies on
+// moves with every change to the registered set — AddApp, RemoveApp,
+// Close — and stands still on a rejected duplicate or an unknown app,
+// which leave the set as it was.
+func TestAppsGeneration(t *testing.T) {
+	h, _, _ := newHarness(t)
+	steps := []struct {
+		name  string
+		op    func() error
+		fails bool
+		moves bool
+	}{
+		{"add a", func() error { return h.AddApp("a", nil) }, false, true},
+		{"add b", func() error { return h.AddApp("b", nil) }, false, true},
+		{"duplicate a", func() error { return h.AddApp("a", nil) }, true, false},
+		{"remove unknown", func() error { return h.RemoveApp("zz") }, true, false},
+		{"remove a", func() error { return h.RemoveApp("a") }, false, true},
+		{"close", h.Close, false, true},
+	}
+	for _, s := range steps {
+		gen, apps := h.AppsGeneration(), h.Apps()
+		if err := s.op(); (err != nil) != s.fails {
+			t.Fatalf("%s: err=%v, want failure=%v", s.name, err, s.fails)
+		}
+		if moved := h.AppsGeneration() != gen; moved != s.moves {
+			t.Errorf("%s: generation %d → %d, want moved=%v", s.name, gen, h.AppsGeneration(), s.moves)
+		}
+		if changed := fmt.Sprint(h.Apps()) != fmt.Sprint(apps); changed && !s.moves {
+			t.Errorf("%s: Apps %v → %v with the generation unmoved", s.name, apps, h.Apps())
+		}
+	}
+	if got := h.AppsInto(make([]string, 3)); len(got) != 0 {
+		t.Errorf("AppsInto after Close = %v", got)
 	}
 }

@@ -42,8 +42,8 @@ type Rates struct {
 // produces rates on each sampling round. A controller samples its whole
 // application set once per control period through SampleAll, which finds
 // every snapshot by position and updates it in place: no name lookup, no
-// map write, no allocation. Sample is the per-application entry for
-// everything else (retried fault probes, one-off reads). A snapshot
+// map write, no allocation. Sample is SampleAll over one app, for
+// one-off reads. A snapshot
 // allocates once, the first time an application is seen; Reset recycles
 // retired snapshots through a freelist, so a pooled controller's
 // relaunch cycle allocates none at all.
@@ -158,42 +158,29 @@ func (s *Sampler) rate(snap *sample, cur machine.Counters, now, window time.Dura
 }
 
 // Sample reads app's counters at virtual time now and returns the rates
-// since the previous call. The boolean is false on the first call for an
-// application (there is no window yet); the snapshot is still recorded.
+// since the previous call: a one-app SampleAll. The boolean is false on
+// the first call for an application (there is no window yet; the
+// snapshot is still recorded), on a re-sample at the same instant (the
+// snapshot stays anchored) and on a dropped sample.
 func (s *Sampler) Sample(app string, now time.Duration) (Rates, bool, error) {
-	cur, err := s.src.ReadCounters(app)
-	if err != nil {
-		return Rates{}, false, err
-	}
-	snap, seen := s.lookup(app)
-	if !seen {
-		s.track(app, cur, now)
-		return Rates{}, false, nil
-	}
-	window := now - snap.at
-	if window < 0 {
-		return Rates{}, false, negativeWindow(window, app)
-	}
-	if window == 0 {
-		// A re-sample at the same instant carries no new information;
-		// keep the existing snapshot so the eventual window stays anchored.
-		return Rates{}, false, nil
-	}
-	var r Rates
-	ok := s.rate(snap, cur, now, window, window.Seconds(), &r)
-	return r, ok, nil
+	apps, out := [1]string{app}, [1]Rates{}
+	noWindow, err := s.SampleAll(apps[:], now, out[:])
+	return out[0], err == nil && noWindow < 0, err
 }
 
-// SampleAll is one sampling sweep: Sample(app, now) for each of apps in
-// order, with the rates written in place into out. Given an out it is a
-// measuring sweep and stops where a caller looping over Sample would: at
-// the first app whose read fails (err) or that has no usable window
-// (first sighting, zero window, dropped sample). It returns that app's
-// index, every later snapshot untouched, or -1 when out[:len(apps)] is
-// complete. A nil out makes it an anchoring sweep, which only a failed
-// read stops. When apps is the tracked set in insertion order — the
-// shape a controller presents every period — each snapshot is found by
-// position; any other app goes through the lookup Sample uses.
+// SampleAll is one sampling sweep: it reads each of apps in order at
+// virtual time now and writes the rates since that app's previous sample
+// in place into out. An app's first sighting only records its snapshot;
+// a re-sample at the same instant leaves the snapshot anchored where it
+// was; a window that runs backwards is an error; a counter that went
+// backwards drops the sample and re-anchors. Given an out it is a
+// measuring sweep and stops at the first app whose read fails (err) or
+// that has no usable window (first sighting, zero window, dropped
+// sample). It returns that app's index, every later snapshot untouched,
+// or -1 when out[:len(apps)] is complete. A nil out makes it an
+// anchoring sweep, which only an error stops. When apps is the tracked
+// set in insertion order — the shape a controller presents every period
+// — each snapshot is found by position; any other app is looked up.
 //
 //copart:noalloc
 func (s *Sampler) SampleAll(apps []string, now time.Duration, out []Rates) (noWindow int, err error) {

@@ -1,5 +1,5 @@
 // Package profiling wires the standard runtime profilers into the
-// command-line tools. The heavy commands (evaluate, characterize) accept
+// command-line tools. The heavy commands (evaluate, fleetbench) accept
 // -cpuprofile/-memprofile flags so the experiment engine's hot paths can
 // be inspected with `go tool pprof` without a test harness.
 package profiling
