@@ -13,9 +13,9 @@ vet:
 	$(GO) vet ./...
 
 # Static analysis: go vet plus copartlint, the repo's own go/analysis-style
-# suite (determinism with taint paths, noalloc with call-graph reachability,
-# parclosure, directive hygiene, floatcmp — see DESIGN.md §10 and §15).
-# CI runs this before the tests.
+# suite (determinism over the deterministic packages' import closure,
+# noalloc with its callee contract, directive hygiene, floatcmp — see
+# DESIGN.md §10). CI runs this before the tests.
 lint: vet
 	$(GO) run ./cmd/copartlint ./...
 

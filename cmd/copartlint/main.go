@@ -1,11 +1,12 @@
 // Command copartlint runs the repo's custom static-analysis suite
-// (internal/analysis) over the module: determinism (with
-// interprocedural taint paths), noalloc (with call-graph reachability),
-// parclosure, directive hygiene, and floatcmp. It is the compile-time
-// counterpart of the runtime guard tests — `make lint` and CI run it
-// before the test suite, so a wall-clock read added to internal/machine
-// or an allocation slipped into a //copart:noalloc call chain fails the
-// build instead of waiting for the one test that might notice.
+// (internal/analysis) over the module: determinism (over the
+// deterministic packages and their module imports), noalloc (with its
+// callee contract), directive hygiene, and floatcmp. It is the
+// compile-time counterpart of the runtime guard tests — `make lint` and
+// CI run it before the test suite, so a wall-clock read added to
+// internal/machine or an unannotated helper called from a
+// //copart:noalloc function fails the build instead of waiting for the
+// one test that might notice.
 //
 // Usage:
 //

@@ -31,10 +31,13 @@ func TestListAnalyzers(t *testing.T) {
 	if code := run([]string{"-list"}, &out, &errOut); code != 0 {
 		t.Fatalf("run(-list) = %d, want 0; stderr: %s", code, errOut.String())
 	}
-	for _, name := range []string{"determinism", "noalloc", "parclosure", "directives", "floatcmp"} {
+	for _, name := range []string{"determinism", "noalloc", "directives", "floatcmp"} {
 		if !strings.Contains(out.String(), name) {
 			t.Errorf("-list output missing analyzer %q:\n%s", name, out.String())
 		}
+	}
+	if n := strings.Count(out.String(), "\n"); n != 4 {
+		t.Errorf("-list printed %d analyzers, want 4:\n%s", n, out.String())
 	}
 }
 
@@ -163,12 +166,15 @@ func Stamp() time.Time {
 }
 
 func TestPassUnknownName(t *testing.T) {
-	var out, errOut bytes.Buffer
-	if code := run([]string{"-pass", "determinsim"}, &out, &errOut); code != 2 {
-		t.Fatalf("run(-pass determinsim) = %d, want 2", code)
-	}
-	if !strings.Contains(errOut.String(), "unknown pass") || !strings.Contains(errOut.String(), "available:") {
-		t.Errorf("stderr missing the unknown-pass explanation: %s", errOut.String())
+	// A typo and the retired parclosure pass are both usage errors.
+	for _, name := range []string{"determinsim", "parclosure"} {
+		var out, errOut bytes.Buffer
+		if code := run([]string{"-pass", name}, &out, &errOut); code != 2 {
+			t.Fatalf("run(-pass %s) = %d, want 2", name, code)
+		}
+		if want := "available: determinism, noalloc, directives, floatcmp"; !strings.Contains(errOut.String(), "unknown pass") || !strings.Contains(errOut.String(), want) {
+			t.Errorf("stderr missing the unknown-pass explanation %q: %s", want, errOut.String())
+		}
 	}
 }
 

@@ -1,21 +1,17 @@
 // Package analysis is copartlint's engine: a small, dependency-free
 // reimplementation of the go/analysis analyzer shape (golang.org/x/tools
-// is deliberately not vendored) plus the CoPart-specific passes that
+// is deliberately not vendored) plus four CoPart-specific passes that
 // turn the repo's load-bearing runtime guarantees into compile-time
 // checks:
 //
 //   - determinism: wall-clock reads, global math/rand draws, and
-//     order-leaking map iteration are *sources*; exported functions of
-//     the deterministic packages are *roots*; a source that sits in a
-//     deterministic package, or is reachable from a root through the
-//     module call graph, is a finding that reports the full call path.
+//     order-leaking map iteration are findings anywhere in the
+//     deterministic packages or in the module packages they import,
+//     transitively.
 //   - noalloc: functions annotated //copart:noalloc must not contain
-//     allocating constructs, and must not call unannotated module
-//     functions that (transitively) allocate — the annotation closes
-//     over the call graph instead of stopping at the function brace.
-//   - parclosure: closures handed to internal/parallel's fan-out
-//     primitives must only write captured state through indices derived
-//     from their loop/block variable, or carry //copart:striped.
+//     allocating constructs, and every module function they call must
+//     carry //copart:noalloc too, so the contract is explicit at each
+//     callee instead of inferred.
 //   - directives: every //copart: annotation must be spelled correctly
 //     and attached to a real declaration or statement, so annotations
 //     cannot rot when the code under them moves.
@@ -24,18 +20,16 @@
 //     last ulps with evaluation order), except against an exact-zero
 //     sentinel.
 //
-// The division of labor with the runtime guard tests
-// (TestSolveAllocationGuard, TestManagerPeriodAllocationGuard,
-// TestParallelDeterminism) is deliberate: the guard tests pin the
-// end-to-end property on the inputs they exercise; these passes pin the
-// hygiene of every function in every build, including call chains the
-// guard tests never drive. See DESIGN.md §10 and §15.
+// Every pass is per-package. The division of labor with the runtime
+// guard tests (TestSolveAllocationGuard, TestManagerPeriodAllocationGuard,
+// TestParallelDeterminism under -race) is deliberate: the guard tests
+// pin the end-to-end property on the inputs they exercise; these passes
+// pin the hygiene of every function in every build. See DESIGN.md §10.
 package analysis
 
 import (
 	"encoding/json"
 	"fmt"
-	"go/ast"
 	"go/token"
 	"io"
 	"sort"
@@ -99,28 +93,23 @@ func WriteJSON(w io.Writer, diags []Diagnostic) error {
 	return enc.Encode(findings)
 }
 
-// Analyzer is one named pass. Exactly one of Run and RunModule is set:
-// Run inspects one package at a time and is invoked per package;
-// RunModule is invoked once with a Pass whose Pkg is nil and analyzes
-// the whole Program (the interprocedural passes, which need the
-// cross-package call graph). Returning an error aborts the whole lint
+// Analyzer is one named pass. Run inspects one package at a time and is
+// invoked once per package. Returning an error aborts the whole lint
 // run (reserved for internal failures, not findings).
 type Analyzer struct {
-	Name      string
-	Doc       string
-	Run       func(*Pass) error
-	RunModule func(*Pass) error
+	Name string
+	Doc  string
+	Run  func(*Pass) error
 }
 
-// Pass carries one analyzer's view of the code under analysis. For
-// per-package analyzers Pkg and Directives are set; module analyzers
-// see the whole Program instead and resolve files and directives
-// through it.
+// Pass carries one analyzer's view of one package. Prog gives read
+// access to the rest of the module (imports, other packages'
+// directives); findings are reported only into Pkg.
 type Pass struct {
 	Analyzer   *Analyzer
 	Prog       *Program
-	Pkg        *Package        // nil for RunModule passes
-	Directives *DirectiveIndex // nil for RunModule passes
+	Pkg        *Package
+	Directives *DirectiveIndex
 
 	diags *[]Diagnostic
 }
@@ -134,26 +123,13 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// SuppressedAt reports whether the named line directive covers pos,
-// resolving the file through the Program (module passes report into
-// arbitrary packages, so they cannot use a per-package index).
-func (p *Pass) SuppressedAt(pos token.Pos, name string) bool {
-	pkg, file := p.Prog.FileFor(pos)
-	if pkg == nil {
-		return false
-	}
-	return p.Prog.Directives(pkg).Suppressed(file, pos, name)
-}
-
 // Program is the whole loaded module: every package plus the lazily
-// built structures the interprocedural passes share — per-package
-// directive indexes and the module call graph.
+// built per-package directive indexes the passes share.
 type Program struct {
 	Fset *token.FileSet
 	Pkgs []*Package
 
 	dirs map[*Package]*DirectiveIndex
-	cg   *CallGraph
 }
 
 // NewProgram assembles a Program over packages that share a FileSet
@@ -177,28 +153,8 @@ func (p *Program) Directives(pkg *Package) *DirectiveIndex {
 	return ix
 }
 
-// CallGraph returns the module call graph, built on first use.
-func (p *Program) CallGraph() *CallGraph {
-	if p.cg == nil {
-		p.cg = buildCallGraph(p)
-	}
-	return p.cg
-}
-
-// FileFor locates the package and file containing pos.
-func (p *Program) FileFor(pos token.Pos) (*Package, *ast.File) {
-	for _, pkg := range p.Pkgs {
-		if f := fileOf(pkg, pos); f != nil {
-			return pkg, f
-		}
-	}
-	return nil, nil
-}
-
-// Run applies every analyzer to the program formed by the packages and
-// returns the combined findings sorted by position. Per-package
-// analyzers run once per package; module analyzers run once over the
-// whole set.
+// Run applies every analyzer to every package of the program the
+// packages form and returns the combined findings sorted by position.
 func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	if len(pkgs) == 0 {
 		return nil, nil
@@ -206,13 +162,6 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	prog := NewProgram(pkgs)
 	var diags []Diagnostic
 	for _, a := range analyzers {
-		if a.RunModule != nil {
-			pass := &Pass{Analyzer: a, Prog: prog, diags: &diags}
-			if err := a.RunModule(pass); err != nil {
-				return nil, fmt.Errorf("%s: %w", a.Name, err)
-			}
-			continue
-		}
 		for _, pkg := range prog.Pkgs {
 			pass := &Pass{
 				Analyzer:   a,

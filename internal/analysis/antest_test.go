@@ -99,9 +99,9 @@ func runFixture(t *testing.T, a *Analyzer, name string) {
 }
 
 // runFixturePkgs is runFixture over several fixture directories loaded
-// into one Program — the shape the interprocedural passes need, where
-// sources in one package are reported because of call paths rooted in
-// another. Want comments are collected from every named package.
+// into one Program — for passes whose verdict on one package depends on
+// another (determinism's import closure, noalloc's callee annotations).
+// Want comments are collected from every named package.
 func runFixturePkgs(t *testing.T, a *Analyzer, names ...string) {
 	t.Helper()
 	loader, err := NewLoader(filepath.Join("testdata", "src"))

@@ -25,4 +25,19 @@ func TestRepoIsClean(t *testing.T) {
 	for _, d := range diags {
 		t.Errorf("%s", d)
 	}
+	// The determinism scope reaches past the seven named packages into
+	// everything they import, and no further.
+	scope := importClosure(NewProgram(pkgs), DefaultDeterministicPackages)
+	for path, want := range map[string]bool{
+		"repro/internal/core":         true,
+		"repro/internal/pmc":          true,
+		"repro/internal/controlplane": true,
+		"repro/internal/analysis":     false,
+		"repro/cmd/copartd":           false,
+	} {
+		if scope[path] != want {
+			t.Errorf("determinism scope has %s = %v, want %v", path, scope[path], want)
+		}
+	}
+	t.Logf("determinism scope: %d packages", len(scope))
 }

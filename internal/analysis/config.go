@@ -6,7 +6,6 @@ func Default() []*Analyzer {
 	return []*Analyzer{
 		NewDeterminism(DefaultDeterministicPackages...),
 		NewNoAlloc(),
-		NewParClosure(),
 		NewDirectives(),
 		NewFloatCmp(DefaultScoringPackages...),
 	}

@@ -1,20 +1,16 @@
 package analysis
 
 import (
-	"fmt"
 	"go/ast"
-	"go/token"
 	"go/types"
 )
 
-// NewDeterminism builds the determinism-taint pass scoped to the given
-// package-path prefixes. It is a module-level pass: non-determinism
-// *sources* are collected everywhere, the deterministic packages'
-// exported functions are *roots*, and a source is a finding when it
-// sits inside the scope or is reachable from a root through the module
-// call graph. Findings carry the root→source call path so a taint
-// report reads as the chain a code reviewer would have had to walk by
-// hand.
+// NewDeterminism builds the determinism pass. Its scope is the
+// packages matching the given path prefixes plus every loaded module
+// package they import, transitively: a helper package that
+// deterministic code imports is deterministic code too, whether or not
+// anything reaches the offending line today. Every source inside the
+// scope is a finding.
 //
 // Sources:
 //
@@ -32,22 +28,24 @@ import (
 //     order, so such loops silently produce run-dependent results;
 //     //copart:unordered marks loops whose order genuinely cannot
 //     matter.
-//
-// A source inside a scoped package is always reported (the pre-v2
-// behavior — helpers of a deterministic package are deterministic code
-// even before anything exported calls them). A source in an unscoped
-// package is reported only when the call graph shows a scoped root
-// reaching it; the finding then points at the source line and prints
-// the full path, because the fix belongs at the source, not at the
-// root. Package-level initializers (var clock = time.Now) have no call
-// path and are reported only in scope.
 func NewDeterminism(scope ...string) *Analyzer {
 	a := &Analyzer{
 		Name: "determinism",
-		Doc:  "forbid wall-clock reads, global RNG draws, and order-leaking map iteration in (or reachable from) deterministic packages",
+		Doc:  "forbid wall-clock reads, global RNG draws, and order-leaking map iteration in deterministic packages and their module imports",
 	}
-	a.RunModule = func(pass *Pass) error {
-		runDeterminism(pass, scope)
+	a.Run = func(pass *Pass) error {
+		if !importClosure(pass.Prog, scope)[pass.Pkg.Path] {
+			return nil
+		}
+		for _, f := range pass.Pkg.Files {
+			for _, decl := range f.Decls {
+				checkWallClock(pass, f, decl)
+				checkGlobalRand(pass, decl)
+				if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
+					checkMapOrder(pass, f, fd)
+				}
+			}
+		}
 		return nil
 	}
 	return a
@@ -56,7 +54,8 @@ func NewDeterminism(scope ...string) *Analyzer {
 // DefaultDeterministicPackages is the repo's deterministic core: every
 // package whose outputs must be bit-identical across runs, worker
 // counts, and cache configurations (pinned at runtime by
-// TestParallelDeterminism and the fleet -verify mode).
+// TestParallelDeterminism and the fleet -verify mode). The determinism
+// pass widens it to the module packages these import.
 var DefaultDeterministicPackages = []string{
 	"repro/internal/machine",
 	"repro/internal/core",
@@ -67,125 +66,42 @@ var DefaultDeterministicPackages = []string{
 	"repro/internal/trace",
 }
 
-// detSource is one collected non-determinism source.
-type detSource struct {
-	pos token.Pos
-	fn  *ast.FuncDecl // enclosing declared function; nil in a package-level initializer
-	pkg *Package
-	msg string // full in-scope message (pre-v2 wording, fixture-pinned)
-	// desc is the short description used when the source is out of
-	// scope and only the reachability makes it a finding.
-	desc string
-}
-
-func runDeterminism(pass *Pass, scope []string) {
-	prog := pass.Prog
-	var sources []detSource
-	emit := func(s detSource) { sources = append(sources, s) }
+// importClosure returns the paths of the program's packages that match
+// scope, plus every program package they import, transitively.
+func importClosure(prog *Program, scope []string) map[string]bool {
+	loaded := map[string]bool{}
+	var queue []*types.Package
 	for _, pkg := range prog.Pkgs {
-		dirs := prog.Directives(pkg)
-		for _, f := range pkg.Files {
-			collectDetSources(pkg, dirs, f, emit)
+		loaded[pkg.Path] = true
+		if inScope(pkg.Path, scope) {
+			queue = append(queue, pkg.Types)
 		}
 	}
-	if len(sources) == 0 {
-		return
-	}
-	cg := prog.CallGraph()
-	parent := cg.ReachFrom(deterministicRoots(prog, cg, scope))
-	for _, s := range sources {
-		var node *CGNode
-		if s.fn != nil {
-			if fn, ok := s.pkg.Info.Defs[s.fn.Name].(*types.Func); ok {
-				node = cg.Nodes[fn]
-			}
-		}
-		path := ""
-		if node != nil {
-			path = PathTo(parent, node)
-		}
-		switch {
-		case inScope(s.pkg.Path, scope):
-			if path != "" {
-				pass.Reportf(s.pos, "%s (reached from exported deterministic API: %s)", s.msg, path)
-			} else {
-				pass.Reportf(s.pos, "%s", s.msg)
-			}
-		case path != "":
-			pass.Reportf(s.pos, "%s outside the deterministic scope is reachable from exported deterministic API (call path: %s); fix it at the source or move it behind an injected dependency", s.desc, path)
-		}
-	}
-}
-
-// deterministicRoots returns the scoped packages' exported functions
-// and exported methods on exported types, in source order.
-func deterministicRoots(prog *Program, cg *CallGraph, scope []string) []*CGNode {
-	var roots []*CGNode
-	for _, pkg := range prog.Pkgs {
-		if !inScope(pkg.Path, scope) {
+	closure := map[string]bool{}
+	for len(queue) > 0 {
+		p := queue[0]
+		queue = queue[1:]
+		if closure[p.Path()] || !loaded[p.Path()] {
 			continue
 		}
-		for _, node := range cg.ByPkg[pkg] {
-			if !node.Decl.Name.IsExported() {
-				continue
-			}
-			if sig, ok := node.Fn.Type().(*types.Signature); ok && sig.Recv() != nil {
-				rt := sig.Recv().Type()
-				if p, ok := rt.(*types.Pointer); ok {
-					rt = p.Elem()
-				}
-				named, ok := rt.(*types.Named)
-				if !ok || !named.Obj().Exported() {
-					continue
-				}
-			}
-			roots = append(roots, node)
-		}
+		closure[p.Path()] = true
+		queue = append(queue, p.Imports()...)
 	}
-	return roots
+	return closure
 }
 
-// collectDetSources gathers every source in one file, attributing each
-// to its enclosing declared function (nil for package-level
-// initializers, which cannot be reached through the call graph).
-func collectDetSources(pkg *Package, dirs *DirectiveIndex, f *ast.File, emit func(detSource)) {
-	for _, decl := range f.Decls {
-		var fd *ast.FuncDecl
-		var body ast.Node = decl
-		if d, ok := decl.(*ast.FuncDecl); ok {
-			if d.Body == nil {
-				continue
-			}
-			fd, body = d, d.Body
-		}
-		collectWallClock(pkg, dirs, f, fd, body, emit)
-		collectGlobalRand(pkg, f, fd, body, emit)
-		if fd != nil {
-			collectMapOrder(pkg, dirs, f, fd, emit)
-		}
-	}
-}
-
-func collectWallClock(pkg *Package, dirs *DirectiveIndex, f *ast.File, fd *ast.FuncDecl, body ast.Node, emit func(detSource)) {
-	ast.Inspect(body, func(n ast.Node) bool {
+func checkWallClock(pass *Pass, f *ast.File, decl ast.Decl) {
+	ast.Inspect(decl, func(n ast.Node) bool {
 		sel, ok := n.(*ast.SelectorExpr)
 		if !ok {
 			return true
 		}
-		fn := funcObj(pkg, sel)
+		fn := funcObj(pass.Pkg, sel)
 		if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "time" {
 			return true
 		}
-		if name := fn.Name(); name == "Now" || name == "Since" {
-			if !dirs.Suppressed(f, sel.Pos(), DirWallclock) {
-				emit(detSource{
-					pos:  sel.Pos(),
-					fn:   fd,
-					pkg:  pkg,
-					msg:  fmt.Sprintf("wall-clock read time.%s in deterministic package; inject a clock or annotate with //copart:wallclock <reason>", name),
-					desc: fmt.Sprintf("wall-clock read time.%s", name),
-				})
-			}
+		if name := fn.Name(); (name == "Now" || name == "Since") && !pass.Directives.Suppressed(f, sel.Pos(), DirWallclock) {
+			pass.Reportf(sel.Pos(), "wall-clock read time.%s in deterministic package; inject a clock or annotate with //copart:wallclock <reason>", name)
 		}
 		return true
 	})
@@ -199,13 +115,13 @@ var seededRandFuncs = map[string]bool{
 	"NewPCG": true, "NewChaCha8": true, // math/rand/v2
 }
 
-func collectGlobalRand(pkg *Package, f *ast.File, fd *ast.FuncDecl, body ast.Node, emit func(detSource)) {
-	ast.Inspect(body, func(n ast.Node) bool {
+func checkGlobalRand(pass *Pass, decl ast.Decl) {
+	ast.Inspect(decl, func(n ast.Node) bool {
 		sel, ok := n.(*ast.SelectorExpr)
 		if !ok {
 			return true
 		}
-		fn := funcObj(pkg, sel)
+		fn := funcObj(pass.Pkg, sel)
 		if fn == nil || fn.Pkg() == nil {
 			return true
 		}
@@ -219,13 +135,7 @@ func collectGlobalRand(pkg *Package, f *ast.File, fd *ast.FuncDecl, body ast.Nod
 			return true
 		}
 		if !seededRandFuncs[fn.Name()] {
-			emit(detSource{
-				pos:  sel.Pos(),
-				fn:   fd,
-				pkg:  pkg,
-				msg:  fmt.Sprintf("top-level rand.%s draws from the global unseeded source; use rand.New(rand.NewSource(seed))", fn.Name()),
-				desc: fmt.Sprintf("top-level rand.%s draw from the global unseeded source", fn.Name()),
-			})
+			pass.Reportf(sel.Pos(), "top-level rand.%s draws from the global unseeded source; use rand.New(rand.NewSource(seed))", fn.Name())
 		}
 		return true
 	})
@@ -244,7 +154,8 @@ var fmtOutputFuncs = map[string]bool{
 	"Fprint": true, "Fprintf": true, "Fprintln": true,
 }
 
-func collectMapOrder(pkg *Package, dirs *DirectiveIndex, f *ast.File, fd *ast.FuncDecl, emit func(detSource)) {
+func checkMapOrder(pass *Pass, f *ast.File, fd *ast.FuncDecl) {
+	pkg := pass.Pkg
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		rng, ok := n.(*ast.RangeStmt)
 		if !ok {
@@ -257,52 +168,39 @@ func collectMapOrder(pkg *Package, dirs *DirectiveIndex, f *ast.File, fd *ast.Fu
 		if _, isMap := tv.Type.Underlying().(*types.Map); !isMap {
 			return true
 		}
-		if dirs.Suppressed(f, rng.Pos(), DirUnordered) {
+		if pass.Directives.Suppressed(f, rng.Pos(), DirUnordered) {
 			return true
 		}
-		collectMapRangeBody(pkg, fd, rng, emit)
+		checkMapRangeBody(pass, fd, rng)
 		return true
 	})
 }
 
-// collectMapRangeBody gathers order leaks out of one map-range loop.
-func collectMapRangeBody(pkg *Package, fd *ast.FuncDecl, rng *ast.RangeStmt, emit func(detSource)) {
+// checkMapRangeBody reports order leaks out of one map-range loop.
+func checkMapRangeBody(pass *Pass, fd *ast.FuncDecl, rng *ast.RangeStmt) {
 	ast.Inspect(rng.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.CallExpr:
-			if fn := funcObj(pkg, n.Fun); fn != nil {
-				if fn.Pkg() != nil && fn.Pkg().Path() == "fmt" && fmtOutputFuncs[fn.Name()] {
-					emit(detSource{
-						pos:  n.Pos(),
-						fn:   fd,
-						pkg:  pkg,
-						msg:  fmt.Sprintf("fmt.%s inside map iteration emits in randomized order; collect and sort first, or annotate the loop with //copart:unordered <reason>", fn.Name()),
-						desc: fmt.Sprintf("fmt.%s inside map iteration", fn.Name()),
-					})
-					return true
-				}
-				if fn.Type().(*types.Signature).Recv() != nil && outputMethodNames[fn.Name()] {
-					emit(detSource{
-						pos:  n.Pos(),
-						fn:   fd,
-						pkg:  pkg,
-						msg:  fmt.Sprintf("%s inside map iteration feeds a writer/digest in randomized order; collect and sort first, or annotate the loop with //copart:unordered <reason>", fn.Name()),
-						desc: fmt.Sprintf("%s call inside map iteration", fn.Name()),
-					})
-					return true
-				}
+			fn := funcObj(pass.Pkg, n.Fun)
+			switch {
+			case fn == nil:
+			case fn.Pkg() != nil && fn.Pkg().Path() == "fmt" && fmtOutputFuncs[fn.Name()]:
+				pass.Reportf(n.Pos(), "fmt.%s inside map iteration emits in randomized order; collect and sort first, or annotate the loop with //copart:unordered <reason>", fn.Name())
+			case fn.Type().(*types.Signature).Recv() != nil && outputMethodNames[fn.Name()]:
+				pass.Reportf(n.Pos(), "%s inside map iteration feeds a writer/digest in randomized order; collect and sort first, or annotate the loop with //copart:unordered <reason>", fn.Name())
 			}
 		case *ast.AssignStmt:
-			collectMapRangeAppend(pkg, fd, rng, n, emit)
+			checkMapRangeAppend(pass, fd, rng, n)
 		}
 		return true
 	})
 }
 
-// collectMapRangeAppend gathers `s = append(s, …)` inside a map-range
+// checkMapRangeAppend reports `s = append(s, …)` inside a map-range
 // body when s is declared outside the loop and never sorted later in
 // the same function.
-func collectMapRangeAppend(pkg *Package, fd *ast.FuncDecl, rng *ast.RangeStmt, as *ast.AssignStmt, emit func(detSource)) {
+func checkMapRangeAppend(pass *Pass, fd *ast.FuncDecl, rng *ast.RangeStmt, as *ast.AssignStmt) {
+	pkg := pass.Pkg
 	for i, rhs := range as.Rhs {
 		call, ok := rhs.(*ast.CallExpr)
 		if !ok || !isBuiltin(pkg, call.Fun, "append") || i >= len(as.Lhs) {
@@ -327,14 +225,8 @@ func collectMapRangeAppend(pkg *Package, fd *ast.FuncDecl, rng *ast.RangeStmt, a
 		if sortedAfter(pkg, fd, rng, obj) {
 			continue
 		}
-		emit(detSource{
-			pos: as.Pos(),
-			fn:  fd,
-			pkg: pkg,
-			msg: fmt.Sprintf("append to %q inside map iteration leaks randomized order (no subsequent sort in %s); sort the result, or annotate the loop with //copart:unordered <reason>",
-				dest.Name, fd.Name.Name),
-			desc: fmt.Sprintf("order-leaking append to %q inside map iteration", dest.Name),
-		})
+		pass.Reportf(as.Pos(), "append to %q inside map iteration leaks randomized order (no subsequent sort in %s); sort the result, or annotate the loop with //copart:unordered <reason>",
+			dest.Name, fd.Name.Name)
 	}
 }
 

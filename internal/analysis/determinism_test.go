@@ -7,9 +7,8 @@ func TestDeterminismFixture(t *testing.T) {
 }
 
 func TestDeterminismTaintFixture(t *testing.T) {
-	// Two packages in one Program: dtaint is scoped, dtaintlib is not.
-	// The lib's sources are findings only along call paths rooted in
-	// dtaint's exported API; the wants in both files pin the paths.
+	// Two packages in one Program: dtaint is scoped, dtaintlib is not,
+	// but dtaint imports it, so the import closure covers both.
 	runFixturePkgs(t, NewDeterminism("fixture/dtaint"), "dtaint", "dtaintlib")
 }
 

@@ -15,50 +15,38 @@ const DirectivePrefix = "//copart:"
 // enforced by the directives analyzer:
 //
 //	//copart:noalloc <reason>   — function doc comment; the function body
-//	                              must be free of allocating constructs.
+//	                              must be free of allocating constructs,
+//	                              and every module function it calls must
+//	                              carry //copart:noalloc as well.
 //	//copart:wallclock <reason> — line directive; permits a wall-clock
 //	                              read (time.Now / time.Since) on the
 //	                              annotated line in a deterministic
 //	                              package.
 //	//copart:allocok <reason>   — line directive; permits one allocating
-//	                              construct inside a //copart:noalloc
-//	                              function.
+//	                              construct, or one call to an
+//	                              unannotated module function, inside a
+//	                              //copart:noalloc function.
 //	//copart:floateq <reason>   — line directive; permits a float ==/!=
 //	                              comparison in a scoring package.
 //	//copart:unordered <reason> — line directive; permits a map-range
 //	                              loop whose iteration order feeds an
 //	                              output without a subsequent sort.
-//	//copart:striped <reason>   — line directive; permits a write to a
-//	                              captured variable inside a closure
-//	                              passed to a parallel fan-out primitive
-//	                              (the write is synchronized some other
-//	                              way — mutex, atomic, single-writer).
 const (
 	DirNoalloc   = "noalloc"
 	DirWallclock = "wallclock"
 	DirAllocOK   = "allocok"
 	DirFloatEq   = "floateq"
 	DirUnordered = "unordered"
-	DirStriped   = "striped"
 )
 
-// lineDirectives are the names that attach to a single line of code.
-var lineDirectives = map[string]bool{
-	DirWallclock: true,
-	DirAllocOK:   true,
-	DirFloatEq:   true,
-	DirUnordered: true,
-	DirStriped:   true,
-}
-
-// knownDirectives is the full vocabulary.
+// knownDirectives is the full vocabulary; true marks the line
+// directives, which attach to a single line of code.
 var knownDirectives = map[string]bool{
-	DirNoalloc:   true,
+	DirNoalloc:   false,
 	DirWallclock: true,
 	DirAllocOK:   true,
 	DirFloatEq:   true,
 	DirUnordered: true,
-	DirStriped:   true,
 }
 
 // Directive is one parsed //copart: comment.
@@ -170,16 +158,6 @@ func (ix *DirectiveIndex) Suppressed(file *ast.File, pos token.Pos, name string)
 		}
 	}
 	return false
-}
-
-// fileOf returns the *ast.File containing pos.
-func fileOf(pkg *Package, pos token.Pos) *ast.File {
-	for _, f := range pkg.Files {
-		if f.FileStart <= pos && pos <= f.FileEnd {
-			return f
-		}
-	}
-	return nil
 }
 
 // inScope reports whether the package path is covered by one of the

@@ -1,6 +1,10 @@
 package analysis
 
-import "go/ast"
+import (
+	"go/ast"
+	"sort"
+	"strings"
+)
 
 // NewDirectives builds the hygiene pass over the //copart: vocabulary
 // itself. Annotations are load-bearing — a suppression that silently
@@ -9,9 +13,9 @@ import "go/ast"
 //
 //   - use a known name (typos like //copart:noallocs are errors);
 //   - sit where its kind belongs: noalloc in a function's doc comment,
-//     line directives (wallclock, allocok, floateq, unordered, striped)
-//     on the same line as code or the line immediately above a
-//     statement or declaration;
+//     line directives (wallclock, allocok, floateq, unordered) on the
+//     same line as code or the line immediately above a statement or
+//     declaration;
 //   - carry a justification: line directives suppress a finding, and a
 //     suppression without a reason is unreviewable.
 //
@@ -32,17 +36,27 @@ func NewDirectives() *Analyzer {
 	return a
 }
 
-func checkDirective(pass *Pass, f *ast.File, d Directive) {
-	if !knownDirectives[d.Name] {
-		pass.Reportf(d.Pos, "unknown directive //copart:%s (vocabulary: noalloc, wallclock, allocok, floateq, unordered, striped)", d.Name)
-		return
+// vocabulary lists the known directive names, sorted, for the
+// unknown-directive message.
+func vocabulary() string {
+	names := make([]string, 0, len(knownDirectives))
+	for name := range knownDirectives {
+		names = append(names, name)
 	}
+	sort.Strings(names)
+	return strings.Join(names, ", ")
+}
+
+func checkDirective(pass *Pass, f *ast.File, d Directive) {
+	isLine, known := knownDirectives[d.Name]
 	switch {
-	case d.Name == DirNoalloc:
+	case !known:
+		pass.Reportf(d.Pos, "unknown directive //copart:%s (vocabulary: %s)", d.Name, vocabulary())
+	case !isLine:
 		if !d.InDoc {
 			pass.Reportf(d.Pos, "//copart:noalloc must be part of a function declaration's doc comment")
 		}
-	case lineDirectives[d.Name]:
+	default:
 		if d.Args == "" {
 			pass.Reportf(d.Pos, "//copart:%s needs a justification: //copart:%s <reason>", d.Name, d.Name)
 		}

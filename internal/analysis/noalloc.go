@@ -1,11 +1,8 @@
 package analysis
 
 import (
-	"fmt"
 	"go/ast"
-	"go/token"
 	"go/types"
-	"path/filepath"
 )
 
 // NewNoAlloc builds the pass that checks functions annotated
@@ -29,41 +26,34 @@ import (
 // Everything else needs //copart:allocok <reason> on its line, which
 // turns each intentional allocation into reviewed documentation.
 //
-// The pass is module-level: beyond the intraprocedural checks above,
-// the annotation closes over the call graph. A call inside an
-// annotated function to an *unannotated* module function that
-// (transitively) allocates is a finding that prints the call chain
-// down to the first allocating construct. Annotated callees are
-// trusted boundaries (their own bodies are checked directly), cold
-// edges do not propagate (error paths may allocate), and allocok'd
-// lines in callees are reviewed allocations that do not re-taint their
-// callers. The transitive scan looks only for unconditional allocators
-// (make/new, literals, formatting helpers, closures, conversions,
-// string concat, go) — append discipline and interface boxing stay
-// caller-local, where the reuse context is visible. The runtime guard
-// tests still own the end-to-end allocation budget; this pass owns the
-// hygiene of every annotated chain on every build.
+// The annotation is also a callee contract. When a hot-path call
+// (outside a cold branch) names a function or method declared in a
+// loaded module package, that callee must carry //copart:noalloc itself
+// — so its body gets this same check — or the call line must carry
+// //copart:allocok <reason>. Generic callees are
+// matched through their declaration (types.Func.Origin). Calls through
+// interfaces and function values name no declaration and stay out of
+// scope; the runtime allocation guards own those.
 func NewNoAlloc() *Analyzer {
 	a := &Analyzer{
 		Name: "noalloc",
-		Doc:  "flag allocating constructs inside, and allocating calls reachable from, //copart:noalloc functions",
+		Doc:  "flag allocating constructs and calls to unannotated module functions inside //copart:noalloc functions",
 	}
-	a.RunModule = func(pass *Pass) error {
-		tracer := newAllocTracer(pass.Prog)
-		for _, pkg := range pass.Prog.Pkgs {
-			dirs := pass.Prog.Directives(pkg)
-			for _, f := range pkg.Files {
-				for _, decl := range f.Decls {
-					fd, ok := decl.(*ast.FuncDecl)
-					if !ok || fd.Body == nil {
-						continue
-					}
-					if _, ok := dirs.FuncDirective(fd, DirNoalloc); !ok {
-						continue
-					}
-					checkNoAllocFunc(pass, pkg, dirs, f, fd)
-					checkNoAllocReach(pass, pkg, dirs, f, fd, tracer)
+	a.Run = func(pass *Pass) error {
+		var callees *calleeIndex
+		for _, f := range pass.Pkg.Files {
+			for _, decl := range f.Decls {
+				fd, ok := decl.(*ast.FuncDecl)
+				if !ok || fd.Body == nil {
+					continue
 				}
+				if _, ok := pass.Directives.FuncDirective(fd, DirNoalloc); !ok {
+					continue
+				}
+				if callees == nil {
+					callees = indexCallees(pass.Prog)
+				}
+				checkNoAllocFunc(pass, f, fd, callees)
 			}
 		}
 		return nil
@@ -71,12 +61,48 @@ func NewNoAlloc() *Analyzer {
 	return a
 }
 
+// calleeIndex answers the callee contract: which packages are module
+// code, and which of their functions carry //copart:noalloc.
+type calleeIndex struct {
+	module  map[*types.Package]bool
+	noalloc map[*types.Func]bool
+}
+
+func indexCallees(prog *Program) *calleeIndex {
+	ix := &calleeIndex{module: map[*types.Package]bool{}, noalloc: map[*types.Func]bool{}}
+	for _, pkg := range prog.Pkgs {
+		ix.module[pkg.Types] = true
+		for fd, dirs := range prog.Directives(pkg).funcDir {
+			for _, d := range dirs {
+				if fn, ok := pkg.Info.Defs[fd.Name].(*types.Func); ok && d.Name == DirNoalloc {
+					ix.noalloc[fn] = true
+				}
+			}
+		}
+	}
+	return ix
+}
+
+// unannotated returns the module function fn declares when the call
+// falls under the callee contract without meeting it, else nil.
+func (ix *calleeIndex) unannotated(fn *types.Func) *types.Func {
+	fn = fn.Origin()
+	if !ix.module[fn.Pkg()] || ix.noalloc[fn] {
+		return nil
+	}
+	if recv := fn.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
+		return nil // dynamic dispatch: no declaration to hold the contract
+	}
+	return fn
+}
+
 // checkNoAllocFunc walks one annotated function body.
-func checkNoAllocFunc(pass *Pass, pkg *Package, dirs *DirectiveIndex, f *ast.File, fd *ast.FuncDecl) {
+func checkNoAllocFunc(pass *Pass, f *ast.File, fd *ast.FuncDecl, callees *calleeIndex) {
+	pkg := pass.Pkg
 	aliases := collectAliases(fd)
 	emptyLocals := collectEmptyLocalSlices(pkg, fd)
 	report := func(pos ast.Node, format string, args ...any) {
-		if dirs.Suppressed(f, pos.Pos(), DirAllocOK) {
+		if pass.Directives.Suppressed(f, pos.Pos(), DirAllocOK) {
 			return
 		}
 		pass.Reportf(pos.Pos(), format, args...)
@@ -89,7 +115,7 @@ func checkNoAllocFunc(pass *Pass, pkg *Package, dirs *DirectiveIndex, f *ast.Fil
 		}
 		switch n := n.(type) {
 		case *ast.CallExpr:
-			checkNoAllocCall(pkg, fd, n, stack, aliases, emptyLocals, report)
+			checkNoAllocCall(pkg, fd, n, stack, aliases, emptyLocals, callees, report)
 		case *ast.CompositeLit:
 			checkCompositeLit(pkg, n, stack, report)
 		case *ast.BinaryExpr:
@@ -104,41 +130,6 @@ func checkNoAllocFunc(pass *Pass, pkg *Package, dirs *DirectiveIndex, f *ast.Fil
 	})
 }
 
-// checkNoAllocReach walks the annotated function's call sites and flags
-// calls to unannotated module functions that transitively allocate.
-// Cold-branch call sites are exempt (error paths), and an allocok on
-// the call line accepts the whole callee chain as reviewed.
-func checkNoAllocReach(pass *Pass, pkg *Package, dirs *DirectiveIndex, f *ast.File, fd *ast.FuncDecl, tracer *allocTracer) {
-	cg := pass.Prog.CallGraph()
-	walkWithStack(fd.Body, func(n ast.Node, stack []ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false // closure bodies are flagged as a whole by the intraprocedural walk
-		}
-		call, ok := n.(*ast.CallExpr)
-		if !ok || inColdBranch(stack) {
-			return true
-		}
-		fn := funcObj(pkg, call.Fun)
-		if fn == nil {
-			return true
-		}
-		callee := cg.Nodes[fn]
-		if callee == nil || tracer.annotatedNoalloc(callee) {
-			return true
-		}
-		tr := tracer.trace(callee)
-		if tr == nil {
-			return true
-		}
-		if dirs.Suppressed(f, call.Pos(), DirAllocOK) {
-			return true
-		}
-		pass.Reportf(call.Pos(), "call to %s in //copart:noalloc function %s reaches an allocation (%s at %s, via %s); make the chain allocation-free and annotate it //copart:noalloc, or suppress with //copart:allocok <reason>",
-			callee.Name(), fd.Name.Name, tr.cause.what, shortPos(pass.Prog.Fset, tr.cause.pos), tr.chainString())
-		return true
-	})
-}
-
 // allocatingFuncs maps package path → function names that allocate on
 // every call and have no place on a zero-alloc path.
 var allocatingFuncs = map[string]map[string]bool{
@@ -149,7 +140,7 @@ var allocatingFuncs = map[string]map[string]bool{
 }
 
 func checkNoAllocCall(pkg *Package, fd *ast.FuncDecl, call *ast.CallExpr, stack []ast.Node,
-	aliases map[string]string, emptyLocals map[types.Object]bool,
+	aliases map[string]string, emptyLocals map[types.Object]bool, callees *calleeIndex,
 	report func(ast.Node, string, ...any)) {
 	// Type conversions: string <-> []byte/[]rune copy their operand,
 	// except in map-index position where the compiler elides the copy.
@@ -176,8 +167,28 @@ func checkNoAllocCall(pkg *Package, fd *ast.FuncDecl, call *ast.CallExpr, stack 
 			report(call, "%s.%s allocates in //copart:noalloc function %s", fn.Pkg().Name(), fn.Name(), fd.Name.Name)
 			return
 		}
+		if callee := callees.unannotated(fn); callee != nil {
+			report(call, "call to unannotated %s in //copart:noalloc function %s; annotate the callee //copart:noalloc or the call //copart:allocok <reason>",
+				funcDisplayName(callee), fd.Name.Name)
+		}
 	}
 	checkInterfaceBoxing(pkg, fd, call, report)
+}
+
+// funcDisplayName renders pkg.Func, or pkg.Type.Method for methods
+// (pointer receivers stripped).
+func funcDisplayName(fn *types.Func) string {
+	name := fn.Name()
+	if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
+		rt := recv.Type()
+		if p, ok := rt.(*types.Pointer); ok {
+			rt = p.Elem()
+		}
+		if named, ok := rt.(*types.Named); ok {
+			name = named.Obj().Name() + "." + name
+		}
+	}
+	return fn.Pkg().Name() + "." + name
 }
 
 // checkAppend enforces the reuse discipline: append must write back
@@ -546,12 +557,4 @@ func walkWithStack(root ast.Node, fn func(n ast.Node, stack []ast.Node) bool) {
 		stack = append(stack, n)
 		return true
 	})
-}
-
-// shortPos renders a position as "file.go:line" with the directory
-// stripped, for use inside finding messages (the finding's own
-// position already carries the full path).
-func shortPos(fset *token.FileSet, pos token.Pos) string {
-	p := fset.Position(pos)
-	return fmt.Sprintf("%s:%d", filepath.Base(p.Filename), p.Line)
 }

@@ -3,5 +3,7 @@ package analysis
 import "testing"
 
 func TestNoAllocFixture(t *testing.T) {
-	runFixture(t, NewNoAlloc(), "noallocfix")
+	// noalloclib is loaded alongside so the callee rule sees a method
+	// declared in a second module package.
+	runFixturePkgs(t, NewNoAlloc(), "noallocfix", "noalloclib")
 }

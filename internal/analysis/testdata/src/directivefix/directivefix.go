@@ -57,21 +57,8 @@ func sameLineOK(a float64) bool {
 	return a == a //copart:floateq self-comparison screens NaN
 }
 
-// stripedOK attaches a justified striped directive to a write.
-func stripedOK(sink *int) {
-	*sink = 5 //copart:striped fixture: single-writer by construction
-}
-
-// docStriped smuggles a bare striped directive into a doc comment: two
-// findings on one line — no reason, and wrong position.
-//
-// want+2 "//copart:striped needs a justification" "//copart:striped is a line directive and cannot cover a whole function"
-//
-//copart:striped
-func docStriped() int { return 0 }
-
-// danglingStriped keeps a striped directive whose write was deleted.
-func danglingStriped() {
-	//copart:striped the write this covered is gone
-	// want-1 "dangling //copart:striped"
+// retiredStriped uses a directive that left the vocabulary; the message
+// lists the names that remain.
+func retiredStriped(sink *int) {
+	*sink = 5 //copart:striped single-writer // want "unknown directive //copart:striped .vocabulary: allocok, floateq, noalloc, unordered, wallclock.$"
 }

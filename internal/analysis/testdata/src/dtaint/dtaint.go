@@ -1,7 +1,6 @@
-// Package dtaint is the scoped half of the determinism-taint fixture:
-// its exported functions are the roots the pass walks from, and its
-// own in-scope sources are reported directly — with the call path
-// appended when a root reaches them.
+// Package dtaint is the scoped half of the import-closure fixture: its
+// own sources are findings, and so are those of every module package it
+// imports (fixture/dtaintlib), whether or not anything calls them.
 package dtaint
 
 import (
@@ -10,26 +9,18 @@ import (
 	"fixture/dtaintlib"
 )
 
-// Run is the exported root: everything it (transitively) calls is
-// deterministic territory.
+// Run uses the imported package, which puts it in scope.
 func Run() int64 {
-	t := dtaintlib.Stamp()
-	v := dtaintlib.Deep() + int64(dtaintlib.Draw())
-	_ = dtaintlib.Suppressed()
-	return t.UnixNano() + v + helper().UnixNano()
+	return dtaintlib.Stamp().UnixNano() + helper().UnixNano()
 }
 
-// helper is in scope and reached from Run: the plain in-scope finding
-// gains the path suffix.
 func helper() time.Time {
-	return time.Now() // want "wall-clock read time.Now in deterministic package; inject a clock or annotate with //copart:wallclock <reason> .reached from exported deterministic API: dtaint.Run -> dtaint.helper."
+	return time.Now() // want "wall-clock read time.Now in deterministic package; inject a clock or annotate with //copart:wallclock <reason>$"
 }
 
-// orphan is in scope but nothing exported reaches it: still a finding
-// (deterministic packages are deterministic throughout), just without
-// a path.
+// orphan is unreachable from anything exported: still a finding.
 func orphan() time.Time {
-	return time.Now() // want "wall-clock read time.Now in deterministic package; inject a clock or annotate with //copart:wallclock <reason>$"
+	return time.Now() // want "wall-clock read time.Now in deterministic package"
 }
 
 // suppressedInScope documents its intentional read.

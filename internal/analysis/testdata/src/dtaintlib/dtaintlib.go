@@ -1,6 +1,6 @@
-// Package dtaintlib sits OUTSIDE the determinism fixture's scope: its
-// sources become findings only when the call graph shows an exported
-// function of the scoped package (fixture/dtaint) reaching them.
+// Package dtaintlib matches no scope prefix of the determinism fixture,
+// but fixture/dtaint imports it, so it is deterministic code too: every
+// source in it is a finding, called from the scoped package or not.
 package dtaintlib
 
 import (
@@ -8,34 +8,22 @@ import (
 	"time"
 )
 
-// Stamp is called by the deterministic root dtaint.Run: the finding
-// lands here, carrying the root→source path.
+// Stamp is called by dtaint.Run.
 func Stamp() time.Time {
-	return time.Now() // want "wall-clock read time.Now outside the deterministic scope is reachable from exported deterministic API .call path: dtaint.Run -> dtaintlib.Stamp."
+	return time.Now() // want "wall-clock read time.Now in deterministic package"
 }
 
-// Deep reaches its source through one more hop.
-func Deep() int64 {
-	return inner()
-}
-
-func inner() int64 {
-	return time.Now().UnixNano() // want "wall-clock read time.Now outside the deterministic scope is reachable from exported deterministic API .call path: dtaint.Run -> dtaintlib.Deep -> dtaintlib.inner."
-}
-
-// Draw uses the global rand source; reachable, so a finding.
+// Draw uses the global rand source.
 func Draw() int {
-	return rand.Int() // want "top-level rand.Int draw from the global unseeded source outside the deterministic scope is reachable from exported deterministic API .call path: dtaint.Run -> dtaintlib.Draw."
+	return rand.Int() // want "top-level rand.Int draws from the global unseeded source"
 }
 
-// Unreached holds the same source but no deterministic root reaches
-// it: no finding.
+// Unreached is called by nothing: a finding all the same.
 func Unreached() time.Time {
-	return time.Now()
+	return time.Now() // want "wall-clock read time.Now in deterministic package"
 }
 
-// Suppressed is reachable, but the source line is annotated: the
-// suppression belongs at the source, exactly where the fix would go.
+// Suppressed is annotated at the source, where the fix would go.
 func Suppressed() time.Time {
 	return time.Now() //copart:wallclock fixture: out-of-band latency probe, never feeds results
 }

@@ -147,6 +147,7 @@ func boxingViolation(n int) {
 	sink(n) // want "argument n boxes into interface parameter"
 }
 
+//copart:noalloc
 func sink(v any) { _ = v }
 
 // pointerNoBox passes a pointer: pointer-shaped, fits the interface

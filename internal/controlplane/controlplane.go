@@ -183,7 +183,7 @@ func New(adm Admitter, src StatusSource, events *eventlog.Log, opts ...Option) *
 // from the manager's OnPeriod hook (controller goroutine); readers see
 // it through the mutex.
 func (p *Plane) Observe(r core.PeriodReport) {
-	now := time.Now()
+	now := time.Now() //copart:wallclock /metrics period-latency telemetry; never feeds a control decision
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.last = r

@@ -63,6 +63,8 @@ func (s AllocState) Equal(o AllocState) bool {
 
 // Validate checks structural invariants: each application holds at least
 // one way, way counts sum to at most totalWays, and MBA levels are legal.
+//
+//copart:noalloc
 func (s AllocState) Validate(totalWays int) error {
 	if len(s.Ways) != len(s.MBA) {
 		return fmt.Errorf("core: state has %d way entries, %d MBA entries", len(s.Ways), len(s.MBA))

@@ -60,3 +60,33 @@ func TestSetClock(t *testing.T) {
 		}
 	}
 }
+
+// TestReprofileResetsExploreTimes pins the journal to the current
+// exploration: a daemon re-profiles on every churn event, and the
+// journal must not grow for the daemon's whole lifetime.
+func TestReprofileResetsExploreTimes(t *testing.T) {
+	m, mgr := testSetup(t, workloads.HLLC, 4)
+	stepIn(t, mgr, PhaseIdle)
+	if len(mgr.ExploreTimes) == 0 {
+		t.Fatal("first exploration recorded no steps")
+	}
+	if err := m.RemoveApp(m.Apps()[0]); err != nil {
+		t.Fatal(err)
+	}
+	if changed, err := mgr.IdleStep(); err != nil || !changed {
+		t.Fatalf("departure not detected: changed=%v err=%v", changed, err)
+	}
+	if err := mgr.Profile(); err != nil {
+		t.Fatal(err)
+	}
+	steps := 0
+	for mgr.Phase() == PhaseExplore && steps < 3 {
+		if _, err := mgr.ExploreStep(); err != nil {
+			t.Fatal(err)
+		}
+		steps++
+	}
+	if len(mgr.ExploreTimes) != steps {
+		t.Errorf("ExploreTimes has %d entries after re-profiling and %d explore steps", len(mgr.ExploreTimes), steps)
+	}
+}

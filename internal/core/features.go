@@ -23,6 +23,8 @@ type Features struct {
 }
 
 // DefaultFeatures enables every mechanism.
+//
+//copart:noalloc
 func DefaultFeatures() Features {
 	return Features{
 		ParkOnBest:      true,

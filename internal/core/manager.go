@@ -47,6 +47,8 @@ type Envelope struct {
 }
 
 // Validate checks the envelope against the hardware and application count.
+//
+//copart:noalloc
 func (e Envelope) Validate(cfg machine.Config, apps int) error {
 	if e.LoWay < 0 || e.Ways < 1 || e.LoWay+e.Ways > cfg.LLCWays {
 		return fmt.Errorf("core: envelope [%d,%d) outside %d ways", e.LoWay, e.LoWay+e.Ways, cfg.LLCWays)
@@ -210,7 +212,8 @@ type Manager struct {
 	FreezeMBA bool
 
 	// ExploreTimes records the wall-clock duration of every
-	// getNextSystemState invocation (Figure 16's overhead metric).
+	// getNextSystemState invocation since the last Profile or Reuse —
+	// the current exploration only (Figure 16's overhead metric).
 	ExploreTimes []time.Duration
 	// clock is the wall-clock source behind ExploreTimes. It defaults
 	// to the real clock and is injectable via SetClock so the overhead
@@ -373,6 +376,8 @@ func (m *Manager) resetApps(names []string) {
 // targetApps polls the target's application list into m.targetNames,
 // reusing the buffer when the target supports AppsInto (the simulated
 // machine does); the returned slice is valid until the next call.
+//
+//copart:noalloc
 func (m *Manager) targetApps() []string {
 	if t, ok := m.target.(interface{ AppsInto([]string) []string }); ok {
 		m.targetNames = t.AppsInto(m.targetNames)
@@ -409,6 +414,8 @@ func (m *Manager) Phase() Phase { return m.phase }
 func (m *Manager) FailStreak() int { return m.failStreak }
 
 // weightFor resolves an application's fairness weight (default 1).
+//
+//copart:noalloc
 func (m *Manager) weightFor(name string) float64 {
 	if w, ok := m.weights[name]; ok {
 		return w
@@ -514,6 +521,8 @@ func (m *Manager) equalStateInto(dst *AllocState) error {
 // EqualMBAShare returns the equal MBA allocation for n applications:
 // ceil(100/n) rounded up to the hardware granularity, clamped to the
 // legal range.
+//
+//copart:noalloc
 func EqualMBAShare(n int) int {
 	if n < 1 {
 		return membw.MaxLevel
@@ -670,6 +679,7 @@ func (m *Manager) Profile() error {
 		return err
 	}
 	m.resetApps(names)
+	m.ExploreTimes = m.ExploreTimes[:0]
 	if err := m.equalStateInto(&m.eq); err != nil {
 		return err
 	}

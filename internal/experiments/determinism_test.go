@@ -22,6 +22,11 @@ func atWorkers(t *testing.T, n int, fn func()) {
 // output, because every cell builds its own machine and RNG and the pool
 // only decides when — not how — a cell runs. Each experiment is rendered
 // to text and compared byte for byte between one worker and several.
+//
+// The cases cover every parallel fan-out in this package (Figure 17's
+// nested one included), so under `go test -race` this test is also the
+// guard against a fan-out closure writing shared state outside its own
+// index's slot.
 func TestParallelDeterminism(t *testing.T) {
 	type run struct {
 		rendered string
@@ -51,6 +56,41 @@ func TestParallelDeterminism(t *testing.T) {
 				t.Fatal(err)
 			}
 			return run{tab.String(), res}
+		}},
+		{"Figure13", func(t *testing.T) run {
+			res, tab, err := Figure13(cfg(), 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return run{tab.String(), res}
+		}},
+		{"Figure14", func(t *testing.T) run {
+			res, tab, err := Figure14(cfg(), 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return run{tab.String(), res}
+		}},
+		{"Figure17", func(t *testing.T) run {
+			res, tab, err := Figure17(cfg(), 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return run{tab.String(), res}
+		}},
+		{"Ablations", func(t *testing.T) run {
+			res, tab, err := Ablations(cfg(), 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return run{tab.String(), res}
+		}},
+		{"FairnessHeatmap", func(t *testing.T) run {
+			grid, hm, err := FairnessHeatmap(cfg(), 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return run{hm.String(), grid}
 		}},
 	}
 	for _, tc := range cases {

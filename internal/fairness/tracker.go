@@ -82,6 +82,8 @@ func (t *Tracker) Reset() { *t = Tracker{} }
 func (t *Tracker) Len() int { return t.n }
 
 // validSlowdown mirrors Unfairness's per-element validation.
+//
+//copart:noalloc
 func validSlowdown(s float64) error {
 	if s <= 0 || math.IsNaN(s) || math.IsInf(s, 0) {
 		return fmt.Errorf("fairness: invalid slowdown %v", s)

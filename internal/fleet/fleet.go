@@ -928,6 +928,8 @@ func (res *Result) aggregate(sharedBefore machine.SharedCacheStats, nb int) {
 // percentile reads the p-th percentile from sorted latencies: the
 // nearest-rank definition, sorted[⌈p/100·n⌉−1] (1-indexed rank rounded
 // up), so p50 of [a,b] is a and p100 of any sample is the maximum.
+//
+//copart:noalloc
 func percentile(sorted []time.Duration, p int) time.Duration {
 	if len(sorted) == 0 {
 		return 0

@@ -40,6 +40,8 @@ const (
 // Digests are process-internal (cache keys, pool keys, snapshot schema
 // fingerprints) — changing the folding constants is a schema bump, not
 // a correctness event.
+//
+//copart:noalloc
 func digestWord(h, w uint64) uint64 {
 	h = (h ^ w) * fnvPrime64
 	return h ^ (h >> 29)
@@ -47,6 +49,8 @@ func digestWord(h, w uint64) uint64 {
 
 // modelDigest fingerprints one resolved model. Order-sensitive over the
 // Hot components, exactly like the solver's traversal.
+//
+//copart:noalloc
 func modelDigest(mo *AppModel) uint64 {
 	h := uint64(fnvOffset64)
 	h = digestWord(h, uint64(mo.Cores))
@@ -94,6 +98,8 @@ func configDigest(c Config) uint64 {
 // differs from byte-wise FNV-1a, which is irrelevant here: the hash
 // picks a shard and a slot, it never names an entry (perfTable compares
 // the exact key bytes).
+//
+//copart:noalloc
 func hashKey(key []byte) uint64 {
 	h := uint64(fnvOffset64)
 	for ; len(key) >= 8; key = key[8:] {

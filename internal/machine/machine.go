@@ -74,6 +74,8 @@ func DefaultConfig() Config {
 }
 
 // SocketCount returns the number of sockets, treating the zero value as 1.
+//
+//copart:noalloc
 func (c Config) SocketCount() int {
 	if c.Sockets < 1 {
 		return 1
@@ -140,6 +142,8 @@ type Alloc struct {
 }
 
 // Ways returns the number of ways in the allocation's CBM.
+//
+//copart:noalloc
 func (a Alloc) Ways() int { return bits.OnesCount64(a.CBM) }
 
 // app is the runtime state of one consolidated application.
@@ -641,6 +645,8 @@ func (m *Machine) noiseFactors() (perf, miss float64) {
 
 // clampNoise bounds a jitter factor to [0.5, 1.5], keeping counters
 // monotone and a tail draw from dominating a period.
+//
+//copart:noalloc
 func clampNoise(f float64) float64 { return min(max(f, 0.5), 1.5) }
 
 // Occupancy returns an application's current effective LLC occupancy in
@@ -1215,6 +1221,8 @@ func (m *Machine) mbaDelay(level int) float64 {
 
 // size resizes the per-app solve buffers to n apps, unzeroed: every
 // solve overwrites all n slots of each before reading them.
+//
+//copart:noalloc
 func (sc *solveScratch) size(n int) {
 	sc.caps, sc.terms = resize(sc.caps, n), resize(sc.terms, n)
 	sc.bwCaps, sc.demands = resize(sc.bwCaps, n), resize(sc.demands, n)
@@ -1222,6 +1230,8 @@ func (sc *solveScratch) size(n int) {
 
 // resize returns s with length n, reusing its backing array when the
 // capacity suffices; surviving contents are stale.
+//
+//copart:noalloc
 func resize[T any](s []T, n int) []T {
 	if cap(s) < n {
 		return make([]T, n)
@@ -1230,6 +1240,8 @@ func resize[T any](s []T, n int) []T {
 }
 
 // anySharedWay reports whether any LLC way appears in more than one CBM.
+//
+//copart:noalloc
 func (m *Machine) anySharedWay(allocs []Alloc) bool {
 	var seen, overlap uint64
 	for _, al := range allocs {
@@ -1242,6 +1254,8 @@ func (m *Machine) anySharedWay(allocs []Alloc) bool {
 // initialCapacitiesInto seeds the occupancy iteration: each way's
 // capacity is split evenly among the applications whose CBM includes
 // it. caps must be zeroed with len(caps) == len(allocs).
+//
+//copart:noalloc
 func (m *Machine) initialCapacitiesInto(caps []float64, allocs []Alloc) {
 	for w := 0; w < m.cfg.LLCWays; w++ {
 		bit := uint64(1) << uint(w)

@@ -45,6 +45,8 @@ type WSComponent struct {
 }
 
 // effectiveMLP returns the component MLP, substituting 1 for zero.
+//
+//copart:noalloc
 func (c WSComponent) effectiveMLP() float64 {
 	if c.MLP == 0 {
 		return 1
@@ -83,6 +85,8 @@ type AppModel struct {
 }
 
 // EffectiveMLP returns the streaming MLP, substituting 1 for the zero value.
+//
+//copart:noalloc
 func (m AppModel) EffectiveMLP() float64 {
 	if m.MLP == 0 {
 		return 1
@@ -152,6 +156,8 @@ func (m AppModel) MissRatio(capBytes float64) float64 {
 //
 // which, multiplied by the machine's idle-bus miss cost, gives the visible
 // memory-stall cycles per LLC access.
+//
+//copart:noalloc
 func (m AppModel) MissBreakdown(capBytes float64) (missRatio, weightedMiss float64) {
 	if capBytes < 0 {
 		capBytes = 0

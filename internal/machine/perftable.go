@@ -81,6 +81,8 @@ func (t *perfTable) insert(fp uint64, key []byte, entry []Perf) {
 }
 
 // grow doubles the probe table (min 64 slots) and reindexes.
+//
+//copart:noalloc
 func (t *perfTable) grow() {
 	n := 2 * len(t.idx)
 	if n < 64 {

@@ -62,6 +62,8 @@ func SetSharedSolveCache(on bool) bool {
 }
 
 // SharedSolveCacheEnabled reports whether the process-wide cache is on.
+//
+//copart:noalloc
 func SharedSolveCacheEnabled() bool { return !sharedOff.Load() }
 
 // SharedSolveCacheStats snapshots the process-wide cache counters.

@@ -32,6 +32,8 @@ const (
 )
 
 // ValidateLevel checks that level is a legal MBA setting.
+//
+//copart:noalloc
 func ValidateLevel(level int) error {
 	if level < MinLevel || level > MaxLevel || level%Granularity != 0 {
 		return fmt.Errorf("membw: invalid MBA level %d (must be %d..%d step %d)",
@@ -188,6 +190,8 @@ func (a *Arbiter) rhoPow(rho float64) float64 {
 
 // Cap returns the MBA traffic cap for an application with the given level
 // and core count.
+//
+//copart:noalloc
 func (a *Arbiter) Cap(level, cores int) (float64, error) {
 	if err := ValidateLevel(level); err != nil {
 		return 0, err
