@@ -65,7 +65,7 @@ bench-json:
 	  $(GO) test -run xxx -bench 'BenchmarkFleet256$$' -benchtime 5x -count 3 -benchmem . ; \
 	  $(GO) test -run xxx -bench 'BenchmarkFleet4096$$' -benchtime 2x -count 3 -benchmem . ; \
 	  $(GO) test -run xxx -bench 'BenchmarkSTOracle$$' -benchtime 20x -count 3 -benchmem . ; \
-	  $(GO) test -run xxx -bench 'BenchmarkMachineSolve$$|BenchmarkGetNextSystemState4$$|BenchmarkManagerPeriod$$' -benchtime 1000x -benchmem . ; \
+	  $(GO) test -run xxx -bench 'BenchmarkMachineSolve$$|BenchmarkGetNextSystemState4$$|BenchmarkManagerPeriod$$|BenchmarkManagerObservedPeriod$$|BenchmarkMachineStepRetired$$' -benchtime 1000x -benchmem . ; \
 	  $(GO) test -run xxx -bench 'BenchmarkSamplerSweep$$' -benchtime 1000000x -count 3 -benchmem . ; } \
 	> $(BENCH_RAW)
 	$(GO) run ./cmd/benchjson -merge BENCH_$(BENCHJSON_DATE).json < $(BENCH_RAW) > $(BENCH_MERGED)

@@ -267,6 +267,102 @@ func BenchmarkManagerPeriod(b *testing.B) {
 	}
 }
 
+// BenchmarkManagerObservedPeriod measures one idle control period with a
+// retaining observer attached, as copartd runs: the report reuses the
+// slices the last one carried while slowdowns and state hold (DESIGN.md
+// §8.1), so the observed period allocates nothing, like the unobserved
+// one. The observer keeps the last 64 reports in a ring.
+func BenchmarkManagerObservedPeriod(b *testing.B) {
+	c := cfg()
+	m, err := machine.New(c)
+	if err != nil {
+		b.Fatal(err)
+	}
+	models, err := workloads.Mix(c, workloads.HBoth, 4)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, model := range models {
+		if err := m.AddApp(model); err != nil {
+			b.Fatal(err)
+		}
+	}
+	ref, err := workloads.StreamMissRates(m)
+	if err != nil {
+		b.Fatal(err)
+	}
+	mgr, err := core.NewManager(m, core.DefaultParams(), ref, core.Envelope{LoWay: 0, Ways: c.LLCWays},
+		rand.New(rand.NewSource(1)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	var ring [64]core.PeriodReport
+	seen := 0
+	mgr.OnPeriod = func(r core.PeriodReport) { ring[seen%len(ring)] = r; seen++ }
+	if err := mgr.Profile(); err != nil {
+		b.Fatal(err)
+	}
+	for done := false; !done; {
+		if done, err = mgr.ExploreStep(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := mgr.IdleStep(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if mgr.Phase() != core.PhaseIdle {
+		b.Fatalf("the manager left the idle phase: %v", mgr.Phase())
+	}
+}
+
+// BenchmarkMachineStepRetired measures one Step of a daemon's machine
+// (no solve cache, three H-Both apps) after 10 000 admit → evict cycles
+// of a one-core guest. Removal deletes the app's slot, so the Step walks
+// the three live apps only and costs what a fresh machine's does.
+func BenchmarkMachineStepRetired(b *testing.B) {
+	c := cfg()
+	m, err := machine.New(c)
+	if err != nil {
+		b.Fatal(err)
+	}
+	models, err := workloads.Mix(c, workloads.HBoth, 3)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, model := range models {
+		if err := m.AddApp(model); err != nil {
+			b.Fatal(err)
+		}
+	}
+	ep, err := workloads.ByName(c, "EP")
+	if err != nil {
+		b.Fatal(err)
+	}
+	guest := ep.Model
+	guest.Cores = 1
+	for i := 0; i < 10_000; i++ {
+		guest.Name = "g" + strconv.Itoa(i)
+		if err := m.AddApp(guest); err != nil {
+			b.Fatal(err)
+		}
+		if err := m.RemoveApp(guest.Name); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := m.Step(time.Second); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // sweepSource is a counter source that costs next to nothing, so
 // BenchmarkSamplerSweep times the sampler: every read advances one
 // shared, ever-growing counter set.

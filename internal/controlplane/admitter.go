@@ -3,6 +3,7 @@ package controlplane
 import (
 	"fmt"
 	"net/http"
+	"slices"
 	"strings"
 
 	"repro/internal/core"
@@ -13,8 +14,8 @@ import (
 // AppSpec describes an application submitted for runtime admission.
 type AppSpec struct {
 	// Name identifies the application on the machine. Names are
-	// single-use: the machine keeps departed applications' history, so a
-	// name cannot be recycled after removal.
+	// single-use: the machine keeps every departed application's name
+	// (and only its name), so a name cannot be recycled after removal.
 	Name string `json:"name"`
 	// Benchmark selects the Table 2 workload model; empty means the
 	// benchmark named Name.
@@ -57,6 +58,15 @@ type MachineAdmitter struct {
 	// MinApps is the smallest consolidation the admitter will leave
 	// behind on removal; 0 means 2, the minimum the manager can partition.
 	MinApps int
+
+	names []string // live-app poll buffer (Machine.AppsInto)
+}
+
+// live polls the machine's live applications into the admitter's buffer;
+// the slice is valid until the next call.
+func (a *MachineAdmitter) live() []string {
+	a.names = a.M.AppsInto(a.names)
+	return a.names
 }
 
 func (a *MachineAdmitter) minApps() int {
@@ -80,13 +90,13 @@ func (a *MachineAdmitter) AddApp(spec AppSpec) error {
 		return Reject(http.StatusBadRequest, CodeBadSpec,
 			"unknown benchmark %q (valid: %s)", bench, strings.Join(workloads.Names(), ", "))
 	}
-	if _, err := a.M.Model(spec.Name); err == nil {
+	if a.M.NameUsed(spec.Name) {
 		// The machine knows the name — active or departed, it is taken.
 		return Reject(http.StatusConflict, CodeDuplicateApp,
 			"app name %q already used (names are single-use; departed apps keep their history)", spec.Name)
 	}
 	cfg := a.M.Config()
-	active := a.M.Apps()
+	active := a.live()
 	// Every consolidated app needs at least one exclusive LLC way.
 	if len(active)+1 > cfg.LLCWays {
 		return Reject(http.StatusConflict, CodeMachineFull,
@@ -125,15 +135,8 @@ func (a *MachineAdmitter) AddApp(spec AppSpec) error {
 
 // RemoveApp terminates an application, keeping at least MinApps running.
 func (a *MachineAdmitter) RemoveApp(name string) error {
-	active := a.M.Apps()
-	found := false
-	for _, n := range active {
-		if n == name {
-			found = true
-			break
-		}
-	}
-	if !found {
+	active := a.live()
+	if !slices.Contains(active, name) {
 		return Reject(http.StatusNotFound, CodeUnknownApp, "no active app %q", name)
 	}
 	if len(active) <= a.minApps() {
@@ -149,14 +152,7 @@ func (a *MachineAdmitter) RemoveApp(name string) error {
 
 // Reweight changes an active application's fairness weight.
 func (a *MachineAdmitter) Reweight(name string, weight float64) error {
-	found := false
-	for _, n := range a.M.Apps() {
-		if n == name {
-			found = true
-			break
-		}
-	}
-	if !found {
+	if !slices.Contains(a.live(), name) {
 		return Reject(http.StatusNotFound, CodeUnknownApp, "no active app %q", name)
 	}
 	if err := a.Mgr.SetWeight(name, weight); err != nil {

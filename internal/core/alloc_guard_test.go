@@ -101,3 +101,74 @@ func TestGetNextSystemStateAllocationGuard(t *testing.T) {
 		t.Errorf("GetNextSystemStateInto allocates %.1f times per call, budget is %d", avg, budget)
 	}
 }
+
+// TestObservedIdlePeriodAllocationGuard pins copy-on-change reporting
+// (DESIGN.md §8.1): with an observer that retains every report, an idle
+// period — same state, same slowdowns — hands out the slices the last
+// report carried and allocates nothing.
+func TestObservedIdlePeriodAllocationGuard(t *testing.T) {
+	cfg := machine.DefaultConfig()
+	m, err := machine.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	models, err := workloads.Mix(cfg, workloads.HBoth, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, model := range models {
+		if err := m.AddApp(model); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ref, err := workloads.StreamMissRates(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mgr, err := NewManager(m, DefaultParams(), ref, Envelope{LoWay: 0, Ways: cfg.LLCWays},
+		rand.New(rand.NewSource(42)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reports := make([]PeriodReport, 0, 4096)
+	mgr.OnPeriod = func(r PeriodReport) { reports = append(reports, r) }
+	if err := mgr.Profile(); err != nil {
+		t.Fatal(err)
+	}
+	for done := false; !done; {
+		if done, err = mgr.ExploreStep(); err != nil {
+			t.Fatal(err)
+		}
+		if len(reports) > 1000 {
+			t.Fatal("exploration did not settle")
+		}
+	}
+	for i := 0; i < 4; i++ {
+		if _, err := mgr.IdleStep(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := len(reports)
+	avg := testing.AllocsPerRun(100, func() {
+		if _, err := mgr.IdleStep(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if avg != 0 {
+		t.Errorf("an observed idle period allocates %.1f times, want 0", avg)
+	}
+	if mgr.Phase() != PhaseIdle || len(reports) != before+101 {
+		t.Fatalf("guard run left idle (%v) or skipped reports (%d of 101)", mgr.Phase(), len(reports)-before)
+	}
+	// Counters keep growing, so an idle slowdown can still move by an ulp
+	// now and then; what must hold is that equal values share.
+	for i := before + 1; i < len(reports); i++ {
+		prev, cur := reports[i-1], reports[i]
+		if sameBits(prev.Slowdowns, cur.Slowdowns) && &prev.Slowdowns[0] != &cur.Slowdowns[0] {
+			t.Fatalf("report %d repeats the last slowdowns in a fresh slice", i)
+		}
+		if prev.State.Equal(cur.State) && (&prev.State.Ways[0] != &cur.State.Ways[0] || &prev.State.MBA[0] != &cur.State.MBA[0]) {
+			t.Fatalf("report %d repeats the last state in a fresh slice", i)
+		}
+	}
+}

@@ -88,7 +88,9 @@ func (p Phase) String() string {
 }
 
 // PeriodReport summarizes one control period for observers (the runtime
-// figures are drawn from these).
+// figures are drawn from these). Its slices are read-only and may be
+// shared with other reports: an observer may retain or append to them
+// but must not write through them.
 type PeriodReport struct {
 	Time       time.Duration
 	Phase      Phase
@@ -160,6 +162,13 @@ type Manager struct {
 	masks        []uint64    // applyState CBM layout
 	targetNames  []string    // targetApps poll buffer
 	matchSc      AllocatorScratch
+
+	// repSlowdowns and repState are the slices the last PeriodReport
+	// carried; report hands them out again while the period's values
+	// are unchanged (copy-on-change), so an idle observed period
+	// allocates nothing. Never written once delivered.
+	repSlowdowns []float64
+	repState     AllocState
 
 	// bestState is the lowest-unfairness state observed during the
 	// current exploration; the manager settles into it when it goes
@@ -930,21 +939,32 @@ func (m *Manager) growPeriodScratch() ([]AppInfo, []float64) {
 }
 
 // report delivers a PeriodReport to the observer, if any. The report's
-// slices are built only when an observer is attached — observers retain
-// reports (the runtime figures are drawn from them), so they receive
-// copies, and an unobserved control period pays nothing.
+// slices are built only when an observer is attached, and only when
+// their values changed: observers retain reports (the runtime figures
+// are drawn from them), so a delivered slice is never written again, and
+// a period that repeats the last one's slowdowns or state — the idle
+// phase's steady case — shares the slices already delivered. Fresh
+// slices are allocated at exactly their length, so an observer's append
+// copies instead of writing into a neighbour report's backing array.
 func (m *Manager) report(phase Phase, slowdowns []float64, unfairness float64) {
 	if m.OnPeriod == nil {
 		return
 	}
 	m.namesExposed = true // the observer may retain rep.Apps; see resetApps
+	if !sameBits(m.repSlowdowns, slowdowns) {
+		m.repSlowdowns = make([]float64, len(slowdowns))
+		copy(m.repSlowdowns, slowdowns)
+	}
+	if !m.repState.Equal(m.state) {
+		m.repState = m.state.Clone()
+	}
 	rep := PeriodReport{
 		Time:       m.target.Now(),
 		Phase:      phase,
 		Apps:       m.names,
-		Slowdowns:  append([]float64(nil), slowdowns...),
+		Slowdowns:  m.repSlowdowns,
 		Unfairness: unfairness,
-		State:      m.state.Clone(),
+		State:      m.repState,
 	}
 	m.OnPeriod(rep)
 }
@@ -1037,6 +1057,19 @@ func sameNames(a, b []string) bool {
 	}
 	for i := range a {
 		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// sameBits reports whether two float slices are equal bit for bit.
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
 			return false
 		}
 	}

@@ -375,24 +375,10 @@ func ReportsEqual(a, b []PeriodReport) bool {
 }
 
 func reportEqual(a, b PeriodReport) bool {
-	if a.Time != b.Time || a.Phase != b.Phase ||
-		len(a.Apps) != len(b.Apps) || len(a.Slowdowns) != len(b.Slowdowns) {
-		return false
-	}
-	for i := range a.Apps {
-		if a.Apps[i] != b.Apps[i] {
-			return false
-		}
-	}
-	for i := range a.Slowdowns {
-		if math.Float64bits(a.Slowdowns[i]) != math.Float64bits(b.Slowdowns[i]) {
-			return false
-		}
-	}
-	if math.Float64bits(a.Unfairness) != math.Float64bits(b.Unfairness) {
-		return false
-	}
-	return a.State.Equal(b.State)
+	return a.Time == b.Time && a.Phase == b.Phase &&
+		sameNames(a.Apps, b.Apps) && sameBits(a.Slowdowns, b.Slowdowns) &&
+		math.Float64bits(a.Unfairness) == math.Float64bits(b.Unfairness) &&
+		a.State.Equal(b.State)
 }
 
 // ReportsDigest hashes a report sequence (FNV-1a over an exact binary

@@ -25,17 +25,36 @@ func TestAppsGeneration(t *testing.T) {
 		{name: "RemoveApp", op: func(m *Machine) error { return m.RemoveApp("app1") }, moves: true},
 		{name: "Reset", op: func(m *Machine) error { m.Reset(); return nil }, moves: true},
 		{
-			// The checkpoint predates the removal: restoring it flips app1's
-			// active flag back, a membership change no AddApp announces.
+			// A checkpoint adopts counters, allocations and time onto an
+			// identical live table; it cannot change membership.
 			name: "RestoreHotState",
+			prep: func(m *Machine) (err error) {
+				if hot, err = m.CaptureHotState(); err != nil {
+					return err
+				}
+				if err := m.SetAllocation("app1", alloc(2, 30)); err != nil {
+					return err
+				}
+				return m.Step(time.Second)
+			},
+			op: func(m *Machine) error { return m.RestoreHotState(hot) },
+		},
+		{
+			// The checkpoint predates the removal: its table is not the
+			// machine's, so it is refused rather than resurrecting app1.
+			name: "RestoreHotState refused",
 			prep: func(m *Machine) (err error) {
 				if hot, err = m.CaptureHotState(); err != nil {
 					return err
 				}
 				return m.RemoveApp("app1")
 			},
-			op:    func(m *Machine) error { return m.RestoreHotState(hot) },
-			moves: true,
+			op: func(m *Machine) error {
+				if m.RestoreHotState(hot) == nil {
+					return errors.New("checkpoint of a different live table adopted")
+				}
+				return nil
+			},
 		},
 
 		{name: "AddApp refused", op: func(m *Machine) error {

@@ -8,7 +8,7 @@ import (
 // HotState is an in-place machine checkpoint: the mutable state a run
 // accumulates — virtual time, per-app counters and allocations —
 // captured from a live machine and adoptable by another machine with the
-// same configuration and application set.
+// same configuration and live application set.
 //
 // It exists for trajectory memoization: when a whole phase of execution
 // is a pure function of the starting configuration (the fleet's
@@ -27,12 +27,11 @@ type HotState struct {
 	configDigest uint64
 	now          time.Duration
 
-	// Per-app state, in launch order over all apps (inactive included,
-	// mirroring the app table exactly).
+	// Per-app state of the live apps, in launch order (mirroring the app
+	// table exactly).
 	names    []string
 	counters []Counters
 	allocs   []Alloc
-	active   []bool
 }
 
 // CaptureHotState checkpoints the machine's run-mutable state. The
@@ -50,23 +49,22 @@ func (m *Machine) CaptureHotState() (HotState, error) {
 		names:        make([]string, len(m.apps)),
 		counters:     make([]Counters, len(m.apps)),
 		allocs:       make([]Alloc, len(m.apps)),
-		active:       make([]bool, len(m.apps)),
 	}
 	for i, a := range m.apps {
 		hs.names[i] = a.model.Name
 		hs.counters[i] = a.counters
 		hs.allocs[i] = a.alloc
-		hs.active[i] = a.active
 	}
 	return hs, nil
 }
 
 // RestoreHotState adopts a checkpoint in place. The machine must hold
-// the same configuration (verified by digest) and the same application
-// table (same names, same launch order) as the machine the checkpoint
-// was captured from; the method then overwrites virtual time, per-app
-// counters and allocations, leaving the machine bit-identical in
-// behavior to the one that was checkpointed. Solve-cache state is not
+// the same configuration (verified by digest) and the same live
+// application table (same names, same launch order) as the machine the
+// checkpoint was captured from; the method then overwrites virtual time,
+// per-app counters and allocations, leaving the machine bit-identical in
+// behavior to the one that was checkpointed. The live set is not
+// touched, so AppsGeneration does not move. Solve-cache state is not
 // touched: keys are exact, so whatever this machine has pending stays
 // valid.
 func (m *Machine) RestoreHotState(hs HotState) error {
@@ -85,11 +83,9 @@ func (m *Machine) RestoreHotState(hs HotState) error {
 		}
 	}
 	m.now = hs.now
-	m.appsGen++ // the active flags are adopted below
 	for i, a := range m.apps {
 		a.counters = hs.counters[i]
 		a.alloc = hs.allocs[i]
-		a.active = hs.active[i]
 		// Phased apps re-resolve at the restored time, exactly as the live
 		// trajectory would have left them at its last phase boundary.
 		if a.phased {

@@ -151,7 +151,6 @@ type app struct {
 	model    AppModel
 	alloc    Alloc
 	counters Counters
-	active   bool
 
 	// resolved caches model.AtTime for the active phase index phaseIdx,
 	// and digest fingerprints it (phases folded). AtTime depends on time
@@ -163,12 +162,6 @@ type app struct {
 	digest   uint64
 	phaseIdx int
 	phased   bool
-
-	// activeIdx is this app's position among the active apps in the last
-	// full gatherActive pass — valid only while Machine.gatherValid holds.
-	// SetAllocation uses it to patch scratch.allocs in place instead of
-	// forcing a full regather.
-	activeIdx int
 }
 
 // Perf is the solved steady-state performance of one application at the
@@ -194,9 +187,16 @@ type Machine struct {
 	fullMask  uint64 // cfg.FullMask(), hoisted out of the solve path
 	cfgDigest uint64 // configDigest(cfg), hoisted out of key encoding
 	arbiter   *membw.Arbiter
-	apps      []*app
-	byName    map[string]int
-	// appsGen counts changes to the active set (see AppsGeneration).
+	// apps holds the live applications in launch order; RemoveApp
+	// deletes a slot (keeping the retired *app beyond len for reuse), so
+	// every per-period walk covers live apps only. byName maps a live
+	// name to its slot and a departed one to departedSlot; departed lists
+	// the departed names in removal order. Names are single-use: AddApp
+	// refuses both kinds.
+	apps     []*app
+	byName   map[string]int
+	departed []string
+	// appsGen counts changes to the live set (see AppsGeneration).
 	appsGen uint64
 	now     time.Duration // virtual time since construction
 	// noiseSrc is the jitter stream: one word, reseeded by Reset in one
@@ -216,10 +216,10 @@ type Machine struct {
 	// cache lookup included.
 	solveClean bool
 	// gatherValid reports that scratch.models/allocs/digests still
-	// describe the active set: no app launched or removed since the last
+	// describe the live set: no app launched or removed since the last
 	// full gatherActive pass, and no phases in play. Allocation changes
 	// do not invalidate it — SetAllocation patches scratch.allocs in
-	// place via app.activeIdx — so the common one-alloc-changed solve
+	// place at the app's slot — so the common one-alloc-changed solve
 	// skips re-copying every model struct and digest.
 	gatherValid bool
 	// scanCursor is lookup's rotation hint: the slot after the last
@@ -325,8 +325,12 @@ func (m *Machine) Config() Config { return m.cfg }
 // Now returns the current virtual time.
 func (m *Machine) Now() time.Duration { return m.now }
 
+// departedSlot is byName's value for a departed application's name.
+const departedSlot = -1
+
 // AddApp launches an application with the full-resource allocation. The
-// total core demand across active applications may not exceed the machine.
+// total core demand across live applications may not exceed the machine.
+// A name is single-use: a live or departed application's is refused.
 func (m *Machine) AddApp(model AppModel) error {
 	if err := model.Validate(); err != nil {
 		return err
@@ -340,7 +344,7 @@ func (m *Machine) AddApp(model AppModel) error {
 	}
 	used := model.Cores
 	for _, a := range m.apps {
-		if a.active && a.model.Socket == model.Socket {
+		if a.model.Socket == model.Socket {
 			used += a.model.Cores
 		}
 	}
@@ -354,7 +358,6 @@ func (m *Machine) AddApp(model AppModel) error {
 	*a = app{
 		model:    model,
 		alloc:    Alloc{CBM: m.fullMask, MBALevel: membw.MaxLevel},
-		active:   true,
 		resolved: resolved,
 		digest:   modelDigest(&resolved),
 		phaseIdx: model.PhaseIndexAt(m.now),
@@ -405,6 +408,7 @@ func (m *Machine) Reset() {
 	}
 	m.apps = m.apps[:0]
 	clear(m.byName)
+	m.departed = m.departed[:0]
 	m.appsGen++
 	m.now = 0
 	m.noiseSrc.Seed(m.cfg.NoiseSeed)
@@ -414,30 +418,42 @@ func (m *Machine) Reset() {
 }
 
 // RemoveApp terminates an application (the idle phase detects this as a
-// change event). Its counters become unavailable.
+// change event). Its slot is deleted — the apps after it shift down one,
+// keeping launch order — and its counters become unavailable; only its
+// name stays behind, taken for good.
 func (m *Machine) RemoveApp(name string) error {
 	i, ok := m.byName[name]
 	if !ok {
 		return fmt.Errorf("machine: unknown app %q", name)
 	}
-	if !m.apps[i].active {
+	if i == departedSlot {
 		return fmt.Errorf("machine: app %q already removed", name)
 	}
-	m.apps[i].active = false
+	gone := m.apps[i]
+	last := len(m.apps) - 1
+	copy(m.apps[i:], m.apps[i+1:])
+	*gone = app{}
+	m.apps[last] = gone // retired beyond len, for nextAppSlot to reuse
+	m.apps = m.apps[:last]
+	for j := i; j < last; j++ {
+		m.byName[m.apps[j].model.Name] = j
+	}
+	m.byName[name] = departedSlot
+	m.departed = append(m.departed, name)
 	m.appsGen++
 	m.solveClean = false
 	m.gatherValid = false
 	return nil
 }
 
-// Apps lists the names of active applications in launch order. The
+// Apps lists the names of live applications in launch order. The
 // returned slice is freshly allocated; hot-path callers should prefer
 // AppsInto with a reused buffer.
 func (m *Machine) Apps() []string {
 	return m.AppsInto(make([]string, 0, len(m.apps)))
 }
 
-// AppsInto appends the active application names to dst[:0] and returns
+// AppsInto appends the live application names to dst[:0] and returns
 // it, reusing dst's backing array when the capacity suffices. The
 // controller polls the application list every control period to detect
 // consolidation changes; with a caller-owned dst that poll is
@@ -445,26 +461,44 @@ func (m *Machine) Apps() []string {
 func (m *Machine) AppsInto(dst []string) []string {
 	dst = dst[:0]
 	for _, a := range m.apps {
-		if a.active {
-			dst = append(dst, a.model.Name)
-		}
+		dst = append(dst, a.model.Name)
 	}
 	return dst
 }
 
 // AppsGeneration counts the calls that can change what Apps returns —
-// AddApp, RemoveApp, Reset, RestoreHotState, RestoreSnapshot's inserts —
-// so a poller that read the list under a value knows, while the value
-// stands, that the list does. Not serialized: a restore starts a new count.
+// AddApp, RemoveApp, Reset, RestoreSnapshot's inserts — so a poller that
+// read the list under a value knows, while the value stands, that the
+// list does. Not serialized: a restore starts a new count.
 func (m *Machine) AppsGeneration() uint64 { return m.appsGen }
 
-// Model returns the model of a (possibly inactive) application.
+// NameUsed reports whether name belongs to a live or a departed
+// application — whether AddApp would refuse it as a duplicate.
+func (m *Machine) NameUsed(name string) bool {
+	_, ok := m.byName[name]
+	return ok
+}
+
+// Model returns the model of a live application.
 func (m *Machine) Model(name string) (AppModel, error) {
-	i, ok := m.byName[name]
-	if !ok {
-		return AppModel{}, fmt.Errorf("machine: unknown app %q", name)
+	i, err := m.slotOf(name)
+	if err != nil {
+		return AppModel{}, err
 	}
 	return m.apps[i].model, nil
+}
+
+// slotOf resolves a live application's slot through byName, naming a
+// departed one as such.
+func (m *Machine) slotOf(name string) (int, error) {
+	i, ok := m.byName[name]
+	if !ok {
+		return 0, fmt.Errorf("machine: unknown app %q", name)
+	}
+	if i == departedSlot {
+		return 0, fmt.Errorf("machine: app %q is not active", name)
+	}
+	return i, nil
 }
 
 // smallAppScan bounds the linear-scan fast path in lookup: at or below
@@ -474,9 +508,12 @@ func (m *Machine) Model(name string) (AppModel, error) {
 // fast path and the per-period ReadCounters/SetAllocation sweep skips
 // the string-hash entirely — on a consolidation-sized machine that hash
 // was the single hottest machine-layer instruction in a fleet profile.
+// Departed apps hold no slot, so a consolidation-sized daemon stays on
+// it however many apps it has served.
 const smallAppScan = 8
 
-func (m *Machine) lookup(name string) (*app, error) {
+// lookup resolves a live application's slot.
+func (m *Machine) lookup(name string) (int, error) {
 	if len(m.apps) <= smallAppScan {
 		// Cursor hint first: controllers touch their apps in a fixed
 		// rotation (the sampling sweep, applyState), so the next lookup
@@ -488,32 +525,16 @@ func (m *Machine) lookup(name string) (*app, error) {
 		// plain scan the hottest machine-layer block in a fleet profile.
 		if c := m.scanCursor; c < len(m.apps) && m.apps[c].model.Name == name {
 			m.advanceCursor(c)
-			a := m.apps[c]
-			if !a.active {
-				return nil, fmt.Errorf("machine: app %q is not active", name)
-			}
-			return a, nil
+			return c, nil
 		}
 		for i, a := range m.apps {
 			if a.model.Name == name {
 				m.advanceCursor(i)
-				if !a.active {
-					return nil, fmt.Errorf("machine: app %q is not active", name)
-				}
-				return a, nil
+				return i, nil
 			}
 		}
-		return nil, fmt.Errorf("machine: unknown app %q", name)
 	}
-	i, ok := m.byName[name]
-	if !ok {
-		return nil, fmt.Errorf("machine: unknown app %q", name)
-	}
-	a := m.apps[i]
-	if !a.active {
-		return nil, fmt.Errorf("machine: app %q is not active", name)
-	}
-	return a, nil
+	return m.slotOf(name)
 }
 
 // SetAllocation updates an application's (CBM, MBA level). Setting the
@@ -521,10 +542,11 @@ func (m *Machine) lookup(name string) (*app, error) {
 // nothing (equality to a held allocation proves validity) and leaves
 // the solved steady state clean, so the following Step skips its solve.
 func (m *Machine) SetAllocation(name string, alloc Alloc) error {
-	a, err := m.lookup(name)
+	i, err := m.lookup(name)
 	if err != nil {
 		return err
 	}
+	a := m.apps[i]
 	if a.alloc == alloc {
 		return nil
 	}
@@ -539,7 +561,7 @@ func (m *Machine) SetAllocation(name string, alloc Alloc) error {
 	}
 	a.alloc = alloc
 	if m.gatherValid {
-		m.scratch.allocs[a.activeIdx] = alloc
+		m.scratch.allocs[i] = alloc
 	}
 	m.solveClean = false
 	return nil
@@ -547,20 +569,20 @@ func (m *Machine) SetAllocation(name string, alloc Alloc) error {
 
 // Allocation returns an application's current allocation.
 func (m *Machine) Allocation(name string) (Alloc, error) {
-	a, err := m.lookup(name)
+	i, err := m.lookup(name)
 	if err != nil {
 		return Alloc{}, err
 	}
-	return a.alloc, nil
+	return m.apps[i].alloc, nil
 }
 
 // ReadCounters returns a copy of an application's cumulative counters.
 func (m *Machine) ReadCounters(name string) (Counters, error) {
-	a, err := m.lookup(name)
+	i, err := m.lookup(name)
 	if err != nil {
 		return Counters{}, err
 	}
-	return a.counters, nil
+	return m.apps[i].counters, nil
 }
 
 // contiguous reports whether the set bits of mask form one contiguous run.
@@ -588,16 +610,11 @@ func (m *Machine) Step(dt time.Duration) error {
 		return err
 	}
 	secs := dt.Seconds()
-	i := -1
 	if m.cfg.MeasurementNoise == 0 {
 		// Noise-free accumulation skips the per-app factor draws; the
 		// factors are exactly 1 there, so the sums are bit-identical to
 		// the noisy loop's.
-		for _, a := range m.apps {
-			if !a.active {
-				continue
-			}
-			i++
+		for i, a := range m.apps {
 			p := perfs[i]
 			a.counters.Instructions += p.IPS * secs
 			a.counters.LLCAccesses += p.AccessRate * secs
@@ -605,11 +622,7 @@ func (m *Machine) Step(dt time.Duration) error {
 			a.counters.MemoryBytes += p.GrantBW * secs
 		}
 	} else {
-		for _, a := range m.apps {
-			if !a.active {
-				continue
-			}
-			i++
+		for i, a := range m.apps {
 			p := perfs[i]
 			perfNoise, missNoise := m.noiseFactors()
 			a.counters.Instructions += p.IPS * secs * perfNoise
@@ -651,33 +664,22 @@ func clampNoise(f float64) float64 { return min(max(f, 0.5), 1.5) }
 
 // Occupancy returns an application's current effective LLC occupancy in
 // bytes (its capacity share at the solved steady state) — the quantity
-// resctrl's llc_occupancy monitoring file reports. The application's
-// index among the active apps is resolved from the name table directly,
-// so the call costs one scratch solve and nothing else.
+// resctrl's llc_occupancy monitoring file reports. Perf results are
+// indexed by slot, which the name table resolves directly, so the call
+// costs one scratch solve and nothing else.
 func (m *Machine) Occupancy(name string) (float64, error) {
-	i, ok := m.byName[name]
-	if !ok {
-		return 0, fmt.Errorf("machine: unknown app %q", name)
-	}
-	if !m.apps[i].active {
-		return 0, fmt.Errorf("machine: app %q is not active", name)
-	}
-	// Perf results are indexed over active applications in launch order;
-	// count the active predecessors instead of materializing Apps().
-	active := 0
-	for j := 0; j < i; j++ {
-		if m.apps[j].active {
-			active++
-		}
+	i, err := m.slotOf(name)
+	if err != nil {
+		return 0, err
 	}
 	perfs, err := m.solveActiveScratch()
 	if err != nil {
 		return 0, err
 	}
-	return perfs[active].CapBytes, nil
+	return perfs[i].CapBytes, nil
 }
 
-// gatherActive resolves the active models, allocations, and model
+// gatherActive resolves the live models, allocations, and model
 // digests into the scratch buffers shared by Solve and
 // solveActiveScratch. Resolution and digests are maintained
 // incrementally per app: unphased apps keep their AddApp-time
@@ -690,7 +692,7 @@ func (m *Machine) Occupancy(name string) (float64, error) {
 //copart:noalloc
 func (m *Machine) gatherActive() ([]AppModel, []Alloc, []uint64) {
 	sc := &m.scratch
-	// Memoized pass: the active set is unchanged and unphased, so the
+	// Memoized pass: the live set is unchanged and unphased, so the
 	// scratch still holds every model struct and digest — SetAllocation
 	// kept sc.allocs current in place. Copying the model structs was the
 	// single largest block move in a fleet period sweep.
@@ -701,9 +703,6 @@ func (m *Machine) gatherActive() ([]AppModel, []Alloc, []uint64) {
 	sc.allocs = sc.allocs[:0]
 	sc.digests = sc.digests[:0]
 	for _, a := range m.apps {
-		if !a.active {
-			continue
-		}
 		if a.phased {
 			if idx := a.model.PhaseIndexAt(m.now); idx != a.phaseIdx {
 				a.resolved = a.model.AtTime(m.now) //copart:allocok phase-boundary refresh, amortized over the phase's many periods
@@ -711,7 +710,6 @@ func (m *Machine) gatherActive() ([]AppModel, []Alloc, []uint64) {
 				a.digest = modelDigest(&a.resolved)
 			}
 		}
-		a.activeIdx = len(sc.models)
 		sc.models = append(sc.models, a.resolved)
 		sc.allocs = append(sc.allocs, a.alloc)
 		if m.cache != nil {

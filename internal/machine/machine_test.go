@@ -1,7 +1,11 @@
 package machine
 
 import (
+	"errors"
+	"fmt"
 	"math"
+	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -180,6 +184,109 @@ func TestAddRemoveApps(t *testing.T) {
 	}
 	if got := m.Apps(); len(got) != 1 || got[0] != "bw" {
 		t.Errorf("Apps() after remove=%v", got)
+	}
+}
+
+// TestRemoveAppMatchesNeverLaunched: removal deletes the slot, so a
+// machine that launched an app and removed it behaves bit for bit like
+// one that never launched it — on the linear-scan lookup path and on
+// the name-table path past smallAppScan, with noise, and with a later
+// arrival taking the retired slot.
+func TestRemoveAppMatchesNeverLaunched(t *testing.T) {
+	for _, n := range []int{5, smallAppScan + 2} {
+		models := launchableTestModels(n)
+		for i := range models {
+			models[i].Cores = 1
+		}
+		cfg := DefaultConfig()
+		cfg.MeasurementNoise = 0.03
+		removed, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		twin, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, model := range models {
+			if err := removed.AddApp(model); err != nil {
+				t.Fatal(err)
+			}
+			if i != 3 {
+				if err := twin.AddApp(model); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if err := removed.RemoveApp(models[3].Name); err != nil {
+			t.Fatal(err)
+		}
+		late := launchableTestModels(1)[0]
+		late.Name, late.Cores = "late", 1
+		for _, m := range []*Machine{removed, twin} {
+			if err := m.AddApp(late); err != nil {
+				t.Fatal(err)
+			}
+			for step := 0; step < 3; step++ {
+				if err := m.SetAllocation(models[n-1].Name, alloc(step+1, 100-10*step)); err != nil {
+					t.Fatal(err)
+				}
+				if err := m.Step(time.Second); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if got, want := removed.Apps(), twin.Apps(); !slices.Equal(got, want) {
+			t.Fatalf("n=%d: Apps %v, want %v", n, got, want)
+		}
+		for _, name := range twin.Apps() {
+			c1, err1 := removed.ReadCounters(name)
+			c2, err2 := twin.ReadCounters(name)
+			o1, err3 := removed.Occupancy(name)
+			o2, err4 := twin.Occupancy(name)
+			if err := errors.Join(err1, err2, err3, err4); err != nil {
+				t.Fatal(err)
+			}
+			if c1 != c2 || math.Float64bits(o1) != math.Float64bits(o2) {
+				t.Errorf("n=%d: %s counters %+v occupancy %v, never-launched twin %+v %v", n, name, c1, o1, c2, o2)
+			}
+		}
+		if s1, s2 := removed.Snapshot(), twin.Snapshot(); !reflect.DeepEqual(s1.Apps, s2.Apps) {
+			t.Errorf("n=%d: live app snapshots differ from the twin's", n)
+		}
+	}
+}
+
+// TestChurnKeepsAppTableLive: a daemon's admit/evict churn leaves the
+// app table at its live size, so per-period walks never grow with the
+// apps served, and each arrival reuses the slot the last departure
+// retired.
+func TestChurnKeepsAppTableLive(t *testing.T) {
+	m := newMachine(t)
+	models := launchableTestModels(3)
+	for _, model := range models {
+		if err := m.AddApp(model); err != nil {
+			t.Fatal(err)
+		}
+	}
+	guest := launchableTestModels(4)[3]
+	for c := 0; c < 1000; c++ {
+		guest.Name = fmt.Sprintf("guest-%d", c)
+		if err := m.AddApp(guest); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Step(time.Second); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.RemoveApp(guest.Name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(m.apps) != 3 || cap(m.apps) > 4 {
+		t.Fatalf("after 1000 cycles the app table holds %d slots (cap %d), want 3 (cap ≤ 4)", len(m.apps), cap(m.apps))
+	}
+	if len(m.departed) != 1000 || !m.NameUsed("guest-0") {
+		t.Fatalf("%d departed names recorded, want 1000", len(m.departed))
 	}
 }
 

@@ -3,21 +3,21 @@ package machine
 import (
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"repro/internal/membw"
 )
 
 // Snapshot is the complete serializable state of a Machine: the
-// configuration, virtual time, every application ever launched (launch
-// order and inactive entries both matter — name reuse is forbidden, and
-// Perf results index over active apps in launch order) and the jitter
-// stream's state word. Solve-cache use is not machine state (a memo
-// changes speed only), so a memoizing machine and a bare one in the same
-// state snapshot identically. ConfigDigest fingerprints the
-// configuration so a restore against a drifted config (different solver
-// constants ⇒ different trajectories) fails loudly instead of silently
-// diverging.
+// configuration, virtual time, the live applications in launch order
+// (Perf results index over them), the departed applications' names
+// (name reuse is forbidden) and the jitter stream's state word.
+// Solve-cache use is not machine state (a memo changes speed only), so a
+// memoizing machine and a bare one in the same state snapshot
+// identically. ConfigDigest fingerprints the configuration so a restore
+// against a drifted config (different solver constants ⇒ different
+// trajectories) fails loudly instead of silently diverging.
 //
 // A restored machine is bit-identical in behavior to the original: the
 // solver is a pure function of (config, models, allocations), counters
@@ -28,6 +28,8 @@ type Snapshot struct {
 	ConfigDigest uint64        `json:"configDigest"`
 	Now          int64         `json:"nowNs"` // virtual time, nanoseconds
 	Apps         []AppSnapshot `json:"apps"`
+	// Departed lists departed applications' names in removal order.
+	Departed []string `json:"departed,omitempty"`
 	// NoiseState is the jitter source's state word. Never omitted: a
 	// stream can legitimately sit at word 0.
 	NoiseState uint64 `json:"noiseState"`
@@ -36,13 +38,16 @@ type Snapshot struct {
 	NoiseCalls uint64 `json:"noiseCalls,omitempty"`
 }
 
-// AppSnapshot is one launched application's state.
+// AppSnapshot is one live application's state.
 type AppSnapshot struct {
 	Model    AppModel `json:"model"`
 	CBM      uint64   `json:"cbm"`
 	MBALevel int      `json:"mba"`
 	Counters Counters `json:"counters"`
-	Active   bool     `json:"active"`
+	// Active is decoded only: snapshots written before RemoveApp deleted
+	// slots listed departed apps here with "active": false, and those
+	// restore as departed names. Snapshot never sets it.
+	Active *bool `json:"active,omitempty"`
 }
 
 // Snapshot captures the machine's full state. The machine is not
@@ -53,6 +58,7 @@ func (m *Machine) Snapshot() Snapshot {
 		ConfigDigest: m.cfgDigest,
 		Now:          int64(m.now),
 		Apps:         make([]AppSnapshot, len(m.apps)),
+		Departed:     slices.Clone(m.departed),
 		NoiseState:   m.noiseSrc.State(),
 	}
 	for i, a := range m.apps {
@@ -61,7 +67,6 @@ func (m *Machine) Snapshot() Snapshot {
 			CBM:      a.alloc.CBM,
 			MBALevel: a.alloc.MBALevel,
 			Counters: a.counters,
-			Active:   a.active,
 		}
 	}
 	return snap
@@ -103,6 +108,11 @@ func RestoreSnapshot(snap Snapshot, opts ...Option) (*Machine, error) {
 		if err := validCounters(as.Counters); err != nil {
 			return nil, fmt.Errorf("machine: restore: app %q: %w", as.Model.Name, err)
 		}
+		if as.Active != nil && !*as.Active {
+			m.byName[as.Model.Name] = departedSlot
+			m.departed = append(m.departed, as.Model.Name)
+			continue
+		}
 		resolved := as.Model.AtTime(m.now)
 		m.byName[as.Model.Name] = len(m.apps)
 		a := m.nextAppSlot()
@@ -110,7 +120,6 @@ func RestoreSnapshot(snap Snapshot, opts ...Option) (*Machine, error) {
 			model:    as.Model,
 			alloc:    Alloc{CBM: as.CBM, MBALevel: as.MBALevel},
 			counters: as.Counters,
-			active:   as.Active,
 			resolved: resolved,
 			digest:   modelDigest(&resolved),
 			phaseIdx: as.Model.PhaseIndexAt(m.now),
@@ -121,15 +130,22 @@ func RestoreSnapshot(snap Snapshot, opts ...Option) (*Machine, error) {
 		}
 		m.appsGen++
 	}
+	for _, name := range snap.Departed {
+		if name == "" {
+			return nil, fmt.Errorf("machine: restore: departed app with an empty name")
+		}
+		if _, dup := m.byName[name]; dup {
+			return nil, fmt.Errorf("machine: restore: duplicate app %q", name)
+		}
+		m.byName[name] = departedSlot
+		m.departed = append(m.departed, name)
+	}
 	// Allocations were validated field-by-field above; what remains is
 	// the cross-app invariant AddApp would have enforced.
 	for _, a := range m.apps {
-		if !a.active {
-			continue
-		}
 		used := 0
 		for _, b := range m.apps {
-			if b.active && b.model.Socket == a.model.Socket {
+			if b.model.Socket == a.model.Socket {
 				used += b.model.Cores
 			}
 		}

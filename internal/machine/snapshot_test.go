@@ -3,6 +3,7 @@ package machine
 import (
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -78,8 +79,9 @@ func TestMachineSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// TestMachineSnapshotInactiveApps: departed apps keep their slot (names
-// stay single-use) and counters across a restore.
+// TestMachineSnapshotInactiveApps: a departed app leaves no slot, only
+// its name, which a restore keeps taken — from the departed list of the
+// current format and from the "active": false entries of the legacy one.
 func TestMachineSnapshotInactiveApps(t *testing.T) {
 	m := snapMachine(t, 0)
 	if err := m.Step(3 * time.Second); err != nil {
@@ -88,17 +90,48 @@ func TestMachineSnapshotInactiveApps(t *testing.T) {
 	if err := m.RemoveApp("a"); err != nil {
 		t.Fatal(err)
 	}
-	r, err := RestoreSnapshot(m.Snapshot())
-	if err != nil {
-		t.Fatal(err)
+	snap := m.Snapshot()
+	if len(snap.Apps) != 1 || !reflect.DeepEqual(snap.Departed, []string{"a"}) {
+		t.Fatalf("snapshot lists %d apps and departed %v, want 1 and [a]", len(snap.Apps), snap.Departed)
 	}
-	if apps := r.Apps(); len(apps) != 1 || apps[0] != "b" {
-		t.Fatalf("restored active apps = %v, want [b]", apps)
+	// The same state as a legacy blob wrote it: every app ever launched,
+	// the departed one marked inactive.
+	legacy := m.Snapshot()
+	inactive, active := false, true
+	legacy.Departed = nil
+	legacy.Apps[0].Active = &active
+	legacy.Apps = append([]AppSnapshot{{Model: snapMachine(t, 0).Snapshot().Apps[0].Model,
+		CBM: 0b1, MBALevel: 100, Active: &inactive}}, legacy.Apps...)
+	for name, s := range map[string]Snapshot{"current": snap, "legacy": legacy} {
+		r, err := RestoreSnapshot(s)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if apps := r.Apps(); len(apps) != 1 || apps[0] != "b" {
+			t.Fatalf("%s: restored live apps = %v, want [b]", name, apps)
+		}
+		if !reflect.DeepEqual(r.Snapshot(), snap) {
+			t.Errorf("%s: restored machine re-snapshots as %+v, want %+v", name, r.Snapshot(), snap)
+		}
+		// The departed name must remain taken.
+		if !r.NameUsed("a") {
+			t.Errorf("%s: departed name free after restore", name)
+		}
+		if err := r.AddApp(AppModel{Name: "a", Cores: 1, CPIBase: 1, AccPerInstr: 0.01,
+			Hot: []WSComponent{{Bytes: 1 << 20, Weight: 1, MLP: 1}}}); err == nil {
+			t.Errorf("%s: reusing a departed name should fail after restore", name)
+		}
+		if err := r.RemoveApp("a"); err == nil || !strings.Contains(err.Error(), "already removed") {
+			t.Errorf("%s: removing a departed app again: %v", name, err)
+		}
+		if _, err := r.ReadCounters("a"); err == nil || !strings.Contains(err.Error(), "not active") {
+			t.Errorf("%s: reading a departed app: %v", name, err)
+		}
 	}
-	// The departed name must remain taken.
-	if err := r.AddApp(AppModel{Name: "a", Cores: 1, CPIBase: 1, AccPerInstr: 0.01,
-		Hot: []WSComponent{{Bytes: 1 << 20, Weight: 1, MLP: 1}}}); err == nil {
-		t.Error("reusing a departed name should fail after restore")
+	dup := m.Snapshot()
+	dup.Departed = []string{"b"}
+	if _, err := RestoreSnapshot(dup); err == nil {
+		t.Error("a departed name equal to a live one should be rejected")
 	}
 }
 

@@ -92,67 +92,67 @@ type benchDef struct {
 // need 4, 3, 2 ways (8, 6, 4 MB), so their hot sets are sized just under
 // those capacities. Stream fractions are fixed by Table 2's miss/access
 // ratios. MLP values separate latency-bound hot structures (pointer-heavy,
-// MLP 1) from overlapped sweeps.
-func defs() []benchDef {
-	return []benchDef{
-		{
-			name: "WN", category: LLCSensitive, cpiBase: 0.9, streamMLP: 1,
-			hot:     []machine.WSComponent{{Bytes: 7.5 * mb, MLP: 1}},
-			accRate: 6.91e7, missRate: 2.58e4,
-		},
-		{
-			name: "WS", category: LLCSensitive, cpiBase: 0.9, streamMLP: 1,
-			hot:     []machine.WSComponent{{Bytes: 5.5 * mb, MLP: 1}},
-			accRate: 4.32e7, missRate: 9.12e5,
-		},
-		{
-			name: "RT", category: LLCSensitive, cpiBase: 1.1, streamMLP: 1,
-			hot:     []machine.WSComponent{{Bytes: 3.5 * mb, MLP: 1}},
-			accRate: 3.76e7, missRate: 2.16e4,
-		},
-		{
-			name: "OC", category: BWSensitive, cpiBase: 0.8, streamMLP: 12,
-			hot:     []machine.WSComponent{{Bytes: 1 * mb, MLP: 4}},
-			accRate: 5.19e7, missRate: 4.88e7,
-		},
-		{
-			name: "CG", category: BWSensitive, cpiBase: 0.8, streamMLP: 10,
-			hot:     []machine.WSComponent{{Bytes: 1.5 * mb, MLP: 4}},
-			accRate: 3.10e8, missRate: 1.12e8,
-		},
-		{
-			name: "FT", category: BWSensitive, cpiBase: 0.7, streamMLP: 2,
-			hot:     []machine.WSComponent{{Bytes: 2 * mb, MLP: 4}},
-			accRate: 2.45e7, missRate: 2.00e7,
-		},
-		{
-			name: "SP", category: DualSensitive, cpiBase: 0.8, streamMLP: 8,
-			hot:     []machine.WSComponent{{Bytes: 12 * mb, MLP: 2}},
-			accRate: 1.69e8, missRate: 9.21e7,
-		},
-		{
-			name: "ON", category: DualSensitive, cpiBase: 0.8, streamMLP: 8,
-			hot:     []machine.WSComponent{{Bytes: 20 * mb, MLP: 1}},
-			accRate: 9.49e7, missRate: 7.89e7,
-		},
-		{
-			// FMM rates scaled 6× from Table 2; see the package comment.
-			name: "FMM", category: DualSensitive, cpiBase: 0.9, streamMLP: 2,
-			hot:     []machine.WSComponent{{Bytes: 14 * mb, MLP: 1}},
-			accRate: 3.67e7, missRate: 2.08e7,
-			paperAcc: 6.12e6, paperMiss: 3.47e6,
-		},
-		{
-			name: "SW", category: Insensitive, cpiBase: 0.6, streamMLP: 1,
-			hot:     []machine.WSComponent{{Bytes: 0.5 * mb, MLP: 1}},
-			accRate: 1.08e4, missRate: 7.98e2,
-		},
-		{
-			name: "EP", category: Insensitive, cpiBase: 0.6, streamMLP: 1,
-			hot:     []machine.WSComponent{{Bytes: 1 * mb, MLP: 1}},
-			accRate: 7.34e5, missRate: 1.79e4,
-		},
-	}
+// MLP 1) from overlapped sweeps. The table is built once and never
+// written: build copies every hot slice it hands out, and a daemon's
+// admission path resolves a benchmark by name on every request.
+var defs = []benchDef{
+	{
+		name: "WN", category: LLCSensitive, cpiBase: 0.9, streamMLP: 1,
+		hot:     []machine.WSComponent{{Bytes: 7.5 * mb, MLP: 1}},
+		accRate: 6.91e7, missRate: 2.58e4,
+	},
+	{
+		name: "WS", category: LLCSensitive, cpiBase: 0.9, streamMLP: 1,
+		hot:     []machine.WSComponent{{Bytes: 5.5 * mb, MLP: 1}},
+		accRate: 4.32e7, missRate: 9.12e5,
+	},
+	{
+		name: "RT", category: LLCSensitive, cpiBase: 1.1, streamMLP: 1,
+		hot:     []machine.WSComponent{{Bytes: 3.5 * mb, MLP: 1}},
+		accRate: 3.76e7, missRate: 2.16e4,
+	},
+	{
+		name: "OC", category: BWSensitive, cpiBase: 0.8, streamMLP: 12,
+		hot:     []machine.WSComponent{{Bytes: 1 * mb, MLP: 4}},
+		accRate: 5.19e7, missRate: 4.88e7,
+	},
+	{
+		name: "CG", category: BWSensitive, cpiBase: 0.8, streamMLP: 10,
+		hot:     []machine.WSComponent{{Bytes: 1.5 * mb, MLP: 4}},
+		accRate: 3.10e8, missRate: 1.12e8,
+	},
+	{
+		name: "FT", category: BWSensitive, cpiBase: 0.7, streamMLP: 2,
+		hot:     []machine.WSComponent{{Bytes: 2 * mb, MLP: 4}},
+		accRate: 2.45e7, missRate: 2.00e7,
+	},
+	{
+		name: "SP", category: DualSensitive, cpiBase: 0.8, streamMLP: 8,
+		hot:     []machine.WSComponent{{Bytes: 12 * mb, MLP: 2}},
+		accRate: 1.69e8, missRate: 9.21e7,
+	},
+	{
+		name: "ON", category: DualSensitive, cpiBase: 0.8, streamMLP: 8,
+		hot:     []machine.WSComponent{{Bytes: 20 * mb, MLP: 1}},
+		accRate: 9.49e7, missRate: 7.89e7,
+	},
+	{
+		// FMM rates scaled 6× from Table 2; see the package comment.
+		name: "FMM", category: DualSensitive, cpiBase: 0.9, streamMLP: 2,
+		hot:     []machine.WSComponent{{Bytes: 14 * mb, MLP: 1}},
+		accRate: 3.67e7, missRate: 2.08e7,
+		paperAcc: 6.12e6, paperMiss: 3.47e6,
+	},
+	{
+		name: "SW", category: Insensitive, cpiBase: 0.6, streamMLP: 1,
+		hot:     []machine.WSComponent{{Bytes: 0.5 * mb, MLP: 1}},
+		accRate: 1.08e4, missRate: 7.98e2,
+	},
+	{
+		name: "EP", category: Insensitive, cpiBase: 0.6, streamMLP: 1,
+		hot:     []machine.WSComponent{{Bytes: 1 * mb, MLP: 1}},
+		accRate: 7.34e5, missRate: 1.79e4,
+	},
 }
 
 // DefaultThreads is the thread (= dedicated core) count each Table 2
@@ -226,9 +226,8 @@ func build(cfg machine.Config, d benchDef) (Spec, error) {
 // Catalog returns the eleven Table 2 benchmarks calibrated against cfg,
 // in the paper's order.
 func Catalog(cfg machine.Config) ([]Spec, error) {
-	ds := defs()
-	specs := make([]Spec, len(ds))
-	for i, d := range ds {
+	specs := make([]Spec, len(defs))
+	for i, d := range defs {
 		s, err := build(cfg, d)
 		if err != nil {
 			return nil, err
@@ -240,7 +239,7 @@ func Catalog(cfg machine.Config) ([]Spec, error) {
 
 // ByName returns one calibrated benchmark.
 func ByName(cfg machine.Config, name string) (Spec, error) {
-	for _, d := range defs() {
+	for _, d := range defs {
 		if d.name == name {
 			return build(cfg, d)
 		}
@@ -250,9 +249,8 @@ func ByName(cfg machine.Config, name string) (Spec, error) {
 
 // Names lists the benchmark names in Table 2 order.
 func Names() []string {
-	ds := defs()
-	out := make([]string, len(ds))
-	for i, d := range ds {
+	out := make([]string, len(defs))
+	for i, d := range defs {
 		out[i] = d.name
 	}
 	return out

@@ -21,6 +21,30 @@ func alloc(cfg machine.Config, ways, mba int) machine.Alloc {
 	return machine.Alloc{CBM: (uint64(1) << ways) - 1, MBALevel: mba}
 }
 
+// TestByNameDoesNotAliasCatalog: the definition table is built once, so
+// a caller mutating a returned model's hot set must not reach it.
+func TestByNameDoesNotAliasCatalog(t *testing.T) {
+	cfg := machine.DefaultConfig()
+	first, err := ByName(cfg, "WN")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := first.Model.Hot[0]
+	first.Model.Hot[0].Bytes *= 3
+	first.Model.Hot[0].Weight = 0
+	first.Model.Hot = append(first.Model.Hot, machine.WSComponent{Bytes: 1})
+	again, err := ByName(cfg, "WN")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(again.Model.Hot) != 1 || again.Model.Hot[0] != want {
+		t.Fatalf("ByName after mutating a returned hot set: %+v, want [%+v]", again.Model.Hot, want)
+	}
+	if names := Names(); len(names) != 11 || names[0] != "WN" {
+		t.Fatalf("Names() = %v", names)
+	}
+}
+
 func TestCatalogComplete(t *testing.T) {
 	specs, err := Catalog(machine.DefaultConfig())
 	if err != nil {
