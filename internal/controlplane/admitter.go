@@ -5,6 +5,8 @@ import (
 	"net/http"
 	"slices"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 
 	"repro/internal/core"
 	"repro/internal/machine"
@@ -16,6 +18,9 @@ type AppSpec struct {
 	// Name identifies the application on the machine. Names are
 	// single-use: the machine keeps every departed application's name
 	// (and only its name), so a name cannot be recycled after removal.
+	// A name is non-empty valid UTF-8 of printable runes, with no slash
+	// and no space of any kind: it appears in URL paths and, quoted, in
+	// /metrics labels, whose format escapes only \, \" and \n.
 	Name string `json:"name"`
 	// Benchmark selects the Table 2 workload model; empty means the
 	// benchmark named Name.
@@ -34,9 +39,14 @@ func (s AppSpec) validate() *Rejection {
 	if s.Name == "" {
 		return Reject(http.StatusBadRequest, CodeBadSpec, "app spec needs a non-empty name")
 	}
-	if strings.ContainsAny(s.Name, "/ \t\n") {
+	if !utf8.ValidString(s.Name) {
+		return Reject(http.StatusBadRequest, CodeBadSpec, "app name %q is not valid UTF-8", s.Name)
+	}
+	if strings.ContainsFunc(s.Name, func(r rune) bool {
+		return r == '/' || unicode.IsSpace(r) || !unicode.IsPrint(r)
+	}) {
 		return Reject(http.StatusBadRequest, CodeBadSpec,
-			"app name %q may not contain slashes or whitespace", s.Name)
+			"app name %q may not contain slashes, whitespace or non-printable characters", s.Name)
 	}
 	if s.Cores < 0 {
 		return Reject(http.StatusBadRequest, CodeBadSpec, "cores %d must be >= 0", s.Cores)

@@ -12,10 +12,14 @@
 // touches them from an HTTP handler. Mutating requests are validated,
 // placed on a bounded queue, and applied by the controller itself
 // between control periods (Manager.BetweenPeriods → Plane.Drain); the
-// handler blocks on a reply channel with a timeout. Read-only surfaces
-// (/healthz, /metrics, /apps) serve from a mutex-guarded mirror the
-// controller refreshes once per period (Observe / Drain), so they cost
-// the control loop nothing and block nobody.
+// handler blocks on a reply channel with a timeout. The controller does
+// not send those replies itself: it hands them to a reply relay, a
+// goroutine the netpoller wakes on another P, so a controller that never
+// blocks cannot hold an answered handler in its own run queue (see
+// relay). Read-only surfaces (/healthz, /metrics, /apps) serve from a
+// mutex-guarded mirror the controller refreshes once per period
+// (Observe / Drain), so they cost the control loop nothing and block
+// nobody.
 package controlplane
 
 import (
@@ -145,6 +149,9 @@ type Plane struct {
 	latPos  int
 	latFull bool
 	lastObs time.Time
+
+	relayOnce sync.Once
+	relay     relay // zero until the first submit starts it
 }
 
 // Option configures a Plane.
@@ -202,17 +209,23 @@ func (p *Plane) Observe(r core.PeriodReport) {
 // Drain applies every queued admission operation and refreshes the
 // health mirror. It MUST run on the controller goroutine — wire it to
 // Manager.BetweenPeriods, and call it once more after Run returns to
-// answer stragglers (with SetDraining set, they are rejected).
+// answer stragglers (with SetDraining set, they are rejected). The
+// replies themselves go out through the reply relay, woken once per
+// Drain that answered a waiting handler.
 func (p *Plane) Drain() {
 	p.syncHealth()
+	relayed := false
 	for {
 		select {
 		case o := <-p.ops:
 			res := p.apply(o)
 			if o.reply != nil {
-				o.reply <- res
+				relayed = p.relay.send(o.reply, res) || relayed
 			}
 		default:
+			if relayed {
+				p.relay.wake()
+			}
 			return
 		}
 	}
@@ -313,6 +326,7 @@ func (p *Plane) SetDraining() {
 
 // submit queues an operation and waits for the controller to apply it.
 func (p *Plane) submit(o op) opResult {
+	p.relayOnce.Do(p.startRelay)
 	o.reply = make(chan opResult, 1)
 	select {
 	case p.ops <- o:

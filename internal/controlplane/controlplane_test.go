@@ -19,7 +19,7 @@ import (
 
 // liveSetup boots a 3-app consolidation with a running controller whose
 // BetweenPeriods hook drains the plane, plus an HTTP test server.
-func liveSetup(t *testing.T) (*Plane, *httptest.Server, *machine.Machine) {
+func liveSetup(t testing.TB) (*Plane, *httptest.Server, *machine.Machine) {
 	t.Helper()
 	cfg := machine.DefaultConfig()
 	m, err := machine.New(cfg)
@@ -72,7 +72,7 @@ func liveSetup(t *testing.T) (*Plane, *httptest.Server, *machine.Machine) {
 	return plane, srv, m
 }
 
-func doReq(t *testing.T, method, url string, body interface{}) (int, map[string]interface{}, string) {
+func doReq(t testing.TB, method, url string, body interface{}) (int, map[string]interface{}, string) {
 	t.Helper()
 	var rd io.Reader
 	if body != nil {
@@ -137,6 +137,14 @@ func TestAdmissionLifecycle(t *testing.T) {
 		AppSpec{Name: "x", Benchmark: "NOPE"})
 	if code != http.StatusBadRequest || body["code"] != CodeBadSpec || !strings.Contains(raw, "EP") {
 		t.Fatalf("bad benchmark = %d: %s", code, raw)
+	}
+
+	// A control character in the name → 400 bad_spec, before it can
+	// reach a /metrics label.
+	code, body, raw = doReq(t, "POST", srv.URL+"/apps",
+		AppSpec{Name: "a\rb", Benchmark: "EP", Cores: 1})
+	if code != http.StatusBadRequest || body["code"] != CodeBadSpec {
+		t.Fatalf("control-character name = %d: %s", code, raw)
 	}
 
 	// Malformed JSON → 400 bad_spec.

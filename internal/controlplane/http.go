@@ -159,24 +159,18 @@ func (p *Plane) handleRemoveApp(w http.ResponseWriter, r *http.Request) {
 
 func (p *Plane) handleReweight(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	var body struct {
-		Weight *float64 `json:"weight"`
-	}
-	if err := decodeBody(r, &body); err != nil {
+	weight, err := decodeWeight(r)
+	if err != nil {
 		writeErr(w, err)
 		return
 	}
-	if body.Weight == nil {
-		writeErr(w, Reject(http.StatusBadRequest, CodeBadSpec, `body needs {"weight": W}`))
-		return
-	}
-	res := p.submit(op{kind: opReweight, name: name, weight: *body.Weight})
+	res := p.submit(op{kind: opReweight, name: name, weight: weight})
 	if res.err != nil {
 		writeErr(w, res.err)
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]interface{}{
-		"status": "reweighted", "name": name, "weight": *body.Weight,
+		"status": "reweighted", "name": name, "weight": weight,
 	})
 }
 
@@ -220,4 +214,19 @@ func decodeBody(r *http.Request, v interface{}) error {
 		return Reject(http.StatusBadRequest, CodeBadSpec, "request body has trailing data")
 	}
 	return nil
+}
+
+// decodeWeight decodes a reweight body, {"weight": W}. The value itself
+// is checked by the admitter, on the controller goroutine.
+func decodeWeight(r *http.Request) (float64, error) {
+	var body struct {
+		Weight *float64 `json:"weight"`
+	}
+	if err := decodeBody(r, &body); err != nil {
+		return 0, err
+	}
+	if body.Weight == nil {
+		return 0, Reject(http.StatusBadRequest, CodeBadSpec, `body needs {"weight": W}`)
+	}
+	return *body.Weight, nil
 }

@@ -97,6 +97,9 @@ func (p *Plane) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			"gauge", "Unfairness (CoV of weighted slowdowns) at the last control period.", func(b *strings.Builder) {
 				fmt.Fprintf(b, "copart_unfairness %g\n", p.last.Unfairness)
 			})
+		// App labels are quoted with %q, which writes only the text
+		// format's \\ and \" escapes because AppSpec.validate admits
+		// printable names only; anything else would come out as \x or \u.
 		writeMetric(&b, "copart_app_slowdown",
 			"gauge", "Per-application slowdown at the last control period.", func(b *strings.Builder) {
 				// Report order is the manager's stable app order; keep it.
