@@ -125,23 +125,37 @@ bench-guard:
 # regression test from it and run it. The generated test lands in
 # _verify/ — underscore-prefixed so ./... wildcards never pick it up;
 # it is removed again on success and left behind for inspection on
-# failure. The negative leg feeds both tools a snapshot in wire-format
-# version 1 (the format that still carried the score memo): snap2test
-# -check and copartd -restore must exit non-zero naming the blob's
-# version and the build's.
+# failure. The negative legs run built binaries under a 30 s SIGKILL
+# timeout, so a regression that hangs fails the gate instead of stalling
+# it: snap2test -check and copartd -restore must refuse a snapshot in
+# wire-format version 1 (the format that still carried the score memo),
+# naming the blob's version and the build's, and a snapshot claiming
+# more RNG draws than its clock allows; copartd must reject a fault spec
+# with an infinite overrun factor as a flag error (exit 2).
 VERIFY_SNAP ?= /tmp/copart-verify-snap.json
+VERIFY_BIN ?= $(VERIFY_SNAP).bin
 VERIFY_V1 = internal/core/testdata/snapshot_v1.json
 VERIFY_REFUSAL = 'snapshot version 1, this build reads version'
+VERIFY_DRAWS = internal/core/testdata/snapshot_v2_draws.json
+VERIFY_DRAWS_REFUSAL = 'RNG draws exceed'
+VERIFY_RUN = timeout -s KILL 30
 verify: build
 	$(GO) test -run Fixture -count=1 ./internal/analysis
-	$(GO) run ./cmd/copartd -mix H-Both -apps 4 -duration 60s -seed 1 -snapshot-exit $(VERIFY_SNAP) > /dev/null
-	$(GO) run ./cmd/snap2test -snapshot $(VERIFY_SNAP) -duration 30s -check
-	! $(GO) run ./cmd/snap2test -snapshot $(VERIFY_V1) -duration 30s -check 2> $(VERIFY_SNAP).err
+	mkdir -p $(VERIFY_BIN)
+	$(GO) build -o $(VERIFY_BIN)/ ./cmd/copartd ./cmd/snap2test
+	$(VERIFY_BIN)/copartd -mix H-Both -apps 4 -duration 60s -seed 1 -snapshot-exit $(VERIFY_SNAP) > /dev/null
+	$(VERIFY_BIN)/snap2test -snapshot $(VERIFY_SNAP) -duration 30s -check
+	! $(VERIFY_RUN) $(VERIFY_BIN)/snap2test -snapshot $(VERIFY_V1) -duration 30s -check 2> $(VERIFY_SNAP).err
 	grep -q $(VERIFY_REFUSAL) $(VERIFY_SNAP).err
-	! $(GO) run ./cmd/copartd -restore $(VERIFY_V1) -duration 30s > /dev/null 2> $(VERIFY_SNAP).err
+	! $(VERIFY_RUN) $(VERIFY_BIN)/copartd -restore $(VERIFY_V1) -duration 30s > /dev/null 2> $(VERIFY_SNAP).err
 	grep -q $(VERIFY_REFUSAL) $(VERIFY_SNAP).err
+	! $(VERIFY_RUN) $(VERIFY_BIN)/snap2test -snapshot $(VERIFY_DRAWS) -duration 30s -check 2> $(VERIFY_SNAP).err
+	grep -q $(VERIFY_DRAWS_REFUSAL) $(VERIFY_SNAP).err
+	! $(VERIFY_RUN) $(VERIFY_BIN)/copartd -restore $(VERIFY_DRAWS) -duration 30s > /dev/null 2> $(VERIFY_SNAP).err
+	grep -q $(VERIFY_DRAWS_REFUSAL) $(VERIFY_SNAP).err
+	$(VERIFY_RUN) $(VERIFY_BIN)/copartd -faults 'overrun=1x+Inf' > /dev/null 2> $(VERIFY_SNAP).err; test $$? -eq 2
 	rm -rf _verify && mkdir _verify
-	$(GO) run ./cmd/snap2test -snapshot $(VERIFY_SNAP) -duration 30s -name Verify -o _verify/replay_test.go
+	$(VERIFY_BIN)/snap2test -snapshot $(VERIFY_SNAP) -duration 30s -name Verify -o _verify/replay_test.go
 	$(GO) test ./_verify/
 	rm -rf _verify
 

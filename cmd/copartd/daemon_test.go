@@ -34,6 +34,14 @@ func TestValidateFlagErrors(t *testing.T) {
 			[]string{"-apps 40 out of range", "LLC way"}},
 		{"bad faults", func(c *config) { c.faults = "frob=1,readerr=x" },
 			[]string{`"frob=1"`, `"readerr=x"`, "unknown key"}},
+		{"probability above 1", func(c *config) { c.faults = "readerr=5" },
+			[]string{"readerr probability 5 outside [0,1]"}},
+		{"NaN probability", func(c *config) { c.faults = "readerr=NaN" },
+			[]string{"readerr probability NaN outside [0,1]"}},
+		{"infinite overrun", func(c *config) { c.faults = "overrun=1x+Inf" },
+			[]string{"overrun factor +Inf"}},
+		{"huge overrun", func(c *config) { c.faults = "overrun=1x1e300" },
+			[]string{"overrun factor 1e+300"}},
 		{"bad arrival", func(c *config) { c.faults = "arrive=NOPE@5s" },
 			[]string{`"NOPE"`, "valid benchmarks", "EP"}},
 		{"zero duration", func(c *config) { c.duration = 0 },

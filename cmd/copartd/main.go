@@ -180,8 +180,10 @@ func parseMix(name string) (workloads.MixKind, error) {
 	return 0, fmt.Errorf("unknown mix %q (valid: %s)", name, mixNames())
 }
 
-// parseScenario parses the -faults spec and resolves arrival names
-// against the workload catalog.
+// parseScenario parses the -faults spec, resolves arrival names
+// against the workload catalog, and validates the result, so a spec
+// the grammar accepts but the injector cannot run (a NaN probability,
+// an overrun factor past the cap) is a flag error.
 func parseScenario(cfg machine.Config, spec string) (faultinject.Scenario, error) {
 	sc, err := faultinject.Parse(spec)
 	if err != nil {
@@ -200,6 +202,9 @@ func parseScenario(cfg machine.Config, spec string) (faultinject.Scenario, error
 		}
 		model := ws.Model
 		ev.Model = &model
+	}
+	if err := sc.Validate(); err != nil {
+		return faultinject.Scenario{}, err
 	}
 	return sc, nil
 }
@@ -233,7 +238,7 @@ func run(cfg config) (err error) {
 		}
 	}
 
-	var inj *faultinject.Injector
+	var wrapped *faultinject.Target
 	if cfg.restore != "" {
 		data, err := os.ReadFile(cfg.restore)
 		if err != nil {
@@ -243,7 +248,7 @@ func run(cfg config) (err error) {
 		if err != nil {
 			return err
 		}
-		mgr, m, err = core.RestoreSnapshot(snap)
+		mgr, m, err = restoreSnapshot(snap, cfg.sig)
 		if err != nil {
 			return err
 		}
@@ -275,12 +280,10 @@ func run(cfg config) (err error) {
 
 		var target core.Target = m
 		if !sc.Empty() {
-			wrapped, err := faultinject.WrapTarget(m, sc, elog)
-			if err != nil {
+			if wrapped, err = faultinject.WrapTarget(m, sc, elog); err != nil {
 				return err
 			}
 			target = wrapped
-			inj = wrapped.Injector()
 			fmt.Println("fault injection active, resilient control loop enabled")
 		}
 
@@ -417,8 +420,8 @@ func run(cfg config) (err error) {
 		plane.Drain()
 	}
 	fmt.Printf("done at t=%.1fs in %v phase\n", m.Now().Seconds(), mgr.Phase())
-	if inj != nil {
-		st := inj.Stats()
+	if wrapped != nil {
+		st := wrapped.Stats()
 		fmt.Printf("injected faults: %d (reads=%d writes=%d overruns=%d wraps=%d stuck=%d departs=%d arrivals=%d)\n",
 			st.Total(), st.ReadErrors, st.WriteErrors, st.Overruns, st.Wraps,
 			st.StuckReads, st.Departures, st.Arrivals)
@@ -436,6 +439,29 @@ func run(cfg config) (err error) {
 		}
 	}
 	return nil
+}
+
+// restoreSnapshot rebuilds the manager and machine from snap, giving up
+// when a shutdown signal arrives first: replaying the blob's RNG draws
+// can take a while, and the daemon must stay stoppable meanwhile. A nil
+// sig never fires.
+func restoreSnapshot(snap *core.Snapshot, sig <-chan os.Signal) (*core.Manager, *machine.Machine, error) {
+	type restored struct {
+		mgr *core.Manager
+		m   *machine.Machine
+		err error
+	}
+	done := make(chan restored, 1)
+	go func() {
+		mgr, m, err := core.RestoreSnapshot(snap)
+		done <- restored{mgr, m, err}
+	}()
+	select {
+	case r := <-done:
+		return r.mgr, r.m, r.err
+	case s := <-sig:
+		return nil, nil, fmt.Errorf("caught %v while restoring the snapshot", s)
+	}
 }
 
 // writeSnapshot serializes the manager's full state into path.

@@ -3,9 +3,11 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/machine"
 	"repro/internal/membw"
 	"repro/internal/resctrl"
@@ -134,5 +136,44 @@ func TestRunStopsOnSignal(t *testing.T) {
 		if s.L3[0] != full || s.MB[0] != membw.MaxLevel {
 			t.Errorf("%s not restored to defaults: %+v", app, s)
 		}
+	}
+}
+
+// TestRestoreStopsOnSignal: a snapshot whose clock allows a long RNG
+// replay (10^11 draws over 10^9 periods) must not hold a stop signal
+// hostage — run returns at once, naming the signal. The abandoned
+// replay keeps one core busy until the test binary exits, so this test
+// stays last in the package.
+func TestRestoreStopsOnSignal(t *testing.T) {
+	data, err := os.ReadFile("../../internal/core/testdata/snapshot_v2_draws.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := core.ParseSnapshot(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap.Machine.Now = int64(1e9 * time.Second)
+	snap.Taken = snap.Machine.Now
+	snap.Manager.RNGDraws = 1e11
+	blob, err := snap.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "long.json")
+	if err := os.WriteFile(path, blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	sig := make(chan os.Signal, 1)
+	sig <- os.Interrupt
+	done := make(chan error, 1)
+	go func() { done <- run(config{restore: path, duration: time.Second, sig: sig}) }()
+	select {
+	case err := <-done:
+		if err == nil || !strings.Contains(err.Error(), "interrupt") {
+			t.Errorf("run: got %v, want the caught interrupt", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("restore ignored the stop signal for 10s")
 	}
 }

@@ -246,6 +246,9 @@ func RestoreSnapshot(snap *Snapshot) (*Manager, *machine.Machine, error) {
 	if ms.Phase < PhaseProfile || ms.Phase > PhaseDegraded {
 		return nil, nil, fmt.Errorf("core: snapshot: unknown phase %d", int(ms.Phase))
 	}
+	if err := checkDraws(ms.RNGDraws, mach.Now(), ms.Params.Period); err != nil {
+		return nil, nil, err
+	}
 	src := RestoreCountingSource(ms.RNGSeed, ms.RNGDraws)
 	m := &Manager{
 		params:         ms.Params,
@@ -319,6 +322,26 @@ func RestoreSnapshot(snap *Snapshot) (*Manager, *machine.Machine, error) {
 		}
 	}
 	return m, mach, nil
+}
+
+// maxDrawsPerPeriod bounds the RNG draws one control period can make. A
+// period draws at most two coin flips per app in the matcher and
+// 64 × 3 Intn calls in the neighbour search; real 600 s runs average
+// well under one draw a period.
+const maxDrawsPerPeriod = 1024
+
+// checkDraws refuses a snapshot that claims more RNG draws than the
+// periods up to its own clock can have made. RestoreCountingSource
+// replays the draws one at a time, so an unchecked count would stall
+// the restore. The comparison divides instead of multiplying, so no
+// clock value can overflow it.
+func checkDraws(draws uint64, now, period time.Duration) error {
+	periods := uint64(now/period) + 1
+	if draws > 0 && (draws-1)/maxDrawsPerPeriod >= periods {
+		return fmt.Errorf("core: snapshot: %d RNG draws exceed the %d a period allows over the %d periods to t=%v",
+			draws, maxDrawsPerPeriod, periods, now)
+	}
+	return nil
 }
 
 func restoreLLC(params Params, f Features, cs ClassifierSnapshot) *LLCClassifier {

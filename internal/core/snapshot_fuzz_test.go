@@ -8,8 +8,8 @@ import (
 // FuzzRestoreSnapshot feeds the snapshot decoder arbitrary bytes. The
 // committed corpus (testdata/fuzz/FuzzRestoreSnapshot) seeds it with a
 // current-format blob listing departed names, a legacy format-2 blob
-// whose departed apps are "active": false entries, and the format-1
-// blob. Property: decoding never panics, and a blob that restores
+// whose departed apps are "active": false entries, the format-1 blob,
+// and a blob claiming 10^15 RNG draws at t=12s. Property: decoding never panics, and a blob that restores
 // re-snapshots to bytes that themselves restore and re-snapshot
 // byte-identically.
 func FuzzRestoreSnapshot(f *testing.F) {

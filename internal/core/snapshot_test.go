@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"strings"
 	"testing"
@@ -273,6 +274,61 @@ func TestSnapshotRejectsOtherFormats(t *testing.T) {
 				t.Errorf("RestoreSnapshot: got %v, want an error naming %q and %q", err, tc.want, build)
 			}
 		})
+	}
+}
+
+// TestSnapshotRefusesImpossibleDraws: restore replays the RNG stream
+// one draw at a time, so a blob claiming more draws than its own clock
+// allows is refused before any are replayed. The committed blob is a
+// 12 s copartd snapshot with rngDraws edited to 10^15, a count that
+// would take restore hours to burn.
+func TestSnapshotRefusesImpossibleDraws(t *testing.T) {
+	data, err := os.ReadFile("testdata/snapshot_v2_draws.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := ParseSnapshot(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, _, err := RestoreSnapshot(snap)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err == nil || !strings.Contains(err.Error(), "RNG draws exceed") {
+			t.Errorf("RestoreSnapshot: got %v, want the draws refusal", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("RestoreSnapshot is still replaying 10^15 draws after 5s")
+	}
+}
+
+// TestSnapshotDrawsCeiling: a blob at the draws ceiling restores, one
+// draw past it does not, and the largest clock and count cannot
+// overflow the check.
+func TestSnapshotDrawsCeiling(t *testing.T) {
+	data, err := os.ReadFile("testdata/snapshot_v2_draws.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := ParseSnapshot(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	periods := uint64(snap.Machine.Now/int64(snap.Manager.Params.Period)) + 1
+	snap.Manager.RNGDraws = periods * maxDrawsPerPeriod
+	if _, _, err := RestoreSnapshot(snap); err != nil {
+		t.Errorf("draws at the ceiling refused: %v", err)
+	}
+	snap.Manager.RNGDraws++
+	if _, _, err := RestoreSnapshot(snap); err == nil {
+		t.Error("draws one past the ceiling restored")
+	}
+	if err := checkDraws(math.MaxUint64, math.MaxInt64, 1); err != nil {
+		t.Errorf("checkDraws at the extremes: %v", err)
 	}
 }
 

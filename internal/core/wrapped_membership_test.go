@@ -118,7 +118,7 @@ func TestWrappedTargetMembership(t *testing.T) {
 			t.Fatalf("wrapped node idle at %v, the bare one at %v", m.Now(), dry.Now())
 		}
 		for i := 1; ; i++ {
-			arrived := wrapped.Injector().Stats().Arrivals > 0
+			arrived := wrapped.Stats().Arrivals > 0
 			before := counted.polls
 			changed, err := mgr.IdleStep()
 			if err != nil {

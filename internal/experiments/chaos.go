@@ -5,21 +5,54 @@ import (
 	"math/rand"
 	"time"
 
+	"repro/internal/controlplane"
 	"repro/internal/core"
 	"repro/internal/eventlog"
 	"repro/internal/faultinject"
 	"repro/internal/machine"
-	"repro/internal/texttab"
 	"repro/internal/workloads"
 )
+
+// ChurnOp is one scheduled admission-API operation, applied between
+// control periods once target time reaches At — the same path a curl
+// against a live copartd takes, minus the HTTP layer.
+type ChurnOp struct {
+	At   time.Duration
+	Kind string // "add", "remove", or "reweight"
+	// Spec carries the app for "add"; only Spec.Name is read for
+	// "remove" and "reweight".
+	Spec   controlplane.AppSpec
+	Weight float64 // for "reweight"
+}
+
+// DefaultChurn is an admission schedule for the chaos soak: an app
+// arrives mid-fault-storm, gets reweighted, departs, and a second app
+// cycles through after the storm clears. The single spare core the
+// soak's 3-app H-Both mix leaves on the default machine is exactly
+// enough for one 1-core guest at a time.
+func DefaultChurn() []ChurnOp {
+	return []ChurnOp{
+		{At: 60 * time.Second, Kind: "add",
+			Spec: controlplane.AppSpec{Name: "churn-a", Benchmark: "EP", Cores: 1}},
+		{At: 110 * time.Second, Kind: "reweight",
+			Spec: controlplane.AppSpec{Name: "churn-a"}, Weight: 2},
+		{At: 150 * time.Second, Kind: "remove",
+			Spec: controlplane.AppSpec{Name: "churn-a"}},
+		{At: 180 * time.Second, Kind: "add",
+			Spec: controlplane.AppSpec{Name: "churn-b", Benchmark: "EP", Cores: 1}},
+		{At: 215 * time.Second, Kind: "remove",
+			Spec: controlplane.AppSpec{Name: "churn-b"}},
+	}
+}
 
 // ChaosResult compares the resilient controller's fairness with and
 // without an injected fault schedule. The paper evaluates CoPart on a
 // healthy testbed; this experiment asks the deployment question instead:
 // when the substrate misbehaves — counter reads failing, schemata writes
-// bouncing with EBUSY, counters wrapping, periods overrunning — does the
-// hardened control loop keep unfairness close to the fault-free run, and
-// how quickly does it re-converge once the faults clear?
+// bouncing with EBUSY, counters wrapping, periods overrunning — while
+// the control plane may be admitting and evicting apps, does the
+// hardened control loop keep unfairness close to the fault-free run,
+// and how quickly does it re-converge once the faults clear?
 type ChaosResult struct {
 	Mix      workloads.MixKind
 	Apps     int
@@ -41,22 +74,40 @@ type ChaosResult struct {
 	// target time that took.
 	Recovered    bool
 	RecoveryTime time.Duration
+
+	// ChurnOps is the schedule length; ChurnApplied/ChurnRejected split
+	// the chaotic leg's admission-op outcomes. A correct run applies
+	// every op: the fault storm may degrade the controller but must
+	// never lose or reject a valid admission.
+	ChurnOps      int
+	ChurnApplied  uint64
+	ChurnRejected uint64
+	// FinalApps is the chaotic leg's app count at the end of the soak.
+	FinalApps int
 }
 
 // chaosLeg is one controller run (fault-free or injected) of the chaos
-// experiment.
+// soak, plus the live plane the allocation-guard test pokes at after the
+// run.
 type chaosLeg struct {
 	meanUnfairness float64
-	periods        int
 	fallbacks      int
 	recoveries     int
 	stats          faultinject.Stats
 	recovered      bool
 	recoveryTime   time.Duration
+	finalApps      int
+	plane          *controlplane.Plane
 }
 
+// runChaosLeg runs one leg of the soak: the resilient controller on the
+// mix, wrapped in the scenario unless it is empty, with the admission
+// schedule applied through a control plane between periods, exactly as
+// copartd drains its HTTP queue. With no churn the plane's Drain only
+// reads the controller's phase, so the leg is the bare control loop.
 func runChaosLeg(cfg machine.Config, kind workloads.MixKind, apps int,
-	sc faultinject.Scenario, seed int64, duration time.Duration) (chaosLeg, error) {
+	sc faultinject.Scenario, churn []ChurnOp, seed int64,
+	duration time.Duration) (chaosLeg, error) {
 	m, err := machine.New(cfg)
 	if err != nil {
 		return chaosLeg{}, err
@@ -79,16 +130,14 @@ func runChaosLeg(cfg machine.Config, kind workloads.MixKind, apps int,
 		return chaosLeg{}, err
 	}
 	var (
-		target core.Target = m
-		inj    *faultinject.Injector
+		target  core.Target = m
+		wrapped *faultinject.Target
 	)
 	if !sc.Empty() {
-		wrapped, err := faultinject.WrapTarget(m, sc, elog)
-		if err != nil {
+		if wrapped, err = faultinject.WrapTarget(m, sc, elog); err != nil {
 			return chaosLeg{}, err
 		}
 		target = wrapped
-		inj = wrapped.Injector()
 	}
 	mgr, err := core.NewManager(target, core.DefaultParams(), ref,
 		core.Envelope{LoWay: 0, Ways: cfg.LLCWays}, rand.New(rand.NewSource(seed)))
@@ -98,21 +147,58 @@ func runChaosLeg(cfg machine.Config, kind workloads.MixKind, apps int,
 	mgr.Resilience = core.DefaultResilience()
 	mgr.Events = elog
 
-	var reports []core.PeriodReport
-	mgr.OnPeriod = func(r core.PeriodReport) { reports = append(reports, r) }
+	plane := controlplane.New(&controlplane.MachineAdmitter{M: m, Mgr: mgr}, mgr, elog)
+	var (
+		reports  []core.PeriodReport
+		now      time.Duration
+		churnErr error
+	)
+	mgr.OnPeriod = func(r core.PeriodReport) {
+		now = r.Time
+		reports = append(reports, r)
+	}
+	next := 0
+	mgr.BetweenPeriods = func() {
+		for next < len(churn) && churn[next].At <= now {
+			op := churn[next]
+			next++
+			var err error
+			switch op.Kind {
+			case "add":
+				err = plane.EnqueueAdd(op.Spec)
+			case "remove":
+				err = plane.EnqueueRemove(op.Spec.Name)
+			case "reweight":
+				err = plane.EnqueueReweight(op.Spec.Name, op.Weight)
+			default:
+				err = fmt.Errorf("experiments: unknown churn op %q", op.Kind)
+			}
+			if err != nil && churnErr == nil {
+				churnErr = fmt.Errorf("experiments: churn op %d (%s %s): %w",
+					next-1, op.Kind, op.Spec.Name, err)
+			}
+		}
+		plane.Drain()
+	}
 	if err := mgr.Run(duration); err != nil {
 		return chaosLeg{}, fmt.Errorf("experiments: chaos run: %w", err)
 	}
+	if churnErr != nil {
+		return chaosLeg{}, churnErr
+	}
+	if next != len(churn) {
+		return chaosLeg{}, fmt.Errorf("experiments: only %d of %d churn ops were due within %v",
+			next, len(churn), duration)
+	}
+	if len(reports) == 0 {
+		return chaosLeg{}, fmt.Errorf("experiments: chaos run reported no periods")
+	}
 
-	var leg chaosLeg
+	leg := chaosLeg{finalApps: len(m.Apps()), plane: plane}
 	for _, r := range reports {
 		leg.meanUnfairness += r.Unfairness
 	}
-	leg.periods = len(reports)
-	if leg.periods == 0 {
-		return chaosLeg{}, fmt.Errorf("experiments: chaos run reported no periods")
-	}
-	leg.meanUnfairness /= float64(leg.periods)
+	leg.meanUnfairness /= float64(len(reports))
 	for _, e := range elog.Events() {
 		switch e.Kind {
 		case eventlog.KindFallback:
@@ -125,9 +211,9 @@ func runChaosLeg(cfg machine.Config, kind workloads.MixKind, apps int,
 			leg.recoveries++
 		}
 	}
-	if inj != nil {
-		leg.stats = inj.Stats()
-		if last := inj.LastFault(); last >= 0 {
+	if wrapped != nil {
+		leg.stats = wrapped.Stats()
+		if last := wrapped.LastFault(); last >= 0 {
 			for _, r := range reports {
 				if r.Phase == core.PhaseIdle && r.Time >= last {
 					leg.recovered = true
@@ -140,39 +226,56 @@ func runChaosLeg(cfg machine.Config, kind workloads.MixKind, apps int,
 	return leg, nil
 }
 
-// Chaos runs the resilient controller on one mix twice — fault-free and
-// under the given scenario — and reports the fairness cost of the fault
-// schedule plus the recovery behavior. Both legs run with the default
-// resilience configuration so the comparison isolates the faults, not
-// the hardening.
-func Chaos(cfg machine.Config, sc faultinject.Scenario, seed int64,
-	duration time.Duration) (ChaosResult, *texttab.Table, error) {
+// Chaos runs the resilient controller on a 3-app H-Both mix twice —
+// fault-free and under the given scenario — and reports the fairness
+// cost of the fault schedule plus the recovery behavior. Both legs run
+// with the default resilience configuration and replay the same
+// admission schedule (churn may be nil) through a control plane, so the
+// comparison isolates the faults, not the hardening or the membership.
+func Chaos(cfg machine.Config, sc faultinject.Scenario, churn []ChurnOp,
+	seed int64, duration time.Duration) (ChaosResult, error) {
 	const (
+		// Three H-Both apps leave one core of headroom on the default
+		// machine — enough for DefaultChurn's 1-core guests.
 		kind = workloads.HBoth
-		apps = 4
+		apps = 3
 	)
 	if sc.Empty() {
-		return ChaosResult{}, nil, fmt.Errorf("experiments: chaos scenario injects nothing")
+		return ChaosResult{}, fmt.Errorf("experiments: chaos scenario injects nothing")
 	}
-	clean, err := runChaosLeg(cfg, kind, apps, faultinject.Scenario{}, seed, duration)
+	for i := 1; i < len(churn); i++ {
+		if churn[i].At < churn[i-1].At {
+			return ChaosResult{}, fmt.Errorf("experiments: churn schedule out of order at op %d", i)
+		}
+	}
+	if n := len(churn); n > 0 && churn[n-1].At >= duration {
+		return ChaosResult{}, fmt.Errorf("experiments: churn op at %v is outside the %v soak", churn[n-1].At, duration)
+	}
+
+	clean, err := runChaosLeg(cfg, kind, apps, faultinject.Scenario{}, churn, seed, duration)
 	if err != nil {
-		return ChaosResult{}, nil, err
+		return ChaosResult{}, err
 	}
-	chaotic, err := runChaosLeg(cfg, kind, apps, sc, seed, duration)
+	chaotic, err := runChaosLeg(cfg, kind, apps, sc, churn, seed, duration)
 	if err != nil {
-		return ChaosResult{}, nil, err
+		return ChaosResult{}, err
 	}
+	applied, rejected := chaotic.plane.AdmissionStats()
 	res := ChaosResult{
-		Mix:          kind,
-		Apps:         apps,
-		Duration:     duration,
-		FaultFree:    clean.meanUnfairness,
-		UnderChaos:   chaotic.meanUnfairness,
-		Injected:     chaotic.stats,
-		Fallbacks:    chaotic.fallbacks,
-		Recoveries:   chaotic.recoveries,
-		Recovered:    chaotic.recovered,
-		RecoveryTime: chaotic.recoveryTime,
+		Mix:           kind,
+		Apps:          apps,
+		Duration:      duration,
+		FaultFree:     clean.meanUnfairness,
+		UnderChaos:    chaotic.meanUnfairness,
+		Injected:      chaotic.stats,
+		Fallbacks:     chaotic.fallbacks,
+		Recoveries:    chaotic.recoveries,
+		Recovered:     chaotic.recovered,
+		RecoveryTime:  chaotic.recoveryTime,
+		ChurnOps:      len(churn),
+		ChurnApplied:  applied,
+		ChurnRejected: rejected,
+		FinalApps:     chaotic.finalApps,
 	}
 	// Guard the ratio against a (near-)perfectly fair baseline.
 	const fairFloor = 1e-9
@@ -181,25 +284,5 @@ func Chaos(cfg machine.Config, sc faultinject.Scenario, seed int64,
 		base = fairFloor
 	}
 	res.Ratio = chaotic.meanUnfairness / base
-
-	tab := texttab.New(
-		fmt.Sprintf("Chaos soak. %s, %d apps, %v under fault injection", kind, apps, duration),
-		"Metric", "Value")
-	tab.AddRow("mean unfairness (fault-free)", fmt.Sprintf("%.4f", res.FaultFree))
-	tab.AddRow("mean unfairness (chaos)", fmt.Sprintf("%.4f", res.UnderChaos))
-	tab.AddRow("ratio", fmt.Sprintf("%.3f", res.Ratio))
-	tab.AddRow("injected faults", fmt.Sprintf("%d", res.Injected.Total()))
-	tab.AddRow("  read errors", fmt.Sprintf("%d", res.Injected.ReadErrors))
-	tab.AddRow("  write errors", fmt.Sprintf("%d", res.Injected.WriteErrors))
-	tab.AddRow("  overruns", fmt.Sprintf("%d", res.Injected.Overruns))
-	tab.AddRow("  wraps", fmt.Sprintf("%d", res.Injected.Wraps))
-	tab.AddRow("  stuck reads", fmt.Sprintf("%d", res.Injected.StuckReads))
-	tab.AddRow("degraded-mode entries", fmt.Sprintf("%d", res.Fallbacks))
-	tab.AddRow("recoveries", fmt.Sprintf("%d", res.Recoveries))
-	if res.Recovered {
-		tab.AddRow("recovery time after last fault", res.RecoveryTime.String())
-	} else {
-		tab.AddRow("recovery time after last fault", "did not recover")
-	}
-	return res, tab, nil
+	return res, nil
 }

@@ -9,9 +9,9 @@
 // arrive and depart mid-phase. A Scenario describes such a fault schedule
 // declaratively — probabilistic error rates, deterministic burst windows,
 // counter wraparound and stuck-counter windows, period overruns, and
-// workload churn — and the wrappers in this package replay it,
-// deterministically for a given seed, around a core.Target, a counter
-// source, or a resctrl tree.
+// workload churn — and Target replays it, deterministically for a given
+// seed, around any core.Target: the machine simulator, or a
+// hosttarget.Host over a resctrl tree and a counter source.
 package faultinject
 
 import (
@@ -27,6 +27,11 @@ import (
 // ErrInjected is the sentinel wrapped by every injected fault, so tests
 // and callers can distinguish injected faults from real ones.
 var ErrInjected = errors.New("injected fault")
+
+// maxOverrunFactor caps OverrunFactor so an overrunning step stays far
+// inside time.Duration's range: a 1 000-fold overrun of an hour-long
+// period is still a valid duration.
+const maxOverrunFactor = 1000
 
 // Window is a half-open interval of target time [From, To).
 type Window struct {
@@ -48,7 +53,7 @@ func (w Window) validate(what string) error {
 // target time. A departure names the application to remove (empty means
 // the first currently-consolidated one). An arrival carries the model to
 // launch; scenarios parsed from text carry only the Name, and the caller
-// resolves Model before building an injector.
+// resolves Model before wrapping a target.
 type ChurnEvent struct {
 	At     time.Duration
 	Arrive bool
@@ -71,8 +76,8 @@ type Scenario struct {
 	// OverrunProb is the per-step probability that the control period
 	// overruns: the step takes OverrunFactor times the requested time.
 	OverrunProb float64
-	// OverrunFactor stretches an overrunning step (must be > 1 when
-	// OverrunProb > 0).
+	// OverrunFactor stretches an overrunning step (must lie in
+	// (1, 1000] when OverrunProb > 0).
 	OverrunFactor float64
 	// ProbUntil stops all probabilistic injections after this target
 	// time; zero means they never stop. Deterministic windows and events
@@ -110,12 +115,12 @@ func (s Scenario) Validate() error {
 		name string
 		v    float64
 	}{{"readerr", s.ReadErrProb}, {"writeerr", s.WriteErrProb}, {"overrun", s.OverrunProb}} {
-		if p.v < 0 || p.v > 1 {
+		if !(p.v >= 0 && p.v <= 1) { // NaN fails both comparisons
 			return fmt.Errorf("faultinject: %s probability %v outside [0,1]", p.name, p.v)
 		}
 	}
-	if s.OverrunProb > 0 && s.OverrunFactor <= 1 {
-		return fmt.Errorf("faultinject: overrun factor %v must exceed 1", s.OverrunFactor)
+	if s.OverrunProb > 0 && !(s.OverrunFactor > 1 && s.OverrunFactor <= maxOverrunFactor) {
+		return fmt.Errorf("faultinject: overrun factor %v must lie in (1,%d]", s.OverrunFactor, maxOverrunFactor)
 	}
 	if s.ProbUntil < 0 {
 		return fmt.Errorf("faultinject: negative probabilistic horizon %v", s.ProbUntil)

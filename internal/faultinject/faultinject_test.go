@@ -2,12 +2,12 @@ package faultinject
 
 import (
 	"errors"
+	"math"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/machine"
-	"repro/internal/resctrl"
 	"repro/internal/workloads"
 )
 
@@ -141,6 +141,12 @@ func TestValidateRejectsBadScenarios(t *testing.T) {
 		{ReadErrProb: 1.5},
 		{WriteErrProb: -0.1},
 		{OverrunProb: 0.5, OverrunFactor: 0.9},
+		{ReadErrProb: math.NaN()},
+		{OverrunProb: math.NaN(), OverrunFactor: 2},
+		{OverrunProb: 0.5, OverrunFactor: math.NaN()},
+		{OverrunProb: 0.5, OverrunFactor: math.Inf(1)},
+		{OverrunProb: 0.5, OverrunFactor: 1e300},
+		{OverrunProb: 0.5, OverrunFactor: maxOverrunFactor + 1},
 		{ReadBursts: []Window{{From: 5 * time.Second, To: time.Second}}},
 		{WrapAt: []time.Duration{-time.Second}},
 		{Churn: []ChurnEvent{{At: time.Second, Arrive: true, Name: "x"}}}, // no model
@@ -149,6 +155,20 @@ func TestValidateRejectsBadScenarios(t *testing.T) {
 		if err := sc.Validate(); err == nil {
 			t.Errorf("scenario %d should fail validation: %+v", i, sc)
 		}
+	}
+	// ParseFloat accepts these spellings, so the grammar lets them
+	// through; Validate is what must refuse them.
+	for _, spec := range []string{"readerr=NaN", "writeerr=5", "overrun=1x+Inf", "overrun=1x1e300", "overrun=NaNx2"} {
+		sc, err := Parse(spec)
+		if err != nil {
+			t.Fatalf("Parse(%q): %v", spec, err)
+		}
+		if err := sc.Validate(); err == nil {
+			t.Errorf("Parse(%q) validated: %+v", spec, sc)
+		}
+	}
+	if err := (Scenario{OverrunProb: 0.5, OverrunFactor: maxOverrunFactor}).Validate(); err != nil {
+		t.Errorf("the largest allowed overrun factor must validate: %v", err)
 	}
 }
 
@@ -176,8 +196,8 @@ func TestReadBurstFailsEveryRead(t *testing.T) {
 	if _, err := tgt.ReadCounters(app); err != nil {
 		t.Fatalf("read after the burst must succeed: %v", err)
 	}
-	if tgt.Injector().Stats().ReadErrors != 1 {
-		t.Errorf("stats: %+v", tgt.Injector().Stats())
+	if tgt.Stats().ReadErrors != 1 {
+		t.Errorf("stats: %+v", tgt.Stats())
 	}
 }
 
@@ -274,8 +294,8 @@ func TestOverrunStretchesStep(t *testing.T) {
 	if got := m.Now(); got != 5*time.Second {
 		t.Errorf("Now()=%v, want the 2s step stretched to 5s", got)
 	}
-	if tgt.Injector().Stats().Overruns != 1 {
-		t.Errorf("stats: %+v", tgt.Injector().Stats())
+	if tgt.Stats().Overruns != 1 {
+		t.Errorf("stats: %+v", tgt.Stats())
 	}
 }
 
@@ -315,7 +335,7 @@ func TestChurnReplaysArrivalsAndDepartures(t *testing.T) {
 	if !found {
 		t.Fatalf("late arrival missing from %v", tgt.Apps())
 	}
-	st := tgt.Injector().Stats()
+	st := tgt.Stats()
 	if st.Departures != 1 || st.Arrivals != 1 {
 		t.Errorf("stats: %+v", st)
 	}
@@ -338,7 +358,7 @@ func TestProbabilisticFaultsAreDeterministicAndBounded(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		return tgt.Injector().Stats()
+		return tgt.Stats()
 	}
 	a, b := counts(), counts()
 	if a != b {
@@ -362,50 +382,54 @@ func TestProbabilisticFaultsAreDeterministicAndBounded(t *testing.T) {
 	}
 }
 
+// TestWrapTreeInjectsWriteFaults checks the write side of WrapTarget:
+// allocation writes inside a write burst fail with ErrInjected, reads
+// pass through untouched, and once the burst closes the write reaches
+// the target.
 func TestWrapTreeInjectsWriteFaults(t *testing.T) {
-	cfg := machine.DefaultConfig()
-	client, err := resctrl.NewSimTree(t.TempDir(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := client.CreateGroup("app"); err != nil {
-		t.Fatal(err)
-	}
-	now := time.Duration(0)
-	tree, err := WrapTree(client, Scenario{
+	m := newMachine(t, 4)
+	tgt, err := WrapTarget(m, Scenario{
 		WriteBursts: []Window{{From: 0, To: time.Second}},
-	}, func() time.Duration { return now }, nil)
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := resctrl.Schemata{MB: map[int]int{0: 50}}
-	if err := tree.WriteSchemata("app", s); !errors.Is(err, ErrInjected) {
+	name := m.Apps()[0]
+	alloc := machine.Alloc{CBM: 0x7, MBALevel: 50}
+	if err := tgt.SetAllocation(name, alloc); !errors.Is(err, ErrInjected) {
 		t.Fatalf("write inside the burst must fail with ErrInjected, got %v", err)
 	}
-	now = 2 * time.Second
-	if err := tree.WriteSchemata("app", s); err != nil {
-		t.Fatalf("write after the burst must pass through: %v", err)
+	if _, err := tgt.ReadCounters(name); err != nil {
+		t.Fatalf("reads must pass through a write burst: %v", err)
 	}
-	// Reads and group management pass through untouched.
-	if _, err := tree.Groups(); err != nil {
+	if err := tgt.Step(2 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	got, err := client.ReadSchemata("app")
+	if err := tgt.SetAllocation(name, alloc); err != nil {
+		t.Fatalf("write after the burst must pass through: %v", err)
+	}
+	got, err := m.Allocation(name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.MB[0] != 50 {
-		t.Errorf("schemata not written: %+v", got)
+	if got != alloc {
+		t.Errorf("allocation not written: got %+v, want %+v", got, alloc)
+	}
+	if st := tgt.Stats(); st.WriteErrors != 1 || st.ReadErrors != 0 {
+		t.Errorf("stats: %+v", st)
 	}
 }
 
+// TestWrapCountersInjectsReadFaults checks the read side of WrapTarget:
+// a certain probabilistic read fault fails every counter read with
+// ErrInjected.
 func TestWrapCountersInjectsReadFaults(t *testing.T) {
 	m := newMachine(t, 4)
-	src, err := WrapCounters(m, Scenario{ReadErrProb: 1}, m.Now, nil)
+	tgt, err := WrapTarget(m, Scenario{ReadErrProb: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := src.ReadCounters(m.Apps()[0]); !errors.Is(err, ErrInjected) {
+	if _, err := tgt.ReadCounters(m.Apps()[0]); !errors.Is(err, ErrInjected) {
 		t.Fatalf("want ErrInjected, got %v", err)
 	}
 }

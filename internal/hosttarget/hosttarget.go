@@ -30,9 +30,9 @@ type CounterSource interface {
 	ReadCounters(app string) (machine.Counters, error)
 }
 
-// Tree is the subset of the resctrl client the host drives.
-// *resctrl.Client implements it directly; fault injectors and test
-// doubles wrap it.
+// Tree is the subset of the resctrl client the host drives;
+// *resctrl.Client implements it. Fault injection wraps the whole Host
+// (faultinject.WrapTarget), not the tree.
 type Tree interface {
 	Info() resctrl.Info
 	Groups() ([]string, error)

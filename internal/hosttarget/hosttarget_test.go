@@ -1,6 +1,7 @@
 package hosttarget
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -9,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/faultinject"
 	"repro/internal/machine"
 	"repro/internal/resctrl"
 	"repro/internal/workloads"
@@ -142,6 +144,63 @@ func TestSetAllocationWritesSchemata(t *testing.T) {
 	}
 	if err := h.SetAllocation("app", machine.Alloc{CBM: 1, MBALevel: 15}); err == nil {
 		t.Error("invalid MBA level should be rejected")
+	}
+}
+
+// TestFaultInjectedHost wraps a Host in the fault injector, as a
+// deployment soak would: counter reads and schemata writes inside the
+// burst windows fail with ErrInjected, a certain probabilistic read
+// fault fails too, and once the windows close both pass through and the
+// schemata reach the tree.
+func TestFaultInjectedHost(t *testing.T) {
+	h, m, client := newHarness(t)
+	spec, err := workloads.ByName(m.Config(), "WN")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.AddApp(spec.Model); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.AddApp("WN", nil); err != nil {
+		t.Fatal(err)
+	}
+	burst := []faultinject.Window{{From: time.Second, To: 2 * time.Second}}
+	tgt, err := faultinject.WrapTarget(h, faultinject.Scenario{ReadBursts: burst, WriteBursts: burst}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	alloc := machine.Alloc{CBM: 0x7, MBALevel: 50}
+	if err := tgt.Step(time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tgt.ReadCounters("WN"); !errors.Is(err, faultinject.ErrInjected) {
+		t.Errorf("read inside the burst must fail with ErrInjected, got %v", err)
+	}
+	if err := tgt.SetAllocation("WN", alloc); !errors.Is(err, faultinject.ErrInjected) {
+		t.Errorf("write inside the burst must fail with ErrInjected, got %v", err)
+	}
+	if err := tgt.Step(time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tgt.ReadCounters("WN"); err != nil {
+		t.Errorf("read after the burst must pass through: %v", err)
+	}
+	if err := tgt.SetAllocation("WN", alloc); err != nil {
+		t.Errorf("write after the burst must pass through: %v", err)
+	}
+	if s, err := client.ReadSchemata("WN"); err != nil || s.L3[0] != 0x7 || s.MB[0] != 50 {
+		t.Errorf("schemata %+v, %v: the write did not reach the tree", s, err)
+	}
+	if st := tgt.Stats(); st.ReadErrors != 1 || st.WriteErrors != 1 {
+		t.Errorf("stats: %+v", st)
+	}
+
+	certain, err := faultinject.WrapTarget(h, faultinject.Scenario{ReadErrProb: 1}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := certain.ReadCounters("WN"); !errors.Is(err, faultinject.ErrInjected) {
+		t.Errorf("a certain read fault must fail with ErrInjected, got %v", err)
 	}
 }
 
