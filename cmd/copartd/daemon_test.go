@@ -294,3 +294,70 @@ func TestDaemonControlPlane(t *testing.T) {
 		t.Fatal("daemon did not drain and exit after signal")
 	}
 }
+
+// TestDaemonMirrorsAdmissions: with -listen and -resctrl, the tree
+// follows the machine's membership — an admitted app gets a control
+// group, and a removed app's group is deleted between periods instead
+// of lingering with its last schemata.
+func TestDaemonMirrorsAdmissions(t *testing.T) {
+	addrCh := make(chan string, 1)
+	onListen = func(addr string) { addrCh <- addr }
+	defer func() { onListen = nil }()
+
+	dir := t.TempDir()
+	sig := make(chan os.Signal, 1)
+	done := make(chan error, 1)
+	go func() {
+		done <- run(config{mix: "H-Both", apps: 3, duration: 10000 * time.Hour, seed: 1,
+			listen: "127.0.0.1:0", resctrlDir: dir, sig: sig})
+	}()
+	var base string
+	select {
+	case addr := <-addrCh:
+		base = "http://" + addr
+	case err := <-done:
+		t.Fatalf("daemon exited before listening: %v", err)
+	case <-time.After(10 * time.Second):
+		t.Fatal("daemon never started listening")
+	}
+	do := func(method, path, body string, want int) {
+		t.Helper()
+		req, _ := http.NewRequest(method, base+path, strings.NewReader(body))
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Fatalf("%s %s = %d, want %d", method, path, resp.StatusCode, want)
+		}
+	}
+	group := filepath.Join(dir, "late")
+	waitFor := func(what string, exists bool) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
+			if _, err := os.Stat(group); (err == nil) == exists {
+				return
+			}
+		}
+		t.Fatalf("%s: %s exists=%v after 10s", what, group, !exists)
+	}
+
+	do("POST", "/apps", `{"name":"late","benchmark":"EP","cores":1}`, http.StatusCreated)
+	waitFor("admitted app's group", true)
+	do("DELETE", "/apps/late", "", http.StatusOK)
+	waitFor("removed app's group", false)
+
+	sig <- os.Interrupt
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("daemon exit: %v", err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("daemon did not drain and exit after signal")
+	}
+	if _, err := os.Stat(group); !os.IsNotExist(err) {
+		t.Errorf("removed app's group back after exit: %v", err)
+	}
+}

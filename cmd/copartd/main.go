@@ -3,26 +3,30 @@
 // control period: phase, per-application slowdowns, unfairness, and the
 // system state.
 //
-// With -resctrl DIR, the daemon additionally mirrors every allocation
-// decision into a resctrl directory tree (one control group per
-// application, schemata written through the same client that drives a
-// real /sys/fs/resctrl), demonstrating the deployment path on CAT/MBA
-// hardware.
+// With -resctrl DIR, the daemon additionally mirrors the machine into a
+// resctrl directory tree between control periods: one control group per
+// live application holding the allocation the machine runs, written
+// through the same client that drives a real /sys/fs/resctrl. Arrivals
+// get a group and departed applications lose theirs, demonstrating the
+// deployment path on CAT/MBA hardware.
 //
 // With -faults SPEC, the run is subjected to a fault-injection scenario
 // (see internal/faultinject for the spec grammar; "standard" is the
 // canonical chaos schedule) and the controller runs with resilience
 // enabled: transient errors are retried, and sustained outages push it
-// into a degraded equal-allocation mode until the substrate heals.
+// into a degraded equal-allocation mode until the substrate heals. The
+// spec's arrive=/depart= churn is not a fault: it replays as admission
+// operations through the control plane, like a scripted curl.
 //
-// With -listen ADDR, the daemon serves the control plane: runtime
-// admission (POST/DELETE/PATCH /apps), deterministic state snapshots
-// (GET /snapshot), health and readiness probes (/healthz, /readyz), and
-// Prometheus metrics (/metrics). Combine with -pace to slow the
-// simulated clock to something a human (or a curl loop) can interact
-// with. A snapshot taken from a running daemon can be handed to
-// -restore to resume the run bit-identically; -snapshot-exit writes one
-// on the way out.
+// The control plane queues admission operations and applies them
+// between control periods. With -listen ADDR, the daemon also serves it
+// over HTTP: runtime admission (POST/DELETE/PATCH /apps), deterministic
+// state snapshots (GET /snapshot), health and readiness probes
+// (/healthz, /readyz), and Prometheus metrics (/metrics). Combine with
+// -pace to slow the simulated clock to something a human (or a curl
+// loop) can interact with. A snapshot taken from a running daemon can be
+// handed to -restore to resume the run bit-identically; -snapshot-exit
+// writes one on the way out.
 //
 // On SIGINT/SIGTERM the daemon drains: admission closes, the current
 // control period finishes, the optional exit snapshot is flushed, and —
@@ -50,6 +54,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -180,33 +185,44 @@ func parseMix(name string) (workloads.MixKind, error) {
 	return 0, fmt.Errorf("unknown mix %q (valid: %s)", name, mixNames())
 }
 
-// parseScenario parses the -faults spec, resolves arrival names
-// against the workload catalog, and validates the result, so a spec
-// the grammar accepts but the injector cannot run (a NaN probability,
-// an overrun factor past the cap) is a flag error.
+// parseScenario parses the -faults spec, checks arrival names against
+// the workload catalog, and validates the result, so a spec the grammar
+// accepts but the injector cannot run (a NaN probability, an overrun
+// factor past the cap) is a flag error.
 func parseScenario(cfg machine.Config, spec string) (faultinject.Scenario, error) {
 	sc, err := faultinject.Parse(spec)
 	if err != nil {
 		return faultinject.Scenario{}, err
 	}
-	for i := range sc.Churn {
-		ev := &sc.Churn[i]
+	for _, ev := range sc.Churn {
 		if !ev.Arrive {
 			continue
 		}
-		ws, err := workloads.ByName(cfg, ev.Name)
-		if err != nil {
+		if _, err := workloads.ByName(cfg, ev.Name); err != nil {
 			return faultinject.Scenario{}, fmt.Errorf(
 				"resolving arrival %q: %v (valid benchmarks: %s)",
 				ev.Name, err, strings.Join(workloads.Names(), ", "))
 		}
-		model := ws.Model
-		ev.Model = &model
 	}
 	if err := sc.Validate(); err != nil {
 		return faultinject.Scenario{}, err
 	}
 	return sc, nil
+}
+
+// churnSchedule turns the scenario's churn into admission operations:
+// an arrival admits the named benchmark under its own name, and a
+// departure removes the named app, or the first live one when it names
+// none.
+func churnSchedule(churn []faultinject.ChurnEvent) []controlplane.ScheduledOp {
+	sched := make([]controlplane.ScheduledOp, len(churn))
+	for i, ev := range churn {
+		sched[i] = controlplane.ScheduledOp{At: ev.At, Kind: "remove", Spec: controlplane.AppSpec{Name: ev.Name}}
+		if ev.Arrive {
+			sched[i].Kind = "add"
+		}
+	}
+	return sched
 }
 
 // Test hooks. onListen receives the control plane's bound address once
@@ -307,18 +323,15 @@ func run(cfg config) (err error) {
 	}
 	mgr.Events = elog
 
-	var rc *resctrl.Client
-	mirrored := make(map[string]bool)
+	var tree *groupMirror
 	if cfg.resctrlDir != "" {
-		rc, err = resctrl.NewSimTree(cfg.resctrlDir, mcfg)
+		rc, err := resctrl.NewSimTree(cfg.resctrlDir, mcfg)
 		if err != nil {
 			return err
 		}
-		for _, n := range m.Apps() {
-			if err := rc.CreateGroup(n); err != nil {
-				return err
-			}
-			mirrored[n] = true
+		tree = &groupMirror{rc: rc, groups: make(map[string]bool)}
+		if err := tree.sync(m); err != nil {
+			return err
 		}
 		fmt.Printf("mirroring schemata into %s\n", cfg.resctrlDir)
 	}
@@ -331,7 +344,7 @@ func run(cfg config) (err error) {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("controller panic: %v", r)
 		}
-		if rerr := restoreDefaults(m, rc, mirrored); rerr != nil {
+		if rerr := restoreDefaults(m, tree); rerr != nil {
 			if err == nil {
 				err = fmt.Errorf("restoring default allocations: %w", rerr)
 			} else {
@@ -342,17 +355,15 @@ func run(cfg config) (err error) {
 		fmt.Println("default allocations restored")
 	}()
 
-	// Control plane: admission ops queue here and apply between periods.
-	var plane *controlplane.Plane
-	var srv *http.Server
+	// Control plane: admission ops — from HTTP and from the -faults
+	// churn schedule — queue here and apply between periods.
+	plane := controlplane.New(&controlplane.MachineAdmitter{M: m, Mgr: mgr}, mgr, elog)
 	if cfg.listen != "" {
-		adm := &controlplane.MachineAdmitter{M: m, Mgr: mgr}
-		plane = controlplane.New(adm, mgr, elog)
 		ln, lerr := net.Listen("tcp", cfg.listen)
 		if lerr != nil {
 			return fmt.Errorf("control plane: %w", lerr)
 		}
-		srv = &http.Server{Handler: plane.Handler()}
+		srv := &http.Server{Handler: plane.Handler()}
 		go srv.Serve(ln) //nolint:errcheck // Shutdown's ErrServerClosed
 		fmt.Printf("control plane listening on http://%s\n", ln.Addr())
 		if onListen != nil {
@@ -364,12 +375,20 @@ func run(cfg config) (err error) {
 			srv.Shutdown(ctx) //nolint:errcheck
 		}()
 	}
+	sched, next := churnSchedule(sc.Churn), 0
 	mgr.BetweenPeriods = func() {
 		if cfg.pace > 0 {
 			time.Sleep(cfg.pace)
 		}
-		if plane != nil {
-			plane.Drain()
+		var err error
+		if next, err = plane.EnqueueDue(sched, next, m.Now()); err != nil {
+			fmt.Fprintln(os.Stderr, "copartd:", err)
+		}
+		plane.Drain()
+		if tree != nil {
+			if err := tree.sync(m); err != nil {
+				fmt.Fprintln(os.Stderr, "copartd: resctrl mirror:", err)
+			}
 		}
 	}
 
@@ -380,9 +399,7 @@ func run(cfg config) (err error) {
 			select {
 			case s := <-cfg.sig:
 				fmt.Fprintf(os.Stderr, "copartd: caught %v, draining and stopping after the current period\n", s)
-				if plane != nil {
-					plane.SetDraining()
-				}
+				plane.SetDraining()
 				mgr.Stop()
 			case <-done:
 			}
@@ -398,33 +415,23 @@ func run(cfg config) (err error) {
 				app, r.State.Ways[i], r.State.MBA[i], r.Slowdowns[i])
 		}
 		fmt.Println(sb.String())
-		if plane != nil {
-			plane.Observe(r)
-		}
+		plane.Observe(r)
 		if periodHook != nil {
 			periodHook(r)
-		}
-		if rc != nil {
-			if err := mirror(rc, mirrored, r); err != nil {
-				fmt.Fprintln(os.Stderr, "copartd: resctrl mirror:", err)
-			}
 		}
 	}
 	if err := mgr.Run(cfg.duration); err != nil {
 		return err
 	}
-	if plane != nil {
-		// Answer stragglers that queued during the last period; with the
-		// drain flag set they are rejected rather than left hanging.
-		plane.SetDraining()
-		plane.Drain()
-	}
+	// Answer stragglers that queued during the last period; with the
+	// drain flag set they are rejected rather than left hanging.
+	plane.SetDraining()
+	plane.Drain()
 	fmt.Printf("done at t=%.1fs in %v phase\n", m.Now().Seconds(), mgr.Phase())
 	if wrapped != nil {
 		st := wrapped.Stats()
-		fmt.Printf("injected faults: %d (reads=%d writes=%d overruns=%d wraps=%d stuck=%d departs=%d arrivals=%d)\n",
-			st.Total(), st.ReadErrors, st.WriteErrors, st.Overruns, st.Wraps,
-			st.StuckReads, st.Departures, st.Arrivals)
+		fmt.Printf("injected faults: %d (reads=%d writes=%d overruns=%d wraps=%d stuck=%d)\n",
+			st.Total(), st.ReadErrors, st.WriteErrors, st.Overruns, st.Wraps, st.StuckReads)
 	}
 	if cfg.snapshotExit != "" {
 		if err := writeSnapshot(mgr, cfg.snapshotExit); err != nil {
@@ -477,69 +484,67 @@ func writeSnapshot(mgr *core.Manager, path string) error {
 	return os.WriteFile(path, data, 0o644)
 }
 
-// mirror writes the report's system state into the resctrl tree, creating
-// control groups on demand for applications that arrived mid-run.
-func mirror(rc *resctrl.Client, mirrored map[string]bool, r core.PeriodReport) error {
-	masks, err := machine.AssignContiguousWays(r.State.Ways, 0, len64(rc.Info().CBMMask))
-	if err != nil {
-		return err
-	}
-	for i, app := range r.Apps {
-		if !mirrored[app] {
-			if err := rc.CreateGroup(app); err != nil {
+// groupMirror keeps a resctrl tree equal to the machine: one control
+// group per live application, holding the allocation the machine runs.
+type groupMirror struct {
+	rc     *resctrl.Client
+	groups map[string]bool // groups the mirror created and has not deleted
+	live   []string        // Machine.AppsInto buffer
+}
+
+// sync writes every live application's allocation into its group on its
+// home socket's cache domain, creating the groups of arrivals, and
+// deletes the groups of departed applications. A group removed
+// underneath the mirror is skipped.
+func (g *groupMirror) sync(m *machine.Machine) error {
+	g.live = m.AppsInto(g.live)
+	for _, app := range g.live {
+		if !g.groups[app] {
+			if err := g.rc.CreateGroup(app); err != nil {
 				return err
 			}
-			mirrored[app] = true
+			g.groups[app] = true
 		}
-		s := resctrl.Schemata{
-			L3: map[int]uint64{0: masks[i]},
-			MB: map[int]int{0: r.State.MBA[i]},
-		}
-		if err := rc.WriteSchemata(app, s); err != nil {
+		a, err := m.Allocation(app)
+		if err != nil {
 			return err
 		}
+		model, err := m.Model(app)
+		if err != nil {
+			return err
+		}
+		s := resctrl.Schemata{
+			L3: map[int]uint64{model.Socket: a.CBM},
+			MB: map[int]int{model.Socket: a.MBALevel},
+		}
+		if err := g.rc.WriteSchemata(app, s); err != nil && !errors.Is(err, fs.ErrNotExist) {
+			return err
+		}
+	}
+	for group := range g.groups {
+		if slices.Contains(g.live, group) {
+			continue
+		}
+		if err := g.rc.DeleteGroup(group); err != nil && !errors.Is(err, fs.ErrNotExist) {
+			return err
+		}
+		delete(g.groups, group)
 	}
 	return nil
 }
 
-// restoreDefaults returns every application — live on the machine, and
-// every mirrored control group — to the unrestricted allocation: full
-// cache mask and 100 % memory bandwidth. Groups removed underneath us
-// are skipped.
-func restoreDefaults(m *machine.Machine, rc *resctrl.Client, mirrored map[string]bool) error {
+// restoreDefaults returns every live application to the unrestricted
+// allocation — full cache mask and 100 % memory bandwidth — and syncs
+// the mirror, if any, to match.
+func restoreDefaults(m *machine.Machine, tree *groupMirror) error {
 	full := m.Config().FullMask()
 	for _, name := range m.Apps() {
 		if err := m.SetAllocation(name, machine.Alloc{CBM: full, MBALevel: membw.MaxLevel}); err != nil {
 			return err
 		}
 	}
-	if rc == nil {
+	if tree == nil {
 		return nil
 	}
-	info := rc.Info()
-	s := resctrl.Schemata{L3: map[int]uint64{}, MB: map[int]int{}}
-	for _, id := range info.CacheIDs {
-		s.L3[id] = info.CBMMask
-		s.MB[id] = membw.MaxLevel
-	}
-	for group := range mirrored {
-		if err := rc.WriteSchemata(group, s); err != nil {
-			if errors.Is(err, fs.ErrNotExist) {
-				continue
-			}
-			return err
-		}
-	}
-	return nil
-}
-
-// len64 counts the set bits of the CBM mask (the way count).
-func len64(mask uint64) int {
-	n := 0
-	for ; mask != 0; mask >>= 1 {
-		if mask&1 != 0 {
-			n++
-		}
-	}
-	return n
+	return tree.sync(m)
 }

@@ -23,6 +23,7 @@
 package controlplane
 
 import (
+	"errors"
 	"fmt"
 	"net/http"
 	"sync"
@@ -365,6 +366,62 @@ func (p *Plane) EnqueueRemove(name string) error {
 // EnqueueReweight queues a weight change without waiting.
 func (p *Plane) EnqueueReweight(name string, weight float64) error {
 	return p.enqueue(op{kind: opReweight, name: name, weight: weight})
+}
+
+// ScheduledOp is one admission operation due at a point of target time:
+// a scripted curl against the daemon, minus the HTTP layer.
+type ScheduledOp struct {
+	At   time.Duration
+	Kind string // "add", "remove", or "reweight"
+	// Spec carries the app for "add"; "remove" and "reweight" read only
+	// Spec.Name, and a remove naming no app takes the first live one.
+	Spec   AppSpec
+	Weight float64 // for "reweight"
+}
+
+// EnqueueDue queues, without waiting, every op of the time-ordered
+// schedule sched from index next on that is due by now, and returns the
+// index of the first op still pending. Call it on the controller
+// goroutine right before Drain, with the target's clock: a schedule
+// keyed on the last period report would stall while the controller
+// profiles or rides out an outage. An op that cannot be queued is
+// skipped and reported; the ops after it still replay.
+func (p *Plane) EnqueueDue(sched []ScheduledOp, next int, now time.Duration) (int, error) {
+	var errs []error
+	for ; next < len(sched) && sched[next].At <= now; next++ {
+		o := sched[next]
+		var err error
+		switch o.Kind {
+		case "add":
+			err = p.EnqueueAdd(o.Spec)
+		case "remove":
+			name := o.Spec.Name
+			if name == "" {
+				name = p.firstLive()
+			}
+			err = p.EnqueueRemove(name)
+		case "reweight":
+			err = p.EnqueueReweight(o.Spec.Name, o.Weight)
+		default:
+			err = fmt.Errorf("unknown kind %q", o.Kind)
+		}
+		if err != nil {
+			errs = append(errs, fmt.Errorf("controlplane: scheduled op %d (%s %s): %w", next, o.Kind, o.Spec.Name, err))
+		}
+	}
+	return next, errors.Join(errs...)
+}
+
+// firstLive names the first live application, the target of a
+// scheduled remove that names none; "" when the admitter cannot list
+// them. It reads the machine, so it runs on the controller goroutine.
+func (p *Plane) firstLive() string {
+	if a, ok := p.adm.(*MachineAdmitter); ok {
+		if live := a.live(); len(live) > 0 {
+			return live[0]
+		}
+	}
+	return ""
 }
 
 func (p *Plane) enqueue(o op) error {

@@ -13,25 +13,13 @@ import (
 	"repro/internal/workloads"
 )
 
-// ChurnOp is one scheduled admission-API operation, applied between
-// control periods once target time reaches At — the same path a curl
-// against a live copartd takes, minus the HTTP layer.
-type ChurnOp struct {
-	At   time.Duration
-	Kind string // "add", "remove", or "reweight"
-	// Spec carries the app for "add"; only Spec.Name is read for
-	// "remove" and "reweight".
-	Spec   controlplane.AppSpec
-	Weight float64 // for "reweight"
-}
-
 // DefaultChurn is an admission schedule for the chaos soak: an app
 // arrives mid-fault-storm, gets reweighted, departs, and a second app
 // cycles through after the storm clears. The single spare core the
 // soak's 3-app H-Both mix leaves on the default machine is exactly
 // enough for one 1-core guest at a time.
-func DefaultChurn() []ChurnOp {
-	return []ChurnOp{
+func DefaultChurn() []controlplane.ScheduledOp {
+	return []controlplane.ScheduledOp{
 		{At: 60 * time.Second, Kind: "add",
 			Spec: controlplane.AppSpec{Name: "churn-a", Benchmark: "EP", Cores: 1}},
 		{At: 110 * time.Second, Kind: "reweight",
@@ -98,15 +86,17 @@ type chaosLeg struct {
 	recoveryTime   time.Duration
 	finalApps      int
 	plane          *controlplane.Plane
+	// enqueuedAt is the target time each churn op was queued at.
+	enqueuedAt []time.Duration
 }
 
 // runChaosLeg runs one leg of the soak: the resilient controller on the
 // mix, wrapped in the scenario unless it is empty, with the admission
-// schedule applied through a control plane between periods, exactly as
-// copartd drains its HTTP queue. With no churn the plane's Drain only
+// schedule replayed through a control plane between periods, exactly as
+// copartd replays its -faults churn. With no churn the plane's Drain only
 // reads the controller's phase, so the leg is the bare control loop.
 func runChaosLeg(cfg machine.Config, kind workloads.MixKind, apps int,
-	sc faultinject.Scenario, churn []ChurnOp, seed int64,
+	sc faultinject.Scenario, churn []controlplane.ScheduledOp, seed int64,
 	duration time.Duration) (chaosLeg, error) {
 	m, err := machine.New(cfg)
 	if err != nil {
@@ -147,38 +137,23 @@ func runChaosLeg(cfg machine.Config, kind workloads.MixKind, apps int,
 	mgr.Resilience = core.DefaultResilience()
 	mgr.Events = elog
 
-	plane := controlplane.New(&controlplane.MachineAdmitter{M: m, Mgr: mgr}, mgr, elog)
+	leg := chaosLeg{plane: controlplane.New(&controlplane.MachineAdmitter{M: m, Mgr: mgr}, mgr, elog)}
 	var (
 		reports  []core.PeriodReport
-		now      time.Duration
 		churnErr error
 	)
-	mgr.OnPeriod = func(r core.PeriodReport) {
-		now = r.Time
-		reports = append(reports, r)
-	}
+	mgr.OnPeriod = func(r core.PeriodReport) { reports = append(reports, r) }
 	next := 0
 	mgr.BetweenPeriods = func() {
-		for next < len(churn) && churn[next].At <= now {
-			op := churn[next]
-			next++
-			var err error
-			switch op.Kind {
-			case "add":
-				err = plane.EnqueueAdd(op.Spec)
-			case "remove":
-				err = plane.EnqueueRemove(op.Spec.Name)
-			case "reweight":
-				err = plane.EnqueueReweight(op.Spec.Name, op.Weight)
-			default:
-				err = fmt.Errorf("experiments: unknown churn op %q", op.Kind)
-			}
-			if err != nil && churnErr == nil {
-				churnErr = fmt.Errorf("experiments: churn op %d (%s %s): %w",
-					next-1, op.Kind, op.Spec.Name, err)
-			}
+		now := m.Now()
+		due, err := leg.plane.EnqueueDue(churn, next, now)
+		if err != nil && churnErr == nil {
+			churnErr = err
 		}
-		plane.Drain()
+		for ; next < due; next++ {
+			leg.enqueuedAt = append(leg.enqueuedAt, now)
+		}
+		leg.plane.Drain()
 	}
 	if err := mgr.Run(duration); err != nil {
 		return chaosLeg{}, fmt.Errorf("experiments: chaos run: %w", err)
@@ -194,7 +169,7 @@ func runChaosLeg(cfg machine.Config, kind workloads.MixKind, apps int,
 		return chaosLeg{}, fmt.Errorf("experiments: chaos run reported no periods")
 	}
 
-	leg := chaosLeg{finalApps: len(m.Apps()), plane: plane}
+	leg.finalApps = len(m.Apps())
 	for _, r := range reports {
 		leg.meanUnfairness += r.Unfairness
 	}
@@ -232,7 +207,7 @@ func runChaosLeg(cfg machine.Config, kind workloads.MixKind, apps int,
 // with the default resilience configuration and replay the same
 // admission schedule (churn may be nil) through a control plane, so the
 // comparison isolates the faults, not the hardening or the membership.
-func Chaos(cfg machine.Config, sc faultinject.Scenario, churn []ChurnOp,
+func Chaos(cfg machine.Config, sc faultinject.Scenario, churn []controlplane.ScheduledOp,
 	seed int64, duration time.Duration) (ChaosResult, error) {
 	const (
 		// Three H-Both apps leave one core of headroom on the default
@@ -242,6 +217,9 @@ func Chaos(cfg machine.Config, sc faultinject.Scenario, churn []ChurnOp,
 	)
 	if sc.Empty() {
 		return ChaosResult{}, fmt.Errorf("experiments: chaos scenario injects nothing")
+	}
+	if len(sc.Churn) > 0 {
+		return ChaosResult{}, fmt.Errorf("experiments: pass churn as the admission schedule, not in the fault scenario")
 	}
 	for i := 1; i < len(churn); i++ {
 		if churn[i].At < churn[i-1].At {

@@ -20,7 +20,7 @@ import (
 func TestChaosSoak(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
-		churn []ChurnOp
+		churn []controlplane.ScheduledOp
 	}{
 		{"no churn", nil},
 		{"default churn", DefaultChurn()},
@@ -74,11 +74,41 @@ func TestChaosSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestChaosRejectsEmptyScenario pins the guard against a meaningless
-// comparison.
+// TestChaosChurnFollowsTargetTime: the admission schedule replays on the
+// target clock at each period boundary, not on the last period report,
+// whose clock stalls while the controller re-profiles or rides out an
+// outage. DefaultChurn's first op falls due at 60s, inside the standard
+// schedule's 60-70s read outage, so it must land during the outage.
+func TestChaosChurnFollowsTargetTime(t *testing.T) {
+	churn := DefaultChurn()
+	leg, err := runChaosLeg(machine.DefaultConfig(), workloads.HBoth, 3,
+		faultinject.Standard(), churn, 1, 240*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(leg.enqueuedAt) != len(churn) {
+		t.Fatalf("%d of %d churn ops enqueued", len(leg.enqueuedAt), len(churn))
+	}
+	for i, at := range leg.enqueuedAt {
+		if at < churn[i].At {
+			t.Errorf("op %d due at %v was enqueued early, at %v", i, churn[i].At, at)
+		}
+	}
+	if at := leg.enqueuedAt[0]; at >= 70*time.Second {
+		t.Errorf("op 0, due at 60s inside the read outage, was enqueued at %v, after the outage", at)
+	}
+}
+
+// TestChaosRejectsEmptyScenario pins the guards against a meaningless
+// comparison and against scenario churn the soak would not replay.
 func TestChaosRejectsEmptyScenario(t *testing.T) {
 	if _, err := Chaos(machine.DefaultConfig(), faultinject.Scenario{}, nil, 1, time.Minute); err == nil {
 		t.Fatal("an empty scenario must be rejected")
+	}
+	sc := faultinject.Standard()
+	sc.Churn = []faultinject.ChurnEvent{{At: time.Second}}
+	if _, err := Chaos(machine.DefaultConfig(), sc, nil, 1, time.Minute); err == nil {
+		t.Fatal("churn inside the fault scenario must be rejected: only the admission schedule is replayed")
 	}
 }
 
@@ -86,14 +116,14 @@ func TestChaosRejectsEmptyScenario(t *testing.T) {
 // schedule: ops out of order or beyond the soak are rejected.
 func TestChaosAdmissionValidation(t *testing.T) {
 	cfg := machine.DefaultConfig()
-	out := []ChurnOp{
+	out := []controlplane.ScheduledOp{
 		{At: 20 * time.Second, Kind: "add", Spec: controlplane.AppSpec{Name: "x", Cores: 1}},
 		{At: 10 * time.Second, Kind: "remove", Spec: controlplane.AppSpec{Name: "x"}},
 	}
 	if _, err := Chaos(cfg, faultinject.Standard(), out, 1, time.Minute); err == nil {
 		t.Error("out-of-order schedule accepted")
 	}
-	late := []ChurnOp{{At: 2 * time.Minute, Kind: "add", Spec: controlplane.AppSpec{Name: "x", Cores: 1}}}
+	late := []controlplane.ScheduledOp{{At: 2 * time.Minute, Kind: "add", Spec: controlplane.AppSpec{Name: "x", Cores: 1}}}
 	if _, err := Chaos(cfg, faultinject.Standard(), late, 1, time.Minute); err == nil {
 		t.Error("churn op beyond the soak accepted")
 	}

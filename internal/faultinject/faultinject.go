@@ -9,9 +9,10 @@
 // arrive and depart mid-phase. A Scenario describes such a fault schedule
 // declaratively — probabilistic error rates, deterministic burst windows,
 // counter wraparound and stuck-counter windows, period overruns, and
-// workload churn — and Target replays it, deterministically for a given
-// seed, around any core.Target: the machine simulator, or a
-// hosttarget.Host over a resctrl tree and a counter source.
+// workload churn — and Target replays its faults, deterministically for a
+// given seed, around any core.Target. Churn is not a fault of the
+// substrate: Target leaves Scenario.Churn to the caller, which replays it
+// as admission operations (copartd through its control plane).
 package faultinject
 
 import (
@@ -20,8 +21,6 @@ import (
 	"strconv"
 	"strings"
 	"time"
-
-	"repro/internal/machine"
 )
 
 // ErrInjected is the sentinel wrapped by every injected fault, so tests
@@ -51,14 +50,12 @@ func (w Window) validate(what string) error {
 
 // ChurnEvent schedules an application arrival or departure at a point of
 // target time. A departure names the application to remove (empty means
-// the first currently-consolidated one). An arrival carries the model to
-// launch; scenarios parsed from text carry only the Name, and the caller
-// resolves Model before wrapping a target.
+// the first currently-consolidated one); an arrival names the benchmark
+// to launch, which the caller resolves.
 type ChurnEvent struct {
 	At     time.Duration
 	Arrive bool
 	Name   string
-	Model  *machine.AppModel
 }
 
 // Scenario is a declarative fault schedule. The zero value injects
@@ -96,7 +93,8 @@ type Scenario struct {
 	// StuckWindows are windows during which counters freeze at their
 	// last value (reads succeed but deltas are zero).
 	StuckWindows []Window
-	// Churn schedules application arrivals and departures.
+	// Churn schedules application arrivals and departures. Target does
+	// not replay it; the caller does, between control periods.
 	Churn []ChurnEvent
 }
 
@@ -107,9 +105,7 @@ func (s Scenario) Empty() bool {
 		len(s.WrapAt) == 0 && len(s.StuckWindows) == 0 && len(s.Churn) == 0
 }
 
-// Validate checks the scenario for internal consistency. Arrivals must
-// have a resolved Model: Parse leaves only the name, and the caller is
-// expected to resolve it (e.g. from the workload catalog) before use.
+// Validate checks the scenario for internal consistency.
 func (s Scenario) Validate() error {
 	for _, p := range []struct {
 		name string
@@ -149,11 +145,6 @@ func (s Scenario) Validate() error {
 		if c.At < 0 {
 			return fmt.Errorf("faultinject: negative churn time %v", c.At)
 		}
-		if c.Arrive {
-			if c.Model == nil {
-				return fmt.Errorf("faultinject: arrival of %q at %v has no resolved model", c.Name, c.At)
-			}
-		}
 	}
 	return nil
 }
@@ -192,8 +183,8 @@ func Standard() Scenario {
 //	wrap=T                  counters wrap around at T
 //	stuck=F-T               counters freeze in [F,T)
 //	depart=NAME@T           application NAME departs at T ("" = first)
-//	arrive=NAME@T           application NAME arrives at T (the caller
-//	                        must resolve NAME to a model)
+//	arrive=NAME@T           benchmark NAME arrives at T (the caller
+//	                        resolves NAME)
 //
 // Durations use Go syntax ("90s", "2m30s"). "none" or the empty string
 // yield the zero scenario.

@@ -149,7 +149,7 @@ func TestValidateRejectsBadScenarios(t *testing.T) {
 		{OverrunProb: 0.5, OverrunFactor: maxOverrunFactor + 1},
 		{ReadBursts: []Window{{From: 5 * time.Second, To: time.Second}}},
 		{WrapAt: []time.Duration{-time.Second}},
-		{Churn: []ChurnEvent{{At: time.Second, Arrive: true, Name: "x"}}}, // no model
+		{Churn: []ChurnEvent{{At: -time.Second, Arrive: true, Name: "x"}}},
 	}
 	for i, sc := range bad {
 		if err := sc.Validate(); err == nil {
@@ -299,48 +299,6 @@ func TestOverrunStretchesStep(t *testing.T) {
 	}
 }
 
-func TestChurnReplaysArrivalsAndDepartures(t *testing.T) {
-	m := newMachine(t, 4)
-	first := m.Apps()[0]
-	spec, err := workloads.ByName(m.Config(), "WN")
-	if err != nil {
-		t.Fatal(err)
-	}
-	model := spec.Model
-	model.Name = "late"
-	tgt, err := WrapTarget(m, Scenario{Churn: []ChurnEvent{
-		{At: 2 * time.Second},                              // depart the first app
-		{At: 4 * time.Second, Arrive: true, Model: &model}, // arrive a new one
-	}}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tgt.Step(3 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range tgt.Apps() {
-		if name == first {
-			t.Fatalf("%s should have departed", first)
-		}
-	}
-	if err := tgt.Step(2 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for _, name := range tgt.Apps() {
-		if name == "late" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("late arrival missing from %v", tgt.Apps())
-	}
-	st := tgt.Stats()
-	if st.Departures != 1 || st.Arrivals != 1 {
-		t.Errorf("stats: %+v", st)
-	}
-}
-
 func TestProbabilisticFaultsAreDeterministicAndBounded(t *testing.T) {
 	counts := func() Stats {
 		m := newMachine(t, 4)
@@ -433,27 +391,3 @@ func TestWrapCountersInjectsReadFaults(t *testing.T) {
 		t.Fatalf("want ErrInjected, got %v", err)
 	}
 }
-
-func TestWrapTargetRejectsChurnOnIncapableTarget(t *testing.T) {
-	m := newMachine(t, 4)
-	// A bare core.Target view without AddApp/RemoveApp.
-	var narrow narrowTarget = narrowTarget{m}
-	_, err := WrapTarget(&narrow, Scenario{Churn: []ChurnEvent{{At: time.Second}}}, nil)
-	if err == nil {
-		t.Error("churn on a target without app management must be rejected at construction")
-	}
-}
-
-// narrowTarget hides the machine's AddApp/RemoveApp.
-type narrowTarget struct{ m *machine.Machine }
-
-func (n *narrowTarget) Apps() []string { return n.m.Apps() }
-func (n *narrowTarget) ReadCounters(name string) (machine.Counters, error) {
-	return n.m.ReadCounters(name)
-}
-func (n *narrowTarget) SetAllocation(name string, a machine.Alloc) error {
-	return n.m.SetAllocation(name, a)
-}
-func (n *narrowTarget) Config() machine.Config      { return n.m.Config() }
-func (n *narrowTarget) Now() time.Duration          { return n.m.Now() }
-func (n *narrowTarget) Step(dt time.Duration) error { return n.m.Step(dt) }

@@ -17,22 +17,17 @@ type Stats struct {
 	Overruns    int
 	Wraps       int
 	StuckReads  int
-	Departures  int
-	Arrivals    int
 }
 
 // Total sums all injected faults.
 func (s Stats) Total() int {
-	return s.ReadErrors + s.WriteErrors + s.Overruns + s.Wraps +
-		s.StuckReads + s.Departures + s.Arrivals
+	return s.ReadErrors + s.WriteErrors + s.Overruns + s.Wraps + s.StuckReads
 }
 
 // Target wraps a core.Target with fault injection and replays a
-// Scenario against it. Counter reads, schemata writes, and time steps
-// all pass through the scenario; churn events are replayed at step
-// boundaries. Any target can be wrapped — the machine simulator, or a
-// hosttarget.Host driving a resctrl tree — and reads and writes fail the
-// same way on either.
+// Scenario's faults against it: counter reads, schemata writes, and time
+// steps all pass through the scenario. Membership is the inner target's
+// own; the scenario's churn is the caller's to replay.
 type Target struct {
 	inner core.Target
 	sc    Scenario
@@ -43,7 +38,6 @@ type Target struct {
 	lastFault time.Duration
 	frozen    map[string]machine.Counters // snapshot held during stuck windows
 	wrapBase  map[string][]machine.Counters
-	churnIdx  int
 
 	// gen is the inner target's AppsGeneration, nil when it has none;
 	// calls counts AppsGeneration calls in that case.
@@ -51,26 +45,12 @@ type Target struct {
 	calls uint64
 }
 
-// churnSink is what the wrapper needs from a target to replay churn.
-// *machine.Machine satisfies it.
-type churnSink interface {
-	Apps() []string
-	RemoveApp(name string) error
-	AddApp(model machine.AppModel) error
-}
-
 // WrapTarget validates the scenario and builds an injecting wrapper
-// around t, its probabilistic stream seeded from the scenario. When the
-// scenario schedules churn, the target must also support adding and
-// removing applications (*machine.Machine does). The log may be nil.
+// around t, its probabilistic stream seeded from the scenario. The log
+// may be nil.
 func WrapTarget(t core.Target, sc Scenario, log *eventlog.Log) (*Target, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
-	}
-	if len(sc.Churn) > 0 {
-		if _, ok := t.(churnSink); !ok {
-			return nil, fmt.Errorf("faultinject: scenario schedules churn but target %T cannot add/remove apps", t)
-		}
 	}
 	gen, _ := t.(interface{ AppsGeneration() uint64 })
 	return &Target{
@@ -198,45 +178,14 @@ func (t *Target) stepDuration(dt time.Duration) time.Duration {
 	return dt
 }
 
-// applyChurn fires every scheduled churn event whose time has passed.
-func (t *Target) applyChurn(sink churnSink) error {
-	now := t.inner.Now()
-	for t.churnIdx < len(t.sc.Churn) && t.sc.Churn[t.churnIdx].At <= now {
-		ev := t.sc.Churn[t.churnIdx]
-		t.churnIdx++
-		if ev.Arrive {
-			if err := sink.AddApp(*ev.Model); err != nil {
-				return fmt.Errorf("faultinject: arrival of %s: %w", ev.Model.Name, err)
-			}
-			t.stats.Arrivals++
-			t.record("arrive", ev.Model.Name, "application arrived")
-			continue
-		}
-		name := ev.Name
-		if name == "" {
-			apps := sink.Apps()
-			if len(apps) == 0 {
-				return fmt.Errorf("faultinject: departure at %v: no applications", ev.At)
-			}
-			name = apps[0]
-		}
-		if err := sink.RemoveApp(name); err != nil {
-			return fmt.Errorf("faultinject: departure of %s: %w", name, err)
-		}
-		t.stats.Departures++
-		t.record("depart", name, "application departed")
-	}
-	return nil
-}
-
 // Apps implements core.Target.
 func (t *Target) Apps() []string { return t.inner.Apps() }
 
 // AppsGeneration forwards the inner target's membership count (see
-// core.Target): churn calls the inner target's own AddApp and RemoveApp,
-// so the count moves with every arrival and departure. Over an inner
-// target without one it moves on every call, so the manager polls Apps
-// every period.
+// core.Target): the wrapper passes Apps through unchanged, so the count
+// moves with every arrival and departure on the inner target. Over an
+// inner target without one it moves on every call, so the manager polls
+// Apps every period.
 func (t *Target) AppsGeneration() uint64 {
 	if t.gen != nil {
 		return t.gen.AppsGeneration()
@@ -272,14 +221,7 @@ func (t *Target) Config() machine.Config { return t.inner.Config() }
 // Now implements core.Target.
 func (t *Target) Now() time.Duration { return t.inner.Now() }
 
-// Step implements core.Target: the step may overrun, and scheduled churn
-// fires once the clock has advanced.
+// Step implements core.Target: the step may overrun.
 func (t *Target) Step(dt time.Duration) error {
-	if err := t.inner.Step(t.stepDuration(dt)); err != nil {
-		return err
-	}
-	if sink, ok := t.inner.(churnSink); ok {
-		return t.applyChurn(sink)
-	}
-	return nil
+	return t.inner.Step(t.stepDuration(dt))
 }

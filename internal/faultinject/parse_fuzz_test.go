@@ -16,7 +16,6 @@ import (
 // names the package; accepted churn is in time order; and a wrapper
 // built from any spec Validate accepts never shortens a positive step.
 func FuzzParse(f *testing.F) {
-	placeholder := &machine.AppModel{Name: "placeholder", Cores: 1}
 	steps := []time.Duration{time.Nanosecond, time.Second, time.Hour}
 	f.Fuzz(func(t *testing.T, spec string) {
 		sc, err := Parse(spec)
@@ -29,11 +28,6 @@ func FuzzParse(f *testing.F) {
 		for i := 1; i < len(sc.Churn); i++ {
 			if sc.Churn[i].At < sc.Churn[i-1].At {
 				t.Fatalf("Parse(%q) churn out of order: %+v", spec, sc.Churn)
-			}
-		}
-		for i := range sc.Churn {
-			if sc.Churn[i].Arrive {
-				sc.Churn[i].Model = placeholder
 			}
 		}
 		if err := sc.Validate(); err != nil {
@@ -62,7 +56,7 @@ func FuzzParse(f *testing.F) {
 }
 
 // clockTarget is a core.Target that only keeps time: it records the
-// step it was last asked for and accepts any churn.
+// step it was last asked for.
 type clockTarget struct {
 	now, last time.Duration
 }
@@ -78,5 +72,3 @@ func (c *clockTarget) Step(dt time.Duration) error {
 	c.now, c.last = c.now+dt, dt
 	return nil
 }
-func (c *clockTarget) AddApp(machine.AppModel) error { return nil }
-func (c *clockTarget) RemoveApp(string) error        { return nil }

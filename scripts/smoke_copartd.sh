@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
 # Black-box smoke test for the copartd control plane: boot the daemon
-# with the admission API on loopback, drive add/reweight/remove and a
-# snapshot round-trip with curl, scrape /metrics, then shut down
-# gracefully with SIGTERM. Fails on any unexpected status code, a
-# missing metric, a non-deterministic snapshot replay, or a dirty exit.
+# with the admission API on loopback and a mirrored resctrl tree, drive
+# add/reweight/remove and a snapshot round-trip with curl, watch the
+# admitted app's control group come and go, scrape /metrics, then shut
+# down gracefully with SIGTERM. Fails on any unexpected status code, a
+# missing or lingering control group, a missing metric, a
+# non-deterministic snapshot replay, or a dirty exit.
 #
 # Run directly or via `make smoke`.
 set -euo pipefail
@@ -25,7 +27,7 @@ $GO build -o "$TMP/snap2test" ./cmd/snap2test
 # -pace throttles the simulated control loop to real time so the daemon
 # stays up while curl drives it; -duration is effectively "until TERM".
 "$TMP/copartd" -mix H-Both -apps 3 -duration 24h -seed 1 -pace 20ms \
-    -listen 127.0.0.1:0 >"$TMP/copartd.log" 2>&1 &
+    -listen 127.0.0.1:0 -resctrl "$TMP/tree" >"$TMP/copartd.log" 2>&1 &
 DPID=$!
 
 ADDR=""
@@ -73,9 +75,24 @@ for _ in $(seq 1 200); do
 done
 req GET /readyz 200
 
+# group WANT — poll up to 5s for the smoke guest's control group in the
+# mirrored tree to be present (WANT=yes) or gone (WANT=no).
+group() {
+    local want=$1 have=no
+    for _ in $(seq 1 50); do
+        if [ -d "$TMP/tree/smoke" ]; then have=yes; else have=no; fi
+        [ "$have" = "$want" ] && { echo "ok: control group smoke present=$want"; return; }
+        sleep 0.1
+    done
+    echo "FAIL: control group $TMP/tree/smoke present=$have after 5s, want $want"
+    ls "$TMP/tree"
+    exit 1
+}
+
 # Admission lifecycle: admit a 1-core guest, reweight it, confirm it is
 # visible, then negative-path checks.
 req POST /apps 201 '{"name":"smoke","benchmark":"EP","cores":1,"weight":2.0}'
+group yes
 req PATCH /apps/smoke 200 '{"weight":1.5}'
 # /apps serves the per-period mirror, so the admitted guest appears
 # once the controller has re-profiled and reported — poll for it.
@@ -100,6 +117,7 @@ cp "$TMP/resp" "$TMP/snap.json"
 "$TMP/snap2test" -snapshot "$TMP/snap.json" -duration 30s -check
 
 req DELETE /apps/smoke 200
+group no
 
 req GET /metrics 200
 for metric in \
