@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint test test-race cover bench bench-smoke bench-json bench-guard bench-fleet figures verify smoke clean
+.PHONY: all build vet lint test test-race cover bench bench-smoke figures verify smoke clean
 
 all: build lint test
 
@@ -33,90 +33,10 @@ bench:
 
 # The repo's benchmark (benchmark/README.md) at toy sizes: all six
 # workloads untraced and traced, every output check on, a few seconds.
+# Performance claims compare the working tree against a revision in
+# alternating pairs of full runs: go run ./cmd/benchguard REV.
 bench-smoke:
 	$(GO) run ./benchmark -smoke
-
-# Machine-readable benchmark snapshot of the solver and experiment-engine
-# hot paths: the heavy figure benchmarks at a fixed small iteration count,
-# the ST oracle per mix size (its solved/op extra is the states one run
-# solves at 4, 6 and 8 apps) and the microbenchmarks at a larger one
-# (the sampling sweep, ~50 ns an op, at a larger one still: 1000
-# iterations of it fit inside one timer tick), merged into one JSON file.
-BENCHJSON_DATE ?= $(shell date +%F)
-# Benchmark output is staged through a file, not piped live: in a pipe,
-# `go run ./cmd/benchjson` compiles concurrently with the first
-# benchmark and skews its timings on small machines.
-BENCH_RAW ?= /tmp/bench-raw.txt
-# The heavy macro benchmarks run with -count 3 so the snapshot records
-# the run-to-run spread; benchguard compares the fastest record per name.
-# Both snapshot targets merge into any existing BENCH_<date>.json
-# (benchjson -merge): re-run benchmarks are deduped to min-of-runs and
-# untouched entries survive, so bench-json and bench-fleet compose on
-# the same day instead of clobbering each other. The merge stages
-# through $(BENCH_MERGED) because redirecting onto the merge source
-# would truncate it before benchjson reads it.
-BENCH_MERGED ?= /tmp/bench-merged.json
-# The committed snapshots are `procs: 1`, and at 2 procs the fleet
-# benchmarks' 0-alloc baselines fail on ~10 worker-pool allocations, so
-# the three snapshot/guard targets pin the variable themselves.
-bench-json bench-fleet bench-guard: export GOMAXPROCS = 1
-bench-json:
-	{ $(GO) test -run xxx -bench 'BenchmarkFig12$$|BenchmarkFig1$$' -benchtime 2x -count 3 -benchmem . ; \
-	  $(GO) test -run xxx -bench 'BenchmarkFleet256$$' -benchtime 5x -count 3 -benchmem . ; \
-	  $(GO) test -run xxx -bench 'BenchmarkFleet4096$$' -benchtime 2x -count 3 -benchmem . ; \
-	  $(GO) test -run xxx -bench 'BenchmarkSTOracle$$' -benchtime 20x -count 3 -benchmem . ; \
-	  $(GO) test -run xxx -bench 'BenchmarkMachineSolve$$|BenchmarkGetNextSystemState4$$|BenchmarkManagerPeriod$$|BenchmarkManagerObservedPeriod$$|BenchmarkMachineStepRetired$$' -benchtime 1000x -benchmem . ; \
-	  $(GO) test -run xxx -bench 'BenchmarkSamplerSweep$$' -benchtime 1000000x -count 3 -benchmem . ; } \
-	> $(BENCH_RAW)
-	$(GO) run ./cmd/benchjson -merge BENCH_$(BENCHJSON_DATE).json < $(BENCH_RAW) > $(BENCH_MERGED)
-	mv $(BENCH_MERGED) BENCH_$(BENCHJSON_DATE).json
-	@cat BENCH_$(BENCHJSON_DATE).json
-
-# Fleet-scale snapshot only: the Fleet256 steady-state budget, the
-# Fleet4096/Fleet16384/Fleet65536 scale proofs (p99 period latency flat
-# as nodes grow — compare the p99ns extras), the FleetChurn
-# fleet-over-trace run, the three shapes of the repo benchmark's fleet
-# workloads (FleetSteady1024, FleetNoisy1024 with jittered counters,
-# FleetChurn2048; the first two 0 allocs/op), and a fleetbench
-# -parallel sweep recording the 1/4/16-worker scaling of one fixed fleet
-# (the block-batched dispatch must not regress at any worker count).
-# All test-binary runs carry -benchmem so benchguard can hold the
-# allocs_per_op and bytes_per_op lines. Emits the same dated JSON format
-# as bench-json and merges the same way.
-bench-fleet:
-	{ $(GO) test -run xxx -bench 'BenchmarkFleet256$$' -benchtime 5x -count 3 -benchmem . ; \
-	  $(GO) test -run xxx -bench 'BenchmarkFleet4096$$' -benchtime 2x -count 3 -benchmem . ; \
-	  $(GO) test -run xxx -bench 'BenchmarkFleet16384$$' -benchtime 1x -count 3 -benchmem . ; \
-	  $(GO) test -run xxx -bench 'BenchmarkFleet65536$$' -benchtime 1x -count 2 -benchmem . ; \
-	  $(GO) test -run xxx -bench 'BenchmarkFleetChurn$$|BenchmarkFleetChurn2048$$' -benchtime 2x -count 3 -benchmem . ; \
-	  $(GO) test -run xxx -bench 'BenchmarkFleetSteady1024$$|BenchmarkFleetNoisy1024$$' -benchtime 5x -count 3 -benchmem . ; \
-	  for wk in 1 4 16 ; do \
-	    $(GO) run ./cmd/fleetbench -nodes 4096 -periods 50 -parallel $$wk -benchline BenchmarkFleetWorkers$$wk ; \
-	  done ; } \
-	> $(BENCH_RAW)
-	$(GO) run ./cmd/benchjson -merge BENCH_$(BENCHJSON_DATE).json < $(BENCH_RAW) > $(BENCH_MERGED)
-	mv $(BENCH_MERGED) BENCH_$(BENCHJSON_DATE).json
-	@cat BENCH_$(BENCHJSON_DATE).json
-
-# Guard the headline benchmarks against the newest committed BENCH_*.json:
-# rerun them at the bench-json iteration counts and fail on a >20 % ns/op
-# regression. Run this BEFORE bench-json — regenerating the snapshot first
-# would compare the fresh run against itself. Baselines are machine-
-# specific; see DESIGN.md §9 for the cross-machine caveat.
-BENCHGUARD_CUR ?= /tmp/bench-guard-cur.json
-bench-guard:
-	{ $(GO) test -run xxx -bench 'BenchmarkFig12$$' -benchtime 2x -count 3 -benchmem . ; \
-	  $(GO) test -run xxx -bench 'BenchmarkFleet256$$' -benchtime 5x -count 3 -benchmem . ; \
-	  $(GO) test -run xxx -bench 'BenchmarkFleet4096$$' -benchtime 2x -count 3 -benchmem . ; \
-	  $(GO) test -run xxx -bench 'BenchmarkFleet16384$$' -benchtime 1x -count 3 -benchmem . ; \
-	  $(GO) test -run xxx -bench 'BenchmarkFleet65536$$' -benchtime 1x -count 2 -benchmem . ; \
-	  $(GO) test -run xxx -bench 'BenchmarkFleetChurn$$' -benchtime 2x -count 3 -benchmem . ; \
-	  $(GO) test -run xxx -bench 'BenchmarkFleetNoisy1024$$' -benchtime 5x -count 3 -benchmem . ; \
-	  $(GO) test -run xxx -bench 'BenchmarkMachineSolve$$' -benchtime 1000x -count 3 -benchmem . ; } \
-	> $(BENCH_RAW)
-	$(GO) run ./cmd/benchjson < $(BENCH_RAW) > $(BENCHGUARD_CUR)
-	$(GO) run ./cmd/benchguard -base "$$(ls BENCH_*.json | sort | tail -1)" -cur $(BENCHGUARD_CUR) \
-	  -bench BenchmarkFig12,BenchmarkMachineSolve,BenchmarkFleet256,BenchmarkFleet4096,BenchmarkFleet16384,BenchmarkFleet65536,BenchmarkFleetChurn,BenchmarkFleetNoisy1024
 
 # Crash-safety gate: first the lint-suite fixture smoke (the antest
 # golden fixtures are the fastest whole-stack check of the analyzers

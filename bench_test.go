@@ -108,9 +108,8 @@ func BenchmarkFig11c(b *testing.B) {
 }
 
 // reportShared attaches the process-wide solve-cache deltas of the
-// benchmark loop as custom metrics (benchjson surfaces them in Extra).
-// The names keep their "L2" prefix from the two-tier days so the
-// committed BENCH_*.json series stays comparable.
+// benchmark loop as custom metrics. The names keep their "L2" prefix
+// from the two-tier days.
 func reportShared(b *testing.B, before machine.SharedCacheStats) {
 	after := machine.SharedSolveCacheStats()
 	n := float64(b.N)
@@ -402,29 +401,12 @@ func BenchmarkSamplerSweep(b *testing.B) {
 	}
 }
 
-// BenchmarkFleet256 measures the fleet driver at the cmd/fleetbench
-// default scale: 256 independent nodes, each profiling and then running
-// 10 control periods, fanned across the worker pool.
-func BenchmarkFleet256(b *testing.B) { benchFleet(b, 256) }
-
-// BenchmarkFleet4096 is the scale proof: 16× the nodes with the same
-// per-node period cost — p99 period latency stays flat relative to
-// Fleet256 because nodes share nothing mutable but the (lock-striped)
-// solve cache and the immutable mix and profile memos.
-func BenchmarkFleet4096(b *testing.B) { benchFleet(b, 4096) }
-
-// BenchmarkFleet16384 extends the scale proof another 4×: with the
-// bounded latency samplers the per-run memory cost no longer scales
-// with Nodes×Periods, so p99 period latency must stay flat against
-// Fleet4096.
-func BenchmarkFleet16384(b *testing.B) { benchFleet(b, 16384) }
-
-// BenchmarkFleet65536 is the 100k-scale proof: 4× Fleet16384 again,
-// blocks dispatched across the pool, telemetry striped per block, zero
-// allocations per run at steady state. p99 period latency must stay
-// flat against the smaller fleets. CI runs it at a tiny node count
-// (FLEET_SMOKE_NODES) as a smoke test; the real scale runs under
-// make bench-fleet.
+// BenchmarkFleet65536 is the 100k-scale proof: 65536 independent nodes,
+// each profiling and then running 10 control periods, blocks dispatched
+// across the pool, telemetry striped per block, zero allocations per
+// run at steady state. CI runs it at a tiny node count
+// (FLEET_SMOKE_NODES) as a smoke test; run it without the variable for
+// the full-size figure.
 func BenchmarkFleet65536(b *testing.B) {
 	nodes := 65536
 	if s := os.Getenv("FLEET_SMOKE_NODES"); s != "" {
@@ -434,7 +416,7 @@ func BenchmarkFleet65536(b *testing.B) {
 		}
 		nodes = n
 	}
-	benchFleet(b, nodes)
+	benchFleetConfig(b, fleet.Config{Nodes: nodes, Periods: 10, Seed: 1})
 }
 
 // BenchmarkFleetNoisy1024 is the benchmark's fleet_noisy workload as a
@@ -457,20 +439,14 @@ func BenchmarkFleetSteady1024(b *testing.B) {
 	benchFleetConfig(b, fleet.Config{Nodes: 1024, Periods: 50, Seed: 1})
 }
 
-// BenchmarkFleetChurn measures fleet-over-trace: 1024 nodes arriving on
-// a Poisson schedule and living for exponential lifetimes (mean 10
-// periods), every arrival reinitializing a departed node's pooled
-// runtime across differing mix shapes. The acceptance targets — flat
-// p99 vs the fixed fleets and ≤16 allocs/op at steady state — are held
-// by benchguard (allocs, ns/op) and TestChurnSteadyStateAllocs.
-func BenchmarkFleetChurn(b *testing.B) { benchFleetChurn(b, 1024) }
-
 // BenchmarkFleetChurn2048 is the benchmark's fleet_churn workload (2048
-// arrivals, seed 1) as a go test benchmark, for profiling.
-func BenchmarkFleetChurn2048(b *testing.B) { benchFleetChurn(b, 2048) }
-
-func benchFleetChurn(b *testing.B, arrivals int) {
-	cfg := fleet.ChurnConfig{Arrivals: arrivals, Rate: 4, MeanLife: 10, MaxLife: 40, Seed: 1}
+// arrivals on a Poisson schedule, exponential lifetimes of mean 10
+// periods, seed 1) as a go test benchmark, for profiling. Every arrival
+// reinitializes a departed node's pooled runtime across differing mix
+// shapes; its steady state is allocation-free, pinned by
+// TestChurnSteadyStateAllocs.
+func BenchmarkFleetChurn2048(b *testing.B) {
+	cfg := fleet.ChurnConfig{Arrivals: 2048, Rate: 4, MeanLife: 10, MaxLife: 40, Seed: 1}
 	var res fleet.Result
 	if err := fleet.RunChurnInto(cfg, &res); err != nil { // warm pool + memos
 		b.Fatal(err)
@@ -488,18 +464,12 @@ func benchFleetChurn(b *testing.B, arrivals int) {
 	b.ReportMetric(float64(res.Pool.Hits+res.Pool.Carries), "poolhits/run")
 }
 
-// benchFleet runs the fleet driver at a given scale: independent nodes,
-// each profiling and then running 10 control periods, dispatched in
-// blocks across the worker pool. One untimed warm-up run populates the
-// node-runtime pool, the profile memo, and the reused Result so the
-// timed iterations measure the steady state a long-lived fleet driver
-// lives in — with RunInto, that steady state is allocation-free. The
-// last run's p99 per-period latency is attached as a custom metric —
-// the figure the scale proofs hold flat from Fleet256 up.
-func benchFleet(b *testing.B, nodes int) {
-	benchFleetConfig(b, fleet.Config{Nodes: nodes, Periods: 10, Seed: 1})
-}
-
+// benchFleetConfig runs the fleet driver on cfg. One untimed warm-up run
+// populates the node-runtime pool, the profile memo, and the reused
+// Result so the timed iterations measure the steady state a long-lived
+// fleet driver lives in — with RunInto, that steady state is
+// allocation-free. The last run's p99 per-period latency is attached as
+// a custom metric.
 func benchFleetConfig(b *testing.B, cfg fleet.Config) {
 	var res fleet.Result
 	if err := fleet.RunInto(cfg, &res); err != nil {

@@ -1,238 +1,320 @@
-// Command benchguard compares two benchjson snapshots and fails when a
-// watched benchmark regressed beyond a threshold. It is the backend of
-// `make bench-guard`, which CI runs against the committed BENCH_*.json
-// baseline before regenerating it, so a solver or cache regression
-// breaks the build instead of silently rebasing the record.
+// Command benchguard runs the repo's frozen benchmark on a git revision
+// (the parent) and on the working tree (the change) in alternating
+// pairs, and gives each (workload, end-to-end metric) a verdict.
 //
-// Usage:
+//	go run ./cmd/benchguard [-smoke] REV
 //
-//	benchguard -base BENCH_2026-08-05.json -cur /tmp/fresh.json \
-//	    -bench BenchmarkFig12,BenchmarkMachineSolve,BenchmarkFleet256
-//
-// A benchmark missing from the current snapshot fails the guard (the
-// suite lost coverage); one missing from the baseline only warns (the
-// baseline predates the benchmark and the next bench-json run records
-// it). Three metrics are compared against the same budget: ns/op, and —
-// when both snapshots carry them (-benchmem) — allocs/op and B/op, so
-// the fleet's zero-alloc steady state cannot silently rot behind a
-// timing that still squeaks by. A zero baseline for either memory
-// metric is absolute: any current usage fails regardless of the
-// percentage budget. The
-// cache-counter extras are workload metrics, not timings, and are not
-// guarded. When a snapshot holds several records for one benchmark (a
-// -count>1 run), the guard compares the per-metric minimum across the
-// runs on each side: the minimum is the noise-robust estimator of a
-// benchmark's true cost, and taking it per metric rather than from the
-// single fastest run also discards one-off background allocations —
-// the -benchmem counters are global MemStats deltas, so a GC or
-// runtime goroutine allocating mid-run can put a few stray bytes on an
-// otherwise allocation-free benchmark, while a real per-op leak shows
-// up in every run and survives the minimum. Baselines are
-// machine-specific — compare snapshots from the same hardware (see
-// DESIGN.md §9).
+// REV is extracted with `git archive` and the working tree (tracked files
+// as they are on disk plus untracked files that are not ignored) is
+// copied, each into a temporary directory removed on exit. The command,
+// run length, workloads and metrics come from the working tree's
+// BENCHMARK.json. Pair k (k = 1…10) runs every workload at seed k in both
+// trees, the parent first in odd pairs: which side runs first can move a
+// metric by tens of percent on a shared machine. Per workload it also
+// reports whether the per-seed sim digests are identical (a behaviour
+// change moves them on purpose, so that is not a failure) and each side's
+// failed/attempted ops. Exit status 1: a row regressed, a run printed
+// `correct: false`, or the change fails a larger share of ops than the
+// parent; 2: a tree could not be extracted or a run could not be made.
+// -smoke runs one pair of 1 s runs and gates only on correctness and
+// failed ops: one short pair cannot resolve a timing bound.
 package main
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
+	"os/exec"
+	"os/signal"
+	"path/filepath"
+	"slices"
+	"strconv"
 	"strings"
-
-	"repro/internal/analysis"
+	"text/tabwriter"
 )
 
-// record mirrors the benchjson fields the guard needs. AllocsPerOp and
-// BytesPerOp are pointers because benchjson emits them only for
-// -benchmem runs; a nil on either side skips that memory guard for
-// that benchmark.
-type record struct {
-	Name        string   `json:"name"`
-	NsPerOp     float64  `json:"ns_per_op"`
-	AllocsPerOp *float64 `json:"allocs_per_op"`
-	BytesPerOp  *float64 `json:"bytes_per_op"`
+const (
+	pairs        = 10 // seeds 1…10, the held-out seed 7 included
+	gainWins     = 9
+	smokeSeconds = 1
+)
+
+// spec is the part of BENCHMARK.json the runner reads.
+type spec struct {
+	Command    []string `json:"command"`
+	RunSeconds int      `json:"run_seconds"`
+	Workloads  []struct {
+		Name string `json:"name"`
+	} `json:"workloads"`
+	EndToEnd []metricSpec `json:"end_to_end"`
 }
+
+type metricSpec struct {
+	Name   string  `json:"name"`
+	Better string  `json:"better"` // "lower" or "higher"
+	Bound  float64 `json:"bound"`
+}
+
+// result is one run: its last-line JSON and its sim digest.
+type result struct {
+	Correct   bool `json:"correct"`
+	Attempted int  `json:"attempted"`
+	Failed    int  `json:"failed"`
+	Metrics   map[string]struct {
+		Value float64 `json:"value"`
+	} `json:"metrics"`
+	digest string
+}
+
+// The two sides: index 0 is the revision, 1 the working tree.
+const parent, change = 0, 1
+
+var sides = [2]string{"parent", "change"}
+
+// samples holds every run: samples[i][side][k-1] is pair k's run of
+// workload i.
+type samples [][2][]result
 
 func main() {
-	var (
-		base       = flag.String("base", "", "baseline benchjson file (committed BENCH_*.json)")
-		cur        = flag.String("cur", "", "current benchjson file (fresh run)")
-		benches    = flag.String("bench", "BenchmarkFig12,BenchmarkMachineSolve,BenchmarkFleet256", "comma-separated benchmarks to guard")
-		maxRegress = flag.Float64("max-regress", 0.20, "maximum tolerated ns/op regression (0.20 = +20%)")
-	)
+	smoke := flag.Bool("smoke", false, "one pair of 1 s runs, gated on correctness and failed ops only")
 	flag.Parse()
-	if *base == "" || *cur == "" {
-		fmt.Fprintln(os.Stderr, "benchguard: -base and -cur are required")
+	if flag.NArg() != 1 {
+		fmt.Fprintln(os.Stderr, "usage: benchguard [-smoke] REV")
 		os.Exit(2)
 	}
-	baseRecs, err := load(*base)
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	code, err := guard(ctx, os.Stdout, flag.Arg(0), *smoke)
+	stop()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchguard:", err)
-		os.Exit(2)
 	}
-	curRecs, err := load(*cur)
+	os.Exit(code)
+}
+
+// guard extracts both trees, runs the pairs, prints the report and
+// returns the exit status.
+func guard(ctx context.Context, w io.Writer, rev string, smoke bool) (int, error) {
+	tmp, err := os.MkdirTemp("", "benchguard-")
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchguard:", err)
-		os.Exit(2)
+		return 2, err
 	}
-	names := strings.Split(*benches, ",")
-	offenders, ok := compare(os.Stdout, baseRecs, curRecs, names, *maxRegress)
-	if !ok {
-		// Repeat the offending rows on stderr: CI surfaces the log tail,
-		// and the full table may have scrolled past by then.
-		fmt.Fprintf(os.Stderr, "benchguard: FAIL — %d guarded benchmark(s) out of budget:\n", len(offenders))
-		for _, f := range offenders {
-			fmt.Fprintf(os.Stderr, "benchguard:   %s\n", f)
-		}
-		os.Exit(1)
+	defer os.RemoveAll(tmp)
+	dirs := [2]string{filepath.Join(tmp, "parent"), filepath.Join(tmp, "change")}
+	if err := extract(ctx, ".", rev, dirs[parent], dirs[change]); err != nil {
+		return 2, err
 	}
-}
-
-func load(path string) (map[string]record, error) {
-	f, err := os.Open(path)
+	var sp spec
+	raw, err := os.ReadFile(filepath.Join(dirs[change], "BENCHMARK.json"))
+	if err == nil {
+		err = json.Unmarshal(raw, &sp)
+	}
+	if err == nil && len(sp.Command) == 0 {
+		err = fmt.Errorf("no command")
+	}
 	if err != nil {
-		return nil, err
+		return 2, fmt.Errorf("BENCHMARK.json: %w", err)
 	}
-	defer f.Close()
-	return parse(f)
+	n, seconds := pairs, sp.RunSeconds
+	if smoke {
+		n, seconds = 1, smokeSeconds
+		fmt.Fprintln(w, "smoke: timing verdicts are printed, not gated")
+	}
+	fmt.Fprintf(w, "benchguard: %s (parent) vs working tree (change), %d pair(s) of %d s runs\n", rev, n, seconds)
+	run := func(s int, workload string, seed int) (result, error) {
+		args := append(slices.Clone(sp.Command[1:]), "--workload", workload, "--seed", strconv.Itoa(seed),
+			"--seconds", strconv.Itoa(seconds), "--trace", "0")
+		cmd := exec.CommandContext(ctx, sp.Command[0], args...)
+		cmd.Dir = dirs[s]
+		var errOut bytes.Buffer
+		cmd.Stderr = &errOut
+		out, runErr := cmd.Output() // exit 1 with a result line is a failed check, read below
+		r, err := parseRun(out, workload)
+		if err != nil {
+			return r, fmt.Errorf("%v (%v)\n%s", err, runErr, errOut.String())
+		}
+		return r, nil
+	}
+	got, err := runPairs(sp, n, run, os.Stderr)
+	if err != nil {
+		return 2, err
+	}
+	return report(w, sp, got, smoke), nil
 }
 
-func parse(r io.Reader) (map[string]record, error) {
-	var recs []record
-	if err := json.NewDecoder(r).Decode(&recs); err != nil {
-		return nil, fmt.Errorf("decoding snapshot: %w", err)
+// extract writes rev's tree into revDir and the working tree of the
+// repository containing dir into workDir.
+func extract(ctx context.Context, dir, rev, revDir, workDir string) error {
+	// ls-files lists deleted tracked files too; tar skips them.
+	const script = `set -euo pipefail
+cd "$(git rev-parse --show-toplevel)"
+mkdir -p "$2" "$3"
+git archive --format=tar "$1" | tar -xf - -C "$2"
+git ls-files -z --cached --others --exclude-standard |
+	tar --null --ignore-failed-read -T - -cf - 2>/dev/null | tar -xf - -C "$3"`
+	cmd := exec.CommandContext(ctx, "bash", "-c", script, "extract", rev, revDir, workDir)
+	cmd.Dir = dir
+	if out, err := cmd.CombinedOutput(); err != nil {
+		return fmt.Errorf("extracting %s and the working tree: %v\n%s", rev, err, out)
 	}
-	byName := make(map[string]record, len(recs))
-	for _, rec := range recs {
-		prev, ok := byName[rec.Name]
-		if !ok {
-			byName[rec.Name] = rec
-			continue
-		}
-		// Per-metric minimum of repeated runs (see the package comment).
-		if rec.NsPerOp < prev.NsPerOp {
-			prev.NsPerOp = rec.NsPerOp
-		}
-		prev.AllocsPerOp = minMetric(prev.AllocsPerOp, rec.AllocsPerOp)
-		prev.BytesPerOp = minMetric(prev.BytesPerOp, rec.BytesPerOp)
-		byName[rec.Name] = prev
-	}
-	return byName, nil
+	return nil
 }
 
-// minMetric returns the smaller of two optional metrics, preferring
-// any present value over nil (a -benchmem run beats one without).
-func minMetric(a, b *float64) *float64 {
+// runPairs runs n pairs of every workload through run, pair k at seed k,
+// the parent first in odd pairs.
+func runPairs(sp spec, n int, run func(side int, workload string, seed int) (result, error), progress io.Writer) (samples, error) {
+	got := make(samples, len(sp.Workloads))
+	for k := 1; k <= n; k++ {
+		order := [2]int{parent, change}
+		if k%2 == 0 {
+			order = [2]int{change, parent}
+		}
+		for i, wl := range sp.Workloads {
+			for _, s := range order {
+				r, err := run(s, wl.Name, k)
+				if err != nil {
+					return nil, fmt.Errorf("pair %d, %s, %s: %w", k, wl.Name, sides[s], err)
+				}
+				got[i][s] = append(got[i][s], r)
+				fmt.Fprintf(progress, "pair %d/%d %-14s %s correct=%v\n", k, n, wl.Name, sides[s], r.Correct)
+			}
+		}
+	}
+	return got, nil
+}
+
+// parseRun reads a run's sim digest line and its last-line JSON result.
+func parseRun(out []byte, workload string) (result, error) {
+	var r result
+	lines := strings.Split(strings.TrimSpace(string(out)), "\n")
+	for _, line := range lines {
+		if f := strings.Fields(line); len(f) == 3 && f[0] == "sim_digest" && f[1] == workload {
+			r.digest = f[2]
+		}
+	}
+	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &r); err != nil || r.Metrics == nil {
+		return result{}, fmt.Errorf("no result line in the output (%v)", err)
+	}
+	return r, nil
+}
+
+// quartiles returns the first quartile, median and third quartile of
+// xs, interpolated linearly between order statistics.
+func quartiles(xs []float64) (q1, med, q3 float64) {
+	s := slices.Clone(xs)
+	slices.Sort(s)
+	at := func(p float64) float64 {
+		pos := p * float64(len(s)-1)
+		lo, hi := s[int(math.Floor(pos))], s[int(math.Ceil(pos))]
+		return lo + (pos-math.Floor(pos))*(hi-lo)
+	}
+	return at(0.25), at(0.5), at(0.75)
+}
+
+// beats reports whether a is strictly better than b.
+func beats(better string, a, b float64) bool {
+	if better == "higher" {
+		return a > b
+	}
+	return a < b
+}
+
+// wins counts the pairs the change won; ties count for neither side.
+func wins(better string, par, chg []float64) int {
+	n := 0
+	for k := range par {
+		if beats(better, chg[k], par[k]) {
+			n++
+		}
+	}
+	return n
+}
+
+// verdict judges one row:
+//   - regressed: the change's median is worse than the parent's by more
+//     than bound × the parent's median (the benchmark's rejection rule);
+//   - unresolved: the parent's interquartile spread is wider than the
+//     bound, unless every change run beats every parent run;
+//   - gain: the change wins ≥ 9 of 10 pairs (ties count for neither) and
+//     the medians differ by more than the parent's interquartile spread;
+//   - ok: none of these.
+func verdict(m metricSpec, par, chg []float64) string {
+	q1, pmed, q3 := quartiles(par)
+	_, cmed, _ := quartiles(chg)
+	bound, gap := m.Bound*math.Abs(pmed), math.Abs(cmed-pmed)
+	if beats(m.Better, pmed, cmed) && gap > bound {
+		return "regressed"
+	}
+	worstChg, bestPar := slices.Max(chg), slices.Min(par)
+	if m.Better == "higher" {
+		worstChg, bestPar = slices.Min(chg), slices.Max(par)
+	}
 	switch {
-	case a == nil:
-		return b
-	case b == nil:
-		return a
-	case *b < *a:
-		return b
-	default:
-		return a
+	case q3-q1 > bound && !beats(m.Better, worstChg, bestPar):
+		return "unresolved"
+	case wins(m.Better, par, chg) >= gainWins && beats(m.Better, cmed, pmed) && gap > q3-q1:
+		return "gain"
 	}
+	return "ok"
 }
 
-// finding wraps one failed guard into the shared lint Finding schema
-// (internal/analysis): File carries the benchmark name — there is no
-// source position — so the stderr summary renders through the same
-// String() as copartlint findings and the two failure modes read alike
-// in a CI log tail.
-func finding(name, format string, argv ...any) analysis.Finding {
-	return analysis.Finding{
-		File:     name,
-		Analyzer: "benchguard",
-		Message:  fmt.Sprintf(format, argv...),
-	}
-}
-
-// compare prints a benchstat-style delta line per watched benchmark and
-// reports whether every one is present and within the regression budget.
-// The returned offenders hold one Finding per failing benchmark, for
-// the caller to repeat wherever failures are read (CI tails stderr).
-func compare(w io.Writer, base, cur map[string]record, names []string, maxRegress float64) (offenders []analysis.Finding, ok bool) {
-	ok = true
-	fmt.Fprintf(w, "%-28s %14s %14s %9s\n", "benchmark", "base ns/op", "cur ns/op", "delta")
-	for _, name := range names {
-		name = strings.TrimSpace(name)
-		if name == "" {
-			continue
-		}
-		c, haveCur := cur[name]
-		if !haveCur {
-			fmt.Fprintf(w, "%-28s %14s %14s %9s  FAIL: missing from current run\n", name, "-", "-", "-")
-			offenders = append(offenders, finding(name, "missing from current run"))
-			ok = false
-			continue
-		}
-		b, haveBase := base[name]
-		if !haveBase {
-			fmt.Fprintf(w, "%-28s %14s %14.0f %9s  warn: missing from baseline\n", name, "-", c.NsPerOp, "-")
-			continue
-		}
-		delta := 0.0
-		if b.NsPerOp > 0 {
-			delta = (c.NsPerOp - b.NsPerOp) / b.NsPerOp
-		}
-		verdict := "ok"
-		if delta > maxRegress {
-			verdict = fmt.Sprintf("FAIL: regressed past +%.0f%%", maxRegress*100)
-			offenders = append(offenders, finding(name, "%.0f ns/op → %.0f ns/op (%+.1f%%, budget +%.0f%%)",
-				b.NsPerOp, c.NsPerOp, delta*100, maxRegress*100))
-			ok = false
-		}
-		fmt.Fprintf(w, "%-28s %14.0f %14.0f %+8.1f%%  %s\n", name, b.NsPerOp, c.NsPerOp, delta*100, verdict)
-
-		// Memory guards: same budget, same table, rows labeled with the
-		// unit. Each is skipped (with a warning when the baseline had the
-		// metric) whenever either snapshot lacks -benchmem data.
-		if msg := guardMem(w, name, "allocs", "allocs/op", "zero-alloc", b.AllocsPerOp, c.AllocsPerOp, maxRegress); msg != "" {
-			offenders = append(offenders, finding(name, "%s", msg))
-			ok = false
-		}
-		if msg := guardMem(w, name, "bytes", "B/op", "zero-byte", b.BytesPerOp, c.BytesPerOp, maxRegress); msg != "" {
-			offenders = append(offenders, finding(name, "%s", msg))
-			ok = false
+// report prints the metric table and the per-workload digest and ops
+// table, and returns the exit status.
+func report(w io.Writer, sp spec, got samples, smoke bool) int {
+	code := 0
+	tw := tabwriter.NewWriter(w, 0, 0, 2, ' ', 0)
+	fmt.Fprintln(tw, "workload\tmetric\tparent median\tparent q1–q3\tchange median\tΔ %\twon\tverdict")
+	for i, wl := range sp.Workloads {
+		for _, m := range sp.EndToEnd {
+			var vals [2][]float64
+			for s, rs := range got[i] {
+				for _, r := range rs {
+					vals[s] = append(vals[s], r.Metrics[m.Name].Value)
+				}
+			}
+			q1, pmed, q3 := quartiles(vals[parent])
+			_, cmed, _ := quartiles(vals[change])
+			v := verdict(m, vals[parent], vals[change])
+			if v == "regressed" && !smoke {
+				code = 1
+			}
+			fmt.Fprintf(tw, "%s\t%s\t%.6g\t%.6g–%.6g\t%.6g\t%+.1f\t%d/%d\t%s\n", wl.Name, m.Name, pmed, q1, q3,
+				cmed, 100*(cmed-pmed)/math.Abs(pmed), wins(m.Better, vals[parent], vals[change]), len(vals[parent]), v)
 		}
 	}
-	return offenders, ok
-}
-
-// guardMem holds one -benchmem metric (allocs/op or B/op) to the same
-// percentage budget as ns/op and prints its table row. A zero baseline
-// is absolute: the fleet's allocation-free steady state is an invariant,
-// so any current usage fails no matter how small the absolute delta —
-// a percentage budget over zero would otherwise excuse everything. A
-// nil metric on either side only warns (when the baseline carried it),
-// keeping coverage loss visible without failing timing-only runs.
-// Returns a non-empty offender message on failure; the caller wraps it
-// into a Finding carrying the benchmark name.
-func guardMem(w io.Writer, name, row, unit, zero string, bp, cp *float64, maxRegress float64) string {
-	if bp == nil || cp == nil {
-		if bp != nil {
-			fmt.Fprintf(w, "%-28s %14.0f %14s %9s  warn: %s missing from current run\n",
-				name+" "+row, *bp, "-", "-", unit)
+	fmt.Fprintln(tw) // a line without cells ends the first table's columns
+	fmt.Fprintln(tw, "workload\tsim digests\tparent failed/attempted\tchange failed/attempted\tall correct")
+	for i, wl := range sp.Workloads {
+		rs := got[i]
+		var failed, attempted [2]int
+		correct, differ := "yes", []string{}
+		for s := range rs {
+			for k, r := range rs[s] {
+				failed[s] += r.Failed
+				attempted[s] += r.Attempted
+				if !r.Correct {
+					correct, code = "NO", 1
+				}
+				if s == change && r.digest != rs[parent][k].digest {
+					differ = append(differ, strconv.Itoa(k+1))
+				}
+			}
 		}
-		return ""
+		digests := fmt.Sprintf("identical (%d/%d seeds)", len(rs[parent]), len(rs[parent]))
+		if len(differ) > 0 {
+			digests = "differ at seed " + strings.Join(differ, ",")
+		}
+		ops := ""
+		if failed[change]*attempted[parent] > failed[parent]*attempted[change] { // a larger failed share
+			ops, code = " (more failed ops)", 1
+		}
+		fmt.Fprintf(tw, "%s\t%s\t%d/%d\t%d/%d%s\t%s\n", wl.Name, digests, failed[parent], attempted[parent],
+			failed[change], attempted[change], ops, correct)
 	}
-	bv, cv := *bp, *cp
-	delta := 0.0
-	if bv > 0 {
-		delta = (cv - bv) / bv
-	}
-	verdict, offender := "ok", ""
-	switch {
-	case bv == 0 && cv > 0:
-		verdict = fmt.Sprintf("FAIL: %s baseline now nonzero", zero)
-		offender = fmt.Sprintf("0 %s → %.0f %s (%s baseline)", unit, cv, unit, zero)
-	case delta > maxRegress:
-		verdict = fmt.Sprintf("FAIL: regressed past +%.0f%%", maxRegress*100)
-		offender = fmt.Sprintf("%.0f %s → %.0f %s (%+.1f%%, budget +%.0f%%)",
-			bv, unit, cv, unit, delta*100, maxRegress*100)
-	}
-	fmt.Fprintf(w, "%-28s %14.0f %14.0f %+8.1f%%  %s\n", name+" "+row, bv, cv, delta*100, verdict)
-	return offender
+	tw.Flush()
+	return code
 }

@@ -1,293 +1,278 @@
 package main
 
 import (
+	"context"
+	"fmt"
+	"os"
+	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 )
 
-func mustParse(t *testing.T, doc string) map[string]record {
-	t.Helper()
-	recs, err := parse(strings.NewReader(doc))
+func TestQuartiles(t *testing.T) {
+	for _, tc := range []struct {
+		xs          []float64
+		q1, med, q3 float64
+	}{
+		{[]float64{5}, 5, 5, 5},
+		{[]float64{2, 1}, 1.25, 1.5, 1.75},
+		{[]float64{3, 1, 2}, 1.5, 2, 2.5},
+		{[]float64{4, 1, 3, 2, 5}, 2, 3, 4},
+		{[]float64{10, 1, 9, 2, 8, 3, 7, 4, 6, 5}, 3.25, 5.5, 7.75},
+	} {
+		q1, med, q3 := quartiles(tc.xs)
+		if q1 != tc.q1 || med != tc.med || q3 != tc.q3 {
+			t.Errorf("quartiles(%v) = %v, %v, %v; want %v, %v, %v", tc.xs, q1, med, q3, tc.q1, tc.med, tc.q3)
+		}
+	}
+}
+
+func TestWins(t *testing.T) {
+	par := []float64{10, 10, 10, 10}
+	for _, tc := range []struct {
+		better string
+		chg    []float64
+		want   int
+	}{
+		{"lower", []float64{9, 11, 10, 8}, 2}, // the tie at pair 3 counts for neither
+		{"higher", []float64{9, 11, 10, 8}, 1},
+		{"lower", []float64{10, 10, 10, 10}, 0},
+	} {
+		if got := wins(tc.better, par, tc.chg); got != tc.want {
+			t.Errorf("wins(%s, %v) = %d, want %d", tc.better, tc.chg, got, tc.want)
+		}
+	}
+}
+
+// spread returns ten runs around median m whose quartiles sit lo and
+// hi away from it.
+func spread(m, lo, hi float64) []float64 {
+	return []float64{m - 2*lo, m - 1.2*lo, m - lo, m - lo, m, m, m + hi, m + hi, m + 1.2*hi, m + 2*hi}
+}
+
+func TestVerdict(t *testing.T) {
+	lower := metricSpec{Name: "iter_ms_p10", Better: "lower", Bound: 0.25}
+	higher := metricSpec{Name: "rate", Better: "higher", Bound: 0.25}
+	tight := spread(100, 1, 1) // interquartile spread 2 %, inside the bound
+	wide := spread(100, 20, 20)
+	for _, tc := range []struct {
+		name     string
+		m        metricSpec
+		par, chg []float64
+		want     string
+	}{
+		{"identical", lower, tight, tight, "ok"},
+		{"worse within the bound", lower, tight, spread(120, 1, 1), "ok"},
+		{"worse past the bound", lower, tight, spread(130, 1, 1), "regressed"},
+		{"lower past the bound when higher is better", higher, tight, spread(70, 1, 1), "regressed"},
+		{"parent spread wider than the bound", lower, wide, spread(98, 20, 20), "unresolved"},
+		{"wide spread but a dominant change", lower, wide, spread(30, 1, 1), "gain"},
+		{"wide spread, dominant, gap inside the spread", lower,
+			[]float64{100, 100, 100, 100, 100, 100, 100, 200, 200, 200}, spread(90, 1, 1), "ok"},
+		{"ten wins past the spread", lower, tight, spread(90, 1, 1), "gain"},
+		{"ten wins within the spread", lower, tight, spread(99.5, 1, 1), "ok"},
+		{"higher is better and rises", higher, tight, spread(110, 1, 1), "gain"},
+		{"eight wins", lower, tight, []float64{90, 90, 90, 90, 90, 90, 90, 90, 120, 120}, "ok"},
+	} {
+		if got := verdict(tc.m, tc.par, tc.chg); got != tc.want {
+			t.Errorf("%s: verdict = %s, want %s", tc.name, got, tc.want)
+		}
+	}
+}
+
+// fakeSpec has one workload and one metric bounded at 25 %.
+var fakeSpec = spec{
+	Workloads: []struct {
+		Name string `json:"name"`
+	}{{Name: "w"}},
+	EndToEnd: []metricSpec{{Name: "m", Better: "lower", Bound: 0.25}},
+}
+
+// runs builds n results of value v, each correct with ops attempted.
+func runs(n int, v float64, failed, attempted int, digest string) []result {
+	rs := make([]result, n)
+	for i := range rs {
+		rs[i] = result{Correct: true, Attempted: attempted, Failed: failed, digest: digest}
+		rs[i].Metrics = map[string]struct {
+			Value float64 `json:"value"`
+		}{"m": {Value: v}}
+	}
+	return rs
+}
+
+func TestReportExitStatus(t *testing.T) {
+	incorrect := runs(10, 100, 0, 50, "a")
+	incorrect[3].Correct = false
+	for _, tc := range []struct {
+		name     string
+		par, chg []result
+		smoke    bool
+		want     int
+	}{
+		{"all ok", runs(10, 100, 0, 50, "a"), runs(10, 101, 0, 50, "a"), false, 0},
+		{"digests differ", runs(10, 100, 0, 50, "a"), runs(10, 100, 0, 50, "b"), false, 0},
+		{"regressed", runs(10, 100, 0, 50, "a"), runs(10, 130, 0, 50, "a"), false, 1},
+		{"regressed, smoke", runs(1, 100, 0, 50, "a"), runs(1, 130, 0, 50, "a"), true, 0},
+		{"a change run incorrect", runs(10, 100, 0, 50, "a"), incorrect, false, 1},
+		{"a parent run incorrect", incorrect, runs(10, 100, 0, 50, "a"), false, 1},
+		{"incorrect, smoke", runs(1, 100, 0, 50, "a"), incorrect[3:4], true, 1},
+		{"more failed ops", runs(10, 100, 1, 50, "a"), runs(10, 100, 2, 50, "a"), false, 1},
+		{"more failed ops, smoke", runs(1, 100, 0, 50, "a"), runs(1, 100, 1, 60, "a"), true, 1},
+		{"fewer failed ops", runs(10, 100, 2, 50, "a"), runs(10, 100, 1, 50, "a"), false, 0},
+		{"equal failed share", runs(10, 100, 1, 50, "a"), runs(10, 100, 2, 100, "a"), false, 0},
+	} {
+		var out strings.Builder
+		got := report(&out, fakeSpec, samples{{tc.par, tc.chg}}, tc.smoke)
+		if got != tc.want {
+			t.Errorf("%s: exit %d, want %d\n%s", tc.name, got, tc.want, out.String())
+		}
+	}
+}
+
+func TestReportDigests(t *testing.T) {
+	chg := runs(3, 100, 0, 50, "a")
+	chg[1].digest = "b"
+	var out strings.Builder
+	report(&out, fakeSpec, samples{{runs(3, 100, 0, 50, "a"), chg}}, false)
+	if !strings.Contains(out.String(), "differ at seed 2") {
+		t.Errorf("report does not name the seed whose digest moved:\n%s", out.String())
+	}
+	out.Reset()
+	report(&out, fakeSpec, samples{{runs(3, 100, 0, 50, "a"), runs(3, 100, 0, 50, "a")}}, false)
+	if !strings.Contains(out.String(), "identical (3/3 seeds)") {
+		t.Errorf("report does not say the digests are identical:\n%s", out.String())
+	}
+}
+
+// TestRunPairsOrder: pair k runs at seed k, the parent first in odd
+// pairs and the change first in even ones, every workload in each pair.
+func TestRunPairsOrder(t *testing.T) {
+	sp := fakeSpec
+	sp.Workloads = append(sp.Workloads, struct {
+		Name string `json:"name"`
+	}{Name: "v"})
+	var calls []string
+	run := func(s int, workload string, seed int) (result, error) {
+		calls = append(calls, fmt.Sprintf("%d %s %s", seed, workload, sides[s]))
+		return runs(1, float64(seed), 0, 1, "d")[0], nil
+	}
+	got, err := runPairs(sp, 3, run, &strings.Builder{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return recs
-}
-
-const baseDoc = `[
-  {"name": "BenchmarkFig12", "procs": 1, "iterations": 2, "ns_per_op": 100000000},
-  {"name": "BenchmarkMachineSolve", "procs": 1, "iterations": 1000, "ns_per_op": 7500}
-]`
-
-func TestCompareWithinBudget(t *testing.T) {
-	base := mustParse(t, baseDoc)
-	cur := mustParse(t, `[
-      {"name": "BenchmarkFig12", "ns_per_op": 110000000},
-      {"name": "BenchmarkMachineSolve", "ns_per_op": 7400}
-    ]`)
-	var out strings.Builder
-	offenders, ok := compare(&out, base, cur, []string{"BenchmarkFig12", "BenchmarkMachineSolve"}, 0.20)
-	if !ok {
-		t.Fatalf("+10%% flagged as a regression with a 20%% budget:\n%s", out.String())
+	want := []string{
+		"1 w parent", "1 w change", "1 v parent", "1 v change",
+		"2 w change", "2 w parent", "2 v change", "2 v parent",
+		"3 w parent", "3 w change", "3 v parent", "3 v change",
 	}
-	if len(offenders) != 0 {
-		t.Fatalf("passing comparison produced offenders: %v", offenders)
+	if strings.Join(calls, "; ") != strings.Join(want, "; ") {
+		t.Errorf("calls:\n%s\nwant:\n%s", strings.Join(calls, "\n"), strings.Join(want, "\n"))
 	}
-}
-
-func TestCompareRegressionFails(t *testing.T) {
-	base := mustParse(t, baseDoc)
-	cur := mustParse(t, `[
-      {"name": "BenchmarkFig12", "ns_per_op": 130000000},
-      {"name": "BenchmarkMachineSolve", "ns_per_op": 7400}
-    ]`)
-	var out strings.Builder
-	offenders, ok := compare(&out, base, cur, []string{"BenchmarkFig12", "BenchmarkMachineSolve"}, 0.20)
-	if ok {
-		t.Fatalf("+30%% passed a 20%% budget:\n%s", out.String())
-	}
-	if !strings.Contains(out.String(), "FAIL") {
-		t.Fatalf("no FAIL marker in output:\n%s", out.String())
-	}
-	// The offender summary names only the regressed benchmark, with both
-	// timings and the budget — what a CI log tail needs to show. It is
-	// an analysis.Finding so bench and lint failures share one format.
-	if len(offenders) != 1 {
-		t.Fatalf("offenders = %v, want exactly one", offenders)
-	}
-	if offenders[0].Analyzer != "benchguard" || offenders[0].File != "BenchmarkFig12" {
-		t.Errorf("offender = %+v, want analyzer benchguard on BenchmarkFig12", offenders[0])
-	}
-	line := offenders[0].String()
-	for _, frag := range []string{"BenchmarkFig12", "[benchguard]", "100000000", "130000000", "+30.0%", "budget +20%"} {
-		if !strings.Contains(line, frag) {
-			t.Errorf("offender line missing %q: %s", frag, line)
+	for k, r := range got[1][change] {
+		if v := r.Metrics["m"].Value; v != float64(k+1) {
+			t.Errorf("change run %d of v holds seed %v's result", k+1, v)
 		}
 	}
 }
 
-func TestCompareMissingFromCurrentFails(t *testing.T) {
-	base := mustParse(t, baseDoc)
-	cur := mustParse(t, `[{"name": "BenchmarkMachineSolve", "ns_per_op": 7400}]`)
-	var out strings.Builder
-	offenders, ok := compare(&out, base, cur, []string{"BenchmarkFig12", "BenchmarkMachineSolve"}, 0.20)
-	if ok {
-		t.Fatal("benchmark missing from the current run passed the guard")
+func TestRunPairsStopsOnError(t *testing.T) {
+	run := func(s int, workload string, seed int) (result, error) {
+		if seed == 2 {
+			return result{}, fmt.Errorf("build failed")
+		}
+		return runs(1, 1, 0, 1, "d")[0], nil
 	}
-	if len(offenders) != 1 || !strings.Contains(offenders[0].String(), "missing from current run") {
-		t.Fatalf("offenders = %v, want one missing-from-current line", offenders)
-	}
-}
-
-func TestParseKeepsFastestOfRepeatedRuns(t *testing.T) {
-	recs := mustParse(t, `[
-      {"name": "BenchmarkFig12", "ns_per_op": 120000000},
-      {"name": "BenchmarkFig12", "ns_per_op": 90000000},
-      {"name": "BenchmarkFig12", "ns_per_op": 105000000}
-    ]`)
-	if got := recs["BenchmarkFig12"].NsPerOp; got != 90000000 {
-		t.Fatalf("parse kept %v ns/op, want the fastest run (9e7)", got)
+	if _, err := runPairs(fakeSpec, 3, run, &strings.Builder{}); err == nil || !strings.Contains(err.Error(), "pair 2") {
+		t.Fatalf("runPairs error = %v, want one naming pair 2", err)
 	}
 }
 
-func TestParseTakesPerMetricMinimum(t *testing.T) {
-	// The fastest-ns run carries a stray background allocation (the
-	// -benchmem counters are global, so another goroutine's GC-time
-	// allocation can land on an allocation-free benchmark); a slower
-	// run shows the true zero. Each metric takes its own minimum, so
-	// the stray bytes must not survive.
-	recs := mustParse(t, `[
-      {"name": "BenchmarkFleetChurn", "ns_per_op": 14000000, "allocs_per_op": 0, "bytes_per_op": 24},
-      {"name": "BenchmarkFleetChurn", "ns_per_op": 16000000, "allocs_per_op": 0, "bytes_per_op": 0}
-    ]`)
-	r := recs["BenchmarkFleetChurn"]
-	if r.NsPerOp != 14000000 {
-		t.Fatalf("ns/op = %v, want the fastest run (1.4e7)", r.NsPerOp)
+func TestParseRun(t *testing.T) {
+	out := "# env nproc=2\nmetric w iter_ms_p10 1.5 ms host\nsim_digest w 00ab\nfailed_ops_ratio w 0/7\n" +
+		`{"correct":true,"attempted":7,"failed":0,"metrics":{"iter_ms_p10":{"value":1.5,"unit":"ms"}}}` + "\n"
+	r, err := parseRun([]byte(out), "w")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if r.BytesPerOp == nil || *r.BytesPerOp != 0 {
-		t.Fatalf("bytes_per_op = %v, want the per-metric minimum 0", r.BytesPerOp)
+	if !r.Correct || r.Attempted != 7 || r.digest != "00ab" || r.Metrics["iter_ms_p10"].Value != 1.5 {
+		t.Errorf("parseRun = %+v", r)
 	}
-	// A present metric beats an absent one, whichever order they appear.
-	recs = mustParse(t, `[
-      {"name": "BenchmarkFig12", "ns_per_op": 100000000},
-      {"name": "BenchmarkFig12", "ns_per_op": 110000000, "allocs_per_op": 7}
-    ]`)
-	r = recs["BenchmarkFig12"]
-	if r.AllocsPerOp == nil || *r.AllocsPerOp != 7 {
-		t.Fatalf("allocs_per_op = %v, want 7 adopted from the -benchmem run", r.AllocsPerOp)
+	if _, err := parseRun([]byte("go: build failed\n"), "w"); err == nil {
+		t.Error("output without a result line parsed")
 	}
 }
 
-func TestCompareStrayBytesOnZeroBaselinePasses(t *testing.T) {
-	// End to end: a zero-byte baseline and a current -count 2 run where
-	// only one count caught background bytes — the guard must pass,
-	// while a leak present in every run (the next compare) must fail.
-	base := mustParse(t, `[
-      {"name": "BenchmarkFleetChurn", "ns_per_op": 14000000, "allocs_per_op": 0, "bytes_per_op": 0}
-    ]`)
-	cur := mustParse(t, `[
-      {"name": "BenchmarkFleetChurn", "ns_per_op": 13000000, "allocs_per_op": 0, "bytes_per_op": 24},
-      {"name": "BenchmarkFleetChurn", "ns_per_op": 15000000, "allocs_per_op": 0, "bytes_per_op": 0}
-    ]`)
-	var out strings.Builder
-	if offenders, ok := compare(&out, base, cur, []string{"BenchmarkFleetChurn"}, 0.20); !ok {
-		t.Fatalf("one-run stray bytes failed the zero-byte guard: %v\n%s", offenders, out.String())
+// TestExtract: an uncommitted edit and an untracked file reach the
+// working-tree copy and not the revision's; ignored and deleted files
+// reach neither.
+func TestExtract(t *testing.T) {
+	if _, err := exec.LookPath("git"); err != nil {
+		t.Skip("git not installed")
 	}
-	leak := mustParse(t, `[
-      {"name": "BenchmarkFleetChurn", "ns_per_op": 13000000, "allocs_per_op": 0, "bytes_per_op": 24},
-      {"name": "BenchmarkFleetChurn", "ns_per_op": 15000000, "allocs_per_op": 0, "bytes_per_op": 24}
-    ]`)
-	out.Reset()
-	if _, ok := compare(&out, base, leak, []string{"BenchmarkFleetChurn"}, 0.20); ok {
-		t.Fatalf("a leak present in every run passed the zero-byte guard:\n%s", out.String())
-	}
-}
-
-func TestCompareAllocsRegressionFails(t *testing.T) {
-	base := mustParse(t, `[
-      {"name": "BenchmarkFleet256", "ns_per_op": 5000000, "allocs_per_op": 1000}
-    ]`)
-	cur := mustParse(t, `[
-      {"name": "BenchmarkFleet256", "ns_per_op": 5000000, "allocs_per_op": 1300}
-    ]`)
-	var out strings.Builder
-	offenders, ok := compare(&out, base, cur, []string{"BenchmarkFleet256"}, 0.20)
-	if ok {
-		t.Fatalf("+30%% allocs/op passed a 20%% budget:\n%s", out.String())
-	}
-	if len(offenders) != 1 {
-		t.Fatalf("offenders = %v, want exactly one", offenders)
-	}
-	for _, frag := range []string{"BenchmarkFleet256", "1000", "1300", "+30.0%", "budget +20%"} {
-		if !strings.Contains(offenders[0].String(), frag) {
-			t.Errorf("offender line missing %q: %s", frag, offenders[0])
+	repo := t.TempDir()
+	git := func(args ...string) {
+		t.Helper()
+		cmd := exec.Command("git", args...)
+		cmd.Dir = repo
+		cmd.Env = append(os.Environ(), "GIT_AUTHOR_NAME=t", "GIT_AUTHOR_EMAIL=t@t", "GIT_COMMITTER_NAME=t",
+			"GIT_COMMITTER_EMAIL=t@t", "GIT_CONFIG_GLOBAL=/dev/null", "GIT_CONFIG_NOSYSTEM=1")
+		if out, err := cmd.CombinedOutput(); err != nil {
+			t.Fatalf("git %v: %v\n%s", args, err, out)
 		}
 	}
-}
-
-func TestCompareZeroAllocBaselineIsAbsolute(t *testing.T) {
-	base := mustParse(t, `[
-      {"name": "BenchmarkManagerPeriod", "ns_per_op": 40000, "allocs_per_op": 0}
-    ]`)
-	cur := mustParse(t, `[
-      {"name": "BenchmarkManagerPeriod", "ns_per_op": 40000, "allocs_per_op": 1}
-    ]`)
-	var out strings.Builder
-	offenders, ok := compare(&out, base, cur, []string{"BenchmarkManagerPeriod"}, 0.20)
-	if ok {
-		t.Fatalf("allocation on a zero-alloc baseline passed the guard:\n%s", out.String())
-	}
-	if len(offenders) != 1 || !strings.Contains(offenders[0].String(), "zero-alloc baseline") {
-		t.Fatalf("offenders = %v, want one zero-alloc-baseline line", offenders)
-	}
-}
-
-func TestCompareAllocsWithinBudgetPasses(t *testing.T) {
-	base := mustParse(t, `[
-      {"name": "BenchmarkFleet256", "ns_per_op": 5000000, "allocs_per_op": 100}
-    ]`)
-	cur := mustParse(t, `[
-      {"name": "BenchmarkFleet256", "ns_per_op": 5100000, "allocs_per_op": 110}
-    ]`)
-	var out strings.Builder
-	offenders, ok := compare(&out, base, cur, []string{"BenchmarkFleet256"}, 0.20)
-	if !ok {
-		t.Fatalf("+10%% allocs/op flagged with a 20%% budget:\n%s\nofenders: %v", out.String(), offenders)
-	}
-}
-
-func TestCompareAllocsSkippedWhenAbsent(t *testing.T) {
-	// Baseline has the metric, current run was not -benchmem: the guard
-	// warns but does not fail — alloc coverage loss is visible, timing
-	// coverage is still enforced.
-	base := mustParse(t, `[
-      {"name": "BenchmarkFleet256", "ns_per_op": 5000000, "allocs_per_op": 8}
-    ]`)
-	cur := mustParse(t, `[
-      {"name": "BenchmarkFleet256", "ns_per_op": 5000000}
-    ]`)
-	var out strings.Builder
-	offenders, ok := compare(&out, base, cur, []string{"BenchmarkFleet256"}, 0.20)
-	if !ok {
-		t.Fatalf("missing -benchmem data failed the guard: %v\n%s", offenders, out.String())
-	}
-	if !strings.Contains(out.String(), "allocs/op missing from current run") {
-		t.Fatalf("no allocs-missing warning in output:\n%s", out.String())
-	}
-}
-
-func TestCompareBytesRegressionFails(t *testing.T) {
-	base := mustParse(t, `[
-      {"name": "BenchmarkFleet256", "ns_per_op": 5000000, "bytes_per_op": 2000}
-    ]`)
-	cur := mustParse(t, `[
-      {"name": "BenchmarkFleet256", "ns_per_op": 5000000, "bytes_per_op": 2600}
-    ]`)
-	var out strings.Builder
-	offenders, ok := compare(&out, base, cur, []string{"BenchmarkFleet256"}, 0.20)
-	if ok {
-		t.Fatalf("+30%% B/op passed a 20%% budget:\n%s", out.String())
-	}
-	if len(offenders) != 1 {
-		t.Fatalf("offenders = %v, want exactly one", offenders)
-	}
-	for _, frag := range []string{"BenchmarkFleet256", "2000", "2600", "B/op", "+30.0%", "budget +20%"} {
-		if !strings.Contains(offenders[0].String(), frag) {
-			t.Errorf("offender line missing %q: %s", frag, offenders[0])
+	write := func(name, body string) {
+		t.Helper()
+		path := filepath.Join(repo, name)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
 		}
 	}
-}
+	git("init", "-q")
+	write("a.txt", "committed\n")
+	write("sub/b.txt", "b\n")
+	write("gone.txt", "gone\n")
+	write(".gitignore", "ignored.txt\n")
+	git("add", "-A")
+	git("commit", "-q", "-m", "c")
+	write("a.txt", "edited\n")
+	write("sub/new.txt", "untracked\n")
+	write("ignored.txt", "ignored\n")
+	if err := os.Remove(filepath.Join(repo, "gone.txt")); err != nil {
+		t.Fatal(err)
+	}
 
-func TestCompareZeroByteBaselineIsAbsolute(t *testing.T) {
-	// The fleet steady state is zero B/op as well as zero allocs/op; a
-	// single leaked byte must fail even though any percentage budget
-	// over a zero base would pass it.
-	base := mustParse(t, `[
-      {"name": "BenchmarkFleet16384", "ns_per_op": 200000000, "bytes_per_op": 0}
-    ]`)
-	cur := mustParse(t, `[
-      {"name": "BenchmarkFleet16384", "ns_per_op": 200000000, "bytes_per_op": 64}
-    ]`)
-	var out strings.Builder
-	offenders, ok := compare(&out, base, cur, []string{"BenchmarkFleet16384"}, 0.20)
-	if ok {
-		t.Fatalf("bytes on a zero-byte baseline passed the guard:\n%s", out.String())
+	out := t.TempDir()
+	revDir, workDir := filepath.Join(out, "rev"), filepath.Join(out, "work")
+	if err := extract(context.Background(), filepath.Join(repo, "sub"), "HEAD", revDir, workDir); err != nil {
+		t.Fatal(err)
 	}
-	if len(offenders) != 1 || !strings.Contains(offenders[0].String(), "zero-byte baseline") {
-		t.Fatalf("offenders = %v, want one zero-byte-baseline line", offenders)
+	for _, tc := range []struct {
+		dir, name, want string // want "" means absent
+	}{
+		{revDir, "a.txt", "committed\n"},
+		{revDir, "sub/b.txt", "b\n"},
+		{revDir, "gone.txt", "gone\n"},
+		{revDir, "sub/new.txt", ""},
+		{revDir, "ignored.txt", ""},
+		{workDir, "a.txt", "edited\n"},
+		{workDir, "sub/b.txt", "b\n"},
+		{workDir, "sub/new.txt", "untracked\n"},
+		{workDir, "gone.txt", ""},
+		{workDir, "ignored.txt", ""},
+	} {
+		b, err := os.ReadFile(filepath.Join(tc.dir, tc.name))
+		switch {
+		case tc.want == "" && err == nil:
+			t.Errorf("%s: %s present, want absent", filepath.Base(tc.dir), tc.name)
+		case tc.want != "" && string(b) != tc.want:
+			t.Errorf("%s: %s = %q (%v), want %q", filepath.Base(tc.dir), tc.name, b, err, tc.want)
+		}
 	}
-}
-
-func TestCompareBytesWithinBudgetPasses(t *testing.T) {
-	base := mustParse(t, `[
-      {"name": "BenchmarkFleet256", "ns_per_op": 5000000, "bytes_per_op": 1000}
-    ]`)
-	cur := mustParse(t, `[
-      {"name": "BenchmarkFleet256", "ns_per_op": 5000000, "bytes_per_op": 1100}
-    ]`)
-	var out strings.Builder
-	offenders, ok := compare(&out, base, cur, []string{"BenchmarkFleet256"}, 0.20)
-	if !ok {
-		t.Fatalf("+10%% B/op flagged with a 20%% budget:\n%s\noffenders: %v", out.String(), offenders)
-	}
-}
-
-func TestCompareMissingFromBaselineWarns(t *testing.T) {
-	base := mustParse(t, baseDoc)
-	cur := mustParse(t, `[
-      {"name": "BenchmarkFig12", "ns_per_op": 100000000},
-      {"name": "BenchmarkMachineSolve", "ns_per_op": 7400},
-      {"name": "BenchmarkFleet256", "ns_per_op": 30000000}
-    ]`)
-	var out strings.Builder
-	offenders, ok := compare(&out, base, cur, []string{"BenchmarkFig12", "BenchmarkMachineSolve", "BenchmarkFleet256"}, 0.20)
-	if !ok {
-		t.Fatalf("benchmark new in the current run failed the guard:\n%s", out.String())
-	}
-	if len(offenders) != 0 {
-		t.Fatalf("baseline warning counted as an offender: %v", offenders)
-	}
-	if !strings.Contains(out.String(), "warn: missing from baseline") {
-		t.Fatalf("no baseline warning in output:\n%s", out.String())
+	if err := extract(context.Background(), repo, "no-such-rev", filepath.Join(out, "x"), filepath.Join(out, "y")); err == nil {
+		t.Error("extracting an unknown revision succeeded")
 	}
 }

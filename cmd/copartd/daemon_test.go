@@ -361,3 +361,50 @@ func TestDaemonMirrorsAdmissions(t *testing.T) {
 		t.Errorf("removed app's group back after exit: %v", err)
 	}
 }
+
+// TestMirrorWriteFailureStops: a live group whose schemata cannot be
+// written (here a directory stands in its place; file modes would not
+// stop root) fails the mirror every period. After mirrorFailLimit of
+// them in a row the daemon stops, restores the defaults in every group
+// it can still write, and returns an error naming the failure.
+func TestMirrorWriteFailureStops(t *testing.T) {
+	dir := t.TempDir()
+	broken := filepath.Join(dir, "CG", "schemata")
+	periods := 0
+	periodHook = func(core.PeriodReport) {
+		if periods++; periods == 12 {
+			if err := os.Remove(broken); err != nil {
+				t.Error(err)
+			}
+			if err := os.Mkdir(broken, 0o755); err != nil {
+				t.Error(err)
+			}
+		}
+	}
+	defer func() { periodHook = nil }()
+
+	err := run(config{mix: "M-BW", apps: 4, duration: 120 * time.Second, seed: 1, resctrlDir: dir})
+	if err == nil || !strings.Contains(err.Error(), "resctrl mirror failed 3 periods in a row") ||
+		!strings.Contains(err.Error(), "CG") {
+		t.Fatalf("run = %v, want the mirror failure naming CG", err)
+	}
+	// Three failed syncs, then the period already under way.
+	if periods > 12+3+1 {
+		t.Errorf("%d periods ran, want a stop within 4 of the failure at period 12", periods)
+	}
+	full := machine.DefaultConfig().FullMask()
+	for _, app := range []string{"OC", "SW", "EP"} {
+		b, err := os.ReadFile(filepath.Join(dir, app, "schemata"))
+		if err != nil {
+			t.Errorf("%s: %v", app, err)
+			continue
+		}
+		s, err := resctrl.ParseSchemata(string(b))
+		if err != nil {
+			t.Fatalf("%s: %v", app, err)
+		}
+		if s.L3[0] != full || s.MB[0] != membw.MaxLevel {
+			t.Errorf("%s left partitioned after the mirror failed: %+v", app, s)
+		}
+	}
+}

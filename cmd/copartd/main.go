@@ -8,7 +8,8 @@
 // live application holding the allocation the machine runs, written
 // through the same client that drives a real /sys/fs/resctrl. Arrivals
 // get a group and departed applications lose theirs, demonstrating the
-// deployment path on CAT/MBA hardware.
+// deployment path on CAT/MBA hardware. A mirror that fails to sync three
+// periods in a row stops the daemon with an error.
 //
 // With -faults SPEC, the run is subjected to a fault-injection scenario
 // (see internal/faultinject for the spec grammar; "standard" is the
@@ -376,6 +377,8 @@ func run(cfg config) (err error) {
 		}()
 	}
 	sched, next := churnSchedule(sc.Churn), 0
+	var mirrorErr error // set when the mirror has failed mirrorFailLimit periods in a row
+	mirrorFails := 0
 	mgr.BetweenPeriods = func() {
 		if cfg.pace > 0 {
 			time.Sleep(cfg.pace)
@@ -385,11 +388,22 @@ func run(cfg config) (err error) {
 			fmt.Fprintln(os.Stderr, "copartd:", err)
 		}
 		plane.Drain()
-		if tree != nil {
-			if err := tree.sync(m); err != nil {
-				fmt.Fprintln(os.Stderr, "copartd: resctrl mirror:", err)
-			}
+		if tree == nil {
+			return
 		}
+		if err := tree.sync(m); err != nil {
+			mirrorFails++
+			fmt.Fprintln(os.Stderr, "copartd: resctrl mirror:", err)
+			if elog.Enabled() {
+				elog.Appendf(m.Now(), eventlog.KindFault, "", "resctrl mirror: %v", err)
+			}
+			if mirrorFails == mirrorFailLimit {
+				mirrorErr = fmt.Errorf("resctrl mirror failed %d periods in a row: %w", mirrorFails, err)
+				mgr.Stop()
+			}
+			return
+		}
+		mirrorFails = 0
 	}
 
 	if cfg.sig != nil {
@@ -427,6 +441,9 @@ func run(cfg config) (err error) {
 	// drain flag set they are rejected rather than left hanging.
 	plane.SetDraining()
 	plane.Drain()
+	if mirrorErr != nil {
+		return mirrorErr
+	}
 	fmt.Printf("done at t=%.1fs in %v phase\n", m.Now().Seconds(), mgr.Phase())
 	if wrapped != nil {
 		st := wrapped.Stats()
@@ -484,6 +501,11 @@ func writeSnapshot(mgr *core.Manager, path string) error {
 	return os.WriteFile(path, data, 0o644)
 }
 
+// mirrorFailLimit is how many control periods in a row the resctrl
+// mirror may fail to sync before copartd stops: the machine it reports
+// on is then no longer the one the host's control groups enforce.
+const mirrorFailLimit = 3
+
 // groupMirror keeps a resctrl tree equal to the machine: one control
 // group per live application, holding the allocation the machine runs.
 type groupMirror struct {
@@ -494,31 +516,15 @@ type groupMirror struct {
 
 // sync writes every live application's allocation into its group on its
 // home socket's cache domain, creating the groups of arrivals, and
-// deletes the groups of departed applications. A group removed
-// underneath the mirror is skipped.
+// deletes the groups of departed applications. A group that cannot be
+// written does not stop the others from being synced: restoring the
+// defaults on exit must reach every group it can.
 func (g *groupMirror) sync(m *machine.Machine) error {
+	var errs []error
 	g.live = m.AppsInto(g.live)
 	for _, app := range g.live {
-		if !g.groups[app] {
-			if err := g.rc.CreateGroup(app); err != nil {
-				return err
-			}
-			g.groups[app] = true
-		}
-		a, err := m.Allocation(app)
-		if err != nil {
-			return err
-		}
-		model, err := m.Model(app)
-		if err != nil {
-			return err
-		}
-		s := resctrl.Schemata{
-			L3: map[int]uint64{model.Socket: a.CBM},
-			MB: map[int]int{model.Socket: a.MBALevel},
-		}
-		if err := g.rc.WriteSchemata(app, s); err != nil && !errors.Is(err, fs.ErrNotExist) {
-			return err
+		if err := g.syncApp(m, app); err != nil {
+			errs = append(errs, fmt.Errorf("%s: %w", app, err))
 		}
 	}
 	for group := range g.groups {
@@ -526,11 +532,40 @@ func (g *groupMirror) sync(m *machine.Machine) error {
 			continue
 		}
 		if err := g.rc.DeleteGroup(group); err != nil && !errors.Is(err, fs.ErrNotExist) {
-			return err
+			errs = append(errs, fmt.Errorf("%s: %w", group, err))
+			continue
 		}
 		delete(g.groups, group)
 	}
-	return nil
+	return errors.Join(errs...)
+}
+
+// syncApp writes one live application's allocation into its group,
+// creating the group first if the mirror has not; a group removed
+// underneath the mirror is skipped.
+func (g *groupMirror) syncApp(m *machine.Machine, app string) error {
+	if !g.groups[app] {
+		if err := g.rc.CreateGroup(app); err != nil {
+			return err
+		}
+		g.groups[app] = true
+	}
+	a, err := m.Allocation(app)
+	if err != nil {
+		return err
+	}
+	model, err := m.Model(app)
+	if err != nil {
+		return err
+	}
+	err = g.rc.WriteSchemata(app, resctrl.Schemata{
+		L3: map[int]uint64{model.Socket: a.CBM},
+		MB: map[int]int{model.Socket: a.MBALevel},
+	})
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil
+	}
+	return err
 }
 
 // restoreDefaults returns every live application to the unrestricted

@@ -10,8 +10,8 @@
 // Usage:
 //
 //	fleetbench [-nodes 256] [-periods 50] [-parallel N] [-seed 1] [-verify]
-//	    [-block N] [-blockstats] [-benchline BenchmarkName]
-//	    [-churn] [-cpuprofile fleet.cpu] [-memprofile fleet.mem]
+//	    [-block N] [-blockstats] [-churn] [-cpuprofile fleet.cpu]
+//	    [-memprofile fleet.mem]
 //
 // The report includes the dispatch shape — block count, block size, and
 // the stripe-merge cost of folding the per-block telemetry into the
@@ -19,11 +19,6 @@
 // regressions: a wide spread points at a few blocks' workloads, a
 // uniform shift at the period loop, a growing stripe merge at the
 // telemetry itself. -blockstats prints the full per-block table.
-// -benchline replaces the report with a single `go test -bench`-format
-// result line under the given name, so Makefile sweeps (for example
-// bench-fleet's -parallel scaling runs) can feed fleetbench timings
-// through benchjson into the same BENCH_<date>.json as the test-binary
-// benchmarks.
 //
 // With -churn the fleet runs over a trace instead of a fixed grid:
 // -nodes becomes the total number of Poisson arrivals and -periods the
@@ -62,7 +57,6 @@ type options struct {
 	verify     bool
 	churn      bool
 	blockstats bool
-	benchline  string
 }
 
 func main() {
@@ -75,7 +69,6 @@ func main() {
 	flag.BoolVar(&o.verify, "verify", false, "re-run sequentially and with the solve cache off, check per-node determinism")
 	flag.BoolVar(&o.churn, "churn", false, "fleet-over-trace: Poisson arrivals, exponential lifetimes, pool reuse across mix shapes")
 	flag.BoolVar(&o.blockstats, "blockstats", false, "print the full per-block telemetry table")
-	flag.StringVar(&o.benchline, "benchline", "", "replace the report with one go-bench-format result line under this Benchmark name")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file")
 	flag.Parse()
@@ -138,13 +131,6 @@ func run(w io.Writer, o options) error {
 	res, err := execute()
 	if err != nil {
 		return err
-	}
-	if o.benchline != "" {
-		// One `go test -bench` result line: benchjson parses it exactly
-		// like a test-binary benchmark, so sweep timings merge into the
-		// same snapshot (one run, so one iteration at elapsed ns/op).
-		fmt.Fprintf(w, "%s \t       1\t%d ns/op\n", o.benchline, res.Elapsed.Nanoseconds())
-		return nil
 	}
 	reprofiles := 0
 	for _, nr := range res.Nodes {

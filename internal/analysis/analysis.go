@@ -45,9 +45,7 @@ type Diagnostic struct {
 func (d Diagnostic) String() string { return d.Finding().String() }
 
 // Finding is the machine-readable form of a Diagnostic: the schema
-// behind `copartlint -json` and the shared formatting used by every
-// tool that reports findings (cmd/benchguard borrows it for its
-// offender summary, so lint and bench failures read the same way).
+// behind `copartlint -json`.
 type Finding struct {
 	File     string `json:"file"`
 	Line     int    `json:"line,omitempty"`
@@ -67,17 +65,10 @@ func (d Diagnostic) Finding() Finding {
 	}
 }
 
-// String renders "file:line:col: [analyzer] message", omitting the
-// position parts that are zero (benchguard findings carry no line).
+// String renders "file:line:col: [analyzer] message". Every finding is
+// reported at a parsed node or comment, so its position is never zero.
 func (f Finding) String() string {
-	loc := f.File
-	if f.Line > 0 {
-		loc = fmt.Sprintf("%s:%d", loc, f.Line)
-		if f.Col > 0 {
-			loc = fmt.Sprintf("%s:%d", loc, f.Col)
-		}
-	}
-	return fmt.Sprintf("%s: [%s] %s", loc, f.Analyzer, f.Message)
+	return fmt.Sprintf("%s:%d:%d: [%s] %s", f.File, f.Line, f.Col, f.Analyzer, f.Message)
 }
 
 // WriteJSON emits the diagnostics as an indented JSON array of

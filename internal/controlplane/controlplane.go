@@ -286,12 +286,12 @@ func (p *Plane) apply(o op) opResult {
 		if res.err != nil {
 			outcome = "rejected: " + res.err.Error()
 		}
-		t := time.Duration(0)
-		p.mu.Lock()
-		if p.haveReport {
-			t = p.last.Time
+		// The controller's clock, as EnqueueDue's: the last period report
+		// lags it by a period, and by a whole outage while reads fail.
+		var t time.Duration
+		if a, ok := p.adm.(*MachineAdmitter); ok {
+			t = a.M.Now()
 		}
-		p.mu.Unlock()
 		p.events.Appendf(t, eventlog.KindAdmission, o.opTarget(), "%s %s", o.kind, outcome)
 	}
 	return res

@@ -10,6 +10,8 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/eventlog"
+	"repro/internal/faultinject"
 	"repro/internal/machine"
 	"repro/internal/workloads"
 )
@@ -98,5 +100,71 @@ func TestEnqueueDue(t *testing.T) {
 	p.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodDelete, "/apps/", nil))
 	if rec.Code != http.StatusNotFound || len(p.ops) != 0 {
 		t.Errorf("DELETE /apps/ = %d with %d queued, want an unrouted 404", rec.Code, len(p.ops))
+	}
+}
+
+// TestAdmissionEventStampedOnTargetClock replays copartd's -faults churn
+// through a read outage: the removal due at 30 s must be logged at the
+// boundary it applied at, not at the last period report, which stops at
+// the outage (19 s) and only resumes once profiling is done again.
+func TestAdmissionEventStampedOnTargetClock(t *testing.T) {
+	cfg := machine.DefaultConfig()
+	m, err := machine.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	models, err := workloads.Mix(cfg, workloads.HBoth, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, model := range models {
+		if err := m.AddApp(model); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ref, err := workloads.StreamMissRates(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	elog, err := eventlog.New(4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, err := faultinject.Parse("seed=3,readerr=0.1,writeerr=0.05,readburst=20s-25s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	target, err := faultinject.WrapTarget(m, sc, elog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng, _ := core.NewSeededRand(1)
+	mgr, err := core.NewManager(target, core.DefaultParams(), ref,
+		core.Envelope{LoWay: 0, Ways: cfg.LLCWays}, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mgr.Resilience = core.DefaultResilience()
+	mgr.Events = elog
+	p := New(&MachineAdmitter{M: m, Mgr: mgr}, mgr, elog)
+	sched, next := []ScheduledOp{{At: 30 * time.Second, Kind: "remove", Spec: AppSpec{Name: "SP"}}}, 0
+	mgr.BetweenPeriods = func() {
+		if next, err = p.EnqueueDue(sched, next, m.Now()); err != nil {
+			t.Error(err)
+		}
+		p.Drain()
+	}
+	mgr.OnPeriod = p.Observe
+	if err := mgr.Run(40 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	var stamped []time.Duration
+	for _, e := range elog.Events() {
+		if e.Kind == eventlog.KindAdmission {
+			stamped = append(stamped, e.Time)
+		}
+	}
+	if len(stamped) != 1 || stamped[0] < 30*time.Second || stamped[0] > 32*time.Second {
+		t.Errorf("admission events stamped at %v, want one removal at 30–32 s", stamped)
 	}
 }
