@@ -22,8 +22,10 @@ lint: vet
 test:
 	$(GO) test ./...
 
+# The same scope as CI's race step: copartd's relay and mirror tests, the
+# root package and benchmark/ race too.
 test-race:
-	$(GO) test -race ./internal/...
+	$(GO) test -race ./...
 
 cover:
 	$(GO) test -cover ./internal/... .

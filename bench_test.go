@@ -320,7 +320,7 @@ func BenchmarkManagerObservedPeriod(b *testing.B) {
 }
 
 // BenchmarkMachineStepRetired measures one Step of a daemon's machine
-// (no solve cache, three H-Both apps) after 10 000 admit → evict cycles
+// (a plain machine, three H-Both apps) after 10 000 admit → evict cycles
 // of a one-core guest. Removal deletes the app's slot, so the Step walks
 // the three live apps only and costs what a fresh machine's does.
 func BenchmarkMachineStepRetired(b *testing.B) {

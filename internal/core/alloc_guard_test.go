@@ -13,11 +13,12 @@ import (
 // budget (DESIGN.md §8): once the manager's scratch buffers are warm, a
 // steady-state exploration period — sample counters, step the machine,
 // update the classifiers, run the HR matching, program the next state —
-// must not allocate. The machine is built without the solve cache on
+// must not allocate. The process-wide solve cache is switched off on
 // purpose: cache misses store freshly-allocated entries, which is a
-// per-machine memoization cost, not a per-period controller cost, and
-// would drown the signal this test exists to catch.
+// memoization cost, not a per-period controller cost, and would drown
+// the signal this test exists to catch.
 func TestManagerPeriodAllocationGuard(t *testing.T) {
+	defer machine.SetSharedSolveCache(machine.SetSharedSolveCache(false))
 	cfg := machine.DefaultConfig()
 	m, err := machine.New(cfg)
 	if err != nil {

@@ -213,8 +213,8 @@ func (s *Snapshot) checkVersion() error {
 }
 
 // RestoreSnapshot rebuilds the machine and the manager from a snapshot.
-// The machine comes back without a solve cache — a memo changes speed
-// only, and the daemon's machine never had one.
+// The machine comes back plain, as the daemon builds it (memoizing only
+// the shared-way states it runs) — a memo changes speed only.
 // The restored manager owns a fresh CountingSource advanced to the
 // recorded stream position, so its future decisions are bit-identical
 // to the original manager's.

@@ -14,10 +14,12 @@ import (
 )
 
 // standaloneNode rebuilds fleet node i by hand, with none of the fleet's
-// machinery: a fresh uncached machine, the mix and STREAM reference
-// computed directly, a new manager with the default features, a live
-// Profile, and the fleet's period loop.
+// machinery: a fresh machine, the mix and STREAM reference computed
+// directly, a new manager with the default features, a live Profile, and
+// the fleet's period loop — with the process-wide solve cache switched
+// off, so every solve is recomputed.
 func standaloneNode(cfg Config, i int) (NodeResult, error) {
+	defer machine.SetSharedSolveCache(machine.SetSharedSolveCache(false))
 	var src splitmix.Source
 	src.Seed(cfg.nodeSeed(i))
 	rng := rand.New(&src)
@@ -84,8 +86,8 @@ func standaloneNode(cfg Config, i int) (NodeResult, error) {
 // of the same consolidation controlled stand-alone, noise-free and under
 // PMC jitter. The fleet arm runs twice so the second pass lands on
 // pooled runtimes, carries, restored profile memos and a warm solve
-// cache; the stand-alone arm has none of them — so all of those change
-// speed, never values.
+// cache; the stand-alone arm has none of them, the solve cache switched
+// off included — so all of those change speed, never values.
 func TestFleetNodeMatchesStandalone(t *testing.T) {
 	noisy := machine.DefaultConfig()
 	noisy.MeasurementNoise, noisy.NoiseSeed = 0.02, 1

@@ -228,7 +228,9 @@ type Machine struct {
 	// RemoveApp/Reset) is harmless.
 	scanCursor int
 	scratch    solveScratch
-	cache      *solveCache // key scratch and pending batch; nil unless WithSolveCache
+	cache      *solveCache // key scratch and pending batch; allocated by the first memoized solve
+	published  int32       // fresh solves queued for the shared cache since New or Reset
+	memoAll    bool        // WithSolveCache: every solve is memoized, not only shared-way runs
 }
 
 // advanceCursor moves the lookup hint past a scan hit at slot i,
@@ -278,19 +280,16 @@ type appTerms struct {
 // Option configures a Machine at construction.
 type Option func(*Machine)
 
-// WithSolveCache makes the machine consult and publish to the
-// process-wide solve cache (sharedcache.go), keyed by the resolved
-// models and allocations. Exploration policies revisit allocation
-// states constantly, so memoized solves skip whole fixed-point
-// iterations, and a state solved by any machine in the process — grid
-// cells, fleet nodes — is a lookup here (SolveSession sweeps are the
-// exception: uncached). The cache is exact — a hit returns bit-identical
-// results to recomputing, because Solve is deterministic in its inputs
-// and the key covers all of them — so nothing invalidates it. With the
-// shared cache switched off (SetSharedSolveCache) the machine memoizes
-// nothing. See DESIGN.md §7 and §9.
+// WithSolveCache makes the machine memoize every solve in the
+// process-wide solve cache (sharedcache.go) — private-partition runs,
+// Solve and the queries — for callers whose states repeat across
+// machines (fleet nodes, the policies' solo solves). Without it only the
+// shared-way states the machine runs (Step, Occupancy) are memoized.
+// SolveSession sweeps never are. A hit is bit-identical to recomputing
+// barring a model-digest collision, so nothing invalidates it. See
+// DESIGN.md §7.4 and §9.
 func WithSolveCache() Option {
-	return func(m *Machine) { m.cache = &solveCache{} }
+	return func(m *Machine) { m.memoAll = true }
 }
 
 // New builds a machine with the given configuration.
@@ -415,6 +414,7 @@ func (m *Machine) Reset() {
 	m.hasPhases = false
 	m.solveClean = false
 	m.gatherValid = false
+	m.published = 0
 }
 
 // RemoveApp terminates an application (the idle phase detects this as a
@@ -712,9 +712,7 @@ func (m *Machine) gatherActive() ([]AppModel, []Alloc, []uint64) {
 		}
 		sc.models = append(sc.models, a.resolved)
 		sc.allocs = append(sc.allocs, a.alloc)
-		if m.cache != nil {
-			sc.digests = append(sc.digests, a.digest)
-		}
+		sc.digests = append(sc.digests, a.digest)
 	}
 	if !m.hasPhases {
 		m.gatherValid = true
@@ -741,9 +739,9 @@ func (m *Machine) Solve() ([]Perf, error) {
 }
 
 // solveActiveScratch is Solve writing into the machine-owned perfs
-// scratch: zero allocations at steady state, valid only until the next
-// solve. Step and Occupancy consume the results immediately and use it
-// instead of Solve.
+// scratch, memoized on every machine for shared-way states: zero
+// allocations at steady state, valid only until the next solve. Step and
+// Occupancy consume the results immediately and use it instead of Solve.
 //
 //copart:noalloc
 func (m *Machine) solveActiveScratch() ([]Perf, error) {
@@ -766,7 +764,7 @@ func (m *Machine) solveActiveScratch() ([]Perf, error) {
 	// solveRef hands back the cache's entry directly on a hit — the
 	// dominant fleet steady state — so the per-period path moves no Perf
 	// structs at all; only a fresh solve writes into sc.perfs.
-	out, err := m.solveRef(sc.perfs, models, allocs, digests, true)
+	out, err := m.solveRef(sc.perfs, models, allocs, digests, true, m.memoAll || m.anySharedWay(allocs))
 	if err != nil {
 		return nil, err
 	}
@@ -930,8 +928,8 @@ func (s *SolveSession) IPSBounds(app, ways, level int) (lo, hi float64, ok bool)
 	return lo, hi, true
 }
 
-// solveForInto is the common solver entry: validate, consult the
-// process-wide memo (WithSolveCache machines only), and solve
+// solveForInto is the entry of Solve and the queries: validate, consult
+// the process-wide memo (WithSolveCache machines only), and solve
 // per socket domain, writing the steady state into perfs
 // (len(perfs) == len(models)). digests must either be nil (computed on
 // demand into scratch) or hold modelDigest of each resolved model.
@@ -943,7 +941,7 @@ func (s *SolveSession) IPSBounds(app, ways, level int) (lo, hi float64, ok bool)
 //
 //copart:noalloc
 func (m *Machine) solveForInto(perfs []Perf, models []AppModel, allocs []Alloc, digests []uint64, trusted bool) error {
-	out, err := m.solveRef(perfs, models, allocs, digests, trusted)
+	out, err := m.solveRef(perfs, models, allocs, digests, trusted, m.memoAll)
 	if err != nil {
 		return err
 	}
@@ -985,13 +983,13 @@ func (m *Machine) validateExternal(models []AppModel, allocs []Alloc) error {
 // never write). Trusted callers pass gatherActive's lockstep slices.
 //
 //copart:noalloc
-func (m *Machine) solveRef(perfs []Perf, models []AppModel, allocs []Alloc, digests []uint64, trusted bool) ([]Perf, error) {
+func (m *Machine) solveRef(perfs []Perf, models []AppModel, allocs []Alloc, digests []uint64, trusted, memo bool) ([]Perf, error) {
 	if !trusted {
 		if err := m.validateExternal(models, allocs); err != nil {
 			return nil, err
 		}
 	}
-	shared := m.cache != nil && SharedSolveCacheEnabled()
+	shared := memo && SharedSolveCacheEnabled()
 	if shared {
 		if digests == nil {
 			sc := &m.scratch
@@ -1001,6 +999,9 @@ func (m *Machine) solveRef(perfs []Perf, models []AppModel, allocs []Alloc, dige
 			}
 			digests = sc.extDigests
 		}
+		if m.cache == nil {
+			m.cache = new(solveCache) //copart:allocok once per machine, on its first memoized solve
+		}
 		m.cache.encodeKey(m.cfgDigest, digests, allocs)
 		if cached, ok := sharedSolve.lookup(m.cache.key, m.cache.fp); ok {
 			return cached, nil
@@ -1009,7 +1010,8 @@ func (m *Machine) solveRef(perfs []Perf, models []AppModel, allocs []Alloc, dige
 	if err := m.solveFresh(perfs, models, allocs); err != nil {
 		return nil, err
 	}
-	if shared {
+	if shared && m.published < publishBudget {
+		m.published++
 		// encodeKey left the key in the cache's scratch. Publication is
 		// deferred into the pending batch that Step flushes once per
 		// period: one striped acquire per node-period instead of one
@@ -1020,6 +1022,11 @@ func (m *Machine) solveRef(perfs []Perf, models []AppModel, allocs []Alloc, dige
 	}
 	return perfs, nil
 }
+
+// publishBudget caps the fresh solves one machine adds to the shared
+// cache between Resets, bounding what a long-running daemon that admits
+// varied guests keeps (DESIGN.md §7.4). Later new states are not kept.
+const publishBudget = 4096
 
 // solveFresh solves a validated state without touching the cache.
 // Sockets are independent resource domains: each has its own LLC and
@@ -1067,8 +1074,7 @@ func (m *Machine) solveFresh(perfs []Perf, models []AppModel, allocs []Alloc) er
 // over SolveFor — may call it to publish eagerly. Until a flush a fresh
 // solve is visible to nobody, its own machine included: a state solved
 // twice before one is solved twice (the values are equal, and storeBatch
-// replaces a duplicate key). Safe without a cache or with nothing
-// pending.
+// replaces a duplicate key). Safe with nothing pending.
 //
 //copart:noalloc
 func (m *Machine) FlushShared() {
@@ -1328,14 +1334,7 @@ func (m *Machine) occupancySharesInto(caps []float64, allocs []Alloc, perfs []Pe
 // with the full machine (all ways, MBA 100 %) — the IPS_full denominator
 // of Equation 1.
 func (m *Machine) SoloPerf(model AppModel) (Perf, error) {
-	perfs, err := m.SolveFor(
-		[]AppModel{model},
-		[]Alloc{{CBM: m.cfg.FullMask(), MBALevel: membw.MaxLevel}},
-	)
-	if err != nil {
-		return Perf{}, err
-	}
-	return perfs[0], nil
+	return m.SoloPerfAt(model, Alloc{CBM: m.cfg.FullMask(), MBALevel: membw.MaxLevel})
 }
 
 // SoloPerfAt solves a single application running alone at an arbitrary

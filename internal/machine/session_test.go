@@ -107,10 +107,10 @@ func perfBits(p Perf) [7]uint64 {
 
 // TestSolveSessionMatchesSolveFor pins the session's contract: a
 // table-backed session solve is bit-identical, on every Perf field, to
-// SolveFor on a fresh uncached machine — for exclusive states (the
-// kernel fed from tables), overlapping CBMs and multi-socket machines
-// (the general path) alike — and rejects exactly the inputs SolveFor
-// rejects while staying usable afterwards.
+// SolveFor on a fresh plain machine, which recomputes every query — for
+// exclusive states (the kernel fed from tables), overlapping CBMs and
+// multi-socket machines (the general path) alike — and rejects exactly
+// the inputs SolveFor rejects while staying usable afterwards.
 func TestSolveSessionMatchesSolveFor(t *testing.T) {
 	t.Run("states", testSessionStates)
 	t.Run("errors", testSessionErrors)

@@ -6,14 +6,14 @@ import (
 )
 
 // The process-wide solve cache, the only solve memo there is. Every
-// WithSolveCache Machine — grid cells, fleet nodes — consults it
-// (SolveSession sweeps bypass it: their states are single-use), so a
-// state solved once anywhere in the process is a lookup everywhere
-// else. It is a pure exact memo: keys carry the full solver input
-// (config digest + per-app model digest + allocation bits), a hit is
-// bit-identical to recomputation, and sharing therefore cannot perturb
-// any seeded run regardless of goroutine interleaving — only which
-// duplicate solve gets skipped is timing-dependent, never a value. Lock
+// machine consults it for the shared-way states it runs, a
+// WithSolveCache machine for every solve (SolveSession sweeps bypass it),
+// so a state solved once anywhere in the process is a lookup everywhere
+// else. It is a pure memo: keys carry the full solver input (config
+// digest + per-app 64-bit model digest + allocation bits), a hit is
+// bit-identical to recomputation barring a digest collision, and sharing
+// cannot perturb any seeded run regardless of goroutine interleaving —
+// only which duplicate solve is skipped is timing-dependent. Lock
 // striping (128 shards, each a mutex + fingerprint table) keeps fleet
 // workers from serializing on one lock; the hashKey fingerprint that
 // encodeKey leaves in the machine's scratch selects the shard and the

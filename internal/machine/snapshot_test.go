@@ -180,9 +180,10 @@ func TestMachineSnapshotRejectsTampering(t *testing.T) {
 }
 
 // TestMachineSnapshotSameWithSolveCache: memoization is not machine
-// state. A memoizing machine and a bare twin after the same run snapshot
-// identically — whatever the process-wide cache held when each solved —
-// and a machine restored from either continues as both do.
+// state. A memoizing machine and a twin that recomputes every solve (the
+// cache switched off around its runs) snapshot identically after the
+// same run — whatever the process-wide cache held when each solved — and
+// a machine restored from either continues as both do.
 func TestMachineSnapshotSameWithSolveCache(t *testing.T) {
 	run := func(m *Machine) {
 		t.Helper()
@@ -197,7 +198,7 @@ func TestMachineSnapshotSameWithSolveCache(t *testing.T) {
 	}
 	cached, bare := snapMachine(t, 0, WithSolveCache()), snapMachine(t, 0)
 	run(cached)
-	run(bare)
+	recomputing(func() { run(bare) })
 	s := cached.Snapshot()
 	if !reflect.DeepEqual(s, bare.Snapshot()) {
 		t.Fatalf("snapshots differ with the solve cache:\ncached: %+v\nbare:   %+v", s, bare.Snapshot())
@@ -207,7 +208,7 @@ func TestMachineSnapshotSameWithSolveCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	run(cached)
-	run(bare)
+	recomputing(func() { run(bare) })
 	run(restored)
 	if want := bare.Snapshot(); !reflect.DeepEqual(cached.Snapshot(), want) || !reflect.DeepEqual(restored.Snapshot(), want) {
 		t.Error("the memoizing, the bare and the restored machine diverged over the same run")

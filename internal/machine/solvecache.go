@@ -2,14 +2,13 @@ package machine
 
 import "encoding/binary"
 
-// solveCache is what a WithSolveCache machine keeps of its own: the key
-// scratch and the batch of fresh solves waiting to be published. The memo
-// itself is the process-wide sharedCache (sharedcache.go) — there is no
-// per-machine table. The key is an exact binary fingerprint of the
-// machine config, the resolved model digests, and the allocations; it
-// covers every solver input, so a hit is bit-identical to recomputation
-// and no entry can go stale, whatever AddApp, RemoveApp, Reset,
-// RestoreHotState or a phase boundary did to the machine in between.
+// solveCache is what a memoizing machine keeps of its own: the key
+// scratch and the batch of fresh solves waiting to be published to the
+// process-wide sharedCache (sharedcache.go). The key encodes the config
+// digest, the resolved models' 64-bit digests and the allocations: every
+// solver input, so barring a digest collision a hit is bit-identical to
+// recomputation and no entry goes stale, whatever AddApp, RemoveApp,
+// Reset, RestoreHotState or a phase boundary did in between.
 type solveCache struct {
 	// encodeKey scratch: the current key bytes and their hashKey
 	// fingerprint, consumed by the shared lookup (which shards on the

@@ -20,8 +20,17 @@ func coldSharedCache(t *testing.T) {
 	})
 }
 
-// twinMachines returns one memoizing and one bare machine with the same
-// configuration and the standard 4-application test mix added to both.
+// recomputing runs f with the process-wide cache switched off, so every
+// solve inside it is a fresh recomputation — Step's included, which every
+// machine memoizes for the shared-way states it runs.
+func recomputing(f func()) {
+	defer SetSharedSolveCache(SetSharedSolveCache(false))
+	f()
+}
+
+// twinMachines returns one WithSolveCache and one plain machine with the
+// same configuration and the standard 4-application test mix added to
+// both. The plain machine's Solve and SolveFor are not memoized.
 func twinMachines(t *testing.T, cfg Config) (cached, bare *Machine, models []AppModel) {
 	t.Helper()
 	var err error
@@ -168,8 +177,62 @@ func TestSolveCacheBatchSemantics(t *testing.T) {
 	solve("third", 1, 2, 1)
 }
 
+// TestSolveCachePublishBudget pins the bound on what one machine adds to
+// the shared cache: the first publishBudget fresh solves are kept, the
+// next ones are solved and not kept, the kept ones still hit, and Reset
+// restores the budget.
+func TestSolveCachePublishBudget(t *testing.T) {
+	coldSharedCache(t)
+	cfg := DefaultConfig()
+	m, err := New(cfg, WithSolveCache())
+	if err != nil {
+		t.Fatal(err)
+	}
+	models := []AppModel{llcSensitiveModel(), bwSensitiveModel()}
+	models[0].Name, models[1].Name = "a", "b"
+	// Distinct states: app a's contiguous CBM and both apps' MBA levels.
+	var states [][]Alloc
+	for lo := 0; lo < cfg.LLCWays && len(states) < publishBudget+8; lo++ {
+		for hi := lo + 1; hi <= cfg.LLCWays && len(states) < publishBudget+8; hi++ {
+			for la := 10; la <= 100 && len(states) < publishBudget+8; la += 10 {
+				for lb := 10; lb <= 100 && len(states) < publishBudget+8; lb += 10 {
+					cbm := (uint64(1)<<hi - 1) &^ (uint64(1)<<lo - 1)
+					states = append(states, []Alloc{{CBM: cbm, MBALevel: la}, {CBM: cfg.FullMask(), MBALevel: lb}})
+				}
+			}
+		}
+	}
+	perfs := make([]Perf, len(models))
+	solveAll := func(set [][]Alloc) {
+		t.Helper()
+		for _, allocs := range set {
+			if err := m.SolveForInto(perfs, models, allocs); err != nil {
+				t.Fatal(err)
+			}
+		}
+		m.FlushShared()
+	}
+	solveAll(states)
+	if st := SharedSolveCacheStats(); st.Entries != publishBudget || st.Misses != uint64(len(states)) {
+		t.Fatalf("%d fresh solves left %d entries (%d misses); want the budget, %d",
+			len(states), st.Entries, st.Misses, publishBudget)
+	}
+	before := SharedSolveCacheStats()
+	solveAll(states)
+	after := SharedSolveCacheStats()
+	if hits, misses := after.Hits-before.Hits, after.Misses-before.Misses; hits != publishBudget || misses != 8 {
+		t.Fatalf("re-solving made %d hits and %d misses; want %d and 8", hits, misses, publishBudget)
+	}
+	m.Reset()
+	solveAll(states[publishBudget:])
+	if st := SharedSolveCacheStats(); st.Entries != publishBudget+8 {
+		t.Fatalf("after Reset the machine's new states left %d entries, want %d", st.Entries, publishBudget+8)
+	}
+}
+
 // TestSolveCacheNeverStale is what invalidation used to promise, checked
-// on values: a memoizing machine and a bare twin are driven through every
+// on values: a memoizing machine and a twin that recomputes every solve
+// (the cache switched off around its run) are driven through every
 // event that changes what a solve depends on — AddApp, RemoveApp, a
 // hot-state restore, a phase boundary, Reset and a relaunch — and return
 // bit-equal Solve results at every step. The memoizing machine runs
@@ -266,7 +329,8 @@ func TestSolveCacheNeverStale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, want := drive(bare)
+	var want [][]Perf
+	recomputing(func() { _, want = drive(bare) })
 	for i := range want {
 		if !reflect.DeepEqual(got[i], want[i]) {
 			t.Errorf("solve %d (after %s): memoized result diverged:\ncached: %+v\nbare:   %+v", i, steps[i], got[i], want[i])
@@ -283,8 +347,8 @@ func TestSolveCacheNeverStale(t *testing.T) {
 
 // TestSolveCachePhased checks time-varying models stay correct under
 // memoization: advancing time across a phase boundary must not serve the
-// previous phase's solution. The cached machine is compared against a
-// bare machine stepped identically.
+// previous phase's solution. The cached machine's Solve is compared
+// against a plain machine's, which is recomputed, stepped identically.
 func TestSolveCachePhased(t *testing.T) {
 	coldSharedCache(t)
 	cfg := DefaultConfig()

@@ -51,11 +51,12 @@ type Policy interface {
 func evaluate(cfg machine.Config, models []machine.AppModel, allocs []machine.Alloc) (Result, error) {
 	// Cache-enabled: the solo solves repeat verbatim across the policies
 	// evaluating one mix (and across grid cells), so the shared cache
-	// deduplicates them process-wide.
+	// deduplicates them process-wide once the machine publishes them.
 	m, err := machine.New(cfg, machine.WithSolveCache())
 	if err != nil {
 		return Result{}, err
 	}
+	defer m.FlushShared()
 	perfs, err := m.SolveFor(models, allocs)
 	if err != nil {
 		return Result{}, err
@@ -181,12 +182,13 @@ func (s ST) Run(cfg machine.Config, models []machine.AppModel) (Result, error) {
 		}
 	}
 	// The solve cache serves only the solo solves, which repeat verbatim
-	// across the policies evaluating one mix. The search runs through a
-	// SolveSession: table-backed and uncached, because no state recurs.
+	// across the policies evaluating one mix, published on return. The
+	// search runs through a SolveSession: table-backed and uncached.
 	m, err := machine.New(cfg, machine.WithSolveCache())
 	if err != nil {
 		return Result{}, err
 	}
+	defer m.FlushShared()
 	solo := make([]float64, n)
 	for i, model := range models {
 		p, err := m.SoloPerf(model)
@@ -764,9 +766,9 @@ func (d *Dynamic) Run(cfg machine.Config, models []machine.AppModel) (Result, er
 	return evaluate(cfg, models, allocs)
 }
 
-// ExploreTime runs the dynamic policy on an uncached machine and reports
-// the mean wall-clock getNextSystemState duration (the Figure 16 overhead
-// metric).
+// ExploreTime runs the dynamic policy on a plain machine, which memoizes
+// only the shared-way states it runs, and reports the mean wall-clock
+// getNextSystemState duration (the Figure 16 overhead metric).
 func (d *Dynamic) ExploreTime(cfg machine.Config, models []machine.AppModel) (time.Duration, error) {
 	_, mgr, err := d.explore(cfg, models)
 	if err != nil {
