@@ -165,7 +165,8 @@ git ls-files -z --cached --others --exclude-standard |
 }
 
 // runPairs runs n pairs of every workload through run, pair k at seed k,
-// the parent first in odd pairs.
+// the parent first in odd pairs. Each run's progress line carries its
+// end-to-end values, so the logs of two invocations can be pooled.
 func runPairs(sp spec, n int, run func(side int, workload string, seed int) (result, error), progress io.Writer) (samples, error) {
 	got := make(samples, len(sp.Workloads))
 	for k := 1; k <= n; k++ {
@@ -180,7 +181,11 @@ func runPairs(sp spec, n int, run func(side int, workload string, seed int) (res
 					return nil, fmt.Errorf("pair %d, %s, %s: %w", k, wl.Name, sides[s], err)
 				}
 				got[i][s] = append(got[i][s], r)
-				fmt.Fprintf(progress, "pair %d/%d %-14s %s correct=%v\n", k, n, wl.Name, sides[s], r.Correct)
+				fmt.Fprintf(progress, "pair %d/%d %-14s %s correct=%v", k, n, wl.Name, sides[s], r.Correct)
+				for _, m := range sp.EndToEnd {
+					fmt.Fprintf(progress, " %s=%g", m.Name, r.Metrics[m.Name].Value)
+				}
+				fmt.Fprintln(progress)
 			}
 		}
 	}

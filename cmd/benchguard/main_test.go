@@ -276,3 +276,32 @@ func TestExtract(t *testing.T) {
 		t.Error("extracting an unknown revision succeeded")
 	}
 }
+
+// TestRunPairsProgress: each run's progress line names the pair, the
+// workload and the side, then its correctness and every end-to-end
+// value in BENCHMARK.json order.
+func TestRunPairsProgress(t *testing.T) {
+	sp := fakeSpec
+	sp.EndToEnd = append(sp.EndToEnd, metricSpec{Name: "n", Better: "higher", Bound: 0.1})
+	run := func(s int, workload string, seed int) (result, error) {
+		r := runs(1, float64(seed)+0.5, 0, 1, "d")[0]
+		r.Metrics["n"] = struct {
+			Value float64 `json:"value"`
+		}{Value: float64(10*seed + s)}
+		r.Correct = s == parent
+		return r, nil
+	}
+	var progress strings.Builder
+	if _, err := runPairs(sp, 2, run, &progress); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		"pair 1/2 w              parent correct=true m=1.5 n=10",
+		"pair 1/2 w              change correct=false m=1.5 n=11",
+		"pair 2/2 w              change correct=false m=2.5 n=21",
+		"pair 2/2 w              parent correct=true m=2.5 n=20",
+	}
+	if got := strings.TrimSuffix(progress.String(), "\n"); got != strings.Join(want, "\n") {
+		t.Errorf("progress:\n%s\nwant:\n%s", got, strings.Join(want, "\n"))
+	}
+}

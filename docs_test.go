@@ -1,0 +1,85 @@
+package repro_test
+
+import (
+	"io/fs"
+	"os"
+	"path/filepath"
+	"regexp"
+	"strings"
+	"testing"
+)
+
+var (
+	testFuncRE = regexp.MustCompile(`(?m)^func ((?:Test|Fuzz)\w+)\(`)
+	codeSpanRE = regexp.MustCompile("`([^`]+)`")
+	citedRE    = regexp.MustCompile(`(?:^|[^\w])((?:Test|Fuzz)[A-Z0-9_]\w*)`)
+)
+
+// TestDocsCiteDefinedTests fails when DESIGN.md, EXPERIMENTS.md or
+// README.md names a test or fuzz target in a code span that no
+// _test.go file in the repository defines, so prose cannot keep citing
+// a test after it was renamed or deleted.
+func TestDocsCiteDefinedTests(t *testing.T) {
+	defined := map[string]bool{}
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && path != "." && (strings.HasPrefix(d.Name(), ".") || strings.HasPrefix(d.Name(), "_")) {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for _, m := range testFuncRE.FindAllSubmatch(src, -1) {
+			defined[string(m[1])] = true
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !defined["TestDocsCiteDefinedTests"] {
+		t.Fatal("the walk did not find this file's own test: it scanned the wrong tree")
+	}
+	cited := 0
+	for _, doc := range []string{"DESIGN.md", "EXPERIMENTS.md", "README.md"} {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, span := range codeSpanRE.FindAllStringSubmatch(withoutFences(string(text)), -1) {
+			for _, m := range citedRE.FindAllStringSubmatch(span[1], -1) {
+				cited++
+				if !defined[m[1]] {
+					t.Errorf("%s cites `%s`, which no _test.go file defines", doc, m[1])
+				}
+			}
+		}
+	}
+	if cited == 0 {
+		t.Fatal("no test citations found: the code-span scan is broken")
+	}
+}
+
+// withoutFences drops the lines of fenced code blocks, whose backticks
+// would pair with the prose's code spans.
+func withoutFences(text string) string {
+	var b strings.Builder
+	in := false
+	for _, line := range strings.Split(text, "\n") {
+		if strings.HasPrefix(strings.TrimSpace(line), "```") {
+			in = !in
+			continue
+		}
+		if !in {
+			b.WriteString(line)
+			b.WriteByte('\n')
+		}
+	}
+	return b.String()
+}

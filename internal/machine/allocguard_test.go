@@ -21,9 +21,8 @@ func TestCachedSolveAllocationGuard(t *testing.T) {
 	}
 	perfs := make([]Perf, len(models))
 	if err := m.SolveForInto(perfs, models, allocs); err != nil {
-		t.Fatal(err) // cold: solved and queued
+		t.Fatal(err) // cold: solved and stored, from here on a lookup
 	}
-	m.FlushShared() // published: from here on the state is a lookup
 	if avg := testing.AllocsPerRun(100, func() {
 		if err := m.SolveForInto(perfs, models, allocs); err != nil {
 			t.Fatal(err)

@@ -1,6 +1,9 @@
 package machine
 
-import "math"
+import (
+	"encoding/binary"
+	"math"
+)
 
 // Incremental fingerprints: every solver input is condensed into 64-bit
 // FNV-1a digests so a cache key is O(apps) fixed-width appends instead
@@ -88,6 +91,31 @@ func configDigest(c Config) uint64 {
 	h = digestWord(h, math.Float64bits(c.BW.CongestionK))
 	h = digestWord(h, math.Float64bits(c.BW.CongestionP))
 	return h
+}
+
+// encodeKey writes the exact solver fingerprint into the scratch key —
+// the config digest, then per application its resolved-model digest and
+// allocation pair — and hashes it once into fp. digests[i] must be
+// modelDigest of the *resolved* models[i] (phases folded); Machine
+// maintains these incrementally so the key costs O(apps) fixed-width
+// appends.
+//
+//copart:noalloc
+func (sc *solveScratch) encodeKey(cfgDigest uint64, digests []uint64, allocs []Alloc) {
+	k := sc.key[:0]
+	k = binary.LittleEndian.AppendUint64(k, cfgDigest)
+	k = binary.AppendUvarint(k, uint64(len(digests)))
+	for i, d := range digests {
+		k = binary.LittleEndian.AppendUint64(k, d)
+		// CBMs are short bit masks (a machine has a few dozen ways at
+		// most), so the varint form is 1–2 bytes against 8 fixed — the
+		// keys hashed and byte-compared on every solve shrink by a third.
+		// Varints are prefix-free, so the encoding stays injective.
+		k = binary.AppendUvarint(k, allocs[i].CBM)
+		k = binary.AppendUvarint(k, uint64(allocs[i].MBALevel))
+	}
+	sc.key = k
+	sc.fp = hashKey(k)
 }
 
 // hashKey hashes an encoded cache key (shared-cache shard and probe slot

@@ -79,7 +79,6 @@ func TestAppsGeneration(t *testing.T) {
 		{name: "SoloPerf", op: func(m *Machine) error { _, err := m.SoloPerf(models[3]); return err }},
 		{name: "ReadCounters", op: func(m *Machine) error { _, err := m.ReadCounters("app2"); return err }},
 		{name: "Occupancy", op: func(m *Machine) error { _, err := m.Occupancy("app2"); return err }},
-		{name: "FlushShared", op: func(m *Machine) error { m.FlushShared(); return nil }},
 		{name: "Apps", op: func(m *Machine) error { m.Apps(); m.AppsInto(nil); return nil }},
 		{name: "CaptureHotState", op: func(m *Machine) error { _, err := m.CaptureHotState(); return err }},
 		{name: "Snapshot", op: func(m *Machine) error { m.Snapshot(); return nil }},

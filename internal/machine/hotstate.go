@@ -64,9 +64,8 @@ func (m *Machine) CaptureHotState() (HotState, error) {
 // checkpoint was captured from; the method then overwrites virtual time,
 // per-app counters and allocations, leaving the machine bit-identical in
 // behavior to the one that was checkpointed. The live set is not
-// touched, so AppsGeneration does not move. Solve-cache state is not
-// touched: keys are exact, so whatever this machine has pending stays
-// valid.
+// touched, so AppsGeneration does not move. The solve cache is not
+// touched: keys are exact, so every entry stays valid.
 func (m *Machine) RestoreHotState(hs HotState) error {
 	if hs.configDigest != m.cfgDigest {
 		return fmt.Errorf("machine: hot state config fingerprint %#x does not match %#x", hs.configDigest, m.cfgDigest)

@@ -228,9 +228,8 @@ type Machine struct {
 	// RemoveApp/Reset) is harmless.
 	scanCursor int
 	scratch    solveScratch
-	cache      *solveCache // key scratch and pending batch; allocated by the first memoized solve
-	published  int32       // fresh solves queued for the shared cache since New or Reset
-	memoAll    bool        // WithSolveCache: every solve is memoized, not only shared-way runs
+	published  int32 // fresh solves stored in the shared cache since New or Reset
+	memoAll    bool  // WithSolveCache: every solve is memoized, not only shared-way runs
 }
 
 // advanceCursor moves the lookup hint past a scan hit at slot i,
@@ -253,6 +252,10 @@ type solveScratch struct {
 	models  []AppModel // Solve: resolved active models
 	allocs  []Alloc    // Solve: active allocations
 	digests []uint64   // resolved-model digests for cache keys
+	// key and fp are encodeKey's output: the current cache key bytes and
+	// their hashKey fingerprint, which picks the shared cache's shard.
+	key []byte
+	fp  uint64
 	// extDigests serves SolveFor-style external solves that pass no
 	// digests: they must not write into digests, which gatherActive may
 	// be holding as its memoized active-set snapshot (gatherValid).
@@ -388,17 +391,14 @@ func (m *Machine) nextAppSlot() *app {
 }
 
 // Reset retires every application and rewinds virtual time to zero,
-// keeping the machine's configuration, arbiter and solver scratch.
-// Pending shared-cache publications are flushed first so work solved by
-// the retiring tenant stays visible process-wide. A reset
-// machine behaves bit-identically to a freshly constructed one with the
-// same configuration: the fleet's node-runtime pool relies on exactly
+// keeping the machine's configuration, arbiter and solver scratch. A
+// reset machine behaves bit-identically to a freshly constructed one with
+// the same configuration: the fleet's node-runtime pool relies on exactly
 // that (DESIGN.md §12). App slots are retained beyond len for reuse by
 // AddApp; the jitter stream is reseeded in one store.
 //
 //copart:noalloc
 func (m *Machine) Reset() {
-	m.FlushShared()
 	for _, a := range m.apps[:cap(m.apps)] {
 		if a == nil {
 			break
@@ -634,10 +634,7 @@ func (m *Machine) Step(dt time.Duration) error {
 	m.now += dt
 	// Phase advances invalidate nothing: the cache key is exact over
 	// resolved models, so entries from an old phase simply stop being
-	// looked up. One period boundary is the batching point for
-	// shared-cache publication — everything this period solved is pushed
-	// in one grouped, striped acquire.
-	m.FlushShared()
+	// looked up.
 	return nil
 }
 
@@ -999,11 +996,8 @@ func (m *Machine) solveRef(perfs []Perf, models []AppModel, allocs []Alloc, dige
 			}
 			digests = sc.extDigests
 		}
-		if m.cache == nil {
-			m.cache = new(solveCache) //copart:allocok once per machine, on its first memoized solve
-		}
-		m.cache.encodeKey(m.cfgDigest, digests, allocs)
-		if cached, ok := sharedSolve.lookup(m.cache.key, m.cache.fp); ok {
+		m.scratch.encodeKey(m.cfgDigest, digests, allocs)
+		if cached, ok := sharedSolve.lookup(m.scratch.key, m.scratch.fp); ok {
 			return cached, nil
 		}
 	}
@@ -1012,13 +1006,11 @@ func (m *Machine) solveRef(perfs []Perf, models []AppModel, allocs []Alloc, dige
 	}
 	if shared && m.published < publishBudget {
 		m.published++
-		// encodeKey left the key in the cache's scratch. Publication is
-		// deferred into the pending batch that Step flushes once per
-		// period: one striped acquire per node-period instead of one
-		// mutex acquire per solve.
+		// encodeKey left the key in the scratch; the store makes the
+		// state a hit for every machine from the next lookup on.
 		entry := make([]Perf, len(perfs)) //copart:allocok cache-miss path: the immutable entry the shared cache will hold
 		copy(entry, perfs)
-		m.cache.pend(entry)
+		sharedSolve.store(m.scratch.key, m.scratch.fp, entry)
 	}
 	return perfs, nil
 }
@@ -1066,22 +1058,10 @@ func (m *Machine) solveFresh(perfs []Perf, models []AppModel, allocs []Alloc) er
 	return nil
 }
 
-// FlushShared publishes the solves batched since the last flush to the
-// process-wide cache, grouped so each distinct shard's lock is taken
-// once (see sharedCache.storeBatch). Machine calls it on period
-// boundaries (Step) and on Reset, and the pending buffer flushes itself
-// when it reaches capacity; drivers that solve without stepping — sweeps
-// over SolveFor — may call it to publish eagerly. Until a flush a fresh
-// solve is visible to nobody, its own machine included: a state solved
-// twice before one is solved twice (the values are equal, and storeBatch
-// replaces a duplicate key). Safe with nothing pending.
-//
-//copart:noalloc
-func (m *Machine) FlushShared() {
-	if m.cache != nil && len(m.cache.pendFps) != 0 {
-		m.cache.flush()
-	}
-}
+// FlushShared does nothing: a fresh solve is stored in the process-wide
+// cache by the miss that produced it. It is kept because the frozen
+// benchmark's solve ladder (benchmark/ladder.go) calls it.
+func (m *Machine) FlushShared() {}
 
 // solveDomainInto solves one socket's applications against one LLC and
 // one DRAM budget, writing the steady state into perfs

@@ -17,7 +17,8 @@ import (
 // striping (128 shards, each a mutex + fingerprint table) keeps fleet
 // workers from serializing on one lock; the hashKey fingerprint that
 // encodeKey leaves in the machine's scratch selects the shard and the
-// probe slot, so a key is hashed once.
+// probe slot, so a key is hashed once. A miss stores its fresh solve at
+// once (store), so the next lookup of that state anywhere is a hit.
 const (
 	sharedShardCount = 128
 	sharedShardCap   = 4096 // entries per shard; ~524k process-wide
@@ -121,48 +122,25 @@ func (c *sharedCache) lookup(key []byte, fp uint64) ([]Perf, bool) {
 	return nil, false
 }
 
-// storeBatch publishes a batch of entries, taking each distinct shard's
-// lock exactly once: a fleet period's worth of fresh solves lands in
-// the cache with one striped acquire per shard touched instead of one
-// mutex handshake per solve (see Machine.FlushShared). The batch is a
-// machine's pending buffer — keys concatenated in arena with ends[i]
-// delimiting key i, fps the precomputed fingerprints, len(fps) ==
-// len(entries) == len(ends). The shard-done set is a 128-bit mask, so
-// the grouping allocates nothing. A key already present — published by
-// another machine, or solved twice in this batch — has its entry
+// store publishes entry, solved under key (with its hashKey fingerprint
+// fp), taking the shard's lock once. A key already present — published
+// by another machine since this one's lookup missed — has its entry
 // replaced by the equal new one. A full shard evicts its oldest eighth
 // before taking a new key (eviction affects only speed and counters,
-// never values).
+// never values). The key bytes are copied; entry is kept as is and is
+// immutable from here on.
 //
 //copart:noalloc
-func (c *sharedCache) storeBatch(arena []byte, ends []int32, fps []uint64, entries [][]Perf) {
-	var done [sharedShardCount / 64]uint64
-	for i := range fps {
-		si := fps[i] % sharedShardCount
-		if done[si/64]&(1<<(si%64)) != 0 {
-			continue
+func (c *sharedCache) store(key []byte, fp uint64, entry []Perf) {
+	s := &c.shards[fp%sharedShardCount]
+	s.mu.Lock()
+	if k := s.tab.find(fp, key); k >= 0 {
+		s.tab.entries[k] = entry
+	} else {
+		if s.tab.size() >= sharedShardCap {
+			c.evictions.Add(uint64(s.tab.evictOldest(sharedShardCap / 8)))
 		}
-		done[si/64] |= 1 << (si % 64)
-		s := &c.shards[si]
-		s.mu.Lock()
-		for j := i; j < len(fps); j++ {
-			if fps[j]%sharedShardCount != si {
-				continue
-			}
-			lo := int32(0)
-			if j > 0 {
-				lo = ends[j-1]
-			}
-			key := arena[lo:ends[j]]
-			if k := s.tab.find(fps[j], key); k >= 0 {
-				s.tab.entries[k] = entries[j]
-				continue
-			}
-			if s.tab.size() >= sharedShardCap {
-				c.evictions.Add(uint64(s.tab.evictOldest(sharedShardCap / 8)))
-			}
-			s.tab.insert(fps[j], key, entries[j])
-		}
-		s.mu.Unlock()
+		s.tab.insert(fp, key, entry)
 	}
+	s.mu.Unlock()
 }

@@ -88,13 +88,10 @@ func TestSharedSolveCacheBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := writer.SolveFor(models, allocs) // miss: solve + pend
+		got, err := writer.SolveFor(models, allocs) // miss: solve + store
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Publication batches until a period boundary (Step) or an
-		// explicit flush; visibility starts at the flush.
-		writer.FlushShared()
 		if !reflect.DeepEqual(want, got) {
 			t.Fatalf("state %d: cached solve differs from bare solve", i)
 		}
@@ -141,7 +138,6 @@ func TestSharedSolveCacheOnOffIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			m.FlushShared()
 		}
 		return out
 	}
@@ -161,7 +157,6 @@ func TestSharedSolveCacheOnOffIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	seed.FlushShared()
 	seeded := SharedSolveCacheStats()
 	onPerfs := run(true)
 	if !reflect.DeepEqual(offPerfs, onPerfs) {
@@ -184,8 +179,8 @@ func TestSharedSolveCacheOnOffIdentical(t *testing.T) {
 // uncached session solves with cached SolveForInto calls on one machine,
 // so the session's table-fed kernel and the memoized path share the
 // machine's scratch mid-traffic; only the SolveForInto arm may move a
-// cache counter. Nobody flushes: publication is the pending batch
-// filling up (pendFlushAt).
+// cache counter. Every miss stores its entry while other goroutines
+// look the same shard up.
 func TestSharedSolveCacheRaceStress(t *testing.T) {
 	coldSharedCache(t)
 
@@ -264,12 +259,6 @@ func keyForShard(shard int, seq *int) []byte {
 	}
 }
 
-// storeShared publishes one entry the way machines do: as a
-// batch of one.
-func storeShared(key []byte, entry []Perf) {
-	sharedSolve.storeBatch(key, []int32{int32(len(key))}, []uint64{hashKey(key)}, [][]Perf{entry})
-}
-
 // TestSharedSolveCacheBoundedEviction fills one shard past its cap and
 // checks that eviction trims a bounded batch instead of dropping the
 // table, and that the shard never exceeds its bound.
@@ -281,7 +270,7 @@ func TestSharedSolveCacheBoundedEviction(t *testing.T) {
 	const shard = 5
 	for i := 0; i < sharedShardCap+100; i++ {
 		key := keyForShard(shard, &seq)
-		storeShared(key, entry)
+		sharedSolve.store(key, hashKey(key), entry)
 		if n := sharedSolve.shards[shard].tab.size(); n > sharedShardCap {
 			t.Fatalf("shard grew to %d entries, cap is %d", n, sharedShardCap)
 		}
@@ -298,9 +287,9 @@ func TestSharedSolveCacheBoundedEviction(t *testing.T) {
 	// Re-storing an existing key at a full shard must not evict.
 	full := SharedSolveCacheStats()
 	key := keyForShard(shard, &seq)
-	storeShared(key, entry)
+	sharedSolve.store(key, hashKey(key), entry)
 	evAfterNew := SharedSolveCacheStats().Evictions
-	storeShared(key, entry)
+	sharedSolve.store(key, hashKey(key), entry)
 	if got := SharedSolveCacheStats().Evictions; got != evAfterNew {
 		t.Fatalf("overwriting an existing key evicted (%d → %d)", evAfterNew, got)
 	}

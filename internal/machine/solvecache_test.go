@@ -84,7 +84,6 @@ func TestSolveCacheTransparent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cached.FlushShared() // a period boundary: the solve becomes a lookup
 		want, err := bare.Solve()
 		if err != nil {
 			t.Fatal(err)
@@ -108,7 +107,6 @@ func TestSolveCacheReturnsFreshSlices(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cached.FlushShared()
 	second, err := cached.Solve() // cache hit
 	if err != nil {
 		t.Fatal(err)
@@ -134,14 +132,18 @@ func TestSolveCacheReturnsFreshSlices(t *testing.T) {
 	}
 }
 
-// TestSolveCacheBatchSemantics pins what the pending batch means without
-// a per-machine table: a state solved twice before a flush is solved
-// twice (both results fresh and equal), the flush leaves one entry, and
-// from then on the state is a lookup.
-func TestSolveCacheBatchSemantics(t *testing.T) {
+// TestSolveCachePublishesOnSolve pins when a fresh solve becomes
+// visible: at once. A second machine's solve of the state the writer just
+// solved is a hit — no Step, Reset or FlushShared in between — and returns
+// the writer's result bit for bit.
+func TestSolveCachePublishesOnSolve(t *testing.T) {
 	coldSharedCache(t)
 	cfg := DefaultConfig()
-	cached, bare, models := twinMachines(t, cfg)
+	writer, _, models := twinMachines(t, cfg)
+	reader, err := New(cfg, WithSolveCache())
+	if err != nil {
+		t.Fatal(err)
+	}
 	masks, err := AssignContiguousWays([]int{4, 3, 2, 2}, 0, cfg.LLCWays)
 	if err != nil {
 		t.Fatal(err)
@@ -150,31 +152,23 @@ func TestSolveCacheBatchSemantics(t *testing.T) {
 	for i := range allocs {
 		allocs[i] = Alloc{CBM: masks[i], MBALevel: 60}
 	}
-	want, err := bare.SolveFor(models, allocs)
+	want, err := writer.SolveFor(models, allocs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	solve := func(call string, hits, misses uint64, entries int) {
-		t.Helper()
-		got, err := cached.SolveFor(models, allocs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s call differs from the bare solve", call)
-		}
-		if st := SharedSolveCacheStats(); st.Hits != hits || st.Misses != misses || st.Entries != entries {
-			t.Fatalf("after the %s call: %d hits, %d misses, %d entries; want %d, %d, %d",
-				call, st.Hits, st.Misses, st.Entries, hits, misses, entries)
+	got, err := reader.SolveFor(models, allocs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := SharedSolveCacheStats(); st.Hits != 1 || st.Misses != 1 || st.Entries != 1 {
+		t.Fatalf("the writer's miss and the reader's lookup left %d hits, %d misses, %d entries; want 1, 1, 1",
+			st.Hits, st.Misses, st.Entries)
+	}
+	for i := range want {
+		if perfBits(got[i]) != perfBits(want[i]) {
+			t.Fatalf("app %d: the reader's hit %+v differs from the writer's solve %+v", i, got[i], want[i])
 		}
 	}
-	solve("first", 0, 1, 0)
-	solve("second", 0, 2, 0)
-	cached.FlushShared()
-	if st := SharedSolveCacheStats(); st.Entries != 1 {
-		t.Fatalf("flushing one state solved twice left %d entries, want 1", st.Entries)
-	}
-	solve("third", 1, 2, 1)
 }
 
 // TestSolveCachePublishBudget pins the bound on what one machine adds to
@@ -210,7 +204,6 @@ func TestSolveCachePublishBudget(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		m.FlushShared()
 	}
 	solveAll(states)
 	if st := SharedSolveCacheStats(); st.Entries != publishBudget || st.Misses != uint64(len(states)) {
@@ -270,7 +263,6 @@ func TestSolveCacheNeverStale(t *testing.T) {
 			t.Helper()
 			perfs, err := m.Solve()
 			must(err)
-			m.FlushShared()
 			steps, solves = append(steps, step), append(solves, perfs)
 		}
 		partition := func(names []string, counts []int, level int) {

@@ -51,12 +51,11 @@ type Policy interface {
 func evaluate(cfg machine.Config, models []machine.AppModel, allocs []machine.Alloc) (Result, error) {
 	// Cache-enabled: the solo solves repeat verbatim across the policies
 	// evaluating one mix (and across grid cells), so the shared cache
-	// deduplicates them process-wide once the machine publishes them.
+	// deduplicates them process-wide.
 	m, err := machine.New(cfg, machine.WithSolveCache())
 	if err != nil {
 		return Result{}, err
 	}
-	defer m.FlushShared()
 	perfs, err := m.SolveFor(models, allocs)
 	if err != nil {
 		return Result{}, err
@@ -182,13 +181,12 @@ func (s ST) Run(cfg machine.Config, models []machine.AppModel) (Result, error) {
 		}
 	}
 	// The solve cache serves only the solo solves, which repeat verbatim
-	// across the policies evaluating one mix, published on return. The
-	// search runs through a SolveSession: table-backed and uncached.
+	// across the policies evaluating one mix. The search runs through a
+	// SolveSession: table-backed and uncached.
 	m, err := machine.New(cfg, machine.WithSolveCache())
 	if err != nil {
 		return Result{}, err
 	}
-	defer m.FlushShared()
 	solo := make([]float64, n)
 	for i, model := range models {
 		p, err := m.SoloPerf(model)
