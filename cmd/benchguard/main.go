@@ -1,6 +1,6 @@
 // Command benchguard runs the repo's frozen benchmark on a git revision
-// (the parent) and on the working tree (the change) in alternating
-// pairs, and gives each (workload, end-to-end metric) a verdict.
+// (the parent) and on the working tree (the change) in pairs of runs,
+// and gives each (workload, end-to-end metric) a verdict.
 //
 //	go run ./cmd/benchguard [-smoke] REV
 //
@@ -9,11 +9,16 @@
 // copied, each into a temporary directory removed on exit. The command,
 // run length, workloads and metrics come from the working tree's
 // BENCHMARK.json. Pair k (k = 1…10) runs every workload at seed k in both
-// trees, the parent first in odd pairs: which side runs first can move a
-// metric by tens of percent on a shared machine. Per workload it also
-// reports whether the per-seed sim digests are identical (a behaviour
-// change moves them on purpose, so that is not a failure) and each side's
-// failed/attempted ops. Exit status 1: a row regressed, a run printed
+// trees. Which side runs first can move a metric by tens of percent on a
+// shared machine, so each workload's pairs are split evenly between the
+// two orders, five each, in a fixed-seed shuffled sequence (firstSides):
+// neither side runs first more often, and the order does not alternate
+// in lockstep with anything else. The report prints each workload's
+// first-run/second-run ratio (the change's own effect cancelled, see
+// orderRatio) as its own row. Per workload it also reports whether the
+// per-seed sim digests are identical (a behaviour change moves them on
+// purpose, so that is not a failure) and each side's failed/attempted
+// ops. Exit status 1: a row regressed, a run printed
 // `correct: false`, or the change fails a larger share of ops than the
 // parent; 2: a tree could not be extracted or a run could not be made.
 // -smoke runs one pair of 1 s runs and gates only on correctness and
@@ -26,8 +31,10 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"hash/fnv"
 	"io"
 	"math"
+	"math/rand"
 	"os"
 	"os/exec"
 	"os/signal"
@@ -36,12 +43,16 @@ import (
 	"strconv"
 	"strings"
 	"text/tabwriter"
+
+	"repro/internal/splitmix"
 )
 
 const (
 	pairs        = 10 // seeds 1…10, the held-out seed 7 included
 	gainWins     = 9
 	smokeSeconds = 1
+	// orderSeed fixes firstSides' shuffle, so a rerun repeats its order.
+	orderSeed = 0x5eed
 )
 
 // spec is the part of BENCHMARK.json the runner reads.
@@ -164,18 +175,36 @@ git ls-files -z --cached --others --exclude-standard |
 	return nil
 }
 
+// firstSides is the side that runs first in each of n pairs of
+// workload, pair k at index k−1: ⌈n/2⌉ parent-first and ⌊n/2⌋
+// change-first slots, shuffled by a source seeded from orderSeed and the
+// workload's name.
+func firstSides(workload string, n int) []int {
+	order := make([]int, n)
+	for i := range order {
+		order[i] = i % 2
+	}
+	h := fnv.New64a()
+	io.WriteString(h, workload)
+	var src splitmix.Source
+	src.Seed(int64(h.Sum64() ^ orderSeed))
+	rand.New(&src).Shuffle(n, func(i, j int) { order[i], order[j] = order[j], order[i] })
+	return order
+}
+
 // runPairs runs n pairs of every workload through run, pair k at seed k,
-// the parent first in odd pairs. Each run's progress line carries its
+// the side firstSides names first. Each run's progress line carries its
 // end-to-end values, so the logs of two invocations can be pooled.
 func runPairs(sp spec, n int, run func(side int, workload string, seed int) (result, error), progress io.Writer) (samples, error) {
 	got := make(samples, len(sp.Workloads))
+	orders := make([][]int, len(sp.Workloads))
+	for i, wl := range sp.Workloads {
+		orders[i] = firstSides(wl.Name, n)
+	}
 	for k := 1; k <= n; k++ {
-		order := [2]int{parent, change}
-		if k%2 == 0 {
-			order = [2]int{change, parent}
-		}
 		for i, wl := range sp.Workloads {
-			for _, s := range order {
+			first := orders[i][k-1]
+			for _, s := range [2]int{first, 1 - first} {
 				r, err := run(s, wl.Name, k)
 				if err != nil {
 					return nil, fmt.Errorf("pair %d, %s, %s: %w", k, wl.Name, sides[s], err)
@@ -267,8 +296,26 @@ func verdict(m metricSpec, par, chg []float64) string {
 	return "ok"
 }
 
-// report prints the metric table and the per-workload digest and ops
-// table, and returns the exit status.
+// orderRatio is how much slower (above 1) or faster a metric reads on a
+// pair's first run than on its second, with the change's own effect
+// cancelled: the geometric mean of the median first/second ratio over
+// the pairs the parent ran first and over those the change ran first.
+// ok is false unless each side ran first at least once (one pair).
+func orderRatio(rs [2][]result, workload, metric string) (ratio float64, ok bool) {
+	var byFirst [2][]float64
+	for k, first := range firstSides(workload, len(rs[parent])) {
+		byFirst[first] = append(byFirst[first], rs[first][k].Metrics[metric].Value/rs[1-first][k].Metrics[metric].Value)
+	}
+	if len(byFirst[parent]) == 0 || len(byFirst[change]) == 0 {
+		return 0, false
+	}
+	_, a, _ := quartiles(byFirst[parent])
+	_, b, _ := quartiles(byFirst[change])
+	return math.Sqrt(a * b), true
+}
+
+// report prints the metric table, the order-effect table and the
+// per-workload digest and ops table, and returns the exit status.
 func report(w io.Writer, sp spec, got samples, smoke bool) int {
 	code := 0
 	tw := tabwriter.NewWriter(w, 0, 0, 2, ' ', 0)
@@ -291,7 +338,24 @@ func report(w io.Writer, sp spec, got samples, smoke bool) int {
 				cmed, 100*(cmed-pmed)/math.Abs(pmed), wins(m.Better, vals[parent], vals[change]), len(vals[parent]), v)
 		}
 	}
-	fmt.Fprintln(tw) // a line without cells ends the first table's columns
+	fmt.Fprintln(tw) // a line without cells ends the table's columns
+	fmt.Fprint(tw, "workload\torder effect")
+	for _, m := range sp.EndToEnd {
+		fmt.Fprintf(tw, "\t%s", m.Name)
+	}
+	fmt.Fprintln(tw)
+	for i, wl := range sp.Workloads {
+		fmt.Fprintf(tw, "%s\tfirst/second", wl.Name)
+		for _, m := range sp.EndToEnd {
+			if r, ok := orderRatio(got[i], wl.Name, m.Name); ok {
+				fmt.Fprintf(tw, "\t%.3f", r)
+			} else {
+				fmt.Fprint(tw, "\tn/a")
+			}
+		}
+		fmt.Fprintln(tw)
+	}
+	fmt.Fprintln(tw)
 	fmt.Fprintln(tw, "workload\tsim digests\tparent failed/attempted\tchange failed/attempted\tall correct")
 	for i, wl := range sp.Workloads {
 		rs := got[i]

@@ -145,8 +145,10 @@ func TestReportDigests(t *testing.T) {
 	}
 }
 
-// TestRunPairsOrder: pair k runs at seed k, the parent first in odd
-// pairs and the change first in even ones, every workload in each pair.
+// TestRunPairsOrder: pair k runs at seed k, every workload in each pair,
+// the side firstSides names first — pinned here, so a rerun repeats its
+// order — and each benchmark workload's ten pairs split 5/5 between the
+// two orders.
 func TestRunPairsOrder(t *testing.T) {
 	sp := fakeSpec
 	sp.Workloads = append(sp.Workloads, struct {
@@ -163,8 +165,8 @@ func TestRunPairsOrder(t *testing.T) {
 	}
 	want := []string{
 		"1 w parent", "1 w change", "1 v parent", "1 v change",
-		"2 w change", "2 w parent", "2 v change", "2 v parent",
-		"3 w parent", "3 w change", "3 v parent", "3 v change",
+		"2 w parent", "2 w change", "2 v parent", "2 v change",
+		"3 w change", "3 w parent", "3 v change", "3 v parent",
 	}
 	if strings.Join(calls, "; ") != strings.Join(want, "; ") {
 		t.Errorf("calls:\n%s\nwant:\n%s", strings.Join(calls, "\n"), strings.Join(want, "\n"))
@@ -172,6 +174,46 @@ func TestRunPairsOrder(t *testing.T) {
 	for k, r := range got[1][change] {
 		if v := r.Metrics["m"].Value; v != float64(k+1) {
 			t.Errorf("change run %d of v holds seed %v's result", k+1, v)
+		}
+	}
+	for _, wl := range []string{"fig12", "fig12_par", "fleet_steady", "fleet_noisy", "fleet_churn", "copartd_admit"} {
+		order := firstSides(wl, pairs)
+		n := 0
+		for _, s := range order {
+			n += s
+		}
+		if n != pairs/2 {
+			t.Errorf("%s: the change runs first in %d of %d pairs (%v), want %d", wl, n, pairs, order, pairs/2)
+		}
+	}
+	if got, want := fmt.Sprint(firstSides("fleet_steady", pairs)), "[0 1 1 1 0 0 1 0 1 0]"; got != want {
+		t.Errorf("fleet_steady's order %s, want %s", got, want)
+	}
+}
+
+// TestOrderRatio: with the change 10 % faster and a pair's first run
+// 10 % slower, whichever side it is, the order-effect row reads 1.100;
+// with neither, 1.000; with one pair, n/a.
+func TestOrderRatio(t *testing.T) {
+	par, chg := runs(10, 100, 0, 50, "a"), runs(10, 90, 0, 50, "a")
+	for k := range par {
+		first := [2][]result{par, chg}[firstSides("w", len(par))[k]]
+		first[k].Metrics = map[string]struct {
+			Value float64 `json:"value"`
+		}{"m": {Value: 1.1 * first[k].Metrics["m"].Value}}
+	}
+	for _, tc := range []struct {
+		par, chg []result
+		want     string
+	}{
+		{par, chg, "w         first/second  1.100"},
+		{runs(10, 7, 0, 1, "a"), runs(10, 7, 0, 1, "a"), "first/second  1.000"},
+		{runs(1, 7, 0, 1, "a"), runs(1, 7, 0, 1, "a"), "first/second  n/a"},
+	} {
+		var out strings.Builder
+		report(&out, fakeSpec, samples{{tc.par, tc.chg}}, false)
+		if !strings.Contains(out.String(), tc.want) {
+			t.Errorf("report has no %q row:\n%s", tc.want, out.String())
 		}
 	}
 }

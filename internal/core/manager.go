@@ -22,6 +22,10 @@ import (
 // whenever Apps may have changed; the manager polls Apps only when it has
 // moved. A wrapper that changes what Apps returns must answer it too, or
 // not embed a type that does: the promoted count would skip its Apps.
+// Likewise a target answering Stationary() bool may have idle periods
+// stepped without their ReadCounters (Manager.SkipIdle): a wrapper that
+// changes what ReadCounters returns must not embed a type that answers
+// it.
 type Target interface {
 	// Apps lists the consolidated applications.
 	Apps() []string
@@ -401,6 +405,8 @@ func (m *Manager) targetApps() []string {
 // while the target's AppsGeneration stands where names was last
 // verified; a target without one is polled and compared by name every
 // period.
+//
+//copart:noalloc
 func (m *Manager) membershipChanged() bool {
 	if m.gen != nil && m.namesOK && m.gen.AppsGeneration() == m.namesGen {
 		return false
@@ -1051,6 +1057,71 @@ func (m *Manager) IdleStep() (bool, error) {
 	return false, nil
 }
 
+// stationaryTarget is the target SkipIdle can fast-forward: one whose
+// every period adds the same counter increments while nothing is
+// reprogrammed (Stationary). The bare *machine.Machine answers it;
+// faultinject.Target and other wrappers do not, so a wrapped target is
+// always measured period by period.
+type stationaryTarget interface {
+	Stationary() bool
+}
+
+// SkipIdle advances n idle periods without measuring them when no
+// measurement could have found a change, and reports how many it
+// advanced: n, or 0 when it refuses. Each skipped period is one target
+// Step and nothing else: no counter sweep, no drift check, no Equation 2.
+// Refusal leaves everything untouched; the caller goes on with IdleStep.
+// A Step error ends the loop and is returned with the periods stepped
+// before it. The skipped periods produce no PeriodReport, leave
+// LastUnfairness at the last measured period's value and take no
+// wall-clock telemetry; the next IdleStep measures the period after them
+// exactly as if they had run (its opening sweep re-anchors the sampler at
+// the same counter values their closing sweeps would have).
+//
+// It refuses unless the manager is idle with every application's idle
+// baseline set; resilience, OnPeriod and the event log are off; neither
+// the consolidation nor the envelope changed; the target is a stationary
+// one (see stationaryTarget) and says it is stationary now; and no
+// skipped drift check could reach IdleChangeThreshold through rounding.
+// On a stationary target each period adds the same instruction increment
+// x to a counter C, and the windowed delta fl(C+x)−C is within
+// ulp(C+x)/2 ≤ 2⁻⁵³·(C+x) of x, so every skipped period's IPS — and the
+// baseline's — is within 2⁻⁵²·(C_end+x)/x of x/s in relative terms. The
+// bound is checked with C_end = C_now + n·x and x estimated from the
+// baseline, at twice that margin for the remaining roundings. Like the
+// idle phase itself, it relies on the manager being the only writer of
+// allocations.
+//
+//copart:noalloc
+func (m *Manager) SkipIdle(n int) (int, error) {
+	st, ok := m.target.(stationaryTarget)
+	if n < 1 || !ok || m.phase != PhaseIdle || m.Resilience.Enabled || m.OnPeriod != nil || m.Events != nil ||
+		m.envChanged || !st.Stationary() || m.membershipChanged() {
+		return 0, nil
+	}
+	secs := m.params.Period.Seconds()
+	for _, a := range m.apps {
+		x := a.idleIPS * secs
+		if !(x > 0) {
+			return 0, nil
+		}
+		c, err := m.target.ReadCounters(a.name)
+		if err != nil {
+			return 0, nil
+		}
+		if !((c.Instructions+float64(n+1)*x)*0x1p-50 < m.params.IdleChangeThreshold*x) {
+			return 0, nil
+		}
+	}
+	for k := 0; k < n; k++ {
+		if err := m.target.Step(m.params.Period); err != nil {
+			return k, err
+		}
+	}
+	return n, nil
+}
+
+//copart:noalloc
 func sameNames(a, b []string) bool {
 	if len(a) != len(b) {
 		return false

@@ -16,45 +16,7 @@ import (
 // drifts past the idle change threshold, and the manager must re-profile
 // and re-adapt.
 func TestManagerReadaptsOnPhaseChange(t *testing.T) {
-	cfg := machine.DefaultConfig()
-	m, err := machine.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Three steady benchmarks plus one two-phase application that is
-	// insensitive for its first 120 s and LLC-hungry afterwards.
-	for _, name := range []string{"WN", "CG"} {
-		spec, err := workloads.ByName(cfg, name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		model := spec.Model
-		if err := m.AddApp(model); err != nil {
-			t.Fatal(err)
-		}
-	}
-	phased := machine.AppModel{
-		Name: "bursty", Cores: 4, CPIBase: 0.8, AccPerInstr: 0.008,
-		Hot:        []machine.WSComponent{{Bytes: 1 << 20, Weight: 0.95, MLP: 1}},
-		StreamFrac: 0.05,
-		MLP:        4,
-		Phases: []machine.ModelPhase{
-			{Duration: 120 * time.Second},
-			{Duration: 600 * time.Second, AccScale: 4, HotScale: 8},
-		},
-	}
-	if err := m.AddApp(phased); err != nil {
-		t.Fatal(err)
-	}
-	ref, err := workloads.StreamMissRates(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mgr, err := NewManager(m, DefaultParams(), ref,
-		Envelope{LoWay: 0, Ways: cfg.LLCWays}, rand.New(rand.NewSource(5)))
-	if err != nil {
-		t.Fatal(err)
-	}
+	m, mgr := phasedSetup(t)
 
 	profiles := 0
 	if err := mgr.Profile(); err != nil {
@@ -112,4 +74,47 @@ func TestManagerReadaptsOnPhaseChange(t *testing.T) {
 	if alloc.Ways() < 2 {
 		t.Errorf("hungry phase should attract LLC ways, got %d", alloc.Ways())
 	}
+}
+
+// phasedSetup consolidates WN and CG beside an app that is insensitive
+// for its first 120 s and LLC-hungry afterwards.
+func phasedSetup(t *testing.T) (*machine.Machine, *Manager) {
+	t.Helper()
+	cfg := machine.DefaultConfig()
+	m, err := machine.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"WN", "CG"} {
+		spec, err := workloads.ByName(cfg, name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.AddApp(spec.Model); err != nil {
+			t.Fatal(err)
+		}
+	}
+	phased := machine.AppModel{
+		Name: "bursty", Cores: 4, CPIBase: 0.8, AccPerInstr: 0.008,
+		Hot:        []machine.WSComponent{{Bytes: 1 << 20, Weight: 0.95, MLP: 1}},
+		StreamFrac: 0.05,
+		MLP:        4,
+		Phases: []machine.ModelPhase{
+			{Duration: 120 * time.Second},
+			{Duration: 600 * time.Second, AccScale: 4, HotScale: 8},
+		},
+	}
+	if err := m.AddApp(phased); err != nil {
+		t.Fatal(err)
+	}
+	ref, err := workloads.StreamMissRates(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mgr, err := NewManager(m, DefaultParams(), ref,
+		Envelope{LoWay: 0, Ways: cfg.LLCWays}, rand.New(rand.NewSource(5)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m, mgr
 }

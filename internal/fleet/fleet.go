@@ -137,8 +137,10 @@ type NodeResult struct {
 	// Mix and Apps describe the workload drawn for the node.
 	Mix  string
 	Apps int
-	// Periods is the number of control periods executed; Reprofiles
-	// counts re-entries into the profiling phase (change detections).
+	// Periods is the number of post-profiling control periods the node
+	// ran, fast-forwarded idle ones included (Manager.SkipIdle);
+	// Reprofiles counts re-entries into the profiling phase (change
+	// detections).
 	Periods    int
 	Reprofiles int
 	// Unfairness is Equation 2 at the last reported period.
@@ -189,8 +191,10 @@ type HealthRollup struct {
 type BlockStats struct {
 	// Lo and Hi bound the block's node range [Lo, Hi).
 	Lo, Hi int
-	// Periods counts the block's post-profiling control periods; Samples
-	// of them were kept, every Stride-th (see stripe.go).
+	// Periods counts the block's post-profiling control periods,
+	// fast-forwarded ones included. Samples of them were kept: every
+	// Stride-th period that executed, since a fast-forwarded period runs
+	// no timed body (see stripe.go).
 	Periods int
 	Samples int
 	Stride  int
@@ -206,12 +210,14 @@ type Result struct {
 	Nodes []NodeResult
 	// Elapsed is the wall-clock duration of the whole run.
 	Elapsed time.Duration
-	// TotalPeriods is the number of control periods executed fleet-wide;
-	// PeriodsPerSec is TotalPeriods/Elapsed (node-periods per second).
+	// TotalPeriods is the number of control periods fleet-wide,
+	// fast-forwarded idle periods included; PeriodsPerSec is
+	// TotalPeriods/Elapsed (node-periods per second).
 	TotalPeriods  int
 	PeriodsPerSec float64
 	// P50 and P99 are percentiles of the per-period wall-clock latency
-	// across every node's post-profiling control periods, computed over
+	// across every node's executed post-profiling control periods — a
+	// fast-forwarded idle period is not timed — computed over
 	// the stripes' systematic samples with each sample weighted by its
 	// stripe's stride (stripe.go documents the sampling semantics).
 	P50, P99 time.Duration
@@ -676,7 +682,27 @@ func runNode(cfg Config, node, periods int, ways, mba []int, carry *nodeRuntime,
 			}
 		}
 	}
+	// settled: the last period was an idle period that found no change,
+	// so the idle baseline is set and the node may be fast-forwarded.
+	// asked: SkipIdle was already offered this node's periods — once per
+	// node, so a node it refuses (noisy, wrapped) pays one check.
+	settled, asked := false, false
 	for p := 0; p < periods; p++ {
+		if settled && !asked {
+			asked = true
+			// Everything between the baseline period and the node's last
+			// period; the last runs through IdleStep, so the node's result
+			// comes from a real measurement.
+			if n := periods - 1 - p; n > 0 {
+				skipped, err := mgr.SkipIdle(n)
+				if err != nil {
+					return NodeResult{}, nil, err
+				}
+				st.lat.advance(skipped)
+				res.Periods += skipped
+				p += skipped
+			}
+		}
 		// Periods the stripe's sampler would discard skip both clock
 		// reads — the sampler's keep/skip schedule is deterministic
 		// (stripe.go), so the skipped reads are too.
@@ -685,11 +711,14 @@ func runNode(cfg Config, node, periods int, ways, mba []int, carry *nodeRuntime,
 		if timed {
 			start = fleetClock()
 		}
+		settled = false
 		switch mgr.Phase() {
 		case core.PhaseExplore:
 			_, err = mgr.ExploreStep()
 		case core.PhaseIdle:
-			_, err = mgr.IdleStep()
+			var changed bool
+			changed, err = mgr.IdleStep()
+			settled = !changed && err == nil
 		case core.PhaseDegraded:
 			err = mgr.DegradedStep()
 		default:

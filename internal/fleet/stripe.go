@@ -47,6 +47,9 @@ import (
 // so a run reads the clock — a monotonic offset, one nanotime read —
 // twice per *kept* sample: no period is timed only for a later
 // compaction to discard it.
+// Fast-forwarded idle periods (Manager.SkipIdle) advance the sampler
+// unsampled in one step: they count in its push index and in Periods,
+// but run no timed body, so the kept set covers executed periods only.
 //
 // Because the stripes are package state, Run and RunChurn must not
 // execute concurrently with each other. (They never have: both fan out
@@ -102,6 +105,12 @@ func (s *latSampler) due() bool { return s.seen%s.stride == 0 }
 //
 //copart:noalloc
 func (s *latSampler) skip() { s.seen++ }
+
+// advance records n unsampled periods at once: fast-forwarded ones,
+// which run no timed period body.
+//
+//copart:noalloc
+func (s *latSampler) advance(n int) { s.seen += uint64(n) }
 
 // push records one period latency, keeping it if the current push
 // index is a multiple of the stride.

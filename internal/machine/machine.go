@@ -638,6 +638,15 @@ func (m *Machine) Step(dt time.Duration) error {
 	return nil
 }
 
+// Stationary reports whether every period of the same length adds the
+// same increments to every counter while nothing is reprogrammed: no
+// measurement noise and no phased app. A controller uses it to tell that
+// an unchanged machine will measure the same rates again
+// (core.Manager.SkipIdle).
+//
+//copart:noalloc
+func (m *Machine) Stationary() bool { return m.cfg.MeasurementNoise == 0 && !m.hasPhases }
+
 // noiseFactors draws the per-period measurement jitter: a factor on the
 // whole counter stream (execution-speed jitter) and an additional
 // independent factor on the miss-related counters (cache-behaviour
