@@ -83,3 +83,51 @@ func withoutFences(text string) string {
 	}
 	return b.String()
 }
+
+var (
+	// repoPathRE matches a path under one of the repository's top-level
+	// code directories, optionally written ./dir/...
+	repoPathRE = regexp.MustCompile(`(?:^|[^\w/.-])(?:\./)?((?:internal|cmd|benchmark|examples|scripts)/[\w./-]*)`)
+	// pkgFileRE matches the short form pkg/file.go of a file under internal/.
+	pkgFileRE = regexp.MustCompile(`(?:^|[^\w/.-])(([a-z][a-z0-9]*)/\w+\.go)\b`)
+	// selectorRE matches a Go selector ending a package path (pkg.Name).
+	selectorRE = regexp.MustCompile(`\.[A-Z]\w*$`)
+)
+
+// TestDocsCiteExistingPaths fails when DESIGN.md, EXPERIMENTS.md or
+// README.md names a repository path in a code span that does not exist,
+// so prose cannot keep describing a file or package after it was moved
+// or deleted. A path is one under internal/, cmd/, benchmark/, examples/
+// or scripts/ (a trailing ... or /, or a selector .Name, dropped), or
+// the short form pkg/file.go of a package under internal/ (runtime/proc.go
+// names the Go runtime's). A pattern is checked up to its first wildcard.
+func TestDocsCiteExistingPaths(t *testing.T) {
+	cited := 0
+	for _, doc := range []string{"DESIGN.md", "EXPERIMENTS.md", "README.md"} {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, span := range codeSpanRE.FindAllStringSubmatch(withoutFences(string(text)), -1) {
+			var paths []string
+			for _, m := range repoPathRE.FindAllStringSubmatch(span[1], -1) {
+				p := selectorRE.ReplaceAllString(strings.TrimSuffix(m[1], "..."), "")
+				paths = append(paths, strings.TrimRight(p, "./"))
+			}
+			for _, m := range pkgFileRE.FindAllStringSubmatch(span[1], -1) {
+				if fi, err := os.Stat("internal/" + m[2]); err == nil && fi.IsDir() {
+					paths = append(paths, "internal/"+m[1])
+				}
+			}
+			for _, p := range paths {
+				cited++
+				if _, err := os.Stat(p); err != nil {
+					t.Errorf("%s cites `%s`, but %s does not exist", doc, span[1], p)
+				}
+			}
+		}
+	}
+	if cited == 0 {
+		t.Fatal("no path citations found: the code-span scan is broken")
+	}
+}

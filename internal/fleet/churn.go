@@ -48,10 +48,8 @@ type ChurnConfig struct {
 	// Machine configures each node's hardware; the zero value selects
 	// machine.DefaultConfig().
 	Machine machine.Config
-	// Block and LatSamples pass through to the fleet engine (see the
-	// Config fields of the same names).
-	Block      int
-	LatSamples int
+	// Block passes through to the fleet engine (see Config.Block).
+	Block int
 }
 
 // ChurnStats summarizes the virtual schedule (deterministic).
@@ -236,7 +234,7 @@ func RunChurnInto(cfg ChurnConfig, res *Result) error {
 	// count to differ, and blockRun reads that from the drawn schedule.
 	ncfg := Config{
 		Nodes: cfg.Arrivals, Periods: 1, Seed: cfg.Seed, Machine: cfg.Machine,
-		Block: cfg.Block, LatSamples: cfg.LatSamples,
+		Block: cfg.Block,
 	}
 	if err := runFleet(ncfg, true, res); err != nil {
 		return err

@@ -65,11 +65,11 @@ func TestScriptedClock(t *testing.T) {
 // push more periods than they keep: two reads per *kept* sample plus
 // the run and merge brackets. Each stripe's stride is preset from its
 // push count, fast-forwarded idle periods included, so nothing is timed
-// and later compacted away (starting at stride 1, the fixed run below
-// read the clock 184 times). A period is kept when it is due under the
+// and later compacted away. A period is kept when it is due under the
 // stride and was executed, not fast-forwarded, which pins each block's
-// kept count to the exact value below: with every period executed the
-// fixed run kept 13 per block and the churn run 11 and 16.
+// kept count to the exact value below. The runs are long enough that
+// two blocks' pushes overflow their halves of the fleet-wide budget
+// (defaultLatSamples); fast-forwarding keeps them cheap.
 func TestClockReadsPerRun(t *testing.T) {
 	var reads atomic.Int64
 	orig := fleetClock
@@ -85,7 +85,7 @@ func TestClockReadsPerRun(t *testing.T) {
 		kept := 0
 		for i, b := range res.Blocks {
 			stride := 1
-			for b.Periods > 16*stride {
+			for b.Periods > perStripeCap(len(res.Blocks))*stride {
 				stride *= 2
 			}
 			if b.Stride != stride || b.Samples != wantKept[i] {
@@ -99,18 +99,18 @@ func TestClockReadsPerRun(t *testing.T) {
 		}
 	}
 
-	// Two stripes of 16 samples, 4 nodes × 50 periods each: stride 16.
-	res, err := Run(Config{Nodes: 8, Periods: 50, Seed: 11, Block: 4, LatSamples: 32})
+	// Two stripes of 8 192 samples, 4 nodes × 5 000 periods each: stride 4.
+	res, err := Run(Config{Nodes: 8, Periods: 5000, Seed: 11, Block: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	check("fixed", res, []int{2, 3})
+	check("fixed", res, []int{13, 16})
 
 	// Under churn a stripe's push count is the sum of its nodes' drawn
 	// lifetimes.
-	res, err = RunChurn(ChurnConfig{Arrivals: 8, MeanLife: 30, MaxLife: 60, Seed: 11, Block: 4, LatSamples: 32})
+	res, err = RunChurn(ChurnConfig{Arrivals: 8, MeanLife: 5000, MaxLife: 10000, Seed: 11, Block: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	check("churn", res, []int{5, 10})
+	check("churn", res, []int{25, 30})
 }

@@ -83,15 +83,6 @@ type Config struct {
 	// sampled latency population, and every per-block figure are
 	// identical at any -parallel setting.
 	Block int
-	// LatSamples bounds the number of period-latency samples the run
-	// keeps, fleet-wide; 0 selects 16384 (defaultLatSamples, which also
-	// documents why that resolution suffices). The budget is split evenly
-	// across blocks, and each block keeps a deterministic systematic
-	// sample of its periods — every stride-th, the stride doubling when
-	// the block's share fills — so the kept samples always span the
-	// whole run uniformly regardless of Nodes×Periods (see stripe.go
-	// for the exact semantics).
-	LatSamples int
 }
 
 // maxMixApps caps the per-node consolidation size (the paper evaluates
@@ -119,11 +110,8 @@ func (c Config) blockSize() int {
 
 // perStripeCap splits the fleet-wide latency sample budget across nb
 // stripes.
-func perStripeCap(latSamples, nb int) int {
-	if latSamples <= 0 {
-		latSamples = defaultLatSamples
-	}
-	per := (latSamples + nb - 1) / nb
+func perStripeCap(nb int) int {
+	per := (defaultLatSamples + nb - 1) / nb
 	if per < 2 {
 		per = 2
 	}
@@ -845,7 +833,7 @@ func (res *Result) reset(nodes, nb, block int) {
 func runFleet(cfg Config, churn bool, res *Result) error {
 	block := cfg.blockSize()
 	nb := (cfg.Nodes + block - 1) / block
-	perCap := perStripeCap(cfg.LatSamples, nb)
+	perCap := perStripeCap(nb)
 	res.reset(cfg.Nodes, nb, block)
 	growStripes(nb)
 	for b := 0; b < nb; b++ {

@@ -56,14 +56,13 @@ import (
 // internally, and the pool's warm-reuse design already assumes
 // serialized runs.)
 
-// defaultLatSamples is the fleet-wide sample budget when
-// Config.LatSamples is zero. 16384 systematic samples pin the p50/p99
+// defaultLatSamples is the fleet-wide sample budget, split evenly
+// across blocks (perStripeCap). 16384 systematic samples pin the p50/p99
 // of a 131072-node run to well under a tenth of a percentile rank —
 // the retired 65536-slot ring bought no more accuracy, it just
 // windowed to the tail — and every unsampled period skips two clock
 // reads, so the smaller budget also quarters the fleet's residual
-// syscall traffic on large runs. Raise Config.LatSamples to trade
-// clock reads for resolution.
+// syscall traffic on large runs.
 const defaultLatSamples = 1 << 14
 
 // latSampler keeps a deterministic systematic sample of a stream of

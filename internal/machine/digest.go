@@ -118,14 +118,14 @@ func (sc *solveScratch) encodeKey(cfgDigest uint64, digests []uint64, allocs []A
 	sc.fp = hashKey(k)
 }
 
-// hashKey hashes an encoded cache key (shared-cache shard and probe slot
-// selection). It folds the key eight bytes at a time — FNV constants
-// over little-endian words rather than bytes — because it runs once per
-// memoized solve over a ~100-byte key and the byte-serial form was a
-// visible fraction of a fleet period sweep. The word-folded value
-// differs from byte-wise FNV-1a, which is irrelevant here: the hash
-// picks a shard and a slot, it never names an entry (perfTable compares
-// the exact key bytes).
+// hashKey hashes an encoded cache key to pick its shared-cache shard. It
+// folds the key eight bytes at a time — FNV constants over little-endian
+// words rather than bytes — because it runs once per memoized solve over
+// a ~100-byte key and the byte-serial form was a visible fraction of a
+// fleet period sweep. The folds leave only the low bytes of each word in
+// the low bits of h, which pick the shard, so murmur3's fmix64 finalizer
+// mixes every bit into them. The hash never names an entry: the shard's
+// map compares the exact key bytes.
 //
 //copart:noalloc
 func hashKey(key []byte) uint64 {
@@ -138,5 +138,10 @@ func hashKey(key []byte) uint64 {
 	for _, b := range key {
 		h = (h ^ uint64(b)) * fnvPrime64
 	}
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	h *= 0xc4ceb9fe1a85ec53
+	h ^= h >> 33
 	return h
 }

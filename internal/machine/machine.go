@@ -228,8 +228,7 @@ type Machine struct {
 	// RemoveApp/Reset) is harmless.
 	scanCursor int
 	scratch    solveScratch
-	published  int32 // fresh solves stored in the shared cache since New or Reset
-	memoAll    bool  // WithSolveCache: every solve is memoized, not only shared-way runs
+	memoAll    bool // WithSolveCache: every solve is memoized, not only shared-way runs
 }
 
 // advanceCursor moves the lookup hint past a scan hit at slot i,
@@ -414,7 +413,6 @@ func (m *Machine) Reset() {
 	m.hasPhases = false
 	m.solveClean = false
 	m.gatherValid = false
-	m.published = 0
 }
 
 // RemoveApp terminates an application (the idle phase detects this as a
@@ -1013,8 +1011,7 @@ func (m *Machine) solveRef(perfs []Perf, models []AppModel, allocs []Alloc, dige
 	if err := m.solveFresh(perfs, models, allocs); err != nil {
 		return nil, err
 	}
-	if shared && m.published < publishBudget {
-		m.published++
+	if shared {
 		// encodeKey left the key in the scratch; the store makes the
 		// state a hit for every machine from the next lookup on.
 		entry := make([]Perf, len(perfs)) //copart:allocok cache-miss path: the immutable entry the shared cache will hold
@@ -1023,11 +1020,6 @@ func (m *Machine) solveRef(perfs []Perf, models []AppModel, allocs []Alloc, dige
 	}
 	return perfs, nil
 }
-
-// publishBudget caps the fresh solves one machine adds to the shared
-// cache between Resets, bounding what a long-running daemon that admits
-// varied guests keeps (DESIGN.md §7.4). Later new states are not kept.
-const publishBudget = 4096
 
 // solveFresh solves a validated state without touching the cache.
 // Sockets are independent resource domains: each has its own LLC and

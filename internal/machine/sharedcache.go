@@ -14,14 +14,14 @@ import (
 // bit-identical to recomputation barring a digest collision, and sharing
 // cannot perturb any seeded run regardless of goroutine interleaving —
 // only which duplicate solve is skipped is timing-dependent. Lock
-// striping (128 shards, each a mutex + fingerprint table) keeps fleet
-// workers from serializing on one lock; the hashKey fingerprint that
-// encodeKey leaves in the machine's scratch selects the shard and the
-// probe slot, so a key is hashed once. A miss stores its fresh solve at
-// once (store), so the next lookup of that state anywhere is a hit.
+// striping (128 shards, each a mutex + map) keeps fleet workers from
+// serializing on one lock; the hashKey fingerprint that encodeKey leaves
+// in the machine's scratch selects the shard. A miss stores its fresh
+// solve at once (store), so the next lookup of that state anywhere is a
+// hit. The shard cap is the cache's only bound.
 const (
 	sharedShardCount = 128
-	sharedShardCap   = 4096 // entries per shard; ~524k process-wide
+	sharedShardCap   = 512 // entries per shard; 65 536 process-wide
 )
 
 // SharedCacheStats is a snapshot of the process-wide cache counters.
@@ -33,9 +33,12 @@ type SharedCacheStats struct {
 	Entries   int
 }
 
+// sharedShard maps encoded keys to their immutable entries; order lists
+// the keys oldest first, so eviction is deterministic.
 type sharedShard struct {
-	mu  sync.Mutex
-	tab perfTable
+	mu    sync.Mutex
+	m     map[string][]Perf
+	order []string
 }
 
 type sharedCache struct {
@@ -79,7 +82,7 @@ func SharedSolveCacheStats() SharedCacheStats {
 	for i := range sharedSolve.shards {
 		s := &sharedSolve.shards[i]
 		s.mu.Lock()
-		st.Entries += s.tab.size()
+		st.Entries += len(s.m)
 		s.mu.Unlock()
 	}
 	return st
@@ -91,7 +94,9 @@ func ResetSharedSolveCache() {
 	for i := range sharedSolve.shards {
 		s := &sharedSolve.shards[i]
 		s.mu.Lock()
-		s.tab.truncate()
+		clear(s.m)
+		clear(s.order) // release the key strings to the GC
+		s.order = s.order[:0]
 		s.mu.Unlock()
 	}
 	sharedSolve.hits.Store(0)
@@ -108,13 +113,9 @@ func ResetSharedSolveCache() {
 func (c *sharedCache) lookup(key []byte, fp uint64) ([]Perf, bool) {
 	s := &c.shards[fp%sharedShardCount]
 	s.mu.Lock()
-	var entry []Perf
-	i := s.tab.find(fp, key)
-	if i >= 0 {
-		entry = s.tab.entries[i]
-	}
+	entry, ok := s.m[string(key)]
 	s.mu.Unlock()
-	if i >= 0 {
+	if ok {
 		c.hits.Add(1)
 		return entry, true
 	}
@@ -123,24 +124,40 @@ func (c *sharedCache) lookup(key []byte, fp uint64) ([]Perf, bool) {
 }
 
 // store publishes entry, solved under key (with its hashKey fingerprint
-// fp), taking the shard's lock once. A key already present — published
-// by another machine since this one's lookup missed — has its entry
-// replaced by the equal new one. A full shard evicts its oldest eighth
-// before taking a new key (eviction affects only speed and counters,
-// never values). The key bytes are copied; entry is kept as is and is
-// immutable from here on.
+// fp), taking the shard's lock once. A key already present — stored by
+// another machine since this one's lookup missed — keeps its equal
+// entry. A full shard evicts its oldest eighth before taking a new key
+// (eviction affects only speed and counters, never values). The key
+// bytes are copied; entry is kept as is and is immutable from here on.
 //
 //copart:noalloc
 func (c *sharedCache) store(key []byte, fp uint64, entry []Perf) {
 	s := &c.shards[fp%sharedShardCount]
 	s.mu.Lock()
-	if k := s.tab.find(fp, key); k >= 0 {
-		s.tab.entries[k] = entry
-	} else {
-		if s.tab.size() >= sharedShardCap {
-			c.evictions.Add(uint64(s.tab.evictOldest(sharedShardCap / 8)))
+	if _, ok := s.m[string(key)]; !ok {
+		if len(s.order) >= sharedShardCap {
+			c.evictions.Add(uint64(s.evictOldest(sharedShardCap / 8)))
 		}
-		s.tab.insert(fp, key, entry)
+		if s.m == nil {
+			s.m = make(map[string][]Perf) //copart:allocok first store into the shard
+		}
+		k := string(key) //copart:allocok cache-miss path: the map keeps its own copy of the key
+		s.m[k] = entry
+		s.order = append(s.order, k) //copart:allocok amortized growth up to the shard cap
 	}
 	s.mu.Unlock()
+}
+
+// evictOldest deletes the batch oldest keys (batch ≤ the shard's size)
+// and reports how many went.
+//
+//copart:noalloc
+func (s *sharedShard) evictOldest(batch int) int {
+	for _, k := range s.order[:batch] {
+		delete(s.m, k)
+	}
+	n := copy(s.order, s.order[batch:])
+	clear(s.order[n:])
+	s.order = s.order[:n]
+	return batch
 }

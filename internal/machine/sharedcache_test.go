@@ -248,7 +248,7 @@ func TestSharedSolveCacheRaceStress(t *testing.T) {
 }
 
 // keyForShard fabricates distinct keys that all land in the same shard,
-// so the eviction bound can be exercised without half a million inserts.
+// so the eviction bound can be exercised without 65 536 inserts.
 func keyForShard(shard int, seq *int) []byte {
 	for {
 		*seq++
@@ -271,7 +271,7 @@ func TestSharedSolveCacheBoundedEviction(t *testing.T) {
 	for i := 0; i < sharedShardCap+100; i++ {
 		key := keyForShard(shard, &seq)
 		sharedSolve.store(key, hashKey(key), entry)
-		if n := sharedSolve.shards[shard].tab.size(); n > sharedShardCap {
+		if n := len(sharedSolve.shards[shard].m); n > sharedShardCap {
 			t.Fatalf("shard grew to %d entries, cap is %d", n, sharedShardCap)
 		}
 	}
@@ -281,7 +281,7 @@ func TestSharedSolveCacheBoundedEviction(t *testing.T) {
 	}
 	// Bounded batches, not whole-table drops: after the overflow the
 	// shard must retain at least cap − batch − 1 entries.
-	if n := sharedSolve.shards[shard].tab.size(); n < sharedShardCap-sharedShardCap/8-1 {
+	if n := len(sharedSolve.shards[shard].m); n < sharedShardCap-sharedShardCap/8-1 {
 		t.Fatalf("eviction dropped too much: %d entries left of %d cap", n, sharedShardCap)
 	}
 	// Re-storing an existing key at a full shard must not evict.
@@ -294,4 +294,55 @@ func TestSharedSolveCacheBoundedEviction(t *testing.T) {
 		t.Fatalf("overwriting an existing key evicted (%d → %d)", evAfterNew, got)
 	}
 	_ = full
+}
+
+// TestSharedSolveCacheShardsBalanced spreads the keys of one four-app
+// fleet node's search space — every contiguous split of the ways, times
+// two apps' MBA levels — over the shards: the fullest may hold at most
+// twice the mean. The FNV word fold alone leaves the shard bits to the
+// first byte of each word and the tail, which put 3 500 of these 12 000
+// keys in one shard and none in others.
+func TestSharedSolveCacheShardsBalanced(t *testing.T) {
+	cfg := DefaultConfig()
+	models := sharedTestModels(4)
+	digests := make([]uint64, len(models))
+	for i := range models {
+		digests[i] = modelDigest(&models[i])
+	}
+	var sc solveScratch
+	var counts [sharedShardCount]int
+	keys := 0
+	for a := 1; a < cfg.LLCWays; a++ {
+		for b := 1; a+b < cfg.LLCWays; b++ {
+			for c := 1; a+b+c < cfg.LLCWays; c++ {
+				masks, err := AssignContiguousWays([]int{a, b, c, cfg.LLCWays - a - b - c}, 0, cfg.LLCWays)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for l0 := 10; l0 <= 100; l0 += 10 {
+					for l1 := 10; l1 <= 100; l1 += 10 {
+						allocs := []Alloc{
+							{CBM: masks[0], MBALevel: l0},
+							{CBM: masks[1], MBALevel: l1},
+							{CBM: masks[2], MBALevel: 100},
+							{CBM: masks[3], MBALevel: 100},
+						}
+						sc.encodeKey(configDigest(cfg), digests, allocs)
+						counts[sc.fp%sharedShardCount]++
+						keys++
+					}
+				}
+			}
+		}
+	}
+	if keys != 12000 {
+		t.Fatalf("enumerated %d keys, want 12000", keys)
+	}
+	fullest := 0
+	for _, n := range counts {
+		fullest = max(fullest, n)
+	}
+	if mean := float64(keys) / sharedShardCount; float64(fullest) > 2*mean {
+		t.Fatalf("fullest shard holds %d keys against a mean of %.1f", fullest, mean)
+	}
 }

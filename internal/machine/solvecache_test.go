@@ -171,11 +171,11 @@ func TestSolveCachePublishesOnSolve(t *testing.T) {
 	}
 }
 
-// TestSolveCachePublishBudget pins the bound on what one machine adds to
-// the shared cache: the first publishBudget fresh solves are kept, the
-// next ones are solved and not kept, the kept ones still hit, and Reset
-// restores the budget.
-func TestSolveCachePublishBudget(t *testing.T) {
+// TestSolveCacheKeepsEveryState pins that the shard cap is the cache's
+// only bound: one machine solving more distinct states than a shard holds
+// (but far fewer than the cache does) keeps every one of them, so solving
+// them all again, with no Reset in between, is all hits.
+func TestSolveCacheKeepsEveryState(t *testing.T) {
 	coldSharedCache(t)
 	cfg := DefaultConfig()
 	m, err := New(cfg, WithSolveCache())
@@ -185,41 +185,39 @@ func TestSolveCachePublishBudget(t *testing.T) {
 	models := []AppModel{llcSensitiveModel(), bwSensitiveModel()}
 	models[0].Name, models[1].Name = "a", "b"
 	// Distinct states: app a's contiguous CBM and both apps' MBA levels.
+	const want = 4104
 	var states [][]Alloc
-	for lo := 0; lo < cfg.LLCWays && len(states) < publishBudget+8; lo++ {
-		for hi := lo + 1; hi <= cfg.LLCWays && len(states) < publishBudget+8; hi++ {
-			for la := 10; la <= 100 && len(states) < publishBudget+8; la += 10 {
-				for lb := 10; lb <= 100 && len(states) < publishBudget+8; lb += 10 {
+	for lo := 0; lo < cfg.LLCWays && len(states) < want; lo++ {
+		for hi := lo + 1; hi <= cfg.LLCWays && len(states) < want; hi++ {
+			for la := 10; la <= 100 && len(states) < want; la += 10 {
+				for lb := 10; lb <= 100 && len(states) < want; lb += 10 {
 					cbm := (uint64(1)<<hi - 1) &^ (uint64(1)<<lo - 1)
 					states = append(states, []Alloc{{CBM: cbm, MBALevel: la}, {CBM: cfg.FullMask(), MBALevel: lb}})
 				}
 			}
 		}
 	}
+	if len(states) != want {
+		t.Fatalf("built %d states, want %d", len(states), want)
+	}
 	perfs := make([]Perf, len(models))
-	solveAll := func(set [][]Alloc) {
+	solveAll := func() {
 		t.Helper()
-		for _, allocs := range set {
+		for _, allocs := range states {
 			if err := m.SolveForInto(perfs, models, allocs); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	solveAll(states)
-	if st := SharedSolveCacheStats(); st.Entries != publishBudget || st.Misses != uint64(len(states)) {
-		t.Fatalf("%d fresh solves left %d entries (%d misses); want the budget, %d",
-			len(states), st.Entries, st.Misses, publishBudget)
+	solveAll()
+	if st := SharedSolveCacheStats(); st.Entries != want || st.Misses != want || st.Evictions != 0 {
+		t.Fatalf("%d fresh solves left %+v; want %d entries and misses, no eviction", want, st, want)
 	}
 	before := SharedSolveCacheStats()
-	solveAll(states)
+	solveAll()
 	after := SharedSolveCacheStats()
-	if hits, misses := after.Hits-before.Hits, after.Misses-before.Misses; hits != publishBudget || misses != 8 {
-		t.Fatalf("re-solving made %d hits and %d misses; want %d and 8", hits, misses, publishBudget)
-	}
-	m.Reset()
-	solveAll(states[publishBudget:])
-	if st := SharedSolveCacheStats(); st.Entries != publishBudget+8 {
-		t.Fatalf("after Reset the machine's new states left %d entries, want %d", st.Entries, publishBudget+8)
+	if hits, misses := after.Hits-before.Hits, after.Misses-before.Misses; hits != want || misses != 0 {
+		t.Fatalf("re-solving made %d hits and %d misses; want %d and 0", hits, misses, want)
 	}
 }
 
