@@ -22,10 +22,10 @@
 //
 // With -churn the fleet runs over a trace instead of a fixed grid:
 // -nodes becomes the total number of Poisson arrivals and -periods the
-// mean exponential lifetime in control periods; departing nodes return
-// their runtimes to the pool and arrivals reinitialize them in place
-// (fleet.RunChurn). The pool hit/miss/eviction counters and the virtual
-// live-population stats are reported alongside the usual figures.
+// mean exponential lifetime in control periods; each arrival
+// reinitializes its block's runtime in place, whatever mix shape it ran
+// before (fleet.RunChurn). The runtime hit/miss/carry counters and the
+// virtual live-population stats are reported alongside the usual figures.
 //
 // The profiling flags mirror evaluate's: they wrap the whole
 // fleet run (verification passes included) in the runtime profilers so
@@ -162,9 +162,9 @@ func run(w io.Writer, o options) error {
 	fmt.Fprintf(w, "reprofiles:       %d\n", reprofiles)
 	// A carried runtime is as warm as a popped one: the ratio counts both,
 	// as the benchmark's fleet.pool_hit_ratio does.
-	fmt.Fprintf(w, "runtime pool:     %.1f%% warm (%d hits, %d carries, %d misses, %d evictions, %d free)\n",
+	fmt.Fprintf(w, "runtime pool:     %.1f%% warm (%d hits, %d carries, %d misses, %d free)\n",
 		pct(res.Pool.Hits+res.Pool.Carries, res.Pool.Misses), res.Pool.Hits, res.Pool.Carries,
-		res.Pool.Misses, res.Pool.Evictions, res.Pool.Free)
+		res.Pool.Misses, res.Pool.Free)
 	fmt.Fprintf(w, "solve cache:      %.1f%% hit (%d hits, %d misses, %d evictions, %d entries)\n",
 		pct(res.Shared.Hits, res.Shared.Misses), res.Shared.Hits, res.Shared.Misses,
 		res.Shared.Evictions, res.Shared.Entries)

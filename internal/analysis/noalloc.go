@@ -3,6 +3,7 @@ package analysis
 import (
 	"go/ast"
 	"go/types"
+	"slices"
 )
 
 // NewNoAlloc builds the pass that checks functions annotated
@@ -428,8 +429,10 @@ func checkStringConversion(pkg *Package, call *ast.CallExpr, stack []ast.Node,
 	report(call, "string/byte-slice conversion copies; keep one representation or annotate with //copart:allocok <reason>")
 }
 
-// stringConversionElided reports the m[string(b)] map-index form, which
-// the compiler performs without copying.
+// stringConversionElided reports a read through the m[string(b)]
+// map-index form, which the compiler performs without copying. A store
+// through the same form — m[string(b)] = v, op=, ++ and -- — copies the
+// key, since the map may keep it.
 func stringConversionElided(pkg *Package, call *ast.CallExpr, stack []ast.Node) bool {
 	if len(stack) == 0 {
 		return false
@@ -442,8 +445,19 @@ func stringConversionElided(pkg *Package, call *ast.CallExpr, stack []ast.Node) 
 	if !ok {
 		return false
 	}
-	_, isMap := xt.Type.Underlying().(*types.Map)
-	return isMap
+	if _, isMap := xt.Type.Underlying().(*types.Map); !isMap {
+		return false
+	}
+	if len(stack) < 2 {
+		return true
+	}
+	switch st := stack[len(stack)-2].(type) {
+	case *ast.AssignStmt:
+		return !slices.Contains(st.Lhs, ast.Expr(ix))
+	case *ast.IncDecStmt:
+		return st.X != ast.Expr(ix)
+	}
+	return true
 }
 
 func stringByteConversion(to, from types.Type) bool {

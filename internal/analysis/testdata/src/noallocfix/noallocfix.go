@@ -172,6 +172,21 @@ func mapIndexConversion(m map[string]int, b []byte) int {
 	return m[string(b)]
 }
 
+// mapIndexStore stores through the same form: the map keeps the key, so
+// the conversion copies.
+//
+//copart:noalloc
+func mapIndexStore(m map[string]int, b []byte, v int) {
+	m[string(b)] = v // want "string/byte-slice conversion copies"
+}
+
+// mapIndexIncrement reads and stores: it copies like a store.
+//
+//copart:noalloc
+func mapIndexIncrement(m map[string]int, b []byte) {
+	m[string(b)]++ // want "string/byte-slice conversion copies"
+}
+
 // unannotated allocates freely: the analyzer only reads annotated
 // functions.
 func unannotated(n int) []int {

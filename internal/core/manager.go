@@ -686,26 +686,10 @@ func ratesFrom(out []pmc.Rates, i int) []pmc.Rates {
 // and (L, M_P), and seeds both classifiers from the observed degradations.
 // It leaves the system in the equal-split state, ready for exploration.
 func (m *Manager) Profile() error {
-	names := m.targetApps()
-	if len(names) == 0 {
-		return fmt.Errorf("core: no applications to profile")
-	}
-	if err := m.env.Validate(m.target.Config(), len(names)); err != nil {
-		return err
-	}
-	m.resetApps(names)
 	m.ExploreTimes = m.ExploreTimes[:0]
-	if err := m.equalStateInto(&m.eq); err != nil {
+	if err := m.startProfile(nil); err != nil {
 		return err
 	}
-	// Forget change history across re-profiling: truncating to zero length
-	// makes applyState record no change kinds (lengths differ), exactly
-	// like the zero AllocState, without dropping the scratch capacity.
-	m.state.Ways, m.state.MBA = m.state.Ways[:0], m.state.MBA[:0]
-	if err := m.applyState(m.eq); err != nil {
-		return err
-	}
-
 	fullMask, err := windowMask(m.env)
 	if err != nil {
 		return err
@@ -718,9 +702,9 @@ func (m *Manager) Profile() error {
 
 	for i := range m.apps {
 		a := m.apps[i]
-		// applyState(m.eq) above left the EQ layout in m.masks, and nothing
-		// in the probe loop overwrites it — the per-app restore mask is a
-		// lookup, not a fresh layout computation.
+		// applyState(m.eq) in startProfile left the EQ layout in m.masks,
+		// and nothing in the probe loop overwrites it — the per-app restore
+		// mask is a lookup, not a fresh layout computation.
 		restore := machine.Alloc{CBM: m.masks[i], MBALevel: m.eq.MBA[i]}
 
 		ipsFull, err := m.probe(a.name, machine.Alloc{CBM: fullMask, MBALevel: membw.MaxLevel})
@@ -741,7 +725,6 @@ func (m *Manager) Profile() error {
 		if ipsFull <= 0 {
 			return fmt.Errorf("core: %s executed no instructions during profiling", a.name)
 		}
-		a.ipsFull = ipsFull
 		llcSeed := m.seedState(1 - ipsLLC/ipsFull)
 		mbaSeed := m.seedState(1 - ipsMBA/ipsFull)
 		// Enabled-guarded so an unobserved profile pass never boxes the
@@ -757,29 +740,69 @@ func (m *Manager) Profile() error {
 		if m.FreezeMBA {
 			mbaSeed = Maintain
 		}
-		if a.llc == nil {
-			a.llc = NewLLCClassifier(m.params, llcSeed, llcSeed == Demand)
-		} else {
-			a.llc.Reinit(m.params, llcSeed, llcSeed == Demand)
-		}
-		a.llc.UseFeatures(m.Features)
-		if a.mba == nil {
-			a.mba = NewMBAClassifier(m.params, mbaSeed, mbaSeed == Demand)
-		} else {
-			a.mba.Reinit(m.params, mbaSeed, mbaSeed == Demand)
-		}
-		a.mba.UseFeatures(m.Features)
-		a.havePerf = false
+		m.seedApp(a, ipsFull, llcSeed, mbaSeed)
 	}
+	m.enterExplore("profiling done")
+	return nil
+}
+
+// startProfile opens a profiling pass, live or from memo pm (nil for
+// live): it checks the target's applications against the envelope,
+// resets the managed set, and applies the equal-split state with the
+// change history forgotten.
+func (m *Manager) startProfile(pm *ProfileMemo) error {
+	names := m.targetApps()
+	if len(names) == 0 {
+		return fmt.Errorf("core: no applications to profile")
+	}
+	if pm != nil && len(names) != len(pm.ipsFull) {
+		return fmt.Errorf("core: profile memo covers %d apps, target has %d", len(pm.ipsFull), len(names))
+	}
+	if err := m.env.Validate(m.target.Config(), len(names)); err != nil {
+		return err
+	}
+	m.resetApps(names)
+	if err := m.equalStateInto(&m.eq); err != nil {
+		return err
+	}
+	// Forget change history across re-profiling: truncating to zero length
+	// makes applyState record no change kinds (lengths differ), exactly
+	// like the zero AllocState, without dropping the scratch capacity.
+	m.state.Ways, m.state.MBA = m.state.Ways[:0], m.state.MBA[:0]
+	return m.applyState(m.eq)
+}
+
+// seedApp records a profiled application's full-resource IPS and seeds
+// its classifiers, reusing them in place when they exist (Reinit is
+// exhaustive, so a reused classifier is bit-identical to a new one).
+func (m *Manager) seedApp(a *appRT, ipsFull float64, llcSeed, mbaSeed State) {
+	a.ipsFull = ipsFull
+	if a.llc == nil {
+		a.llc = NewLLCClassifier(m.params, llcSeed, llcSeed == Demand)
+	} else {
+		a.llc.Reinit(m.params, llcSeed, llcSeed == Demand)
+	}
+	a.llc.UseFeatures(m.Features)
+	if a.mba == nil {
+		a.mba = NewMBAClassifier(m.params, mbaSeed, mbaSeed == Demand)
+	} else {
+		a.mba.Reinit(m.params, mbaSeed, mbaSeed == Demand)
+	}
+	a.mba.UseFeatures(m.Features)
+	a.havePerf = false
+}
+
+// enterExplore closes a profiling pass: exploration starts afresh from
+// the equal split, and the phase event says how profiling ended.
+func (m *Manager) enterExplore(how string) {
 	m.phase = PhaseExplore
 	m.retry = 0
 	m.envChanged = false
 	m.haveBest = false
 	if m.Events.Enabled() {
-		m.logf(eventlog.KindPhase, "", "profiling done, exploring %d apps in envelope [%d,%d)",
-			len(m.apps), m.env.LoWay, m.env.LoWay+m.env.Ways)
+		m.logf(eventlog.KindPhase, "", "%s, exploring %d apps in envelope [%d,%d)",
+			how, len(m.apps), m.env.LoWay, m.env.LoWay+m.env.Ways)
 	}
-	return nil
 }
 
 // probe sets one application's allocation, lets a period pass, and

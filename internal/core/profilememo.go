@@ -1,11 +1,5 @@
 package core
 
-import (
-	"fmt"
-
-	"repro/internal/eventlog"
-)
-
 // ProfileMemo captures the measurement outcomes of one Profile pass:
 // each application's full-resource IPS and the classifier seed states
 // derived from the probe degradations. Everything else Profile does —
@@ -18,9 +12,9 @@ import (
 //
 // A memo is therefore reusable across managers driving *identical*
 // targets under *identical* manager configuration (Params, Envelope,
-// Features, Freeze flags, stream reference). The fleet keys its memo
-// registry on exactly that identity (machine fingerprint, mix kind,
-// application count) and pairs RestoreProfileMemo with
+// Features, Freeze flags, stream reference). The fleet keeps one memo
+// per (machine configuration, mix kind, application count), exactly that
+// identity, and pairs RestoreProfileMemo with
 // machine.RestoreHotState so the combined (machine, manager) state is
 // bit-identical to a live Profile — pinned by TestFleetPoolGolden.
 type ProfileMemo struct {
@@ -66,42 +60,11 @@ func (m *Manager) ExportProfileMemo() *ProfileMemo {
 // bit-identical to one seeded by a live probe (Reinit is exhaustive),
 // so the subsequent control trajectory is too.
 func (m *Manager) RestoreProfileMemo(pm *ProfileMemo) error {
-	names := m.targetApps()
-	if len(names) == 0 {
-		return fmt.Errorf("core: no applications to profile")
-	}
-	if len(names) != len(pm.ipsFull) {
-		return fmt.Errorf("core: profile memo covers %d apps, target has %d", len(pm.ipsFull), len(names))
-	}
-	if err := m.env.Validate(m.target.Config(), len(names)); err != nil {
+	if err := m.startProfile(pm); err != nil {
 		return err
 	}
-	m.resetApps(names)
-	if err := m.equalStateInto(&m.eq); err != nil {
-		return err
-	}
-	// Forget change history exactly as Profile does (see its comment).
-	m.state.Ways, m.state.MBA = m.state.Ways[:0], m.state.MBA[:0]
-	if err := m.applyState(m.eq); err != nil {
-		return err
-	}
-	for i := range m.apps {
-		a := m.apps[i]
-		a.ipsFull = pm.ipsFull[i]
-		llcSeed, mbaSeed := pm.llcSeeds[i], pm.mbaSeeds[i]
-		if a.llc == nil {
-			a.llc = NewLLCClassifier(m.params, llcSeed, llcSeed == Demand)
-		} else {
-			a.llc.Reinit(m.params, llcSeed, llcSeed == Demand)
-		}
-		a.llc.UseFeatures(m.Features)
-		if a.mba == nil {
-			a.mba = NewMBAClassifier(m.params, mbaSeed, mbaSeed == Demand)
-		} else {
-			a.mba.Reinit(m.params, mbaSeed, mbaSeed == Demand)
-		}
-		a.mba.UseFeatures(m.Features)
-		a.havePerf = false
+	for i, a := range m.apps {
+		m.seedApp(a, pm.ipsFull[i], pm.llcSeeds[i], pm.mbaSeeds[i])
 	}
 	// First sightings (resetApps emptied the sampler) anchor every app at
 	// (current counters, now) — the snapshots, and the anchor condition,
@@ -112,13 +75,6 @@ func (m *Manager) RestoreProfileMemo(pm *ProfileMemo) error {
 	}
 	m.anchorValid = true
 	m.anchoredAt = now
-	m.phase = PhaseExplore
-	m.retry = 0
-	m.envChanged = false
-	m.haveBest = false
-	if m.Events.Enabled() {
-		m.logf(eventlog.KindPhase, "", "profile restored from memo, exploring %d apps in envelope [%d,%d)",
-			len(m.apps), m.env.LoWay, m.env.LoWay+m.env.Ways)
-	}
+	m.enterExplore("profile restored from memo")
 	return nil
 }

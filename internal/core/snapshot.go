@@ -107,9 +107,6 @@ func (m *Manager) Snapshot() (*Snapshot, error) {
 		return nil, fmt.Errorf("core: snapshot: target %T does not export machine state (fault-injection wrappers cannot be snapshotted)", m.target)
 	}
 	msnap := exp.Snapshot()
-	if msnap.Config.BW.Curve != nil {
-		return nil, fmt.Errorf("core: snapshot: machine uses a custom MBA curve, which cannot be serialized")
-	}
 	seed, draws := m.SnapshotSource.State()
 	ms := ManagerSnapshot{
 		Params:        m.params,

@@ -12,19 +12,19 @@ import (
 // number of periods, RunChurn drives a *churning* population from
 // internal/trace temporal processes — Poisson arrivals, exponential
 // lifetimes. Each arriving node draws its own mix (possibly a different
-// app count than the runtime it inherits), runs for its drawn lifetime,
-// and returns its runtime to the pool for the next arrival to Reuse.
-// This is the pool's hostile case: under a fixed fleet every reuse
-// pairs identical shapes; under churn a 3-app node's runtime is
-// relaunched as a 6-app node and vice versa, which is exactly what
-// machine.Reset + Manager.Reuse were built to absorb (pool keyed by
-// config fingerprint only — never by mix shape — with per-mix hot-state
-// restore via the profile memos preserved).
+// app count than the node before it on its block's runtime), runs for
+// its drawn lifetime, and leaves the runtime to the next arrival to
+// Reuse. This is runtime reuse's hostile case: under a fixed fleet
+// every reuse pairs identical shapes; under churn a 3-app node's
+// runtime is relaunched as a 6-app node and vice versa, which is
+// exactly what machine.Reset + Manager.Reuse were built to absorb
+// (runtimes belong to the machine configuration's substrate — never to
+// a mix shape — and each mix still restores its own profiling outcome).
 //
 // Determinism: the whole schedule (arrival times, lifetimes) is drawn
 // up front from seeded processes, so node i's outcome stays a pure
 // function of (ChurnConfig, i) and the deterministic results are
-// bit-identical at any worker count and with the pool on or off —
+// bit-identical at any worker count and on reused or fresh runtimes —
 // pinned by TestFleetChurnGolden. The virtual schedule orders the fan
 // out (nodes launch in arrival order); wall-clock execution may overlap
 // them freely.
@@ -216,10 +216,9 @@ func churnStats() ChurnStats {
 
 // RunChurnInto executes a churning fleet into res: cfg.Arrivals nodes
 // arrive on the Poisson schedule, each living for its drawn lifetime in
-// control periods. Nodes launch in arrival order; a departing node's
-// runtime carries to the next arrival in its dispatch block or returns
-// to the pool, and the successor reinitializes it in place, whatever
-// mix shape it previously ran. A Result passed back in is reused like
+// control periods. Nodes launch in arrival order; the next arrival in a
+// dispatch block reinitializes the departed node's runtime in place,
+// whatever mix shape it previously ran. A Result passed back in is reused like
 // RunInto's, making a steady-state churn driver allocation-free.
 func RunChurnInto(cfg ChurnConfig, res *Result) error {
 	cfg = cfg.withDefaults()

@@ -93,8 +93,8 @@ func TestChurnPoolCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	if res.Pool.Hits+res.Pool.Carries != uint64(cfg.Arrivals) {
-		t.Errorf("warm sequential churn: %d hits + %d carries, want %d total (misses %d, evictions %d)",
-			res.Pool.Hits, res.Pool.Carries, cfg.Arrivals, res.Pool.Misses, res.Pool.Evictions)
+		t.Errorf("warm sequential churn: %d hits + %d carries, want %d total (misses %d)",
+			res.Pool.Hits, res.Pool.Carries, cfg.Arrivals, res.Pool.Misses)
 	}
 	// 2 blocks of 5 → one pool pop per block, the other 4 nodes carry.
 	if res.Pool.Carries != 8 {

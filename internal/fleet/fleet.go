@@ -17,39 +17,33 @@
 // count) and parallel.ForEachBlock fans the blocks out. Each block owns
 // a private telemetry stripe (stripe.go) — its latency sampler and its
 // share of every fleet counter — written with plain stores and merged
-// deterministically in block order at run end, and a block hands its
-// node runtime directly from a departing node to the next arrival
-// without a pool round-trip. Batching is what makes the steady-state
-// run allocation-free end to end: the sequential dispatch path invokes
-// a package-level function (no closure), the stripes and result slices
-// are reused via RunInto, and the per-node period loop was already
-// allocation-free.
+// deterministically in block order at run end. Batching is what makes
+// the steady-state run allocation-free end to end: the sequential
+// dispatch path invokes a package-level function (no closure), the
+// stripes and result slices are reused via RunInto, and the per-node
+// period loop was already allocation-free.
 //
-// Two read-only structures ARE shared, because they are pure functions
-// of the machine configuration: the process-wide solve cache (whose
-// entries are exact, so sharing shifts timing but never values) and a
-// per-configuration workloads.MixCache of precomputed mixes and STREAM
-// reference rates.
-//
-// Node substrates are pooled: a finished node's machine, manager, and
-// RNG go back to a free list (or carry over within a block), and the
-// next node reinitializes them in place (machine.Reset,
-// core.Manager.Reuse, Source.Seed) instead of allocating fresh ones.
-// Reinitialization is exact — a pooled node's NodeResult is
-// bit-identical to an unpooled one's, pinned by TestFleetPoolGolden —
-// so pooling, like the caches, trades allocation for nothing.
+// What nodes do share lives in one substrate per machine configuration,
+// kept process-wide across runs: an immutable workloads.MixCache of
+// precomputed mixes and STREAM reference rates, the memoized profiling
+// outcome of each (mix kind, app count), and a free list of idle node
+// runtimes. A block takes one runtime when it starts, runs every node of
+// the block on it — machine.Reset, core.Manager.Reuse and Source.Seed
+// reinitialize it in place between nodes — and gives it back when it
+// ends. The process-wide solve cache is shared too; its entries are
+// exact, so sharing shifts timing but never values.
 //
 // A fleet node is controlled exactly like a stand-alone one: the
 // default core.Features, every period measured, Equation 2 through
-// fairness.Unfairness. TestFleetNodeMatchesStandalone rebuilds nodes by
-// hand and requires bit-equal outcomes, so everything above — pool,
-// carries, profile memos, the solve cache — changes speed, never
-// values.
+// fairness.Unfairness. Reinitialization and profile restore are exact:
+// TestFleetPoolGolden pins reused runtimes against fresh ones, and
+// TestFleetNodeMatchesStandalone rebuilds nodes by hand and requires
+// bit-equal outcomes, so the substrate and the solve cache change speed,
+// never values.
 package fleet
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -223,11 +217,8 @@ type Result struct {
 	// Vestigial, always zero: see NodeResult's fields of the same names.
 	CacheHits, CacheMisses, CacheEvictions uint64
 	ScoreHits, ScoreMisses                 uint64
-	// Pool is the runtime pool's activity over this run. The hit/miss
-	// split is timing-dependent under parallel execution (whichever node
-	// finishes first donates its runtime), so it is reported here rather
-	// than per node; Carries, by contrast, is deterministic (in-block
-	// handoffs follow the fixed block structure).
+	// Pool is the runtime free list's activity over this run (see
+	// PoolStats).
 	Pool PoolStats
 	// Health rolls node conditions up (deterministic).
 	Health HealthRollup
@@ -239,6 +230,24 @@ type Result struct {
 	// pre-sliced per node, reused across RunInto calls on the same
 	// Result.
 	arena []int
+}
+
+// PoolStats reports the runtime free list's activity over one run. Each
+// block takes one runtime when it starts: Hits counts takes the free
+// list served, Misses takes that built a fresh runtime, so Hits+Misses
+// is the number of blocks. Carries counts the nodes that ran on their
+// block's runtime after an earlier node of the block, so Hits+Carries
+// nodes reused a warm runtime. Free is the free-list size after the
+// run. The hit/miss split is timing-dependent under parallel execution
+// (which blocks overlap decides how many runtimes exist), so it lives on
+// Result, not in the deterministic NodeResults; Carries follows the
+// fixed block structure and is deterministic. A fresh-runtime run
+// (testNodeTarget) takes, carries and gives nothing.
+type PoolStats struct {
+	Hits    uint64
+	Misses  uint64
+	Carries uint64
+	Free    int
 }
 
 // Validate checks the configuration.
@@ -287,156 +296,23 @@ var phaseDegradedName = core.PhaseDegraded.String()
 
 // testNodeTarget, when non-nil, supplies a node's control target (tests
 // wrap the machine with fault injection here) and the resilience policy
-// for its manager. A non-nil hook forces every node down the unpooled
-// path — fresh machine, manager and RNG, live profiling: wrapped targets
-// carry per-node fault state the pool cannot reinitialize. A hook that
+// for its manager. A non-nil hook gives every node a fresh runtime —
+// fresh machine, manager and RNG, live profiling — and leaves the
+// substrate's free list and profile table alone: wrapped targets carry
+// per-node fault state a reused runtime cannot reinitialize. A hook that
 // returns the machine itself is therefore the reference arm of the
-// pooled-vs-fresh goldens (freshSubstrates in pool_test.go).
+// reused-vs-fresh goldens (freshSubstrates in pool_test.go).
 var testNodeTarget func(node int, m *machine.Machine) (core.Target, core.Resilience)
 
-// nodeRuntime is one node's reusable substrate: the seeded RNG, the
-// simulated machine, the resource manager, and the mix cache it draws
-// workloads from. Pooled runtimes keep all of it warm between nodes;
-// runNode reinitializes each piece in place, which is exact (see the
-// package comment) and allocation-free at steady state.
+// nodeRuntime is one node's reusable state: the seeded RNG, the
+// simulated machine and the resource manager. runNode builds each piece
+// on first use and reinitializes it in place after that, which is exact
+// (see the package comment) and allocation-free at steady state.
 type nodeRuntime struct {
-	key uint64 // poolKey of the machine configuration it was built for
 	src splitmix.Source
 	rng *rand.Rand // over &src
 	m   *machine.Machine
 	mgr *core.Manager
-	mix *workloads.MixCache
-}
-
-// poolKey fingerprints a machine configuration for the runtime pool and
-// the mix-cache registry. Config.Digest covers the solver-visible
-// fields; the measurement-noise parameters are folded in on top because
-// two configs differing only in noise produce different counter streams
-// and must never share runtimes. Configs with a custom BW.Curve are not
-// fingerprintable (a func value has no digest) and bypass both caches.
-func poolKey(c machine.Config) uint64 {
-	const prime = 0x100000001b3
-	h := c.Digest()
-	h = (h ^ math.Float64bits(c.MeasurementNoise)) * prime
-	h = (h ^ uint64(c.NoiseSeed)) * prime
-	return h
-}
-
-// poolMaxFree caps the free list. Under churn the live population can
-// spike and then drain; the cap bounds how many idle runtimes (each a
-// full machine + manager) the pool retains from such a spike. At the
-// default ~20-runtime working set of a 1-config fleet the cap is never
-// reached; it exists so a pathological churn schedule cannot pin
-// unbounded memory.
-const poolMaxFree = 512
-
-// runtimePool holds idle node runtimes, keyed by machine-config
-// fingerprint. It survives across Run calls on purpose: a warm
-// benchmark iteration reuses the previous iteration's substrates, which
-// is what makes the steady-state fleet period allocation-free. The
-// hit/miss/eviction counters accumulate process-wide; Run and RunChurn
-// report per-run deltas (Result.Pool).
-var runtimePool struct {
-	sync.Mutex
-	free      []*nodeRuntime
-	hits      uint64
-	misses    uint64
-	evictions uint64
-}
-
-// PoolStats reports the runtime pool's activity over one run. Hits are
-// nodes that popped a pooled runtime, Misses nodes that built fresh
-// substrates on the poolable path, Evictions runtimes dropped because
-// the free list was at capacity. Carries counts block-local handoffs —
-// a runtime passed directly from a departing node to the next node of
-// the same dispatch block, skipping the pool lock entirely — so
-// Hits+Carries is the total number of nodes that reused a warm
-// runtime. Free is the free-list size after the run. The hit/miss
-// split is timing-dependent under parallel execution (which block
-// finishes first determines who hits), so it lives on Result, not in
-// the deterministic NodeResults; Carries follows the fixed block
-// structure and is deterministic.
-type PoolStats struct {
-	Hits      uint64
-	Misses    uint64
-	Evictions uint64
-	Carries   uint64
-	Free      int
-}
-
-// poolSnapshot reads the cumulative pool counters.
-func poolSnapshot() PoolStats {
-	p := &runtimePool
-	p.Lock()
-	defer p.Unlock()
-	return PoolStats{Hits: p.hits, Misses: p.misses, Evictions: p.evictions, Free: len(p.free)}
-}
-
-// poolDelta subtracts a snapshot taken at run start from the current
-// counters, keeping the end-of-run free-list size.
-func poolDelta(before PoolStats) PoolStats {
-	now := poolSnapshot()
-	return PoolStats{
-		Hits:      now.Hits - before.Hits,
-		Misses:    now.Misses - before.Misses,
-		Evictions: now.Evictions - before.Evictions,
-		Free:      now.Free,
-	}
-}
-
-// getRuntime pops a pooled runtime built for the given configuration,
-// or returns nil when none is available.
-//
-//copart:noalloc
-func getRuntime(key uint64) *nodeRuntime {
-	p := &runtimePool
-	p.Lock()
-	defer p.Unlock()
-	for i := len(p.free) - 1; i >= 0; i-- {
-		if p.free[i].key != key {
-			continue
-		}
-		rt := p.free[i]
-		last := len(p.free) - 1
-		p.free[i] = p.free[last]
-		p.free[last] = nil
-		p.free = p.free[:last]
-		p.hits++
-		return rt
-	}
-	p.misses++
-	return nil
-}
-
-// putRuntime returns a runtime to the pool. Only runtimes that finished
-// their node cleanly come back; error paths drop theirs, so a runtime
-// wedged by a failure can never leak state into a later node. A full
-// free list (poolMaxFree) drops the runtime instead — counted as an
-// eviction.
-//
-//copart:noalloc
-func putRuntime(rt *nodeRuntime) {
-	p := &runtimePool
-	p.Lock()
-	if len(p.free) >= poolMaxFree {
-		p.evictions++
-	} else {
-		p.free = append(p.free, rt) //copart:allocok amortized free-list growth; steady state reuses capacity
-	}
-	p.Unlock()
-}
-
-// profileKey identifies one profiling outcome: everything a node's
-// profiling phase depends on. The machine fingerprint (poolKey) pins
-// the hardware, solver constants, and noise parameters; the mix kind
-// and application count pin the exact workload models (the mix cache is
-// deterministic); and every fleet manager is configured identically
-// (DefaultParams, full-LLC envelope). Profiling consumes no RNG, so the
-// node seed does not enter the key.
-type profileKey struct {
-	mach  uint64
-	kind  workloads.MixKind
-	nApps int
 }
 
 // profileEntry pairs the machine checkpoint with the manager memo; the
@@ -446,171 +322,136 @@ type profileEntry struct {
 	pm  *core.ProfileMemo
 }
 
-// profileMap is the immutable registry snapshot getProfileMemo reads.
-type profileMap = map[profileKey]*profileEntry
-
-// profileMemos is the process-wide registry of profiling outcomes.
+// substrate is what every node of one machine configuration shares.
+//
 // Profiling is the most expensive phase of a node's life — 3 probe
 // periods per application, each a full solve-and-sample pass — and a
-// fleet draws the same few dozen (kind, nApps) combinations thousands
-// of times. The first node to profile a combination runs it live and
-// checkpoints the result; every later node restores the checkpoint,
-// bit-identically (profiling is RNG-free and, noise-free, every Step
-// is deterministic — see core.ProfileMemo).
+// fleet draws the same few dozen (kind, nApps) combinations thousands of
+// times. On a noise-free machine profiling is a pure function of the
+// configuration, the mix kind and the app count (it consumes no RNG, and
+// every fleet manager is configured identically), so the first node to
+// profile a combination runs it live and stores the outcome in
+// profiles[kind][nApps]; every later node restores it, bit-identically
+// (see core.ProfileMemo). The table is fixed-size and read with one
+// atomic load; entries are immutable once stored, and a concurrent
+// double-compute stores identical values twice.
 //
-// The registry is copy-on-write: reads (once per node) load an
-// immutable map snapshot with a single atomic, and the rare writes (a
-// few dozen per machine configuration, ever) copy the map under the
-// mutex and publish the successor. The previous mutex-per-read design
-// cost a lock round-trip per node and serialized every worker through
-// one cache line. Entries are immutable once stored; a concurrent
-// double-compute publishes identical values twice.
-var profileMemos struct {
-	sync.Mutex // serializes writers
-	snap       atomic.Pointer[profileMap]
+// free holds idle runtimes, guarded by the registry lock. A block takes
+// one when it starts and gives it back when it ends, and a take builds a
+// runtime only when the list is empty, so the list never holds more
+// runtimes than blocks that ran at the same time — at most
+// parallel.Workers().
+type substrate struct {
+	mcfg     machine.Config
+	maxApps  int // largest mix a node draws: min(LLCWays, Cores, maxMixApps)
+	mix      *workloads.MixCache
+	profiles [workloads.IS + 1][maxMixApps + 1]atomic.Pointer[profileEntry]
+	free     []*nodeRuntime
 }
 
-// getProfileMemo returns the memoized profiling outcome, or nil.
-//
-//copart:noalloc
-func getProfileMemo(k profileKey) *profileEntry {
-	m := profileMemos.snap.Load()
-	if m == nil {
-		return nil
+// substrates is the process-wide registry, one substrate per machine
+// configuration. It survives across runs on purpose: a warm benchmark
+// iteration reuses the previous iteration's runtimes, which is what
+// makes the steady-state fleet period allocation-free. The lock guards
+// the map and every substrate's free list.
+var substrates struct {
+	sync.Mutex
+	byConfig map[machine.Config]*substrate
+}
+
+// substrateFor returns the substrate of a configuration, building it on
+// first sight. Construction holds the registry lock, so concurrent first
+// runs serialize instead of racing duplicate builds.
+func substrateFor(mcfg machine.Config) (*substrate, error) {
+	maxApps := min(mcfg.LLCWays, mcfg.Cores, maxMixApps)
+	if maxApps < 3 {
+		return nil, fmt.Errorf("fleet: machine too small for a mix (max %d apps)", maxApps)
 	}
-	return (*m)[k]
-}
-
-// putProfileMemo publishes a profiling outcome.
-func putProfileMemo(k profileKey, e *profileEntry) {
-	r := &profileMemos
+	// A NaN field makes the key unequal to itself: the registry would
+	// never find its substrate again and build one per run.
+	if mcfg != mcfg {
+		return nil, fmt.Errorf("fleet: machine configuration has a NaN field")
+	}
+	r := &substrates
 	r.Lock()
 	defer r.Unlock()
-	next := make(profileMap)
-	if cur := r.snap.Load(); cur != nil {
-		for ck, cv := range *cur {
-			next[ck] = cv
-		}
+	if s, ok := r.byConfig[mcfg]; ok {
+		return s, nil
 	}
-	next[k] = e
-	r.snap.Store(&next)
-}
-
-// mixCaches shares one immutable workloads.MixCache per machine
-// configuration across all nodes, runs, and pool entries. The cache is
-// read-only after construction, so sharing it cannot couple nodes.
-var mixCaches struct {
-	sync.Mutex
-	byKey map[uint64]*workloads.MixCache
-}
-
-// mixCacheFor returns the shared mix cache for a configuration,
-// building it on first sight. Construction holds the registry lock, so
-// concurrent first nodes serialize instead of racing duplicate builds.
-func mixCacheFor(mcfg machine.Config, key uint64) (*workloads.MixCache, error) {
-	c := &mixCaches
-	c.Lock()
-	defer c.Unlock()
-	if mc, ok := c.byKey[key]; ok {
-		return mc, nil
-	}
-	mc, err := workloads.NewMixCache(mcfg)
+	mix, err := workloads.NewMixCache(mcfg)
 	if err != nil {
 		return nil, err
 	}
-	if c.byKey == nil {
-		c.byKey = make(map[uint64]*workloads.MixCache)
+	s := &substrate{mcfg: mcfg, maxApps: maxApps, mix: mix}
+	if r.byConfig == nil {
+		r.byConfig = make(map[machine.Config]*substrate)
 	}
-	c.byKey[key] = mc
-	return mc, nil
+	r.byConfig[mcfg] = s
+	return s, nil
 }
 
-// runNode executes one node end to end — periods control periods after
-// profiling (cfg.Periods for a fixed fleet, the node's drawn lifetime
-// under churn) — pushing its per-period wall-clock latencies into the
-// block's stripe and writing its final allocation into the
+// take pops an idle runtime, or returns an empty one for runNode to
+// build, counting the hit or miss on the block's stripe.
+//
+//copart:noalloc
+func (s *substrate) take(st *blockStripe) *nodeRuntime {
+	substrates.Lock()
+	defer substrates.Unlock()
+	n := len(s.free)
+	if n == 0 {
+		st.poolMisses++
+		return &nodeRuntime{} //copart:allocok a miss builds a runtime; the free list holds one per concurrent block after the first run
+	}
+	rt := s.free[n-1]
+	s.free[n-1] = nil
+	s.free = s.free[:n-1]
+	st.poolHits++
+	return rt
+}
+
+// give returns a runtime whose block finished cleanly; a failed block
+// drops its runtime, so one wedged by a failure never reaches a later
+// node.
+//
+//copart:noalloc
+func (s *substrate) give(rt *nodeRuntime) {
+	substrates.Lock()
+	s.free = append(s.free, rt) //copart:allocok free-list growth is bounded by the concurrent blocks; steady state reuses capacity
+	substrates.Unlock()
+}
+
+// runNode executes one node end to end on rt — periods control periods
+// after profiling (cfg.Periods for a fixed fleet, the node's drawn
+// lifetime under churn) — pushing its per-period wall-clock latencies
+// into the block's stripe and writing its final allocation into the
 // caller-provided ways/mba storage (cap ≥ maxMixApps slices of the
-// caller's arena). carry, when non-nil, is the previous in-block node's
-// runtime, reused directly when this node is poolable for the same
-// configuration. On success the node's runtime is returned for the next
-// in-block node to carry (nil on the unpoolable paths); error paths
-// drop it.
-func runNode(cfg Config, node, periods int, ways, mba []int, carry *nodeRuntime, st *blockStripe) (NodeResult, *nodeRuntime, error) {
-	mcfg := cfg.Machine
-	if mcfg.LLCWays == 0 {
-		mcfg = machine.DefaultConfig()
-	}
-	maxApps := mcfg.LLCWays
-	if mcfg.Cores < maxApps {
-		maxApps = mcfg.Cores
-	}
-	if maxApps > maxMixApps {
-		maxApps = maxMixApps
-	}
-	if maxApps < 3 {
-		return NodeResult{}, nil, fmt.Errorf("fleet: machine too small for a mix (max %d apps)", maxApps)
-	}
-
-	fingerprintable := mcfg.BW.Curve == nil
-	poolable := fingerprintable && testNodeTarget == nil
-	key := uint64(0)
-	if fingerprintable {
-		key = poolKey(mcfg)
-	}
-	var rt *nodeRuntime
-	if carry != nil {
-		if poolable && carry.key == key {
-			rt = carry
-			st.poolCarries++
-		} else {
-			// A carried runtime this node cannot use (unreachable within one
-			// run — blocks share a Config — but never leak it).
-			putRuntime(carry)
-		}
-	}
-	if rt == nil && poolable {
-		rt = getRuntime(key)
-	}
-	if rt == nil {
-		rt = &nodeRuntime{key: key}
-	}
-
-	seed := cfg.nodeSeed(node)
+// caller's arena).
+func runNode(cfg Config, sub *substrate, rt *nodeRuntime, node, periods int, ways, mba []int, st *blockStripe) (NodeResult, error) {
 	if rt.rng == nil {
 		rt.rng = rand.New(&rt.src)
 	}
 	// Reseeding the retained source reproduces exactly the stream a
 	// freshly constructed one would emit: its whole state is the one
 	// word Seed stores (see internal/splitmix).
-	rt.src.Seed(seed)
+	rt.src.Seed(cfg.nodeSeed(node))
 	kind := mixKinds[rt.rng.Intn(len(mixKinds))]
-	nApps := 3 + rt.rng.Intn(maxApps-2) // 3..maxApps
+	nApps := 3 + rt.rng.Intn(sub.maxApps-2) // 3..maxApps
 
 	var err error
 	if rt.m == nil {
-		if rt.m, err = machine.New(mcfg, machine.WithSolveCache()); err != nil {
-			return NodeResult{}, nil, err
+		if rt.m, err = machine.New(sub.mcfg, machine.WithSolveCache()); err != nil {
+			return NodeResult{}, err
 		}
 	} else {
 		rt.m.Reset()
 	}
-	if rt.mix == nil {
-		if fingerprintable {
-			rt.mix, err = mixCacheFor(mcfg, key)
-		} else {
-			rt.mix, err = workloads.NewMixCache(mcfg)
-		}
-		if err != nil {
-			return NodeResult{}, nil, err
-		}
-	}
-	models, err := rt.mix.Mix(kind, nApps)
+	models, err := sub.mix.Mix(kind, nApps)
 	if err != nil {
-		return NodeResult{}, nil, err
+		return NodeResult{}, err
 	}
 	for _, model := range models {
 		if err := rt.m.AddApp(model); err != nil {
-			return NodeResult{}, nil, err
+			return NodeResult{}, err
 		}
 	}
 	if rt.mgr == nil {
@@ -619,9 +460,9 @@ func runNode(cfg Config, node, periods int, ways, mba []int, carry *nodeRuntime,
 		if testNodeTarget != nil {
 			target, resil = testNodeTarget(node, rt.m)
 		}
-		if rt.mgr, err = core.NewManager(target, core.DefaultParams(), rt.mix.StreamRef(),
-			core.Envelope{LoWay: 0, Ways: mcfg.LLCWays}, rt.rng); err != nil {
-			return NodeResult{}, nil, err
+		if rt.mgr, err = core.NewManager(target, core.DefaultParams(), sub.mix.StreamRef(),
+			core.Envelope{LoWay: 0, Ways: sub.mcfg.LLCWays}, rt.rng); err != nil {
+			return NodeResult{}, err
 		}
 		rt.mgr.Resilience = resil
 		// The fleet measures per-node latency with its own clock
@@ -632,40 +473,36 @@ func runNode(cfg Config, node, periods int, ways, mba []int, carry *nodeRuntime,
 		// shape (one entry per explore step) at zero cost.
 		rt.mgr.SetClock(func() time.Time { return time.Time{} })
 	} else if err := rt.mgr.Reuse(); err != nil {
-		return NodeResult{}, nil, err
+		return NodeResult{}, err
 	}
 	mgr := rt.mgr
 
 	res := NodeResult{Node: node, Mix: kind.String(), Apps: nApps, Lifetime: periods}
-	// Memoized profiling: a poolable, noise-free node's whole profiling
-	// phase is a pure function of (machine config, mix kind, app count),
-	// so the first node to run it checkpoints the outcome and every later
-	// node restores it in place — bit-identical (the goldens' unpooled
-	// reference arm runs the live path below) and orders of magnitude
-	// cheaper than the 3·apps probe periods. Unpooled and fault-injected
+	// Memoized profiling (see substrate): bit-identical to the live path,
+	// which the goldens' fresh reference arm runs, and orders of magnitude
+	// cheaper than the 3·apps probe periods. Noisy and fault-injected
 	// nodes always profile live.
-	memoable := poolable && mcfg.MeasurementNoise == 0
-	var pKey profileKey
+	var memo *atomic.Pointer[profileEntry]
 	var pe *profileEntry
-	if memoable {
-		pKey = profileKey{mach: key, kind: kind, nApps: nApps}
-		pe = getProfileMemo(pKey)
+	if testNodeTarget == nil && sub.mcfg.MeasurementNoise == 0 {
+		memo = &sub.profiles[kind][nApps]
+		pe = memo.Load()
 	}
 	if pe != nil {
 		if err := rt.m.RestoreHotState(pe.hot); err != nil {
-			return NodeResult{}, nil, err
+			return NodeResult{}, err
 		}
 		if err := mgr.RestoreProfileMemo(pe.pm); err != nil {
-			return NodeResult{}, nil, err
+			return NodeResult{}, err
 		}
 	} else {
 		if err := mgr.Profile(); err != nil {
-			return NodeResult{}, nil, err
+			return NodeResult{}, err
 		}
-		if memoable {
+		if memo != nil {
 			if hot, err := rt.m.CaptureHotState(); err == nil {
 				if pm := mgr.ExportProfileMemo(); pm != nil {
-					putProfileMemo(pKey, &profileEntry{hot: hot, pm: pm})
+					memo.Store(&profileEntry{hot: hot, pm: pm})
 				}
 			}
 		}
@@ -684,7 +521,7 @@ func runNode(cfg Config, node, periods int, ways, mba []int, carry *nodeRuntime,
 			if n := periods - 1 - p; n > 0 {
 				skipped, err := mgr.SkipIdle(n)
 				if err != nil {
-					return NodeResult{}, nil, err
+					return NodeResult{}, err
 				}
 				st.lat.advance(skipped)
 				res.Periods += skipped
@@ -720,7 +557,7 @@ func runNode(cfg Config, node, periods int, ways, mba []int, carry *nodeRuntime,
 		res.Periods++
 		if err != nil {
 			if !mgr.Resilience.Enabled {
-				return NodeResult{}, nil, err
+				return NodeResult{}, err
 			}
 			// A hardened node absorbs the failed period: the watchdog
 			// counts it and trips the EQ fallback at the degrade
@@ -736,7 +573,7 @@ func runNode(cfg Config, node, periods int, ways, mba []int, carry *nodeRuntime,
 			res.Reprofiles++
 			if err := mgr.Profile(); err != nil {
 				if !mgr.Resilience.Enabled {
-					return NodeResult{}, nil, err
+					return NodeResult{}, err
 				}
 				mgr.NotePeriod(err)
 			}
@@ -748,10 +585,7 @@ func runNode(cfg Config, node, periods int, ways, mba []int, carry *nodeRuntime,
 	res.Ways, res.MBA = st2.Ways, st2.MBA
 	res.Phase = mgr.Phase().String()
 	res.FailStreak = mgr.FailStreak()
-	if poolable {
-		return res, rt, nil
-	}
-	return res, nil, nil
+	return res, nil
 }
 
 // runScratch carries the in-flight run's parameters to blockRun, which
@@ -760,33 +594,42 @@ func runNode(cfg Config, node, periods int, ways, mba []int, carry *nodeRuntime,
 // Run/RunChurn (see stripe.go on serialization).
 var runScratch struct {
 	cfg   Config
+	sub   *substrate
 	churn bool
 	res   *Result
 	block int
 }
 
-// blockRun executes one dispatch block: its nodes in index order, a
-// single runtime carried node to node, every outcome folded into the
+// blockRun executes one dispatch block: its nodes in index order on one
+// runtime taken from the substrate, every outcome folded into the
 // block's stripe. It is the unit parallel.ForEachBlock schedules.
 //
-//copart:noalloc steady-state dispatch path; pool misses amortize (BenchmarkFleet65536 pins 0 allocs/op)
+//copart:noalloc steady-state dispatch path; runtime misses amortize (BenchmarkFleet65536 pins 0 allocs/op)
 func blockRun(lo, hi int) error {
 	sc := &runScratch
-	cfg, res := sc.cfg, sc.res
+	cfg, sub, res := sc.cfg, sc.sub, sc.res
 	st := &stripes[lo/sc.block]
-	var carry *nodeRuntime
+	reuse := testNodeTarget == nil
+	var rt *nodeRuntime
+	if reuse {
+		rt = sub.take(st)
+	}
 	for i := lo; i < hi; i++ {
+		if !reuse {
+			rt = &nodeRuntime{} //copart:allocok the fresh reference arm builds every node anew
+		} else if i > lo {
+			st.poolCarries++
+		}
 		periods := cfg.Periods
 		if sc.churn {
 			periods = churnScratch.life[i]
 		}
 		off := i * 2 * maxMixApps
-		//copart:allocok runNode's construction/profiling allocations amortize across the runtime pool; warm blocks run allocation-free
-		nr, rt, err := runNode(cfg, i, periods,
+		//copart:allocok runNode's construction/profiling allocations amortize across reused runtimes; warm blocks run allocation-free
+		nr, err := runNode(cfg, sub, rt, i, periods,
 			res.arena[off:off:off+maxMixApps],
 			res.arena[off+maxMixApps:off+maxMixApps:off+2*maxMixApps],
-			carry, st)
-		carry = rt
+			st)
 		if err != nil {
 			if sc.churn {
 				return fmt.Errorf("fleet: churn node %d: %w", i, err)
@@ -799,8 +642,8 @@ func blockRun(lo, hi int) error {
 		res.Nodes[i] = nr
 		st.accumulate(&nr)
 	}
-	if carry != nil {
-		putRuntime(carry)
+	if reuse {
+		sub.give(rt)
 	}
 	return nil
 }
@@ -831,6 +674,14 @@ func (res *Result) reset(nodes, nb, block int) {
 // dispatch over a validated fixed-fleet Config (churn synthesizes one
 // and supplies per-node periods from the drawn schedule).
 func runFleet(cfg Config, churn bool, res *Result) error {
+	mcfg := cfg.Machine
+	if mcfg.LLCWays == 0 {
+		mcfg = machine.DefaultConfig()
+	}
+	sub, err := substrateFor(mcfg)
+	if err != nil {
+		return err
+	}
 	block := cfg.blockSize()
 	nb := (cfg.Nodes + block - 1) / block
 	perCap := perStripeCap(nb)
@@ -852,19 +703,21 @@ func runFleet(cfg Config, churn bool, res *Result) error {
 		stripes[b].reset(lo, hi, perCap, pushes)
 	}
 	runScratch.cfg = cfg
+	runScratch.sub = sub
 	runScratch.churn = churn
 	runScratch.res = res
 	runScratch.block = block
 	sharedBefore := machine.SharedSolveCacheStats()
-	poolBefore := poolSnapshot()
 	start := fleetClock()
-	err := parallel.ForEachBlock(cfg.Nodes, block, blockRun)
+	err = parallel.ForEachBlock(cfg.Nodes, block, blockRun)
 	res.Elapsed = fleetClock() - start
 	runScratch.res = nil
 	if err != nil {
 		return err
 	}
-	res.Pool = poolDelta(poolBefore)
+	substrates.Lock()
+	res.Pool.Free = len(sub.free)
+	substrates.Unlock()
 	res.aggregate(sharedBefore, nb)
 	return nil
 }
@@ -919,6 +772,8 @@ func (res *Result) aggregate(sharedBefore machine.SharedCacheStats, nb int) {
 		if st.maxFailStreak > res.Health.MaxFailStreak {
 			res.Health.MaxFailStreak = st.maxFailStreak
 		}
+		res.Pool.Hits += st.poolHits
+		res.Pool.Misses += st.poolMisses
 		res.Pool.Carries += st.poolCarries
 		// The sampler is done pushing; sorting its buffer in place gives the
 		// per-block percentiles directly and the fleet-wide ones below.

@@ -44,8 +44,50 @@ func freshSubstrates() (restore func()) {
 	return func() { testNodeTarget = nil }
 }
 
-// TestFleetSteadyStateAllocs pins the tentpole: once the runtime pool,
-// the mix cache, the solve cache, the stripes, and a reused
+// TestPoolFreeBoundedByWorkers pins the bound that holds the free list
+// in place of a cap: each block takes one runtime and gives it back, so
+// a run takes once per block, carries every other node, and leaves no
+// more idle runtimes than blocks that ran at the same time. The runs
+// start from an empty registry, so runtimes left by earlier tests at
+// other worker counts do not count against the bound.
+func TestPoolFreeBoundedByWorkers(t *testing.T) {
+	cfg := Config{Nodes: 24, Periods: 3, Seed: 5, Block: 2}
+	dropSubstrates()
+	runAtWorkers(t, 2, cfg)
+	parallel.SetWorkers(2)
+	res, err := Run(cfg)
+	workers := parallel.Workers()
+	parallel.SetWorkers(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if takes := res.Pool.Hits + res.Pool.Misses; takes != 12 {
+		t.Errorf("%d hits + %d misses = %d takes, want one per block (12)", res.Pool.Hits, res.Pool.Misses, takes)
+	}
+	if res.Pool.Carries != 12 {
+		t.Errorf("%d carries, want 12 (one per 2-node block)", res.Pool.Carries)
+	}
+	if res.Pool.Free > workers {
+		t.Errorf("%d idle runtimes after a run at %d workers", res.Pool.Free, workers)
+	}
+	unpool := freshSubstrates()
+	fresh := runAtWorkers(t, 2, cfg)
+	unpool()
+	if !reflect.DeepEqual(res.Nodes, fresh.Nodes) {
+		t.Errorf("nodes on reused runtimes differ from fresh nodes:\nreused: %+v\nfresh:  %+v", res.Nodes, fresh.Nodes)
+	}
+}
+
+// dropSubstrates empties the substrate registry, so the runs that follow
+// start cold whatever earlier tests left behind.
+func dropSubstrates() {
+	substrates.Lock()
+	substrates.byConfig = nil
+	substrates.Unlock()
+}
+
+// TestFleetSteadyStateAllocs pins the tentpole: once the substrate's
+// runtimes and mix cache, the solve cache, the stripes, and a reused
 // Result are warm, a sequential RunInto allocates NOTHING — not a
 // bounded fixed cost, zero. Block dispatch calls a package-level
 // function inline, the stripes and merge scratch retain capacity, and

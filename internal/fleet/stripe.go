@@ -53,8 +53,7 @@ import (
 //
 // Because the stripes are package state, Run and RunChurn must not
 // execute concurrently with each other. (They never have: both fan out
-// internally, and the pool's warm-reuse design already assumes
-// serialized runs.)
+// internally, and blockRun reads its parameters from package state too.)
 
 // defaultLatSamples is the fleet-wide sample budget, split evenly
 // across blocks (perStripeCap). 16384 systematic samples pin the p50/p99
@@ -155,7 +154,9 @@ type blockStripe struct {
 	healthy       int
 	degraded      int
 	maxFailStreak int
-	poolCarries   uint64 // runtimes handed node-to-node without a pool round-trip
+	poolHits      uint64 // 1 when the block's runtime came off the free list
+	poolMisses    uint64 // 1 when the block had to build its runtime
+	poolCarries   uint64 // nodes after the first that ran on the block's runtime
 }
 
 // reset prepares the stripe for a run over nodes [lo, hi) pushing the

@@ -117,9 +117,7 @@ func (c Config) FullMask() uint64 { return (uint64(1) << c.LLCWays) - 1 }
 
 // Digest fingerprints the solver-visible configuration — the value used
 // in solve-cache keys and snapshot compatibility checks. Two configs
-// with equal digests are interchangeable to Solve; the non-serializable
-// BW.Curve is not part of the fingerprint (snapshots refuse custom
-// curves for the same reason).
+// with equal digests are interchangeable to Solve.
 func (c Config) Digest() uint64 { return configDigest(c) }
 
 // Counters are the simulated performance-monitoring counters of one

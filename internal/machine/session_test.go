@@ -245,8 +245,8 @@ func testSessionErrors(t *testing.T) {
 
 // TestIPSBoundsBracketSolve pins the certificate the ST search prunes on:
 // in random exclusive states — 1–6 apps, every MBA level, inexact
-// WayBytes, congestion off, a custom MBA curve, pure streamers, apps that
-// stop missing — the IPS SolveInto computes lies inside IPSBounds, to
+// WayBytes, congestion off, pure streamers, apps that stop missing —
+// the IPS SolveInto computes lies inside IPSBounds, to
 // 1e-12 relative (three orders inside the 1e-9 slack ST adds). A
 // multi-socket machine, which leaves the table path, offers no bounds.
 func TestIPSBoundsBracketSolve(t *testing.T) {
@@ -255,9 +255,7 @@ func TestIPSBoundsBracketSolve(t *testing.T) {
 	oddWays.WayBytes = 1.1 * (1 << 20)
 	calm := DefaultConfig()
 	calm.BW.CongestionK = 0
-	curved := DefaultConfig()
-	curved.BW.Curve = func(level int) float64 { return 0.02 + 0.98*float64(level*level)/1e4 }
-	configs := []Config{DefaultConfig(), oddWays, calm, curved}
+	configs := []Config{DefaultConfig(), oddWays, calm}
 
 	const tol = 1e-12
 	rng := rand.New(rand.NewSource(14))

@@ -67,24 +67,21 @@ type Config struct {
 	TotalBandwidth float64
 	// PerCoreCap is the maximum traffic one core can generate at MBA 100 %,
 	// in bytes/s. The MBA cap of an application is
-	// Curve(level) × PerCoreCap × cores.
+	// DefaultCurve(level) × PerCoreCap × cores.
 	PerCoreCap float64
-	// Curve maps an MBA level to the fraction of PerCoreCap permitted.
-	// Nil selects the default curve. Real MBA throttling is roughly — but
-	// not exactly — linear in the level; the default applies a mild
-	// super-linear shape at low levels matching published measurements
-	// (low levels throttle slightly harder than proportionally).
-	//
-	// Functions cannot be serialized, so state snapshots exclude the
-	// curve and refuse machines that set a custom one.
-	Curve func(level int) float64 `json:"-"`
 	// CongestionK and CongestionP shape the latency-stretch factor
 	// 1 + K·ρ^P at bus utilization ρ. Zero K disables congestion.
 	CongestionK float64
 	CongestionP float64
 }
 
-// DefaultCurve is the default MBA level→fraction mapping.
+// DefaultCurve maps an MBA level to the fraction of PerCoreCap permitted.
+// Real MBA throttling is roughly — but not exactly — linear in the level;
+// the curve applies a mild super-linear shape at low levels matching
+// published measurements (low levels throttle slightly harder than
+// proportionally).
+//
+//copart:noalloc
 func DefaultCurve(level int) float64 {
 	f := float64(level) / 100
 	// Mild superlinearity: 10 % level delivers ~7 % of peak traffic.
@@ -130,8 +127,7 @@ type Result struct {
 // points (AllocateInto, AllocateCapped) reuse internal scratch buffers.
 // Give each concurrent solver its own Arbiter (machine.Machine does).
 type Arbiter struct {
-	cfg   Config
-	curve func(level int) float64
+	cfg Config
 	// intP is CongestionP when that is an integer in 1…maxIntP, else 0.
 	intP int
 
@@ -146,11 +142,7 @@ func New(cfg Config) (*Arbiter, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	curve := cfg.Curve
-	if curve == nil {
-		curve = DefaultCurve
-	}
-	a := &Arbiter{cfg: cfg, curve: curve}
+	a := &Arbiter{cfg: cfg}
 	if p := cfg.CongestionP; 1 <= p && p <= maxIntP && p == math.Trunc(p) { //copart:floateq an exactly integral exponent
 		a.intP = int(p)
 	}
@@ -199,7 +191,7 @@ func (a *Arbiter) Cap(level, cores int) (float64, error) {
 	if cores < 1 {
 		return 0, fmt.Errorf("membw: invalid core count %d", cores)
 	}
-	return a.curve(level) * a.cfg.PerCoreCap * float64(cores), nil
+	return DefaultCurve(level) * a.cfg.PerCoreCap * float64(cores), nil
 }
 
 // TotalBandwidth exposes the configured DRAM budget.
