@@ -168,3 +168,25 @@ func TestFairnessHeatmapUnknownFig(t *testing.T) {
 		t.Error("unknown figure should error")
 	}
 }
+
+// TestSTFirstIsPermutation pins the fairness matrix's dispatch order: every
+// cell is handed out exactly once, the ST policy's first.
+func TestSTFirstIsPermutation(t *testing.T) {
+	for mixes := 1; mixes <= 8; mixes++ {
+		for pols := 1; pols <= 7; pols++ {
+			for st := -1; st < pols; st++ {
+				seen := make(map[[2]int]bool)
+				for k := 0; k < mixes*pols; k++ {
+					mi, pi := stFirst(k, mixes, pols, st)
+					if mi < 0 || mi >= mixes || pi < 0 || pi >= pols || seen[[2]int{mi, pi}] {
+						t.Fatalf("%d mixes, %d policies, ST at %d: cell %d is (%d, %d), out of range or repeated", mixes, pols, st, k, mi, pi)
+					}
+					seen[[2]int{mi, pi}] = true
+					if st >= 0 && (k < mixes) != (pi == st) {
+						t.Errorf("%d mixes, %d policies, ST at %d: cell %d is policy %d", mixes, pols, st, k, pi)
+					}
+				}
+			}
+		}
+	}
+}

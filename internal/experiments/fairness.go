@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/fairness"
 	"repro/internal/machine"
@@ -40,6 +41,24 @@ type Fig12Result struct {
 // fairness-oblivious, the paper's reference [34]).
 func ExtendedPolicySet(seed int64) []policies.Policy {
 	return append(PolicySet(seed), policies.None{}, policies.UCP{})
+}
+
+// stFirst maps the k-th cell handed out to its mix and policy: the st
+// policy's cells first, mix by mix, then the others mix-major; st < 0
+// keeps plain mix-major order.
+func stFirst(k, mixes, pols, st int) (mi, pi int) {
+	if st < 0 {
+		return k / pols, k % pols
+	}
+	if k < mixes {
+		return k, st
+	}
+	k -= mixes
+	mi, pi = k/(pols-1), k%(pols-1)
+	if pi >= st {
+		pi++
+	}
+	return mi, pi
 }
 
 // Figure12 runs every policy on every 4-application workload mix and
@@ -84,8 +103,15 @@ func fairnessMatrixWith(cfg machine.Config, pols []policies.Policy, apps int) (F
 		}
 		mixModels[mi] = models
 	}
+	// The ST oracle's cells cost the most, so they are handed out first:
+	// one started last would finish alone. Results land by index, so the
+	// order moves only the wall time.
+	st := slices.IndexFunc(pols, func(p policies.Policy) bool {
+		_, ok := p.(policies.ST)
+		return ok
+	})
 	err := parallel.ForEach(len(res.Mixes)*len(pols), func(k int) error {
-		mi, pi := k/len(pols), k%len(pols)
+		mi, pi := stFirst(k, len(res.Mixes), len(pols), st)
 		out, err := pols[pi].Run(cfg, mixModels[mi])
 		if err != nil {
 			return fmt.Errorf("experiments: %s on %v: %w", pols[pi].Name(), res.Mixes[mi], err)

@@ -196,26 +196,7 @@ func (s ST) Run(cfg machine.Config, models []machine.AppModel) (Result, error) {
 		solo[i] = p.IPS
 	}
 
-	session := m.NewSolveSession(models)
-	search := stSearch{
-		ways: cfg.LLCWays, grid: grid, solo: solo, session: session,
-		bounds: newSTBounds(session, solo, cfg.LLCWays, grid),
-		limit:  math.Inf(1), ratioLimit: math.Inf(1),
-		// The best state's slices are allocated once and overwritten in
-		// place, so a run's allocation count does not depend on how many
-		// improvements the enumeration order produces.
-		best: Result{
-			Names:      make([]string, n),
-			Allocs:     make([]machine.Alloc, n),
-			Slowdowns:  make([]float64, n),
-			Unfairness: -1,
-		},
-		counts: make([]int, n), mbaIdx: make([]int, n), seedCounts: make([]int, n), seedIdx: make([]int, n),
-		// Scratch reused across the thousands of solved states.
-		allocs: make([]machine.Alloc, n), slowdowns: make([]float64, n), ips: make([]float64, n),
-		masks: make([]uint64, n), perfs: make([]machine.Perf, n),
-		tails: make([]agg, n+1), box: make([]span, n), breaks: make([]float64, 2*n+2),
-	}
+	search := newSTSearch(cfg.LLCWays, grid, solo, m.NewSolveSession(models))
 	for i, model := range models {
 		search.best.Names[i] = model.Name
 	}
@@ -278,11 +259,16 @@ type stSearch struct {
 	ratioLimit float64
 	best       Result
 	solved     uint64
+	// done is set once best reaches 0, below which Eq. 2 cannot go.
+	done bool
 
 	// The state under the cursor, and the seed scan's pick with its score.
 	counts, mbaIdx      []int
 	seedCounts, seedIdx []int
 	seedScore           float64
+	// seedKids holds the children of the seed scan's nodes on the path
+	// under the cursor, per depth, in the order they are visited (kidsAt).
+	seedKids []seedKid
 	// tails[k] summarises apps k… of the composition under the cursor at
 	// any grid level; tails[n] is empty.
 	tails []agg
@@ -297,6 +283,32 @@ type stSearch struct {
 	ips       []float64
 	masks     []uint64
 	perfs     []machine.Perf
+}
+
+// newSTSearch sets up a search over the apps of session, whose solo IPS
+// are in solo, with no state solved yet.
+func newSTSearch(ways int, grid []int, solo []float64, session *machine.SolveSession) stSearch {
+	n := len(solo)
+	return stSearch{
+		ways: ways, grid: grid, solo: solo, session: session,
+		bounds: newSTBounds(session, solo, ways, grid),
+		limit:  math.Inf(1), ratioLimit: math.Inf(1),
+		// The best state's slices are allocated once and overwritten in
+		// place, so a run's allocation count does not depend on how many
+		// improvements the enumeration order produces.
+		best: Result{
+			Names:      make([]string, n),
+			Allocs:     make([]machine.Alloc, n),
+			Slowdowns:  make([]float64, n),
+			Unfairness: -1,
+		},
+		counts: make([]int, n), mbaIdx: make([]int, n), seedCounts: make([]int, n), seedIdx: make([]int, n),
+		seedKids: make([]seedKid, max(2*n-3, 0)*max(ways, len(grid))),
+		// Scratch reused across the thousands of solved states.
+		allocs: make([]machine.Alloc, n), slowdowns: make([]float64, n), ips: make([]float64, n),
+		masks: make([]uint64, n), perfs: make([]machine.Perf, n),
+		tails: make([]agg, n+1), box: make([]span, n), breaks: make([]float64, 2*n+2),
+	}
 }
 
 // solve solves the state under the cursor into the scratch slices and
@@ -352,37 +364,165 @@ func (s *stSearch) lowerLimit(u float64) {
 	s.limit, s.ratioLimit = u, (u*u+1)*(1+ratioSlack)
 }
 
-// seedWays and seedMBA walk every state, in the search's order, for the
-// one with the lowest seedScore.
+// seedWays and seedMBA look for the state with the lowest seedScore, and
+// among equal scores for the first in the search's order — the one a walk
+// of every state in that order would keep under a strict <. They visit a
+// node's children fairest box first (seedKids), so that a good pick is
+// found early, and skip a child whose box of low ends scores above the
+// pick so far (seedBound): a score, summed in app order, does not depend
+// on the order the states are visited in, and the first-in-order rule is
+// kept by comparing positions on ties (seedKeep). s.box holds each app's
+// low ends at the node being bounded: their envelope over 1…most ways
+// where the app's count is open, over the grid where only its level is,
+// a point where both are fixed.
 func (s *stSearch) seedWays(app, remaining int) {
-	n := len(s.counts)
+	n, b := len(s.counts), s.bounds
 	if app == n-1 {
 		s.counts[app] = remaining
-		s.seedMBA(0, 0, 0)
+		s.box[app] = b.loOverGrid[app*(s.ways+1)+remaining]
+		if !s.seedCut(s.seedBound()) {
+			s.seedMBA(0, 0, 0)
+		}
 		return
 	}
-	for w := 1; w <= remaining-(n-1-app); w++ {
-		s.counts[app] = w
-		s.seedWays(app+1, remaining-w)
+	// From loBlindFrom on, every count gives the apps the same low ends,
+	// so the states below w > 1 score as states below w = 1 do, which come
+	// first.
+	last := remaining - (n - 1 - app)
+	if app >= b.loBlindFrom {
+		last = 1
+	}
+	kids := s.kidsAt(app)[:last]
+	for w := 1; w <= last; w++ {
+		s.setSeedWays(app, remaining, w)
+		kids[w-1] = seedKid{s.seedBound(), w}
+	}
+	sortSeedKids(kids)
+	for _, k := range kids {
+		if s.seedCut(k.bound) {
+			return // the rest bound no lower
+		}
+		s.setSeedWays(app, remaining, k.at)
+		s.seedWays(app+1, remaining-k.at)
+	}
+}
+
+// setSeedWays gives app w of the remaining ways in counts and s.box, and
+// the apps after it their envelopes over what is left.
+func (s *stSearch) setSeedWays(app, remaining, w int) {
+	b := s.bounds
+	s.counts[app] = w
+	s.box[app] = b.loOverGrid[app*(s.ways+1)+w]
+	most := remaining - w - (len(s.counts) - 2 - app)
+	for i := app + 1; i < len(s.counts); i++ {
+		s.box[i] = b.loOverWays[i*(s.ways+1)+most]
 	}
 }
 
 // seedMBA carries Σx and Σx² of the estimates down the sweep: Eq. 2
 // squared is n·Σx²/(Σx)² − 1, so the state with the least Σx²/(Σx)², its
-// score, is the fairest.
+// score, is the fairest. Below two open apps a node has too few states to
+// be worth a bound: they are scored in order.
 func (s *stSearch) seedMBA(app int, sum, sumSq float64) {
 	n := len(s.counts)
-	for j, sp := range s.bounds.row(app, s.counts[app]) {
-		s.mbaIdx[app] = j
-		sum, sumSq := sum+sp.lo, sumSq+sp.lo*sp.lo
-		if app < n-1 {
-			s.seedMBA(app+1, sum, sumSq)
-		} else if score := sumSq / (sum * sum); score < s.seedScore {
-			s.seedScore = score
-			copy(s.seedCounts, s.counts)
-			copy(s.seedIdx, s.mbaIdx)
+	row := s.bounds.row(app, s.counts[app])
+	if app >= n-2 {
+		for j, sp := range row {
+			s.mbaIdx[app] = j
+			sum, sumSq := sum+sp.lo, sumSq+sp.lo*sp.lo
+			if app < n-1 {
+				s.seedMBA(app+1, sum, sumSq)
+			} else {
+				s.seedKeep(sumSq / (sum * sum))
+			}
+		}
+		return
+	}
+	kids := s.kidsAt(n - 1 + app)[:len(row)]
+	for j, sp := range row {
+		s.box[app] = span{sp.lo, sp.lo}
+		kids[j] = seedKid{s.seedBound(), j}
+	}
+	sortSeedKids(kids)
+	for _, k := range kids {
+		if s.seedCut(k.bound) {
+			break
+		}
+		lo := row[k.at].lo
+		s.mbaIdx[app], s.box[app] = k.at, span{lo, lo}
+		s.seedMBA(app+1, sum+lo, sumSq+lo*lo)
+	}
+	s.box[app] = s.bounds.loOverGrid[app*(s.ways+1)+s.counts[app]]
+}
+
+// seedKeep makes the state under the cursor the pick if it scores lower,
+// or the same and comes first in the search's order: counts, then levels,
+// compared from app 0. A NaN score is never kept.
+func (s *stSearch) seedKeep(score float64) {
+	if !(score <= s.seedScore) {
+		return
+	}
+	if score == s.seedScore { //copart:floateq a tie, which the full walk settles by order
+		later := slices.Compare(s.counts, s.seedCounts)
+		if later == 0 {
+			later = slices.Compare(s.mbaIdx, s.seedIdx)
+		}
+		if later > 0 {
+			return
 		}
 	}
+	s.seedScore = score
+	copy(s.seedCounts, s.counts)
+	copy(s.seedIdx, s.mbaIdx)
+}
+
+// seedKid is a child of a seed-scan node: its box's least n·Σx²/(Σx)² and
+// its way count or grid index.
+type seedKid struct {
+	bound float64
+	at    int
+}
+
+// kidsAt is the seed scan's scratch for the children of a node at a
+// depth: app for seedWays (app < n−1), n−1+app for seedMBA (app < n−2).
+func (s *stSearch) kidsAt(depth int) []seedKid {
+	per := max(s.ways, len(s.grid))
+	return s.seedKids[depth*per:][:per]
+}
+
+// sortSeedKids orders kids, filled in position order, by bound: a stable
+// insertion sort, for the handful a node has.
+func sortSeedKids(kids []seedKid) {
+	for i := 1; i < len(kids); i++ {
+		for j := i; j > 0 && kids[j].bound < kids[j-1].bound; j-- {
+			kids[j], kids[j-1] = kids[j-1], kids[j]
+		}
+	}
+}
+
+// seedBound is the least n·Σx²/(Σx)² on the box s.box (boxRatio): every
+// state whose low ends lie in it scores at least that over n. Where the
+// spans share a point, or an end is NaN or infinite, it is 1, the least
+// of any vector, which cuts nothing.
+func (s *stSearch) seedBound() float64 {
+	a := noSpans
+	for _, sp := range s.box {
+		a = a.with(sp)
+	}
+	if !(a.maxLo > a.minHi && a.sumHi < math.Inf(1)) {
+		return 1
+	}
+	num, den := s.boxRatio(a)
+	if bound := num / den; bound > 1 {
+		return bound
+	}
+	return 1
+}
+
+// seedCut reports whether a box of that bound holds no state that scores
+// at most the pick, shaved by ratioSlack: neither a lower score nor a tie.
+func (s *stSearch) seedCut(bound float64) bool {
+	return bound*(1-ratioSlack) > float64(len(s.counts))*s.seedScore
 }
 
 // splitWays fixes the way counts of apps app… out of remaining ways;
@@ -410,7 +550,7 @@ func (s *stSearch) splitWays(app, remaining int, fixed agg) error {
 				continue
 			}
 		}
-		if err := s.splitWays(app+1, remaining-w, next); err != nil {
+		if err := s.splitWays(app+1, remaining-w, next); err != nil || s.done {
 			return err
 		}
 	}
@@ -438,7 +578,7 @@ func (s *stSearch) sweepMBA(app int, fixed agg) error {
 			}
 		}
 		if app < n-1 {
-			if err := s.sweepMBA(app+1, next); err != nil {
+			if err := s.sweepMBA(app+1, next); err != nil || s.done {
 				return err
 			}
 			continue
@@ -457,6 +597,10 @@ func (s *stSearch) sweepMBA(app int, fixed agg) error {
 			s.best.Unfairness, s.best.Throughput = u, tp
 			if u < s.limit {
 				s.lowerLimit(u)
+			}
+			if u == 0 { // Eq. 2 is σ/μ ≥ 0: no later state passes u < 0
+				s.done = true
+				return nil
 			}
 		}
 	}
@@ -582,8 +726,14 @@ type stBounds struct {
 	// boundSlack each side.
 	leaf []span
 	// overGrid[app*(ways+1)+w] envelopes leaf over the grid, and
-	// overWays[app*(ways+1)+k] overGrid over 1…k ways.
-	overGrid, overWays []span
+	// overWays[app*(ways+1)+k] overGrid over 1…k ways. loOverGrid and
+	// loOverWays are the same envelopes of the leaves' lo ends alone,
+	// which the seed scan scores.
+	overGrid, overWays     []span
+	loOverGrid, loOverWays []span
+	// loBlindFrom is the first app from which on every app's lo ends are
+	// the same at any way count.
+	loBlindFrom int
 }
 
 // newSTBounds returns nil when the session has no bounds to offer.
@@ -593,13 +743,16 @@ func newSTBounds(session *machine.SolveSession, solo []float64, ways int, grid [
 		ways: ways, levels: len(grid),
 		sigmaPerRange: math.Sqrt(float64(n) / 2),
 		leaf:          make([]span, n*(ways+1)*len(grid)),
-		overGrid:      make([]span, 2*n*(ways+1)),
+		overGrid:      make([]span, 4*n*(ways+1)),
 	}
-	b.overGrid, b.overWays = b.overGrid[:n*(ways+1)], b.overGrid[n*(ways+1):]
+	envelopes := n * (ways + 1)
+	b.overGrid, b.overWays = b.overGrid[:envelopes], b.overGrid[envelopes:]
+	b.overWays, b.loOverGrid = b.overWays[:envelopes], b.overWays[envelopes:]
+	b.loOverGrid, b.loOverWays = b.loOverGrid[:envelopes], b.loOverGrid[envelopes:]
 	for i, full := range solo {
-		anyWays := span{lo: math.Inf(1)}
+		anyWays, loAnyWays := span{lo: math.Inf(1)}, span{lo: math.Inf(1)}
 		for w := 1; w <= ways; w++ {
-			anyLevel := span{lo: math.Inf(1)}
+			anyLevel, loAnyLevel := span{lo: math.Inf(1)}, span{lo: math.Inf(1)}
 			for j, level := range grid {
 				lo, hi, ok := session.IPSBounds(i, w, level)
 				if !ok {
@@ -608,12 +761,32 @@ func newSTBounds(session *machine.SolveSession, solo []float64, ways int, grid [
 				sp := span{full / hi * (1 - boundSlack), full / lo * (1 + boundSlack)}
 				b.row(i, w)[j] = sp
 				anyLevel = span{min(anyLevel.lo, sp.lo), max(anyLevel.hi, sp.hi)}
+				loAnyLevel = span{min(loAnyLevel.lo, sp.lo), max(loAnyLevel.hi, sp.lo)}
 			}
 			anyWays = span{min(anyWays.lo, anyLevel.lo), max(anyWays.hi, anyLevel.hi)}
-			b.overGrid[i*(ways+1)+w], b.overWays[i*(ways+1)+w] = anyLevel, anyWays
+			loAnyWays = span{min(loAnyWays.lo, loAnyLevel.lo), max(loAnyWays.hi, loAnyLevel.hi)}
+			k := i*(ways+1) + w
+			b.overGrid[k], b.overWays[k] = anyLevel, anyWays
+			b.loOverGrid[k], b.loOverWays[k] = loAnyLevel, loAnyWays
 		}
 	}
+	b.loBlindFrom = n
+	for b.loBlindFrom > 0 && b.loBlind(b.loBlindFrom-1) {
+		b.loBlindFrom--
+	}
 	return b
+}
+
+// loBlind reports whether app's lo ends are the same at every way count.
+func (b *stBounds) loBlind(app int) bool {
+	for w := 2; w <= b.ways; w++ {
+		for j, sp := range b.row(app, w) {
+			if sp.lo != b.row(app, 1)[j].lo { //copart:floateq the same bits score the same
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // row is app's spans at w ways, one per grid level.

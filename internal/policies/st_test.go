@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/fairness"
@@ -197,23 +198,70 @@ func randomMix(t *testing.T, rng *rand.Rand) (machine.Config, []machine.AppModel
 	}
 	models := make([]machine.AppModel, 3+rng.Intn(4))
 	for i := range models {
-		model := catalog[rng.Intn(len(catalog))].Model
-		model.Name = fmt.Sprintf("%s#%d", model.Name, i)
-		model.AccPerInstr *= 0.25 + 2*rng.Float64()
-		model.CPIBase *= 0.5 + rng.Float64()
-		model.Hot = append([]machine.WSComponent(nil), model.Hot...)
-		for c := range model.Hot {
-			model.Hot[c].Bytes *= 0.25 + 2*rng.Float64()
-		}
-		models[i] = model
+		models[i] = randomModel(rng, catalog, i)
 	}
+	return cfg, models, randomGrid(rng)
+}
+
+// randomModel draws the i-th app of a mix from catalog, with perturbed
+// intensity and locality.
+func randomModel(rng *rand.Rand, catalog []workloads.Spec, i int) machine.AppModel {
+	model := catalog[rng.Intn(len(catalog))].Model
+	model.Name = fmt.Sprintf("%s#%d", model.Name, i)
+	model.AccPerInstr *= 0.25 + 2*rng.Float64()
+	model.CPIBase *= 0.5 + rng.Float64()
+	model.Hot = append([]machine.WSComponent(nil), model.Hot...)
+	for c := range model.Hot {
+		model.Hot[c].Bytes *= 0.25 + 2*rng.Float64()
+	}
+	return model
+}
+
+// randomGrid is the default grid, or one time in three a random 2–3-level
+// one.
+func randomGrid(rng *rand.Rand) ST {
 	var st ST
 	if rng.Intn(3) == 0 {
 		for _, l := range rng.Perm(10)[:2+rng.Intn(2)] {
 			st.MBAGrid = append(st.MBAGrid, 10*(l+1))
 		}
 	}
-	return cfg, models, st
+	return st
+}
+
+// randomWideMix draws 2–8 apps on 8–11 ways (8–9 from seven apps on, to
+// keep the exhaustive arm cheap): catalog apps as randomModel perturbs
+// them, searched on a randomGrid. With insensitive set they are drawn from
+// the insensitive class alone, perturbed in intensity and CPI only and
+// searched on the default grid, which keeps an optimum of exactly 0 in
+// reach.
+func randomWideMix(t *testing.T, rng *rand.Rand, insensitive bool) (machine.Config, []machine.AppModel, ST) {
+	t.Helper()
+	n := 2 + rng.Intn(7)
+	cfg := machine.DefaultConfig()
+	if cfg.LLCWays = 8 + rng.Intn(4); n >= 7 {
+		cfg.LLCWays = 8 + rng.Intn(2)
+	}
+	catalog, err := workloads.Catalog(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	models := make([]machine.AppModel, n)
+	if !insensitive {
+		for i := range models {
+			models[i] = randomModel(rng, catalog, i)
+		}
+		return cfg, models, randomGrid(rng)
+	}
+	catalog = slices.DeleteFunc(catalog, func(s workloads.Spec) bool { return s.Category != workloads.Insensitive })
+	for i := range models {
+		model := catalog[rng.Intn(len(catalog))].Model
+		model.Name = fmt.Sprintf("%s#%d", model.Name, i)
+		model.AccPerInstr *= 0.25 + 2*rng.Float64()
+		model.CPIBase *= 0.5 + rng.Float64()
+		models[i] = model
+	}
+	return cfg, models, ST{}
 }
 
 // TestSTBoundedMatchesExhaustive pins that pruning is invisible: on every
@@ -286,6 +334,35 @@ func TestSTBoundedMatchesExhaustive(t *testing.T) {
 		t.Errorf("near-twins: optimum %v, want tiny but non-zero", u)
 	}
 
+	// Eq. 2 reaches 0 on all-insensitive mixes, where the search ends at
+	// the first state in order that does: IS at 4, 6 and 8 apps, and random
+	// mixes of 2–8 insensitive apps, most of which reach exactly 0 — the
+	// others stop at a rounding residue near 1e-16, which must not end the
+	// search.
+	for _, n := range []int{4, 6, 8} {
+		if n == 8 && testing.Short() { // the exhaustive arm solves 787 320 states
+			continue
+		}
+		if u, e, s := run(fmt.Sprintf("IS/%d", n), cfg, ST{}, mix(t, workloads.IS, n)); u != 0 || s >= e {
+			t.Errorf("IS/%d: optimum %v after %d of %d states, want 0 and an early exit", n, u, s, e)
+		}
+	}
+	trials, zeros := 20, 0
+	if testing.Short() {
+		trials = 8
+	}
+	zeroRng := rand.New(rand.NewSource(51))
+	for trial := 0; trial < trials; trial++ {
+		rcfg, models, st := randomWideMix(t, zeroRng, true)
+		if u, _, _ := run(fmt.Sprintf("insensitive %d (%d apps, %d ways)", trial, len(models), rcfg.LLCWays), rcfg, st, models); u == 0 {
+			zeros++
+		}
+	}
+	t.Logf("%d of %d insensitive mixes reach 0", zeros, trials)
+	if 2*zeros < trials {
+		t.Errorf("%d of %d insensitive mixes reach 0, want at least half: the exit is hardly tried", zeros, trials)
+	}
+
 	// A 2-socket machine leaves the session's table path: no bounds, no
 	// seed, nothing skipped.
 	dual := cfg
@@ -296,7 +373,7 @@ func TestSTBoundedMatchesExhaustive(t *testing.T) {
 		t.Errorf("2-socket: solved %d of %d states, want all 30720", s, e)
 	}
 
-	trials := 200
+	trials = 200
 	if testing.Short() {
 		trials = 50
 	}
@@ -304,6 +381,78 @@ func TestSTBoundedMatchesExhaustive(t *testing.T) {
 	for trial := 0; trial < trials; trial++ {
 		rcfg, models, st := randomMix(t, rng)
 		run(fmt.Sprintf("random %d (%d apps, %d ways, grid %v)", trial, len(models), rcfg.LLCWays, st.MBAGrid), rcfg, st, models)
+	}
+}
+
+// fullSeedScan is the seed scan as it was before it pruned: a walk of
+// every state in the search's order, keeping the first with the lowest
+// Σx²/(Σx)² of its slowdowns' low ends, the sums taken in app order. It
+// is the reference the pruned scan is held to.
+func fullSeedScan(b *stBounds, n int) (score float64, counts, mbaIdx []int) {
+	score = math.Inf(1)
+	walkStates(n, b.ways, b.levels, func(c, j []int) {
+		var sum, sumSq float64
+		for i := range c {
+			lo := b.row(i, c[i])[j[i]].lo
+			sum, sumSq = sum+lo, sumSq+lo*lo
+		}
+		if x := sumSq / (sum * sum); x < score {
+			score, counts, mbaIdx = x, slices.Clone(c), slices.Clone(j)
+		}
+	})
+	return score, counts, mbaIdx
+}
+
+// TestSeedScanMatchesFullWalk pins that the seed scan's pruning, its
+// fairest-first visiting order and its skipping of way counts that leave
+// the low ends alone are invisible: on the Fig 12 mixes at 4, 6 and 8
+// apps and on 240 random 2–8-app mixes it picks, bit for bit, the state a
+// walk of every state picks. A third of the random mixes repeat apps,
+// exactly (swapped states tie, and the first in order must win) or as
+// near-twins 1e-7…1e-3 apart (scores that differ in their last bits).
+func TestSeedScanMatchesFullWalk(t *testing.T) {
+	check := func(name string, cfg machine.Config, st ST, models []machine.AppModel) {
+		t.Helper()
+		n := len(models)
+		session, solo := soloSession(t, cfg, models)
+		s := newSTSearch(cfg.LLCWays, st.grid(n), solo, session)
+		s.seedScore = math.Inf(1)
+		s.seedWays(0, s.ways)
+		score, counts, mbaIdx := fullSeedScan(s.bounds, n)
+		if math.Float64bits(s.seedScore) != math.Float64bits(score) ||
+			!slices.Equal(s.seedCounts, counts) || !slices.Equal(s.seedIdx, mbaIdx) {
+			t.Errorf("%s: picked %v %v scoring %v, the full walk %v %v scoring %v",
+				name, s.seedCounts, s.seedIdx, s.seedScore, counts, mbaIdx, score)
+		}
+	}
+	cfg := machine.DefaultConfig()
+	for _, n := range []int{4, 6, 8} {
+		for _, kind := range workloads.MixKinds() {
+			check(fmt.Sprintf("%v/%d", kind, n), cfg, ST{}, mix(t, kind, n))
+		}
+	}
+	rng := rand.New(rand.NewSource(52))
+	for trial := 0; trial < 240; trial++ {
+		rcfg, models, st := randomWideMix(t, rng, false)
+		shape := "random"
+		switch trial % 6 {
+		case 1: // exact duplicates
+			for i := 1; i < len(models); i += 2 {
+				models[i] = models[i-1]
+				models[i].Name += "-twin"
+			}
+			shape = "duplicates"
+		case 3: // near-twins of the first app
+			for i := 1; i < len(models); i++ {
+				name := models[i].Name
+				models[i] = models[0]
+				models[i].Name = name
+				models[i].AccPerInstr *= 1 + math.Pow(10, -3-4*rng.Float64())
+				models[i].CPIBase *= 1 + math.Pow(10, -3-4*rng.Float64())
+			}
+			shape = "near-twins"
+		}
+		check(fmt.Sprintf("%s %d (%d apps, %d ways, grid %v)", shape, trial, len(models), rcfg.LLCWays, st.MBAGrid), rcfg, st, models)
 	}
 }
 
