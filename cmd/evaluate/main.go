@@ -39,6 +39,7 @@ import (
 	"strings"
 
 	"repro/internal/experiments"
+	"repro/internal/fairness"
 	"repro/internal/machine"
 	"repro/internal/parallel"
 	"repro/internal/policies"
@@ -388,10 +389,9 @@ func printHeadline(w io.Writer, res experiments.Fig12Result) {
 	}
 	cp := res.GeoMean[idx["CoPart"]]
 	for _, base := range []string{"EQ", "CAT-only", "MBA-only"} {
-		b := res.GeoMean[idx[base]]
-		if b > 0 {
+		if imp, err := fairness.Improvement(res.GeoMean[idx[base]], cp); err == nil {
 			fmt.Fprintf(w, "CoPart fairness improvement over %s: %.1f%% (paper: %s)\n",
-				base, (b-cp)/b*100, paperHeadline(base))
+				base, imp, paperHeadline(base))
 		}
 	}
 }

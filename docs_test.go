@@ -21,27 +21,14 @@ var (
 // a test after it was renamed or deleted.
 func TestDocsCiteDefinedTests(t *testing.T) {
 	defined := map[string]bool{}
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() && path != "." && (strings.HasPrefix(d.Name(), ".") || strings.HasPrefix(d.Name(), "_")) {
-			return filepath.SkipDir
-		}
-		if d.IsDir() || !strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
+	for _, path := range repoFiles(t, "_test.go") {
 		src, err := os.ReadFile(path)
 		if err != nil {
-			return err
+			t.Fatal(err)
 		}
 		for _, m := range testFuncRE.FindAllSubmatch(src, -1) {
 			defined[string(m[1])] = true
 		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 	if !defined["TestDocsCiteDefinedTests"] {
 		t.Fatal("the walk did not find this file's own test: it scanned the wrong tree")
@@ -64,6 +51,29 @@ func TestDocsCiteDefinedTests(t *testing.T) {
 	if cited == 0 {
 		t.Fatal("no test citations found: the code-span scan is broken")
 	}
+}
+
+// repoFiles lists the repository's files whose names end in suffix,
+// skipping directories named .* or _* (VCS metadata, generated trees).
+func repoFiles(t *testing.T, suffix string) []string {
+	t.Helper()
+	var files []string
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && path != "." && (strings.HasPrefix(d.Name(), ".") || strings.HasPrefix(d.Name(), "_")) {
+			return filepath.SkipDir
+		}
+		if !d.IsDir() && strings.HasSuffix(path, suffix) {
+			files = append(files, path)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
 }
 
 // withoutFences drops the lines of fenced code blocks, whose backticks
@@ -129,5 +139,64 @@ func TestDocsCiteExistingPaths(t *testing.T) {
 	}
 	if cited == 0 {
 		t.Fatal("no path citations found: the code-span scan is broken")
+	}
+}
+
+// changeNumberRE matches a pull-request or issue number (PR 14, PRs 16–42,
+// ISSUE 50).
+var changeNumberRE = regexp.MustCompile(`\b(?:PRs?|ISSUEs?) ?#?\d+`)
+
+// TestDesignNamesNoChangeNumbers fails when DESIGN.md names a pull
+// request or issue by number: the design document describes the code as
+// it is, and how it got there belongs to CHANGES.md and the git log.
+func TestDesignNamesNoChangeNumbers(t *testing.T) {
+	text, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, line := range strings.Split(string(text), "\n") {
+		for _, m := range changeNumberRE.FindAllString(line, -1) {
+			t.Errorf("DESIGN.md:%d names %q", i+1, m)
+		}
+	}
+}
+
+var (
+	// headingNumberRE matches a numbered DESIGN.md heading (## 5b. …,
+	// ### 9.1 …) and captures its number.
+	headingNumberRE = regexp.MustCompile(`(?m)^#+ (\d+[a-z]?(?:\.\d+)*)\.? `)
+	// sectionCiteRE matches a DESIGN.md §n citation, also one a line
+	// break and a comment marker split.
+	sectionCiteRE = regexp.MustCompile(`DESIGN\.md[\s/]*§ ?(\d+[a-z]?(?:\.\d+)*)`)
+)
+
+// TestDesignSectionCitesResolve fails when a .go file, README.md or
+// EXPERIMENTS.md cites a DESIGN.md section (DESIGN.md §n) that DESIGN.md
+// has no heading for, so renumbering the design document cannot leave a
+// stale pointer behind.
+func TestDesignSectionCitesResolve(t *testing.T) {
+	design, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sections := map[string]bool{}
+	for _, m := range headingNumberRE.FindAllStringSubmatch(string(design), -1) {
+		sections[m[1]] = true
+	}
+	cited := 0
+	for _, path := range append([]string{"README.md", "EXPERIMENTS.md"}, repoFiles(t, ".go")...) {
+		text, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range sectionCiteRE.FindAllStringSubmatch(string(text), -1) {
+			cited++
+			if !sections[m[1]] {
+				t.Errorf("%s cites DESIGN.md §%s, which DESIGN.md has no heading for", path, m[1])
+			}
+		}
+	}
+	if cited == 0 {
+		t.Fatal("no DESIGN.md section citations found: the scan is broken")
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/fairness"
 	"repro/internal/machine"
-	"repro/internal/parallel"
 	"repro/internal/policies"
 	"repro/internal/texttab"
 	"repro/internal/workloads"
@@ -53,41 +52,30 @@ func ablationVariants() []struct {
 	}
 }
 
+// sensitiveMixes are the 4-application mixes the controller's features
+// and thresholds act on; the IS mix only adds noise at zero unfairness.
+func sensitiveMixes() []workloads.MixKind {
+	return []workloads.MixKind{
+		workloads.HLLC, workloads.HBW, workloads.HBoth,
+		workloads.MLLC, workloads.MBW, workloads.MBoth,
+	}
+}
+
 // Ablations runs CoPart with each feature variant across the sensitive
 // 4-application mixes and reports geomean unfairness normalized to the
 // full controller.
 func Ablations(cfg machine.Config, seed int64) (AblationResult, *texttab.Table, error) {
-	kinds := []workloads.MixKind{
-		workloads.HLLC, workloads.HBW, workloads.HBoth,
-		workloads.MLLC, workloads.MBW, workloads.MBoth,
-	}
-	// The (variant × mix) grid cells are independent controller runs;
-	// fan them out. Each cell copies its feature set and builds its own
-	// machine and RNG inside Dynamic.Run.
 	variants := ablationVariants()
-	cells := make([][]float64, len(variants))
-	for i := range cells {
-		cells[i] = make([]float64, len(kinds))
-	}
-	err := parallel.ForEach(len(variants)*len(kinds), func(k int) error {
-		vi, ki := k/len(kinds), k%len(kinds)
+	pols := make([]policies.Policy, len(variants))
+	for vi, v := range variants {
 		f := core.DefaultFeatures()
-		variants[vi].mutate(&f)
-		models, err := workloads.Mix(cfg, kinds[ki], 4)
-		if err != nil {
-			return err
-		}
-		pol := &policies.Dynamic{Label: "CoPart", Features: &f, Seed: seed}
-		out, err := pol.Run(cfg, models)
-		if err != nil {
-			return fmt.Errorf("experiments: ablation %q: %w", variants[vi].name, err)
-		}
-		u := out.Unfairness
-		if u < 1e-4 {
-			u = 1e-4
-		}
-		cells[vi][ki] = u
-		return nil
+		v.mutate(&f)
+		pols[vi] = &policies.Dynamic{Label: "CoPart", Features: &f, Seed: seed}
+	}
+	kinds := sensitiveMixes()
+	cells := grid(len(variants), len(kinds))
+	err := policyCells(cfg, kinds, 4, pols, func(vi, ki int, out policies.Result) {
+		cells[vi][ki] = max(out.Unfairness, 1e-4)
 	})
 	if err != nil {
 		return AblationResult{}, nil, err

@@ -23,10 +23,11 @@ func atWorkers(t *testing.T, n int, fn func()) {
 // only decides when — not how — a cell runs. Each experiment is rendered
 // to text and compared byte for byte between one worker and several.
 //
-// The cases cover every parallel fan-out in this package (Figure 17's
-// nested one included), so under `go test -race` this test is also the
-// guard against a fan-out closure writing shared state outside its own
-// index's slot.
+// The cases cover every parallel fan-out in this package — the heatmaps'
+// and the policy cell engine behind Figures 11–14, 17 and the ablation,
+// nested under the sweep points in 13, 14 and 17 — so under `go test
+// -race` this test is also the guard against a fan-out closure writing
+// shared state outside its own index's slot.
 func TestParallelDeterminism(t *testing.T) {
 	type run struct {
 		rendered string

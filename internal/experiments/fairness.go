@@ -61,6 +61,95 @@ func stFirst(k, mixes, pols, st int) (mi, pi int) {
 	return mi, pi
 }
 
+// policyCells is the one cell engine behind every policy figure. It
+// builds each mix once, runs every (policy, mix) cell on the worker pool
+// and passes each cell's result to put, which must write only cell
+// (pi, mi). Every Policy.Run builds its own machine and seeds its own RNG
+// from the policy's fixed seed, so the cells are bit-identical at any
+// worker count. The ST oracle's cells cost the most, so they are handed
+// out first: one started last would finish alone.
+func policyCells(cfg machine.Config, kinds []workloads.MixKind, apps int, pols []policies.Policy, put func(pi, mi int, out policies.Result)) error {
+	mixModels := make([][]machine.AppModel, len(kinds))
+	for mi, kind := range kinds {
+		models, err := workloads.Mix(cfg, kind, apps)
+		if err != nil {
+			return err
+		}
+		mixModels[mi] = models
+	}
+	st := slices.IndexFunc(pols, func(p policies.Policy) bool {
+		_, ok := p.(policies.ST)
+		return ok
+	})
+	return parallel.ForEach(len(kinds)*len(pols), func(k int) error {
+		mi, pi := stFirst(k, len(kinds), len(pols), st)
+		out, err := pols[pi].Run(cfg, mixModels[mi])
+		if err != nil {
+			return fmt.Errorf("experiments: %s on %v: %w", pols[pi].Name(), kinds[mi], err)
+		}
+		put(pi, mi, out)
+		return nil
+	})
+}
+
+// grid returns a rows × cols matrix of zeros.
+func grid(rows, cols int) [][]float64 {
+	g := make([][]float64, rows)
+	for r := range g {
+		g[r] = make([]float64, cols)
+	}
+	return g
+}
+
+// eqMatrix runs pols (EQ first) on every mix at apps applications, reads
+// metric off each cell and normalizes the grid to EQ.
+func eqMatrix(cfg machine.Config, pols []policies.Policy, apps int, metric func(policies.Result) float64) (raw, norm [][]float64, geo []float64, err error) {
+	kinds := workloads.MixKinds()
+	raw = grid(len(pols), len(kinds))
+	err = policyCells(cfg, kinds, apps, pols, func(pi, mi int, out policies.Result) {
+		raw[pi][mi] = metric(out)
+	})
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	norm, geo, err = normalizeToEQ(raw)
+	return raw, norm, geo, err
+}
+
+// normalizeToEQ divides each policy's row of raw by EQ's (row 0), mix by
+// mix, and takes each row's geometric mean. Both floors below act on
+// unfairness; throughput, in instructions/s, never comes near them.
+func normalizeToEQ(raw [][]float64) (norm [][]float64, geo []float64, err error) {
+	eq := raw[0]
+	norm = grid(len(raw), len(eq))
+	geo = make([]float64, len(raw))
+	vals := make([]float64, len(eq))
+	for pi, row := range raw {
+		for mi, v := range row {
+			// Where EQ and the policy are both essentially perfectly
+			// fair (the IS mix sits near zero for everyone), the ratio
+			// of two near-zero numbers is noise: report parity instead,
+			// as the paper's bars do.
+			const fairFloor = 0.01
+			if eq[mi] < fairFloor && v < fairFloor {
+				norm[pi][mi] = 1
+			} else if eq[mi] > 1e-9 {
+				norm[pi][mi] = v / eq[mi]
+			} else {
+				norm[pi][mi] = 1
+			}
+			// The geometric mean needs positive inputs; clamp
+			// (near-)zero outcomes — the ST oracle can reach exactly
+			// zero unfairness on LLC-dominated mixes — to 0.01.
+			vals[mi] = max(norm[pi][mi], 0.01)
+		}
+		if geo[pi], err = fairness.GeoMean(vals); err != nil {
+			return nil, nil, err
+		}
+	}
+	return norm, geo, nil
+}
+
 // Figure12 runs every policy on every 4-application workload mix and
 // normalizes to EQ, reproducing Figure 12.
 func Figure12(cfg machine.Config, seed int64) (Fig12Result, *texttab.Table, error) {
@@ -72,90 +161,21 @@ func Figure12Extended(cfg machine.Config, seed int64) (Fig12Result, *texttab.Tab
 	return fairnessMatrixWith(cfg, ExtendedPolicySet(seed), 4)
 }
 
-// fairnessMatrix is the shared engine of Figures 12–14: policies × mixes
-// at a fixed application count on a given machine configuration.
-func fairnessMatrix(cfg machine.Config, seed int64, apps int) (Fig12Result, *texttab.Table, error) {
-	return fairnessMatrixWith(cfg, PolicySet(seed), apps)
-}
+func unfairnessOf(out policies.Result) float64 { return out.Unfairness }
 
-// fairnessMatrixWith runs an explicit policy list; the first policy must
-// be the normalization baseline (EQ).
+func throughputOf(out policies.Result) float64 { return out.Throughput }
+
+// fairnessMatrixWith is Figure 12's matrix for an explicit policy list;
+// the first policy must be the normalization baseline (EQ).
 func fairnessMatrixWith(cfg machine.Config, pols []policies.Policy, apps int) (Fig12Result, *texttab.Table, error) {
 	res := Fig12Result{Mixes: workloads.MixKinds()}
 	for _, p := range pols {
 		res.Policies = append(res.Policies, p.Name())
 	}
-	res.Norm = make([][]float64, len(pols))
-	res.Raw = make([][]float64, len(pols))
-	for p := range pols {
-		res.Norm[p] = make([]float64, len(res.Mixes))
-		res.Raw[p] = make([]float64, len(res.Mixes))
-	}
-	// Build each mix once, then fan the independent (mix × policy) cells
-	// across the worker pool. Every Policy.Run builds its own machine
-	// and seeds its own RNG from the policy's fixed seed, so the matrix
-	// is bit-identical at any worker count.
-	mixModels := make([][]machine.AppModel, len(res.Mixes))
-	for mi, kind := range res.Mixes {
-		models, err := workloads.Mix(cfg, kind, apps)
-		if err != nil {
-			return Fig12Result{}, nil, err
-		}
-		mixModels[mi] = models
-	}
-	// The ST oracle's cells cost the most, so they are handed out first:
-	// one started last would finish alone. Results land by index, so the
-	// order moves only the wall time.
-	st := slices.IndexFunc(pols, func(p policies.Policy) bool {
-		_, ok := p.(policies.ST)
-		return ok
-	})
-	err := parallel.ForEach(len(res.Mixes)*len(pols), func(k int) error {
-		mi, pi := stFirst(k, len(res.Mixes), len(pols), st)
-		out, err := pols[pi].Run(cfg, mixModels[mi])
-		if err != nil {
-			return fmt.Errorf("experiments: %s on %v: %w", pols[pi].Name(), res.Mixes[mi], err)
-		}
-		res.Raw[pi][mi] = out.Unfairness
-		return nil
-	})
+	var err error
+	res.Raw, res.Norm, res.GeoMean, err = eqMatrix(cfg, pols, apps, unfairnessOf)
 	if err != nil {
 		return Fig12Result{}, nil, err
-	}
-	for mi := range res.Mixes {
-		eqU := res.Raw[0][mi]
-		for pi := range pols {
-			// Normalization guard: on mixes where both policies are
-			// essentially perfectly fair (the IS mix sits near zero for
-			// everyone), the ratio of two near-zero numbers is noise;
-			// report parity instead, as the paper's bars do.
-			const fairFloor = 0.01
-			if eqU < fairFloor && res.Raw[pi][mi] < fairFloor {
-				res.Norm[pi][mi] = 1
-			} else if eqU > 1e-9 {
-				res.Norm[pi][mi] = res.Raw[pi][mi] / eqU
-			} else {
-				res.Norm[pi][mi] = 1
-			}
-		}
-	}
-	res.GeoMean = make([]float64, len(pols))
-	for pi := range pols {
-		// The geometric mean needs positive inputs; clamp (near-)zero
-		// outcomes — the ST oracle can reach exactly-zero unfairness on
-		// LLC-dominated mixes in the analytic model — to 0.01.
-		vals := make([]float64, len(res.Mixes))
-		for mi := range res.Mixes {
-			vals[mi] = res.Norm[pi][mi]
-			if vals[mi] < 0.01 {
-				vals[mi] = 0.01
-			}
-		}
-		g, err := fairness.GeoMean(vals)
-		if err != nil {
-			return Fig12Result{}, nil, err
-		}
-		res.GeoMean[pi] = g
 	}
 
 	headers := []string{"Policy"}
@@ -187,35 +207,41 @@ type SweepResult struct {
 	Value [][]float64
 }
 
-// Figure13 sweeps the application count from 3 to 6 and reports each
-// policy's geomean unfairness normalized to EQ.
-func Figure13(cfg machine.Config, seed int64) (SweepResult, *texttab.Table, error) {
-	res := SweepResult{Label: "unfairness", Points: []int{3, 4, 5, 6}}
-	for _, p := range PolicySet(seed) {
+// sweep is the scaffold of Figures 13, 14 and 17: at every sweep point x,
+// on the machine and application count point(x) gives, it runs the
+// paper's policies on every mix and records each policy's geometric mean
+// of metric normalized to EQ. The points fan out too; the pool bounds
+// total concurrency.
+func sweep(title, xName, label string, points []int, seed int64,
+	point func(x int) (machine.Config, int), metric func(policies.Result) float64) (SweepResult, *texttab.Table, error) {
+	pols := PolicySet(seed)
+	res := SweepResult{Label: label, Points: points, Value: grid(len(pols), len(points))}
+	for _, p := range pols {
 		res.Policies = append(res.Policies, p.Name())
 	}
-	res.Value = make([][]float64, len(res.Policies))
-	for p := range res.Value {
-		res.Value[p] = make([]float64, len(res.Points))
-	}
-	// Sweep points are independent; fan them out (the per-point matrix
-	// fans out further — the pool bounds total concurrency globally).
-	err := parallel.ForEach(len(res.Points), func(xi int) error {
-		matrix, _, err := fairnessMatrix(cfg, seed, res.Points[xi])
+	err := parallel.ForEach(len(points), func(xi int) error {
+		cfg, apps := point(points[xi])
+		_, _, geo, err := eqMatrix(cfg, pols, apps, metric)
 		if err != nil {
 			return err
 		}
-		for pi := range res.Policies {
-			res.Value[pi][xi] = matrix.GeoMean[pi]
+		for pi := range pols {
+			res.Value[pi][xi] = geo[pi]
 		}
 		return nil
 	})
 	if err != nil {
 		return SweepResult{}, nil, err
 	}
-	tab := sweepTable("Figure 13. Unfairness vs application count (normalized to EQ)",
-		"apps", res)
-	return res, tab, nil
+	return res, sweepTable(title, xName, res), nil
+}
+
+// Figure13 sweeps the application count from 3 to 6 and reports each
+// policy's geomean unfairness normalized to EQ.
+func Figure13(cfg machine.Config, seed int64) (SweepResult, *texttab.Table, error) {
+	return sweep("Figure 13. Unfairness vs application count (normalized to EQ)", "apps",
+		"unfairness", []int{3, 4, 5, 6}, seed,
+		func(n int) (machine.Config, int) { return cfg, n }, unfairnessOf)
 }
 
 // Figure14 sweeps the total LLC capacity from 7 to 11 ways at 4
@@ -224,96 +250,22 @@ func Figure13(cfg machine.Config, seed int64) (SweepResult, *texttab.Table, erro
 // recalibrated against that machine, as the paper re-runs on the
 // restricted cache.
 func Figure14(cfg machine.Config, seed int64) (SweepResult, *texttab.Table, error) {
-	res := SweepResult{Label: "unfairness", Points: []int{7, 8, 9, 10, 11}}
-	for _, p := range PolicySet(seed) {
-		res.Policies = append(res.Policies, p.Name())
-	}
-	res.Value = make([][]float64, len(res.Policies))
-	for p := range res.Value {
-		res.Value[p] = make([]float64, len(res.Points))
-	}
-	err := parallel.ForEach(len(res.Points), func(xi int) error {
-		small := cfg
-		small.LLCWays = res.Points[xi]
-		matrix, _, err := fairnessMatrix(small, seed, 4)
-		if err != nil {
-			return err
-		}
-		for pi := range res.Policies {
-			res.Value[pi][xi] = matrix.GeoMean[pi]
-		}
-		return nil
-	})
-	if err != nil {
-		return SweepResult{}, nil, err
-	}
-	tab := sweepTable("Figure 14. Unfairness vs total LLC ways (normalized to EQ)",
-		"ways", res)
-	return res, tab, nil
+	return sweep("Figure 14. Unfairness vs total LLC ways (normalized to EQ)", "ways",
+		"unfairness", []int{7, 8, 9, 10, 11}, seed,
+		func(ways int) (machine.Config, int) {
+			small := cfg
+			small.LLCWays = ways
+			return small, 4
+		}, unfairnessOf)
 }
 
 // Figure17 sweeps the application count and reports each policy's geomean
 // throughput (geometric-mean IPS across applications and mixes),
 // normalized to EQ.
 func Figure17(cfg machine.Config, seed int64) (SweepResult, *texttab.Table, error) {
-	res := SweepResult{Label: "throughput", Points: []int{3, 4, 5, 6}}
-	pols := PolicySet(seed)
-	for _, p := range pols {
-		res.Policies = append(res.Policies, p.Name())
-	}
-	res.Value = make([][]float64, len(res.Policies))
-	for p := range res.Value {
-		res.Value[p] = make([]float64, len(res.Points))
-	}
-	err := parallel.ForEach(len(res.Points), func(xi int) error {
-		n := res.Points[xi]
-		kinds := workloads.MixKinds()
-		// Build each mix once per sweep point and share it across the
-		// policies (the mix does not depend on the policy).
-		mixModels := make([][]machine.AppModel, len(kinds))
-		for ki, kind := range kinds {
-			models, err := workloads.Mix(cfg, kind, n)
-			if err != nil {
-				return err
-			}
-			mixModels[ki] = models
-		}
-		perPolicy := make([][]float64, len(pols))
-		for pi := range perPolicy {
-			perPolicy[pi] = make([]float64, len(kinds))
-		}
-		err := parallel.ForEach(len(pols)*len(kinds), func(k int) error {
-			pi, ki := k/len(kinds), k%len(kinds)
-			out, err := pols[pi].Run(cfg, mixModels[ki])
-			if err != nil {
-				return err
-			}
-			perPolicy[pi][ki] = out.Throughput
-			return nil
-		})
-		if err != nil {
-			return err
-		}
-		eqTP := perPolicy[0]
-		for pi := range pols {
-			normed := make([]float64, len(perPolicy[pi]))
-			for k := range normed {
-				normed[k] = perPolicy[pi][k] / eqTP[k]
-			}
-			g, err := fairness.GeoMean(normed)
-			if err != nil {
-				return err
-			}
-			res.Value[pi][xi] = g
-		}
-		return nil
-	})
-	if err != nil {
-		return SweepResult{}, nil, err
-	}
-	tab := sweepTable("Figure 17. Throughput vs application count (normalized to EQ, higher is better)",
-		"apps", res)
-	return res, tab, nil
+	return sweep("Figure 17. Throughput vs application count (normalized to EQ, higher is better)", "apps",
+		"throughput", []int{3, 4, 5, 6}, seed,
+		func(n int) (machine.Config, int) { return cfg, n }, throughputOf)
 }
 
 func sweepTable(title, xName string, res SweepResult) *texttab.Table {

@@ -2,14 +2,13 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/fairness"
 	"repro/internal/machine"
-	"repro/internal/parallel"
 	"repro/internal/policies"
 	"repro/internal/texttab"
-	"repro/internal/workloads"
 )
 
 // SensitivityParam selects which design parameter Figure 11 sweeps.
@@ -102,54 +101,30 @@ func Figure11(cfg machine.Config, param SensitivityParam, seed int64) (Sensitivi
 	if cfg.MeasurementNoise == 0 {
 		cfg.MeasurementNoise = 0.02
 	}
-	// The sensitive mixes are the ones the thresholds act on; the IS mix
-	// only adds noise at zero unfairness.
-	kinds := []workloads.MixKind{
-		workloads.HLLC, workloads.HBW, workloads.HBoth,
-		workloads.MLLC, workloads.MBW, workloads.MBoth,
-	}
-	// Sweep points (including the normalization default, appended as a
-	// hidden point when absent from the list) crossed with the mixes are
-	// independent controller runs; fan every (value, mix) cell out. Each
-	// cell builds its own machine and RNG inside Dynamic.Run, seeded
-	// only by the policy seed, so the panel is bit-identical at any
-	// worker count.
+	// The sweep points, with the normalization default appended as a
+	// hidden point when the list lacks it, are one CoPart policy each.
 	points := values
-	defIdx := -1
-	for i, v := range values {
-		if v == def {
-			defIdx = i
-		}
-	}
+	defIdx := slices.Index(values, def)
 	if defIdx < 0 {
-		points = append(append([]float64(nil), values...), def)
+		points = append(slices.Clone(values), def)
 		defIdx = len(points) - 1
 	}
-	cells := make([][]float64, len(points))
-	for vi := range cells {
-		cells[vi] = make([]float64, len(kinds))
+	pols := make([]policies.Policy, len(points))
+	for vi, v := range points {
+		params, err := applyParam(param, v)
+		if err != nil {
+			return SensitivityResult{}, nil, err
+		}
+		pols[vi] = &policies.Dynamic{Label: "CoPart", Params: params, Seed: seed}
 	}
-	err = parallel.ForEach(len(points)*len(kinds), func(k int) error {
-		vi, ki := k/len(kinds), k%len(kinds)
-		params, err := applyParam(param, points[vi])
-		if err != nil {
-			return err
-		}
-		models, err := workloads.Mix(cfg, kinds[ki], 4)
-		if err != nil {
-			return err
-		}
-		pol := &policies.Dynamic{Label: "CoPart", Params: params, Seed: seed}
-		out, err := pol.Run(cfg, models)
-		if err != nil {
-			return err
-		}
+	kinds := sensitiveMixes()
+	cells := grid(len(points), len(kinds))
+	err = policyCells(cfg, kinds, 4, pols, func(vi, ki int, out policies.Result) {
 		u := out.Unfairness
 		if u <= 0 {
 			u = 1e-4
 		}
 		cells[vi][ki] = u
-		return nil
 	})
 	if err != nil {
 		return SensitivityResult{}, nil, err

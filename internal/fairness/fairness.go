@@ -123,54 +123,6 @@ func Throughput(ips []float64) (float64, error) {
 	return GeoMean(ips)
 }
 
-// Summary aggregates the fairness statistics of one consolidated run.
-type Summary struct {
-	Slowdowns  []float64 // per-application slowdowns (Equation 1)
-	Mean       float64   // μ
-	StdDev     float64   // σ
-	Unfairness float64   // σ/μ (Equation 2)
-}
-
-// Summarize computes a Summary from per-application slowdowns. The input
-// slice is copied; the caller retains ownership.
-func Summarize(slowdowns []float64) (Summary, error) {
-	u, err := Unfairness(slowdowns)
-	if err != nil {
-		return Summary{}, err
-	}
-	mu, err := Mean(slowdowns)
-	if err != nil {
-		return Summary{}, err
-	}
-	sigma, err := StdDev(slowdowns)
-	if err != nil {
-		return Summary{}, err
-	}
-	cp := make([]float64, len(slowdowns))
-	copy(cp, slowdowns)
-	return Summary{Slowdowns: cp, Mean: mu, StdDev: sigma, Unfairness: u}, nil
-}
-
-// String renders the summary compactly, e.g. for log lines.
-func (s Summary) String() string {
-	return fmt.Sprintf("unfairness=%.4f mean=%.3f sd=%.3f n=%d",
-		s.Unfairness, s.Mean, s.StdDev, len(s.Slowdowns))
-}
-
-// Normalize divides each element of xs by base, returning a new slice.
-// The evaluation figures normalize every policy's unfairness to the EQ
-// policy (Figures 12–14, 17) or to the unpartitioned run (Figures 4–6).
-func Normalize(xs []float64, base float64) ([]float64, error) {
-	if base <= 0 || math.IsNaN(base) || math.IsInf(base, 0) {
-		return nil, fmt.Errorf("fairness: invalid normalization base %v", base)
-	}
-	out := make([]float64, len(xs))
-	for i, x := range xs {
-		out[i] = x / base
-	}
-	return out, nil
-}
-
 // Improvement returns the paper-style "X% higher fairness" figure of merit
 // for a policy with unfairness u against a baseline with unfairness base:
 // the relative reduction in unfairness, in percent.

@@ -128,25 +128,6 @@ func TestGeoMean(t *testing.T) {
 	}
 }
 
-func TestNormalize(t *testing.T) {
-	out, err := Normalize([]float64{2, 4, 6}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{1, 2, 3}
-	for i := range want {
-		if !almostEqual(out[i], want[i], 1e-12) {
-			t.Errorf("Normalize[%d]=%v want %v", i, out[i], want[i])
-		}
-	}
-	if _, err := Normalize([]float64{1}, 0); err == nil {
-		t.Error("Normalize by 0 should error")
-	}
-	if _, err := Normalize([]float64{1}, math.NaN()); err == nil {
-		t.Error("Normalize by NaN should error")
-	}
-}
-
 func TestImprovement(t *testing.T) {
 	imp, err := Improvement(1.0, 0.427)
 	if err != nil {
@@ -157,25 +138,6 @@ func TestImprovement(t *testing.T) {
 	}
 	if _, err := Improvement(0, 1); err == nil {
 		t.Error("Improvement with zero base should error")
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	in := []float64{1, 2, 3}
-	s, err := Summarize(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(s.Mean, 2, 1e-12) {
-		t.Errorf("Mean=%v", s.Mean)
-	}
-	// Ensure the summary copied its input.
-	in[0] = 99
-	if s.Slowdowns[0] == 99 {
-		t.Error("Summarize must copy its input slice")
-	}
-	if s.String() == "" {
-		t.Error("String() should be non-empty")
 	}
 }
 

@@ -1,12 +1,12 @@
 // Package parallel provides the bounded worker pool behind the
 // experiment harness. Every figure/table generator fans independent
-// cells (grid points, mixes, sweep points) through ForEach or Map; the
-// pool bounds the *total* number of concurrently executing cells across
+// cells (grid points, mixes, sweep points) through ForEach; the pool
+// bounds the *total* number of concurrently executing cells across
 // all nested calls, so a sweep that parallelizes over points whose
 // bodies themselves parallelize over mixes cannot oversubscribe the
 // machine or deadlock.
 //
-// Determinism contract: ForEach and Map only decide *when* fn(i) runs,
+// Determinism contract: ForEach only decides *when* fn(i) runs,
 // never with what inputs; callers write results by index. As long as
 // fn(i) is a pure function of i (each cell builds its own
 // machine.Machine and seeds its own RNG), the results are bit-identical
@@ -180,22 +180,4 @@ func ForEachBlock(n, block int, fn func(lo, hi int) error) error {
 		}
 		return fn(lo, hi)
 	})
-}
-
-// Map runs fn over 0..n-1 under the same pool and returns the results
-// in index order.
-func Map[T any](n int, fn func(i int) (T, error)) ([]T, error) {
-	out := make([]T, n)
-	err := ForEach(n, func(i int) error {
-		v, err := fn(i)
-		if err != nil {
-			return err
-		}
-		out[i] = v
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }

@@ -235,25 +235,6 @@ func TestForEachBlockSequentialAllocFree(t *testing.T) {
 // nothing (closures materialize per call; named functions do not).
 func discardBlock(lo, hi int) error { return nil }
 
-func TestMap(t *testing.T) {
-	for _, w := range []int{1, 4} {
-		withWorkers(t, w, func() {
-			out, err := Map(50, func(i int) (int, error) { return i * i, nil })
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i, v := range out {
-				if v != i*i {
-					t.Fatalf("out[%d]=%d", i, v)
-				}
-			}
-		})
-	}
-	if _, err := Map(3, func(i int) (int, error) { return 0, errors.New("x") }); err == nil {
-		t.Fatal("Map should propagate errors")
-	}
-}
-
 func TestSetWorkersConcurrentWithForEach(t *testing.T) {
 	// Resizing the pool while work is in flight must not race or leak.
 	defer SetWorkers(0)

@@ -3,10 +3,12 @@ package policies
 import (
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
 	"repro/internal/machine"
+	"repro/internal/membw"
 	"repro/internal/workloads"
 )
 
@@ -74,6 +76,52 @@ func TestNoneSharesEverything(t *testing.T) {
 	for _, a := range res.Allocs {
 		if a.CBM != cfg.FullMask() || a.MBALevel != 100 {
 			t.Errorf("None should leave full overlapping allocations, got %+v", a)
+		}
+	}
+}
+
+// TestUnpartitionedLeadBySide locates, per sensitive Fig 12 mix, the
+// side on which None (no partitioning) beats EQ: EQ's allocation is
+// scored with one of its two halves lifted to None's — its CBMs at MBA
+// 100, or the full mask at its MBA level — as a ratio to EQ's own
+// unfairness. On the LLC mixes sharing the cache alone recovers None's
+// lead (full mask ≤ 0.1× EQ) and on the BW mixes lifting the throttle
+// alone does (MBA 100 ≤ 0.2× EQ): the substrate's leads sit on the
+// cache side and the bandwidth side respectively, not on one of them.
+func TestUnpartitionedLeadBySide(t *testing.T) {
+	cfg := machine.DefaultConfig()
+	for _, kind := range workloads.MixKinds() {
+		if kind == workloads.IS {
+			continue
+		}
+		models := mix(t, kind, 4)
+		eq, err := EQ{}.Run(cfg, models)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hybrid := func(lift func(a *machine.Alloc)) float64 {
+			allocs := slices.Clone(eq.Allocs)
+			for i := range allocs {
+				lift(&allocs[i])
+			}
+			res, err := evaluate(cfg, models, allocs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res.Unfairness / eq.Unfairness
+		}
+		mba := hybrid(func(a *machine.Alloc) { a.MBALevel = membw.MaxLevel })
+		llc := hybrid(func(a *machine.Alloc) { a.CBM = cfg.FullMask() })
+		t.Logf("%v: EQ's CBMs at MBA 100 %.3f× EQ, full mask at EQ's MBA %.3f× EQ", kind, mba, llc)
+		switch kind {
+		case workloads.HLLC, workloads.MLLC:
+			if !(llc <= 0.1) {
+				t.Errorf("%v: full mask at EQ's MBA reads %.3f× EQ, want ≤ 0.1×", kind, llc)
+			}
+		case workloads.HBW, workloads.MBW:
+			if !(mba <= 0.2) {
+				t.Errorf("%v: EQ's CBMs at MBA 100 reads %.3f× EQ, want ≤ 0.2×", kind, mba)
+			}
 		}
 	}
 }
