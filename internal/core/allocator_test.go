@@ -2,9 +2,11 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/machine"
 	"repro/internal/membw"
 )
 
@@ -430,5 +432,33 @@ func TestEqualMBAShare(t *testing.T) {
 		if got := EqualMBAShare(tt.n); got != tt.want {
 			t.Errorf("EqualMBAShare(%d)=%d want %d", tt.n, got, tt.want)
 		}
+	}
+}
+
+func TestEqualAllocs(t *testing.T) {
+	tests := []struct {
+		env  Envelope
+		n    int
+		want []machine.Alloc
+	}{
+		{Envelope{Ways: 11}, 4, []machine.Alloc{{CBM: 0x7, MBALevel: 30}, {CBM: 0x38, MBALevel: 30},
+			{CBM: 0x1c0, MBALevel: 30}, {CBM: 0x600, MBALevel: 30}}},
+		{Envelope{LoWay: 3, Ways: 5}, 2, []machine.Alloc{{CBM: 0x38, MBALevel: 50}, {CBM: 0xc0, MBALevel: 50}}},
+		{Envelope{LoWay: 2, Ways: 1}, 1, []machine.Alloc{{CBM: 0x4, MBALevel: 100}}},
+	}
+	for _, tt := range tests {
+		got, err := EqualAllocs(tt.env, tt.n)
+		if err != nil {
+			t.Fatalf("%+v n=%d: %v", tt.env, tt.n, err)
+		}
+		if !slices.Equal(got, tt.want) {
+			t.Errorf("%+v n=%d: %+v want %+v", tt.env, tt.n, got, tt.want)
+		}
+	}
+	if _, err := EqualAllocs(Envelope{LoWay: 3, Ways: 5}, 6); err == nil {
+		t.Error("6 apps in 5 ways should error")
+	}
+	if _, err := EqualAllocs(Envelope{Ways: 11}, 0); err == nil {
+		t.Error("0 apps should error")
 	}
 }

@@ -533,6 +533,27 @@ func (m *Manager) equalStateInto(dst *AllocState) error {
 	return nil
 }
 
+// EqualAllocs returns the equal-split allocation of n applications inside
+// env — the EQ baseline: env's ways divided evenly, laid out contiguously
+// from env.LoWay, and every application at the equal MBA share. It errors
+// when n exceeds env's ways.
+func EqualAllocs(env Envelope, n int) ([]machine.Alloc, error) {
+	counts, err := machine.EqualSplit(env.Ways, n)
+	if err != nil {
+		return nil, err
+	}
+	masks, err := machine.AssignContiguousWays(counts, env.LoWay, env.Ways)
+	if err != nil {
+		return nil, err
+	}
+	level := EqualMBAShare(n)
+	allocs := make([]machine.Alloc, n)
+	for i := range allocs {
+		allocs[i] = machine.Alloc{CBM: masks[i], MBALevel: level}
+	}
+	return allocs, nil
+}
+
 // EqualMBAShare returns the equal MBA allocation for n applications:
 // ceil(100/n) rounded up to the hardware granularity, clamped to the
 // legal range.

@@ -215,17 +215,12 @@ func (m *Manager) applyDegradedEQ(names []string) error {
 	if err := m.env.Validate(m.target.Config(), len(names)); err != nil {
 		return err
 	}
-	counts, err := machine.EqualSplit(m.env.Ways, len(names))
+	allocs, err := EqualAllocs(m.env, len(names))
 	if err != nil {
 		return err
 	}
-	masks, err := machine.AssignContiguousWays(counts, m.env.LoWay, m.env.Ways)
-	if err != nil {
-		return err
-	}
-	level := EqualMBAShare(len(names))
 	for i, name := range names {
-		if err := m.setAllocation(name, machine.Alloc{CBM: masks[i], MBALevel: level}); err != nil {
+		if err := m.setAllocation(name, allocs[i]); err != nil {
 			return err
 		}
 	}

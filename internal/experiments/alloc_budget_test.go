@@ -10,10 +10,11 @@ import (
 // TestFigure12AllocationBudget pins what one warm Figure 12 run at one
 // worker allocates: the paper's headline matrix, seven mixes × five
 // policies with the ST oracle, measured after a first run has filled the
-// mix cache, the shared solve cache and the pools. It measured 3 931
-// allocs / 480 720 B when this test was added, and 3 165 / 454 480 once
-// the policies' query machines published their solo solves instead of
-// re-solving 140 of them every run; the budget is the latter plus 5 %.
+// mix cache, the shared solve cache and the pools. With the policies
+// scoring on plain machines, which re-solve their solo solves every run,
+// it reads 3 131–3 135 allocs / 468 384–468 752 B (go1.24, linux/amd64);
+// the budget, set 5 % over an earlier 3 165 / 454 480 B, is 6 % / 2 %
+// above that.
 // A warm run goes through the solve kernel ~380 times, so one stray
 // allocation per solve breaks the budget; 20 % of slack would hide it.
 func TestFigure12AllocationBudget(t *testing.T) {

@@ -275,21 +275,18 @@ func CaseStudy(cfg machine.Config, trace []LoadPhase, seed int64) (CaseStudyResu
 func eqWithinEnvelope(m *machine.Machine, batch []machine.AppModel, soloBatch []float64,
 	env core.Envelope, lcModel machine.AppModel, lcWays, lcLevel int) (float64, error) {
 	cfg := m.Config()
-	counts, err := machine.EqualSplit(env.Ways, len(batch))
+	eq, err := core.EqualAllocs(env, len(batch))
 	if err != nil {
 		return 0, err
 	}
-	masks, err := machine.AssignContiguousWays(counts, env.LoWay, env.Ways)
-	if err != nil {
-		return 0, err
-	}
+	// The LC app holds an MBA share too: the equal share is over one more app.
 	level := core.EqualMBAShare(len(batch) + 1)
+	for i := range eq {
+		eq[i].MBALevel = level
+	}
 	models := append([]machine.AppModel{lcModel}, batch...)
 	lcCBM := ((uint64(1) << lcWays) - 1) << uint(cfg.LLCWays-lcWays)
-	allocs := []machine.Alloc{{CBM: lcCBM, MBALevel: lcLevel}}
-	for i := range batch {
-		allocs = append(allocs, machine.Alloc{CBM: masks[i], MBALevel: level})
-	}
+	allocs := append([]machine.Alloc{{CBM: lcCBM, MBALevel: lcLevel}}, eq...)
 	perfs, err := m.SolveFor(models, allocs)
 	if err != nil {
 		return 0, err

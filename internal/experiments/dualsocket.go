@@ -139,24 +139,15 @@ func DualSocket(cfg machine.Config, seed int64) (DualSocketResult, *texttab.Tabl
 // dualSocketEQ computes the EQ outcome for one socket's applications with
 // the other socket left at its converged allocation.
 func dualSocketEQ(m *machine.Machine, cfg machine.Config, names []string, solo map[string]float64) (float64, error) {
-	counts, err := machine.EqualSplit(cfg.LLCWays, len(names))
+	allocs, err := core.EqualAllocs(core.Envelope{Ways: cfg.LLCWays}, len(names))
 	if err != nil {
 		return 0, err
 	}
-	masks, err := machine.AssignContiguousWays(counts, 0, cfg.LLCWays)
-	if err != nil {
-		return 0, err
-	}
-	level := core.EqualMBAShare(len(names))
-	var models []machine.AppModel
-	var allocs []machine.Alloc
+	models := make([]machine.AppModel, len(names))
 	for i, n := range names {
-		model, err := m.Model(n)
-		if err != nil {
+		if models[i], err = m.Model(n); err != nil {
 			return 0, err
 		}
-		models = append(models, model)
-		allocs = append(allocs, machine.Alloc{CBM: masks[i], MBALevel: level})
 	}
 	perfs, err := m.SolveFor(models, allocs)
 	if err != nil {

@@ -283,8 +283,9 @@ type Option func(*Machine)
 // WithSolveCache makes the machine memoize every solve in the
 // process-wide solve cache (sharedcache.go) — private-partition runs,
 // Solve and the queries — for callers whose states repeat across
-// machines (fleet nodes, the policies' solo solves). Without it only the
-// shared-way states the machine runs (Step, Occupancy) are memoized.
+// machines (fleet nodes, the dynamic policies' exploration). Without it
+// only the shared-way states the machine runs (Step, Occupancy) are
+// memoized.
 // SolveSession sweeps never are. A hit is bit-identical to recomputing
 // barring a model-digest collision, so nothing invalidates it. See
 // DESIGN.md §7.4 and §9.

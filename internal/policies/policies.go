@@ -46,13 +46,10 @@ type Policy interface {
 }
 
 // evaluate computes a Result for fixed allocations: it solves the
-// consolidated steady state and divides each application's solo
-// full-resource IPS by its consolidated IPS.
+// consolidated steady state on a plain machine and divides each
+// application's solo full-resource IPS by its consolidated IPS.
 func evaluate(cfg machine.Config, models []machine.AppModel, allocs []machine.Alloc) (Result, error) {
-	// Cache-enabled: the solo solves repeat verbatim across the policies
-	// evaluating one mix (and across grid cells), so the shared cache
-	// deduplicates them process-wide.
-	m, err := machine.New(cfg, machine.WithSolveCache())
+	m, err := machine.New(cfg)
 	if err != nil {
 		return Result{}, err
 	}
@@ -98,18 +95,9 @@ func (EQ) Name() string { return "EQ" }
 
 // Run implements Policy.
 func (EQ) Run(cfg machine.Config, models []machine.AppModel) (Result, error) {
-	counts, err := machine.EqualSplit(cfg.LLCWays, len(models))
+	allocs, err := core.EqualAllocs(core.Envelope{Ways: cfg.LLCWays}, len(models))
 	if err != nil {
 		return Result{}, err
-	}
-	masks, err := machine.AssignContiguousWays(counts, 0, cfg.LLCWays)
-	if err != nil {
-		return Result{}, err
-	}
-	level := core.EqualMBAShare(len(models))
-	allocs := make([]machine.Alloc, len(models))
-	for i := range models {
-		allocs[i] = machine.Alloc{CBM: masks[i], MBALevel: level}
 	}
 	return evaluate(cfg, models, allocs)
 }
@@ -180,10 +168,8 @@ func (s ST) Run(cfg machine.Config, models []machine.AppModel) (Result, error) {
 			return Result{}, err
 		}
 	}
-	// The solve cache serves only the solo solves, which repeat verbatim
-	// across the policies evaluating one mix. The search runs through a
-	// SolveSession: table-backed and uncached.
-	m, err := machine.New(cfg, machine.WithSolveCache())
+	// The search runs through a SolveSession: table-backed and uncached.
+	m, err := machine.New(cfg)
 	if err != nil {
 		return Result{}, err
 	}
@@ -866,12 +852,14 @@ func (d *Dynamic) Name() string {
 	return d.Label
 }
 
-// explore builds a fresh machine from cfg and opts, consolidates models
-// on it and runs d's manager — profile, then exploration until it settles
-// or MaxPeriods (default 300) elapse. Run and ExploreTime differ only in
-// what they read off the result.
-func (d *Dynamic) explore(cfg machine.Config, models []machine.AppModel, opts ...machine.Option) (*machine.Machine, *core.Manager, error) {
-	m, err := machine.New(cfg, opts...)
+// explore builds a fresh machine from cfg, consolidates models on it and
+// runs d's manager — profile, then exploration until it settles or
+// MaxPeriods (default 300) elapse. The machine memoizes its solves:
+// exploration revisits allocation states constantly, and each revisit
+// skips a whole fixed-point solve. Run and ExploreTime differ only in what
+// they read off the result.
+func (d *Dynamic) explore(cfg machine.Config, models []machine.AppModel) (*machine.Machine, *core.Manager, error) {
+	m, err := machine.New(cfg, machine.WithSolveCache())
 	if err != nil {
 		return nil, nil, err
 	}
@@ -918,11 +906,9 @@ func (d *Dynamic) explore(cfg machine.Config, models []machine.AppModel, opts ..
 }
 
 // Run implements Policy. It is safe for concurrent use: every call
-// builds its own machine (with the solve cache — exploration revisits
-// allocation states constantly, and each revisit skips a whole
-// fixed-point solve) and seeds its own RNG from d.Seed.
+// builds its own machine and seeds its own RNG from d.Seed.
 func (d *Dynamic) Run(cfg machine.Config, models []machine.AppModel) (Result, error) {
-	m, _, err := d.explore(cfg, models, machine.WithSolveCache())
+	m, _, err := d.explore(cfg, models)
 	if err != nil {
 		return Result{}, err
 	}
@@ -937,9 +923,10 @@ func (d *Dynamic) Run(cfg machine.Config, models []machine.AppModel) (Result, er
 	return evaluate(cfg, models, allocs)
 }
 
-// ExploreTime runs the dynamic policy on a plain machine, which memoizes
-// only the shared-way states it runs, and reports the mean wall-clock
-// getNextSystemState duration (the Figure 16 overhead metric).
+// ExploreTime runs the dynamic policy as Run does and reports the mean
+// wall-clock getNextSystemState duration (the Figure 16 overhead metric),
+// which the machine's memo does not touch: choosing the next state solves
+// nothing.
 func (d *Dynamic) ExploreTime(cfg machine.Config, models []machine.AppModel) (time.Duration, error) {
 	_, mgr, err := d.explore(cfg, models)
 	if err != nil {

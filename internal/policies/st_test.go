@@ -89,7 +89,7 @@ func sameResult(got, want Result) error {
 // and returns it with each app's solo full-resource IPS.
 func soloSession(t *testing.T, cfg machine.Config, models []machine.AppModel) (*machine.SolveSession, []float64) {
 	t.Helper()
-	m, err := machine.New(cfg, machine.WithSolveCache())
+	m, err := machine.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
